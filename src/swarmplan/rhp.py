@@ -1,6 +1,9 @@
-"""Receding-horizon driver: MRF sweeps -> pruning -> minimum-snap smoothing
--> validation/repair -> partial execution, looped until the swarm reaches
-the goal."""
+"""Receding-horizon driver: plan a few MRF sweeps ahead and prune them, then
+execute a fraction of that plan (re-prune, minimum-snap smoothing,
+validation/repair, sampling), looped until the swarm reaches the goal.
+
+Only the executed fraction is ever smoothed: the rest of the lookahead is
+discarded when the next horizon replans from the new positions."""
 
 from __future__ import annotations
 
@@ -22,12 +25,10 @@ from .mrf import (
 )
 from .paths import PrunedPath, prune
 from .trajopt import (
-    PolynomialTrajectory,
     SmoothingProblem,
-    TimeAllocation,
     UnrepairableError,
     allocate_times,
-    sample,
+    sample_common,
     smooth_and_validate,
 )
 
@@ -66,27 +67,28 @@ class RhpConfig:
 
 @dataclass
 class HorizonPlan:
-    """One horizon's plan: discrete segment, pruned paths, smoothed and
-    validated trajectories."""
+    """One horizon's lookahead: the discrete sweep paths and their pruned
+    waypoints. Nothing here is smoothed; `execute_fraction` smooths the part
+    it executes."""
 
     index: int
     discrete: list[DiscretePath]
     pruned: list[PrunedPath]
-    trajectories: list[PolynomialTrajectory] | None
-    problems: list[SmoothingProblem]
     trace: EnergyTrace
     terminal: bool
 
 
 @dataclass
 class ExecutionRecord:
-    """Executed portion of a horizon, sampled on a common time grid."""
+    """Executed portion of a horizon, sampled on a common time grid.
+    `steps` is the number of discrete steps each robot advanced."""
 
     t: np.ndarray
     pos: np.ndarray  # (robots, samples, 2)
     vel: np.ndarray
     acc: np.ndarray
     end_cells: tuple[Cell, ...]
+    steps: int
 
 
 @dataclass
@@ -106,25 +108,14 @@ class RunResult:
     pruned: list[list[PrunedPath]]  # per horizon
 
 
-def _smoothing_problems(
-    pruned: Sequence[PrunedPath], v_nominal: float, t_floor: float, resolution: float
-) -> list[SmoothingProblem]:
-    problems = []
-    for p in pruned:
-        times = allocate_times(p.waypoints, v_nominal, t_floor, resolution)
-        problems.append(SmoothingProblem.from_waypoints(p.robot, p.waypoints, times))
-    return problems
-
-
 def plan_horizon(
     state: SwarmState, scenario: Scenario, config: RhpConfig, index: int = 0
 ) -> HorizonPlan:
-    """Run up to H MRF sweeps, prune the window, smooth and validate.
+    """Run up to H MRF sweeps and prune the window.
 
-    Full-horizon smoothing is lookahead: only a fraction of the plan is ever
-    executed, so an unrepairable full-horizon smoothing leaves
-    `trajectories` as None instead of failing the whole run — the executed
-    sub-plan gets its own feasibility check in `execute_fraction`.
+    The plan is lookahead only: `execute_fraction` smooths, validates and
+    samples the fraction that is executed, and the next horizon replans the
+    rest.
     """
     mrf_cfg = replace(
         config.mrf, max_sweeps=config.planning_horizon, goal=scenario.goal
@@ -133,27 +124,8 @@ def plan_horizon(
     steps = len(paths[0].cells) - 1
     terminal = steps == 0
     pruned = prune(paths, scenario.grid, config.planning_horizon)
-    problems = _smoothing_problems(
-        pruned, config.v_nominal, config.t_floor, scenario.grid.resolution
-    )
-    try:
-        trajs = smooth_and_validate(
-            problems,
-            scenario.grid,
-            d_safe=config.d_safe,
-            corridor_halfwidth=config.corridor_halfwidth,
-            dt=config.dt,
-        )
-    except UnrepairableError:
-        trajs = None
     return HorizonPlan(
-        index=index,
-        discrete=paths,
-        pruned=pruned,
-        trajectories=trajs,
-        problems=problems,
-        trace=trace,
-        terminal=terminal,
+        index=index, discrete=paths, pruned=pruned, trace=trace, terminal=terminal
     )
 
 
@@ -162,8 +134,9 @@ def execute_fraction(
 ) -> ExecutionRecord:
     """Advance each robot ceil(fraction * steps) discrete steps.
 
-    The executed sub-path is re-pruned and re-smoothed rest-to-rest so the
-    horizon joint is a genuine stop point, then sampled on a common grid.
+    The executed sub-path is pruned and smoothed rest-to-rest so the horizon
+    joint is a genuine stop point, then sampled on a common grid; a robot
+    that finishes early holds its final position at rest.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
@@ -173,14 +146,19 @@ def execute_fraction(
     if e == 0:
         empty = np.zeros((len(plan.discrete), 0, 2))
         return ExecutionRecord(
-            t=np.zeros(0), pos=empty, vel=empty.copy(), acc=empty.copy(), end_cells=end_cells
+            t=np.zeros(0), pos=empty, vel=empty.copy(), acc=empty.copy(),
+            end_cells=end_cells, steps=0,
         )
 
     truncated = [DiscretePath(p.robot, p.cells[: e + 1]) for p in plan.discrete]
-    pruned = prune(truncated, scenario.grid, max(e, 1))
-    problems = _smoothing_problems(
-        pruned, config.v_nominal, config.t_floor, scenario.grid.resolution
-    )
+    pruned = prune(truncated, scenario.grid, e)
+    res = scenario.grid.resolution
+    problems = [
+        SmoothingProblem.from_waypoints(
+            p.robot, p.waypoints, allocate_times(p.waypoints, config.v_nominal, config.t_floor, res)
+        )
+        for p in pruned
+    ]
     trajs = smooth_and_validate(
         problems,
         scenario.grid,
@@ -188,24 +166,10 @@ def execute_fraction(
         corridor_halfwidth=config.corridor_halfwidth,
         dt=config.dt,
     )
-
-    t_max = max(tr.total_time for tr in trajs)
-    ts = np.arange(0.0, t_max, config.dt)
-    if len(ts) == 0 or ts[-1] < t_max:
-        ts = np.append(ts, t_max)
-    n = len(trajs)
-    pos = np.zeros((n, len(ts), 2))
-    vel = np.zeros_like(pos)
-    acc = np.zeros_like(pos)
-    for r, tr in enumerate(trajs):
-        for m, t in enumerate(ts):
-            if t <= tr.total_time:
-                pos[r, m] = tr.eval(t, 0)
-                vel[r, m] = tr.eval(t, 1)
-                acc[r, m] = tr.eval(t, 2)
-            else:
-                pos[r, m] = tr.eval(tr.total_time, 0)
-    return ExecutionRecord(t=ts, pos=pos, vel=vel, acc=acc, end_cells=end_cells)
+    s = sample_common(trajs, config.dt)
+    return ExecutionRecord(
+        t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e
+    )
 
 
 def _all_at_goal(positions: Sequence[Cell], goal, radius: float) -> bool:
@@ -257,20 +221,16 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         except UnrepairableError:
             status = STATUS_UNREPAIRABLE
             break
-        e = len(record.t)
-        if e:
+        if len(record.t):
             all_t.append(record.t + t_offset)
             all_pos.append(record.pos)
             all_vel.append(record.vel)
             all_acc.append(record.acc)
             t_offset += float(record.t[-1]) + config.dt
 
-        exec_steps = max(
-            1, math.ceil(config.execution_fraction * (len(plan.discrete[0].cells) - 1))
-        )
         for r in range(n):
-            discrete[r].extend(plan.discrete[r].cells[1 : exec_steps + 1])
-        state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm, t=state.t + exec_steps)
+            discrete[r].extend(plan.discrete[r].cells[1 : record.steps + 1])
+        state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm, t=state.t + record.steps)
     else:
         status = STATUS_MAX_HORIZONS
 

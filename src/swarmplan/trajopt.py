@@ -23,7 +23,17 @@ class TrajectoryError(RuntimeError):
 
 
 class UnrepairableError(TrajectoryError):
-    """Validation violations persisted through the repair round limit."""
+    """Validation violations persisted through the repair round limit.
+
+    `violations` is the final report; the message names each one.
+    """
+
+    def __init__(self, violations: Sequence["Violation"], rounds: int):
+        self.violations = list(violations)
+        detail = "; ".join(v.describe() for v in self.violations)
+        super().__init__(
+            f"{len(self.violations)} violation(s) remain after {rounds} repair rounds: {detail}"
+        )
 
 
 @dataclass(frozen=True)
@@ -206,25 +216,29 @@ class PolynomialTrajectory:
     def total_time(self) -> float:
         return self.times.total
 
-    def _segment(self, t: float) -> tuple[int, float]:
+    def segments(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Segment index and local time of each sample time, with times
+        clamped to [0, T]."""
+        t = np.clip(np.asarray(ts, dtype=float), 0.0, self.total_time)
         knots = self.times.knots
-        idx = int(np.searchsorted(knots, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.times.durations) - 1)
+        idx = np.searchsorted(knots, t, side="right") - 1
+        idx = np.clip(idx, 0, len(self.times.durations) - 1)
         return idx, t - knots[idx]
+
+    def eval_many(self, ts, order: int = 0) -> np.ndarray:
+        """Values of the `order`-th derivative at each time, (len(ts), dims);
+        times are clamped to [0, T]."""
+        seg, tau = self.segments(ts)
+        coeffs = self.coeffs[:, seg, :]  # (dims, samples, degree+1)
+        # Horner on the derivative coefficients
+        acc = np.zeros(coeffs.shape[:2])
+        for j in range(self.degree, order - 1, -1):
+            acc = acc * tau + coeffs[:, :, j] * _perm(j, order)
+        return acc.T
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
         """Value of the `order`-th derivative at time t (clamped to [0, T])."""
-        t = min(max(t, 0.0), self.total_time)
-        seg, tau = self._segment(t)
-        degree = self.degree
-        out = np.zeros(self.dims)
-        for d in range(self.dims):
-            # Horner on the derivative coefficients
-            acc = 0.0
-            for j in range(degree, order - 1, -1):
-                acc = acc * tau + self.coeffs[d, seg, j] * _perm(j, order)
-            out[d] = acc
-        return out
+        return self.eval_many([t], order)[0]
 
 
 def min_snap(
@@ -265,23 +279,40 @@ class TrajectorySamples:
     """Equally spaced samples of position, velocity and acceleration."""
 
     t: np.ndarray
-    pos: np.ndarray  # (n, dims)
+    pos: np.ndarray  # (n, dims), or (robots, n, dims) from sample_common
     vel: np.ndarray
     acc: np.ndarray
 
 
-def sample(traj: PolynomialTrajectory, dt: float) -> TrajectorySamples:
-    """Sample at t = 0, dt, ..., including the final time."""
+def _time_grid(trajs: Sequence[PolynomialTrajectory], dt: float) -> np.ndarray:
+    """t = 0, dt, ... up to the latest final time, which is always included."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    T = traj.total_time
-    ts = np.arange(0.0, T, dt)
-    if len(ts) == 0 or ts[-1] < T:
-        ts = np.append(ts, T)
-    pos = np.array([traj.eval(t, 0) for t in ts])
-    vel = np.array([traj.eval(t, 1) for t in ts])
-    acc = np.array([traj.eval(t, 2) for t in ts])
+    t_max = max(tr.total_time for tr in trajs)
+    ts = np.arange(0.0, t_max, dt)
+    if len(ts) == 0 or ts[-1] < t_max:
+        ts = np.append(ts, t_max)
+    return ts
+
+
+def sample_common(trajs: Sequence[PolynomialTrajectory], dt: float) -> TrajectorySamples:
+    """Sample every trajectory on one grid up to the latest final time; a
+    robot past its own final time holds its final position at rest."""
+    ts = _time_grid(trajs, dt)
+    pos = np.array([tr.eval_many(ts, 0) for tr in trajs])
+    vel = np.array([tr.eval_many(ts, 1) for tr in trajs])
+    acc = np.array([tr.eval_many(ts, 2) for tr in trajs])
+    for r, tr in enumerate(trajs):
+        done = ts > tr.total_time
+        vel[r, done] = 0.0
+        acc[r, done] = 0.0
     return TrajectorySamples(t=ts, pos=pos, vel=vel, acc=acc)
+
+
+def sample(traj: PolynomialTrajectory, dt: float) -> TrajectorySamples:
+    """Sample at t = 0, dt, ..., including the final time."""
+    s = sample_common([traj], dt)
+    return TrajectorySamples(t=s.t, pos=s.pos[0], vel=s.vel[0], acc=s.acc[0])
 
 
 @dataclass(frozen=True)
@@ -293,6 +324,10 @@ class Violation:
     time: float
     segment: int | None = None
     other: int | None = None
+
+    def describe(self) -> str:
+        who = f"robots {self.robot}-{self.other}" if self.other is not None else f"robot {self.robot}"
+        return f"{self.kind} {who} at t={self.time:.3f}"
 
 
 @dataclass
@@ -359,23 +394,16 @@ def validate(
     their final time hold their final position.
     """
     res = grid.resolution
-    t_max = max(tr.total_time for tr in trajs)
-    ts = np.arange(0.0, t_max, dt)
-    if len(ts) == 0 or ts[-1] < t_max:
-        ts = np.append(ts, t_max)
-
-    pos = np.array([[tr.eval(min(t, tr.total_time), 0) for t in ts] for tr in trajs])
+    ts = _time_grid(trajs, dt)
+    pos = np.array([tr.eval_many(ts, 0) for tr in trajs])
     violations: list[Violation] = []
 
     for r, tr in enumerate(trajs):
-        knots = tr.times.knots
+        segs = tr.segments(ts)[0].tolist()
         for n, t in enumerate(ts):
             x, y = pos[r, n]
             cx, cy = round(x), round(y)
-            seg_idx = min(
-                max(int(np.searchsorted(knots, min(t, tr.total_time), side="right")) - 1, 0),
-                len(tr.times.durations) - 1,
-            )
+            seg_idx = segs[n]
             if not grid.in_bounds((cx, cy)) or not grid.is_free((cx, cy)):
                 violations.append(Violation("obstacle", r, float(t), segment=seg_idx))
                 continue
@@ -431,10 +459,8 @@ def _closing_robot(trajs, v: Violation) -> int:
     """The robot of the violating pair that is moving toward the other at the
     violation time (slowing it staggers the pair apart). Later id on ties."""
     i, j = v.robot, v.other
-    ti = min(v.time, trajs[i].total_time)
-    tj = min(v.time, trajs[j].total_time)
-    pi, pj = trajs[i].eval(ti, 0), trajs[j].eval(tj, 0)
-    vi, vj = trajs[i].eval(ti, 1), trajs[j].eval(tj, 1)
+    pi, pj = trajs[i].eval(v.time, 0), trajs[j].eval(v.time, 0)
+    vi, vj = trajs[i].eval(v.time, 1), trajs[j].eval(v.time, 1)
     u = pj - pi
     norm = float(np.hypot(u[0], u[1]))
     if norm == 0:
@@ -521,15 +547,10 @@ def repair(
                 seg_of = {}
                 dev = {}
                 for r in (lo, hi):
-                    t_r = min(v.time, trajs[r].total_time)
-                    knots = trajs[r].times.knots
-                    s = min(
-                        max(int(np.searchsorted(knots, t_r, side="right")) - 1, 0),
-                        len(problems[r].durations) - 1,
-                    )
+                    s = int(trajs[r].segments([v.time])[0][0])
                     seg_of[r] = s
                     chord = problems[r].chords[problems[r].chord_of_segment[s]]
-                    dev[r] = point_segment_distance(tuple(trajs[r].eval(t_r, 0)), *chord)
+                    dev[r] = point_segment_distance(tuple(trajs[r].eval(v.time, 0)), *chord)
                 worst = max((lo, hi), key=lambda r: dev[r])
                 if dev[worst] > 0.01:
                     prob = problems[worst]
@@ -605,6 +626,4 @@ def smooth_and_validate(
         if not report:
             return trajs
         repair(problems, report, scale_counts, trajs, d_safe)
-    raise UnrepairableError(
-        f"{len(report)} violation(s) remain after {max_rounds} repair rounds"
-    )
+    raise UnrepairableError(report, max_rounds)

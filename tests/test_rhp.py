@@ -8,8 +8,10 @@ import pytest
 
 from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
-from swarmplan.mrf import OptimizeConfig, make_state
+from swarmplan import rhp
+from swarmplan.mrf import DiscretePath, OptimizeConfig, make_state
 from swarmplan.rhp import (
+    HorizonPlan,
     RhpConfig,
     Scenario,
     execute_fraction,
@@ -53,14 +55,10 @@ def test_plan_horizon_produces_consistent_plan():
     plan = plan_horizon(state, sc, cfg, index=3)
     assert plan.index == 3
     n = len(sc.start)
-    assert len(plan.discrete) == len(plan.pruned) == len(plan.problems) == n
+    assert len(plan.discrete) == len(plan.pruned) == n
     steps = len(plan.discrete[0].cells) - 1
     assert 1 <= steps <= cfg.planning_horizon
     assert not plan.terminal
-    if plan.trajectories is not None:
-        assert len(plan.trajectories) == n
-        for tr, p in zip(plan.trajectories, plan.discrete):
-            assert np.allclose(tr.eval(0.0), p.cells[0], atol=1e-6)
 
 
 def test_plan_horizon_terminal_at_fixed_point():
@@ -82,11 +80,64 @@ def test_execute_fraction_step_count():
     steps = len(plan.discrete[0].cells) - 1
     record = execute_fraction(plan, 0.5, sc, cfg)
     e = max(1, math.ceil(0.5 * steps))
+    assert record.steps == e
     for r, p in enumerate(plan.discrete):
         assert record.end_cells[r] == p.cells[e]
     # samples start at the current positions and end at the end cells
     assert np.allclose(record.pos[:, 0, :], [tuple(c) for c in sc.start], atol=1e-6)
     assert np.allclose(record.pos[:, -1, :], [tuple(c) for c in record.end_cells], atol=1e-6)
+
+
+def test_execute_fraction_holds_finished_robot_at_rest():
+    # Robot 1 is one cell from its goal and robot 0 has far to go: robot 1's
+    # trajectory ends first and must then hold its final cell at rest.
+    sc = free_scenario(goal=None, starts=((4, 4), (10, 10)))
+    plan = HorizonPlan(
+        index=0,
+        discrete=[
+            DiscretePath(0, [Cell(4, 4), Cell(6, 4), Cell(8, 4), Cell(10, 4)]),
+            DiscretePath(1, [Cell(10, 10), Cell(10, 11), Cell(10, 11), Cell(10, 11)]),
+        ],
+        pruned=[],
+        trace=None,
+        terminal=False,
+    )
+    record = execute_fraction(plan, 1.0, sc, small_config())
+    assert record.steps == 3
+    assert record.end_cells == (Cell(10, 4), Cell(10, 11))
+    done = record.t > record.t[-1] / 2
+    assert done.any() and not done.all()
+    held = record.pos[1, done]
+    assert np.allclose(held, [10.0, 11.0], atol=1e-9)
+    assert np.array_equal(held, np.broadcast_to(record.pos[1, -1], held.shape))
+    assert np.all(record.vel[1, done] == 0.0)
+    assert np.all(record.acc[1, done] == 0.0)
+    # robot 0 is still moving over the same stretch
+    assert np.any(record.vel[0, done] != 0.0)
+
+
+def test_run_smooths_once_per_executed_horizon(monkeypatch):
+    calls = []
+    real = rhp.smooth_and_validate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    executed = []
+    real_execute = rhp.execute_fraction
+
+    def counting_execute(*args, **kwargs):
+        record = real_execute(*args, **kwargs)
+        executed.append(record)
+        return record
+
+    monkeypatch.setattr(rhp, "smooth_and_validate", counting)
+    monkeypatch.setattr(rhp, "execute_fraction", counting_execute)
+    result = run(free_scenario(), small_config())
+    assert result.horizons > 1
+    assert len(executed) >= 1
+    assert len(calls) == len(executed)
 
 
 def test_execute_fraction_rejects_bad_fraction():

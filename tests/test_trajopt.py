@@ -146,6 +146,47 @@ def test_eval_clamps_outside_domain():
     assert np.allclose(traj.eval(99.0), traj.eval(1.0))
 
 
+def horner_reference(traj, t, order):
+    """Scalar clamp, segment lookup and Horner recurrence, one sample at a time."""
+    t = min(max(t, 0.0), traj.total_time)
+    knots = traj.times.knots
+    seg = int(np.searchsorted(knots, t, side="right")) - 1
+    seg = min(max(seg, 0), len(traj.times.durations) - 1)
+    tau = t - knots[seg]
+    out = np.zeros(traj.dims)
+    for d in range(traj.dims):
+        acc = 0.0
+        for j in range(traj.degree, order - 1, -1):
+            perm = math.perm(j, order)
+            acc = acc * tau + traj.coeffs[d, seg, j] * float(perm)
+        out[d] = acc
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_eval_many_matches_scalar_horner_exactly(order):
+    rng = np.random.default_rng(7)
+    wps = rng.uniform(-5.0, 5.0, size=(5, 2))
+    traj = min_snap(wps, allocate_times(wps, v_nominal=1.3))
+    knots = traj.times.knots
+    mids = (knots[:-1] + knots[1:]) / 2
+    ts = np.concatenate([knots, mids, [-1.0, -1e-12, traj.total_time + 1e-12, 50.0]])
+    ts = np.concatenate([ts, rng.uniform(0.0, traj.total_time, 40)])
+    got = traj.eval_many(ts, order)
+    want = np.array([horner_reference(traj, t, order) for t in ts])
+    assert got.shape == (len(ts), 2)
+    assert np.array_equal(got, want)
+    for t, row in zip(ts, want):
+        assert np.array_equal(traj.eval(t, order), row)
+
+
+def test_segments_on_knots_and_outside_domain():
+    traj = min_snap(np.array([0.0, 1.0, 3.0]), TimeAllocation(np.array([1.0, 2.0])))
+    seg, tau = traj.segments([-1.0, 0.0, 0.5, 1.0, 2.5, 3.0, 7.0])
+    assert seg.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    assert np.allclose(tau, [0.0, 0.0, 0.5, 0.0, 1.5, 2.0, 2.0])
+
+
 def make_problem(robot, waypoints, v=1.0):
     ta = allocate_times(waypoints, v_nominal=v)
     return SmoothingProblem.from_waypoints(robot, waypoints, ta)
@@ -282,8 +323,15 @@ def test_smooth_and_validate_raises_for_parked_overlap():
         make_problem(0, [(5.0, 5.0), (5.0, 5.0)]),
         make_problem(1, [(5.5, 5.0), (5.5, 5.0)]),
     ]
-    with pytest.raises(UnrepairableError):
+    with pytest.raises(UnrepairableError) as info:
         smooth_and_validate(probs, free_grid())
+    err = info.value
+    assert err.violations
+    assert all(v.kind == "separation" and (v.robot, v.other) == (0, 1) for v in err.violations)
+    msg = str(err)
+    assert f"{len(err.violations)} violation(s)" in msg
+    for v in err.violations:
+        assert f"separation robots 0-1 at t={v.time:.3f}" in msg
 
 
 def test_violation_fields():
