@@ -363,6 +363,8 @@ def write_run_outputs(out: Path, result: rhp.RunResult, cfg: ScenarioConfig, res
         f"final_energy: {_fmt(result.energies[-1]) if result.energies else 'n/a'}",
         f"path_lengths: {lengths}",
     ]
+    if result.reason is not None:
+        summary.append(f"reason: {result.reason}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
 
 

@@ -74,11 +74,14 @@ def build_interaction_graph(positions, k: int, r_comm: float = math.inf) -> Inte
     if np.any(dist[~np.eye(n, dtype=bool)] == 0):
         raise ValueError("robot positions must be pairwise distinct")
 
+    # a stable sort keeps equal distances in id order; column 0 is the robot
+    # itself (its only zero distance), and the sorted distances are ascending,
+    # so the in-range peers among the k nearest are the in-range k nearest
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
+    in_range = np.take_along_axis(dist, nearest, axis=1) <= r_comm
+    rows = np.broadcast_to(np.arange(n)[:, None], nearest.shape)
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
-        chosen = [j for j in order if dist[i, j] <= r_comm][:k]
-        adj[i, chosen] = True
+    adj[rows[in_range], nearest[in_range]] = True
     adj |= adj.T
 
     return InteractionGraph(

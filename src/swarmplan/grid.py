@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -178,13 +179,24 @@ def disk_offsets(order: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _disk(order: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """`disk_offsets(order)` and the disk's Chebyshev radius."""
+    return tuple(disk_offsets(order)), math.isqrt(order)
+
+
 def disk_cells(center: Cell, order: int, grid: OccupancyGrid) -> list[Cell]:
     """In-bounds cells of the order-n lattice disk around `center` (row-major)."""
     if not grid.in_bounds(center):
         raise ValueError(f"cell {tuple(center)} outside grid")
-    cells = []
-    for dx, dy in disk_offsets(order):
-        c = Cell(center[0] + dx, center[1] + dy)
-        if grid.in_bounds(c):
-            cells.append(c)
-    return cells
+    offsets, r = _disk(order)
+    cx, cy = center
+    height, width = grid.prob.shape
+    make = Cell._make
+    if r <= cx < width - r and r <= cy < height - r:  # the whole disk is on the map
+        return [make((cx + dx, cy + dy)) for dx, dy in offsets]
+    return [
+        make((cx + dx, cy + dy))
+        for dx, dy in offsets
+        if 0 <= cx + dx < width and 0 <= cy + dy < height
+    ]

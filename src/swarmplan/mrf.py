@@ -1,12 +1,25 @@
 """Swarm energy model over the interaction graph's maximal cliques and its
-coordinate-descent (ICM) minimization into discrete multi-robot paths."""
+coordinate-descent (ICM) minimization into discrete multi-robot paths.
+
+Robots sit on integer cells, so the ICM sweep reads two exact lookup tables
+instead of calling the scalar geometry: pair energies by cell offset (one
+table per `InteractionParams`, each entry filled by `interaction_energy`) and
+blocked-move conflicts by block and candidate offset (one table per disk
+radius, filled by the point-clearance and crossing predicates). Energies are
+added in `clique_energy`'s order, so results are bit-for-bit those of the
+scalar functions, which stay the reference."""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .fields import InteractionParams, ScalarField, interaction_energy
 from .graph import (
@@ -14,7 +27,7 @@ from .graph import (
     build_interaction_graph,
     check_connectivity_condition,
 )
-from .grid import Cell, OccupancyGrid, disk_cells
+from .grid import OCCUPIED_THRESHOLD, Cell, OccupancyGrid, disk_cells
 from .paths import point_segment_distance, segments_intersect
 
 
@@ -89,7 +102,12 @@ def local_search_space(
 ) -> list[Cell]:
     """Free cells of the order-n disk around robot i; always contains the
     robot's own (free) cell."""
-    return [c for c in disk_cells(state.positions[i], order, grid) if grid.is_free(c)]
+    prob = grid.prob  # disk cells are in bounds, so read it directly
+    return [
+        c
+        for c in disk_cells(state.positions[i], order, grid)
+        if prob[c[1], c[0]] < OCCUPIED_THRESHOLD
+    ]
 
 
 def apply_heuristics(
@@ -158,12 +176,170 @@ def clique_energy(
     return e
 
 
+# Robots sit on integer cells, so a pair energy depends only on the offset
+# between the two cells and a blocked-move test only on the offsets of the
+# block and the candidate from the mover. The tables below hold exactly the
+# floats and booleans the scalar functions return for those offsets.
+
+_PAIR_TABLES: dict[InteractionParams, tuple[array, int]] = {}
+
+
+def _pair_energies(iparams: InteractionParams, extent: int) -> tuple[array, int]:
+    """(table, width) with table[|dy| * width + |dx|] ==
+    interaction_energy((0, 0), (dx, dy), iparams) for |dx|, |dy| < extent.
+
+    `math.hypot` ignores signs, so the entry serves all four quadrants. The
+    table grows to the largest extent asked for; existing rows are copied.
+    """
+    table, width = _PAIR_TABLES.get(iparams, (array("d"), 0))
+    if extent <= width:
+        return table, width
+    grown = array("d")
+    for dy in range(extent):
+        if dy < width:
+            grown.extend(table[dy * width : (dy + 1) * width])
+        for dx in range(width if dy < width else 0, extent):
+            grown.append(interaction_energy((0, 0), (dx, dy), iparams))
+    _PAIR_TABLES[iparams] = (grown, extent)
+    return grown, extent
+
+
+def _span(cells) -> int:
+    """Largest |dx| or |dy| between any two of `cells`, plus one."""
+    xs = [c[0] for c in cells]
+    ys = [c[1] for c in cells]
+    return max(max(xs) - min(xs), max(ys) - min(ys)) + 1
+
+
+def _clique_terms(
+    clique: Sequence[int],
+    positions: Sequence[Cell],
+    static: ScalarField | None,
+    table: array,
+    width: int,
+    i: int = -1,
+) -> tuple[list[float], list[tuple[int, int]]]:
+    """The terms `clique_energy` adds, in its order, and the slots of the
+    terms that depend on robot i's cell.
+
+    Each slot is (term index, j): j is the robot paired with i, or -1 for
+    i's own static term. Slot terms hold 0.0 until filled; `reduce(add,
+    terms, 0.0)` then equals `clique_energy`.
+    """
+    terms: list[float] = []
+    slots: list[tuple[int, int]] = []
+    if static is not None:
+        for m in clique:
+            if m == i:
+                slots.append((len(terms), -1))
+                terms.append(0.0)
+            else:
+                terms.append(static.at(positions[m]))
+    for a in range(len(clique)):
+        for b in range(a + 1, len(clique)):
+            ca, cb = clique[a], clique[b]
+            if i in (ca, cb):
+                slots.append((len(terms), cb if ca == i else ca))
+                terms.append(0.0)
+            else:
+                pa, pb = positions[ca], positions[cb]
+                terms.append(table[abs(pa[1] - pb[1]) * width + abs(pa[0] - pb[0])])
+    return terms, slots
+
+
+def _conflicts(own: Cell, c: Cell, s0: Cell, s1: Cell) -> bool:
+    """Whether the move own -> c conflicts with the block s0 -> s1: a point
+    block (a held robot) needs clearance 1.0 along the whole move, a segment
+    must not be crossed."""
+    if s0 == s1:
+        return point_segment_distance(s0, own, c) < 1.0
+    return segments_intersect(own, c, s0, s1)
+
+
+# Beyond this Chebyshev radius a candidate disk holds Pythagorean moves such
+# as (3, 4); a held robot can sit at exactly distance 1 from them, and the
+# float clearance test then depends on the absolute coordinates.
+_MAX_CONFLICT_RADIUS = 3
+
+
+@lru_cache(maxsize=None)
+def _conflict_table(r: int) -> np.ndarray:
+    """Blocked-move conflicts for candidate moves of Chebyshev radius <= r.
+
+    Entry [w, u, v] tells whether the move from (0, 0) to v conflicts with a
+    block from w to w + u, by the predicates `icm_update` applies: clearance
+    below 1.0 from a point block (u = (0, 0)), crossing for a segment. w spans
+    [-2r, 2r]^2, u and v span [-r, r]^2, each flattened row-major (y, then x).
+    Only blocks whose bounding box meets the move's are evaluated: any other
+    block is at least 1 away along one axis, so it neither crosses the move
+    nor comes closer than 1.0 (rounding in the projection is monotonic and
+    keeps the computed gap at 1 or more).
+    """
+    n, m = 2 * r + 1, 4 * r + 1
+    table = np.zeros((m * m, n * n, n * n), dtype=bool)
+    span = range(-r, r + 1)
+    for vy in span:
+        for vx in span:
+            v = (vx, vy)
+            col = (vy + r) * n + vx + r
+            for uy in span:
+                for ux in span:
+                    u_idx = (uy + r) * n + ux + r
+                    for wy in range(min(0, vy) - max(0, uy), max(0, vy) - min(0, uy) + 1):
+                        for wx in range(min(0, vx) - max(0, ux), max(0, vx) - min(0, ux) + 1):
+                            table[(wy + 2 * r) * m + wx + 2 * r, u_idx, col] = _conflicts(
+                                (0, 0), v, (wx, wy), (wx + ux, wy + uy)
+                            )
+    table.setflags(write=False)
+    return table
+
+
+def _blocked_moves(
+    own: Cell, candidates: Sequence[Cell], blocked_segments: Sequence[tuple[Cell, Cell]]
+) -> list[bool]:
+    """For each candidate, whether the move from `own` to it conflicts with
+    any blocked segment, by `_conflicts`."""
+    ox, oy = own
+    offsets = [(c[0] - ox, c[1] - oy) for c in candidates]
+    r = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
+    if r > _MAX_CONFLICT_RADIUS:
+        return [
+            any(_conflicts(own, c, s0, s1) for s0, s1 in blocked_segments) for c in candidates
+        ]
+    hit = [False] * len(candidates)
+    if r == 0:
+        return hit
+    n, m = 2 * r + 1, 4 * r + 1
+    rows: list[int] = []
+    for s0, s1 in blocked_segments:
+        ux, uy = s1[0] - s0[0], s1[1] - s0[1]
+        if -r <= ux <= r and -r <= uy <= r:
+            wx, wy = s0[0] - ox + 2 * r, s0[1] - oy + 2 * r
+            # a block starting outside the window lies more than r from
+            # every point of the move
+            if 0 <= wx < m and 0 <= wy < m:
+                rows.append((wy * m + wx) * n * n + (uy + r) * n + ux + r)
+        else:
+            hit = [h or _conflicts(own, c, s0, s1) for h, c in zip(hit, candidates)]
+    if rows:
+        table = _conflict_table(r).reshape(-1, n * n)
+        cols = [(dy + r) * n + dx + r for dx, dy in offsets]
+        found = table[np.array(rows)[:, None], cols].any(axis=0)
+        hit = [a or b for a, b in zip(hit, found.tolist())]
+    return hit
+
+
 def swarm_energy(
     state: SwarmState, static: ScalarField | None, iparams: InteractionParams
 ) -> float:
     """Sum of clique energies over all maximal cliques (shared members count
     once per clique, by definition)."""
-    return sum(clique_energy(c, state.positions, static, iparams) for c in state.graph.cliques)
+    positions = state.positions
+    table, width = _pair_energies(iparams, _span(positions))
+    return sum(
+        reduce(add, _clique_terms(c, positions, static, table, width)[0], 0.0)
+        for c in state.graph.cliques
+    )
 
 
 def icm_update(
@@ -181,36 +357,45 @@ def icm_update(
     candidate space; ties go to the candidate nearest the goal, then
     row-major order. Candidates whose move segment would cross a blocked
     segment are skipped (the current cell is exempt), so the result never
-    increases the frozen-graph swarm energy.
+    increases the frozen-graph swarm energy. Held robots (point blocks) need
+    full clearance along the whole move, not just non-crossing: a diagonal
+    slide past an adjacent held robot cannot be staggered away at the
+    trajectory stage.
     """
     own = state.positions[i]
-    cliques_i = [c for c in state.graph.cliques if i in c]
-    positions = list(state.positions)
-
-    def key(c: Cell):
-        positions[i] = c
-        e = sum(clique_energy(cl, positions, static, iparams) for cl in cliques_i)
-        positions[i] = own
-        gdist = math.hypot(c[0] - goal[0], c[1] - goal[1]) if goal is not None else 0.0
-        return (e, gdist, c[1], c[0])
+    candidates = spaces[i]
+    if blocked_segments:
+        hit = _blocked_moves(own, candidates, blocked_segments)
+        candidates = [c for c, h in zip(candidates, hit) if c == own or not h]
+    positions = state.positions
+    cliques_i = [cl for cl in state.graph.cliques if i in cl]
+    members = {m for cl in cliques_i for m in cl}
+    table, width = _pair_energies(
+        iparams, _span([*candidates, *(positions[m] for m in members)])
+    )
+    layouts = [_clique_terms(cl, positions, static, table, width, i) for cl in cliques_i]
+    partners = {j for _, slots in layouts for _, j in slots}
 
     best = None
     best_key = None
-    for c in spaces[i]:
-        if c != own and blocked_segments is not None:
-            # held robots (point blocks) need full clearance along the whole
-            # move, not just non-crossing: a diagonal slide past an adjacent
-            # held robot cannot be staggered away at the trajectory stage
-            if any(
-                point_segment_distance(s0, own, c) < 1.0
-                if s0 == s1
-                else segments_intersect(own, c, s0, s1)
-                for s0, s1 in blocked_segments
-            ):
-                continue
-        kk = key(c)
-        if best_key is None or kk < best_key:
-            best, best_key = c, kk
+    for c in candidates:
+        cx, cy = c
+        varying = {
+            j: static.at(c)
+            if j < 0
+            else table[abs(cy - positions[j][1]) * width + abs(cx - positions[j][0])]
+            for j in partners
+        }
+        energies = []
+        for terms, slots in layouts:
+            for k, j in slots:
+                terms[k] = varying[j]
+            energies.append(reduce(add, terms, 0.0))
+        e = sum(energies)
+        gdist = math.hypot(cx - goal[0], cy - goal[1]) if goal is not None else 0.0
+        key = (e, gdist, cy, cx)
+        if best_key is None or key < best_key:
+            best, best_key = c, key
     assert best is not None  # own cell is always admissible
     return best
 

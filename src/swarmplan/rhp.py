@@ -106,6 +106,7 @@ class RunResult:
     sweep_seconds: list[float]
     discrete: list[list[Cell]]  # executed cells per robot, all horizons
     pruned: list[list[PrunedPath]]  # per horizon
+    reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
 def plan_horizon(
@@ -195,6 +196,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     t_offset = 0.0
     status = STATUS_MAX_HORIZONS
     horizons = 0
+    reason = None
 
     for h in range(config.max_horizons):
         if scenario.goal is not None and _all_at_goal(
@@ -218,8 +220,9 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
 
         try:
             record = execute_fraction(plan, config.execution_fraction, scenario, config)
-        except UnrepairableError:
+        except UnrepairableError as exc:
             status = STATUS_UNREPAIRABLE
+            reason = str(exc)
             break
         if len(record.t):
             all_t.append(record.t + t_offset)
@@ -262,6 +265,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         sweep_seconds=sweep_seconds,
         discrete=discrete,
         pruned=pruned_log,
+        reason=reason,
     )
 
 

@@ -4,9 +4,11 @@ scenario generation, subcommand exit codes, and output-file determinism."""
 import numpy as np
 import pytest
 
+from swarmplan import rhp
 from swarmplan.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_UNREPAIRABLE,
     ConfigError,
     ScenarioConfig,
     build_scenario,
@@ -16,6 +18,7 @@ from swarmplan.cli import (
     stream_rng,
 )
 from swarmplan.graph import build_interaction_graph, check_connectivity_condition
+from swarmplan.trajopt import UnrepairableError, Violation
 
 
 def test_config_text_round_trip():
@@ -133,6 +136,22 @@ def test_plan_command_byte_deterministic(tmp_path):
         outs.append(out)
     for name in stable:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
+    def failing_execute(*args, **kwargs):
+        raise UnrepairableError([Violation("separation", 0, 3.1, other=8)], 10)
+
+    monkeypatch.setattr(rhp, "execute_fraction", failing_execute)
+    out = tmp_path / "run"
+    code = run_command(["plan", "--scenario", "free", "--out", str(out)])
+    assert code == EXIT_UNREPAIRABLE
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[0] == "status: unrepairable"
+    assert lines[-1] == (
+        "reason: 1 violation(s) remain after 10 repair rounds: "
+        "separation robots 0-8 at t=3.100"
+    )
 
 
 def test_mrf_only_command(tmp_path):

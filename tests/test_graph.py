@@ -2,6 +2,7 @@
 maximal cliques against a brute-force oracle, and Markov blankets."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,35 @@ def test_knn_tie_broken_by_lower_id():
     assert g.adjacency[0, 1]
     # The edge 0-2 exists anyway because robot 2's nearest peer is robot 0.
     assert g.adjacency[2, 0]
+
+
+def sorted_knn_adjacency(positions, k, r_comm):
+    """[DERIVED] reference: per robot, sort the others by (distance, id) and
+    keep the first k within range; symmetrize by union."""
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    dist = np.hypot(pos[:, None, 0] - pos[None, :, 0], pos[:, None, 1] - pos[None, :, 1])
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
+        adj[i, [j for j in order if dist[i, j] <= r_comm][:k]] = True
+    return adj | adj.T
+
+
+def test_knn_equals_sorted_reference_with_ties_and_range():
+    # Lattice positions in a small box make many equal distances.
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        n = int(rng.integers(2, 12))
+        cells = set()
+        while len(cells) < n:
+            cells.add((int(rng.integers(0, 6)), int(rng.integers(0, 6))))
+        positions = sorted(cells, key=lambda _: rng.random())
+        k = int(rng.integers(1, n))
+        r_comm = [math.inf, 1.0, 2.0, 2.5, 3.0][int(rng.integers(0, 5))]
+        g = build_interaction_graph(positions, k, r_comm)
+        assert np.array_equal(g.adjacency, sorted_knn_adjacency(positions, k, r_comm))
+        assert g.cliques == maximal_cliques(g.adjacency)
 
 
 def test_adjacency_symmetric_irreflexive():

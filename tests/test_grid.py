@@ -123,6 +123,23 @@ def test_disk_cells_clip_to_bounds():
     assert cells == sorted(cells, key=lambda c: (c.y, c.x))
 
 
+def test_disk_cells_equal_bounds_checked_comprehension():
+    # [DERIVED] reference: every disk offset added to the center, kept when
+    # in bounds, in disk_offsets' row-major order.
+    grid = OccupancyGrid(prob=np.zeros((7, 9)), resolution=1.0)
+    for order in range(1, 13):
+        for y in range(grid.height):
+            for x in range(grid.width):
+                expected = [
+                    Cell(x + dx, y + dy)
+                    for dx, dy in disk_offsets(order)
+                    if grid.in_bounds(Cell(x + dx, y + dy))
+                ]
+                got = disk_cells(Cell(x, y), order, grid)
+                assert got == expected
+                assert all(type(c) is Cell and type(c.x) is int and type(c.y) is int for c in got)
+
+
 def test_disk_cells_rejects_out_of_bounds_center():
     grid = load_map(MAP_3X2)
     with pytest.raises(ValueError):

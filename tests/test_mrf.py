@@ -2,16 +2,28 @@
 heuristics, clique energies, the update rule against an exhaustive-argmin
 oracle, energy monotonicity, and convergence behavior."""
 
+import hashlib
 import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmplan.fields import GoalParams, InteractionParams, ScalarField, build_goal_field
-from swarmplan.grid import Cell, OccupancyGrid
+from swarmplan.cli import ScenarioConfig, build_scenario
+from swarmplan.fields import (
+    GoalParams,
+    InteractionParams,
+    ScalarField,
+    build_goal_field,
+    interaction_energy,
+)
+from swarmplan.grid import Cell, OccupancyGrid, disk_cells
 from swarmplan.mrf import (
     ConnectivityError,
+    _conflict_table,
+    _pair_energies,
     DiscretePath,
     OptimizeConfig,
     apply_heuristics,
@@ -124,12 +136,22 @@ def test_swarm_energy_sums_maximal_cliques():
     assert total == pytest.approx(expected)
 
 
-def exhaustive_argmin(state, i, spaces, static, goal):
-    """[DERIVED] oracle: evaluate every candidate's clique-sum energy directly
-    and apply the same deterministic tie-breaks."""
+def exhaustive_argmin(state, i, spaces, static, goal, blocked=()):
+    """[DERIVED] oracle: skip candidates whose move conflicts with a block
+    (a point block needs clearance 1.0, a segment must not be crossed; the
+    own cell is exempt), evaluate every other candidate's clique-sum energy
+    directly and apply the same deterministic tie-breaks."""
     cliques_i = [c for c in state.graph.cliques if i in c]
+    own = state.positions[i]
     best = None
     for cand in spaces[i]:
+        if cand != own and any(
+            point_segment_distance(s0, own, cand) < 1.0
+            if s0 == s1
+            else segments_intersect(own, cand, s0, s1)
+            for s0, s1 in blocked
+        ):
+            continue
         positions = list(state.positions)
         positions[i] = cand
         e = sum(clique_energy(cl, positions, static, IPARAMS) for cl in cliques_i)
@@ -156,6 +178,49 @@ def test_icm_update_matches_exhaustive_argmin_on_random_states():
         i = int(rng.integers(0, 4))
         got = icm_update(state, i, spaces, static, IPARAMS, goal_params.goal)
         assert got == exhaustive_argmin(state, i, spaces, static, goal_params.goal)
+
+
+def random_blocks(rng, state, i, n_blocks):
+    """Point blocks at other robots' cells and segments near robot i, some
+    longer than any disk radius used here."""
+    own = state.positions[i]
+    blocks = []
+    for _ in range(n_blocks):
+        if rng.random() < 0.4:
+            j = int(rng.integers(0, len(state.positions)))
+            if j != i:
+                blocks.append((state.positions[j], state.positions[j]))
+            continue
+        s0 = Cell(own[0] + int(rng.integers(-6, 7)), own[1] + int(rng.integers(-6, 7)))
+        reach = int(rng.choice([1, 2, 3, 6]))
+        s1 = Cell(s0[0] + int(rng.integers(-reach, reach + 1)), s0[1] + int(rng.integers(-reach, reach + 1)))
+        blocks.append((s0, s1))
+    return blocks
+
+
+def test_icm_update_matches_exhaustive_argmin_with_blocked_moves():
+    # [DERIVED] 200 random 4-robot states on 12x12 maps; orders 2, 4, 9 and
+    # 16 give disk radii 1 to 4 (radius 4 is checked without the table).
+    rng = np.random.default_rng(7)
+    goal_params = GoalParams(goal=(6.0, 6.0))
+    grid = free_grid(12, 12)
+    static = build_goal_field(grid, goal_params)
+    n_blocked = 0
+    for _ in range(200):
+        cells = set()
+        while len(cells) < 4:
+            cells.add((int(rng.integers(0, 12)), int(rng.integers(0, 12))))
+        state = make_state(sorted(cells), grid, k=2)
+        order = int(rng.choice([2, 4, 9, 16]))
+        spaces = apply_heuristics(
+            [local_search_space(grid, state, i, order) for i in range(4)], state
+        )
+        i = int(rng.integers(0, 4))
+        blocks = random_blocks(rng, state, i, int(rng.integers(1, 8)))
+        got = icm_update(state, i, spaces, static, IPARAMS, goal_params.goal, blocks)
+        assert got == exhaustive_argmin(state, i, spaces, static, goal_params.goal, blocks)
+        n_blocked += got != exhaustive_argmin(state, i, spaces, static, goal_params.goal)
+    assert n_blocked > 20  # the blocks decide a good share of the updates
 
 
 def test_icm_update_never_increases_frozen_graph_energy():
@@ -305,3 +370,100 @@ def test_two_robot_equilibrium_matches_lattice_scan():
     sep = math.hypot(final[0][0] - final[1][0], final[0][1] - final[1][1])
     assert abs(sep - lattice) <= 1.0 + 1e-9
     assert abs(lattice - d_star) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "iparams",
+    [IPARAMS, InteractionParams(attract_amp=0.5, repulse_amp=1.3, attract_len=9.0, repulse_len=2.5)],
+)
+def test_pair_table_equals_interaction_energy(iparams):
+    _pair_energies(iparams, 7)  # grown below, keeping these rows
+    table, width = _pair_energies(iparams, 60)
+    assert width >= 60
+    origin = Cell(1000, 999)
+    for dy in range(60):
+        for dx in range(60):
+            entry = table[dy * width + dx]
+            assert entry == interaction_energy((0, 0), (dx, dy), iparams)
+            for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                other = (origin[0] + sx * dx, origin[1] + sy * dy)
+                assert entry == interaction_energy(origin, other, iparams)
+
+
+@pytest.mark.parametrize("r", sorted({math.isqrt(order) for order in range(1, 13)}))
+def test_conflict_table_equals_scalar_predicates(r):
+    # [DERIVED] entry [w, u, v]: does the move origin -> origin + v conflict
+    # with the block origin + w -> origin + w + u, at translated origins.
+    table = _conflict_table(r)
+    n, m = 2 * r + 1, 4 * r + 1
+    span = range(-r, r + 1)
+    for ox, oy in ((37, 53), (1000, 999)):
+        expected = np.zeros_like(table)
+        for wy in range(-2 * r, 2 * r + 1):
+            for wx in range(-2 * r, 2 * r + 1):
+                s0 = (ox + wx, oy + wy)
+                row = (wy + 2 * r) * m + wx + 2 * r
+                for uy in span:
+                    for ux in span:
+                        s1 = (s0[0] + ux, s0[1] + uy)
+                        col_u = (uy + r) * n + ux + r
+                        for vy in span:
+                            for vx in span:
+                                c = (ox + vx, oy + vy)
+                                expected[row, col_u, (vy + r) * n + vx + r] = (
+                                    point_segment_distance(s0, (ox, oy), c) < 1.0
+                                    if s0 == s1
+                                    else segments_intersect((ox, oy), c, s0, s1)
+                                )
+        assert np.array_equal(table, expected)
+
+
+def test_swarm_energy_equals_clique_energy_sum():
+    rng = np.random.default_rng(5)
+    grid = free_grid(30, 30)
+    static = build_goal_field(grid, GoalParams(goal=(21.5, 8.0)))
+    for _ in range(100):
+        cells = set()
+        while len(cells) < 8:
+            cells.add((int(rng.integers(0, 30)), int(rng.integers(0, 30))))
+        state = make_state(sorted(cells, key=lambda _: rng.random()), grid, k=3)
+        for fld in (static, None):
+            expected = sum(
+                clique_energy(c, state.positions, fld, IPARAMS) for c in state.graph.cliques
+            )
+            assert swarm_energy(state, fld, IPARAMS) == expected
+
+
+def test_local_search_space_equals_free_cell_comprehension():
+    rng = np.random.default_rng(11)
+    prob = np.where(rng.random((9, 11)) < 0.3, 1.0, 0.0)
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    free = [Cell(x, y) for y in range(9) for x in range(11) if grid.is_free(Cell(x, y))]
+    state = make_state(free, grid, k=1)
+    for order in (1, 2, 4, 5, 9):
+        for i, p in enumerate(state.positions):
+            expected = [c for c in disk_cells(p, order, grid) if grid.is_free(c)]
+            assert local_search_space(grid, state, i, order) == expected
+
+
+# SHA-256 of repr((paths, energies)) for the formation-n20 run below, as
+# computed by the scalar-energy ICM this table-driven one replaced.
+FORMATION_N20_SEED2_DIGEST = "9e23d69ceb1787ea668839cc8172e822a4c33c46b99dcb12e52c8aaaf13e2908"
+
+
+def test_optimize_formation_n20_golden_digest():
+    config_path = Path(__file__).resolve().parents[1] / "perfbench/configs/formation-n20.txt"
+    cfg = replace(ScenarioConfig.from_text(config_path.read_text()), seed=2)
+    scenario, cfg = build_scenario(cfg)
+    state = make_state(scenario.start, scenario.grid, cfg.k, cfg.r_comm)
+    mrf_cfg = OptimizeConfig(
+        k=cfg.k,
+        search_order=cfg.order,
+        r_comm=cfg.r_comm,
+        goal=scenario.goal,
+        trim_backward=cfg.trim_backward,
+    )
+    paths, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
+    assert trace.iterations == 39
+    text = repr(([p.cells for p in paths], trace.energies))
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMATION_N20_SEED2_DIGEST

@@ -19,6 +19,7 @@ from swarmplan.rhp import (
     plan_horizon,
     run,
 )
+from swarmplan.trajopt import UnrepairableError, Violation
 
 
 IPARAMS = InteractionParams()
@@ -138,6 +139,26 @@ def test_run_smooths_once_per_executed_horizon(monkeypatch):
     assert result.horizons > 1
     assert len(executed) >= 1
     assert len(calls) == len(executed)
+
+
+def test_run_keeps_unrepairable_reason(monkeypatch):
+    error = UnrepairableError([Violation("separation", 0, 3.1, other=8)], 10)
+
+    def failing_execute(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(rhp, "execute_fraction", failing_execute)
+    result = run(free_scenario(), small_config())
+    assert result.status == rhp.STATUS_UNREPAIRABLE
+    assert result.reason == str(error)
+    assert result.reason == (
+        "1 violation(s) remain after 10 repair rounds: separation robots 0-8 at t=3.100"
+    )
+
+
+def test_run_without_failure_has_no_reason():
+    result = run(free_scenario(), small_config(max_horizons=2))
+    assert result.reason is None
 
 
 def test_execute_fraction_rejects_bad_fraction():
