@@ -1,9 +1,27 @@
 """Minimum-snap piecewise polynomial smoothing of pruned waypoint paths:
 equality-constrained QP assembly and KKT solve, time allocation, sampling,
-and the validate/repair feasibility loop."""
+and the validate/repair feasibility loop.
+
+The executed-fraction work runs on arrays. `min_snap` builds one QP per
+robot (cost and constraints do not depend on the dimension) and solves it
+once per right-hand-side column. `sample_common` and `validate` evaluate all
+robots in one pass: one segment lookup per trajectory, then the Horner
+recurrence over every robot's samples for each derivative order. `validate`
+then checks obstacles, corridors and pair separation on whole arrays.
+
+Every array path keeps the scalar arithmetic's operation order, so results
+are bit-identical to a per-sample loop. These look equivalent but differ in
+the last bit on some inputs (x86-64, AVX-512, numpy 2.4 with OpenBLAS), so
+they are not used: `np.power(tau, k)` for Python `tau ** k`; one
+`np.linalg.solve` with several right-hand-side columns for one solve per
+column; `scipy.linalg.lu_factor`/`lu_solve` per column; and `np.hypot` for
+`math.hypot`. One KKT matrix with a separate `np.linalg.solve` per column
+matches the per-dimension solves exactly.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,9 +56,14 @@ class UnrepairableError(TrajectoryError):
 
 @dataclass(frozen=True)
 class TimeAllocation:
-    """Per-segment durations; `knots` prepends t = 0 and accumulates."""
+    """Per-segment durations; `knots` prepends t = 0 and accumulates, and
+    `total` is their sum. Both are computed once, read-only."""
 
     durations: np.ndarray
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    # np.sum, not knots[-1]: from 8 elements on numpy sums in 8 partial
+    # accumulators, which can differ from the running cumsum in the last bit
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.durations, dtype=float)
@@ -49,15 +72,11 @@ class TimeAllocation:
         if np.any(d <= 0):
             raise ValueError("segment durations must be positive")
         d.setflags(write=False)
+        knots = np.concatenate([[0.0], np.cumsum(d)])
+        knots.setflags(write=False)
         object.__setattr__(self, "durations", d)
-
-    @property
-    def knots(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.durations)])
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.durations))
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "total", float(np.sum(d)))
 
 
 def allocate_times(
@@ -91,38 +110,54 @@ def _perm(j: int, q: int) -> float:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _perm_table(degree: int) -> tuple[tuple[float, ...], ...]:
+    """`_perm(j, q)` for 0 <= j, q <= degree, indexed [j][q], as Python
+    floats (scalar arithmetic on numpy floats is several times slower)."""
+    return tuple(tuple(_perm(j, q) for q in range(degree + 1)) for j in range(degree + 1))
+
+
 def _deriv_row(tau: float, degree: int, order: int) -> np.ndarray:
+    # Python `**`, not np.power: the two differ in the last bit
+    perm = _perm_table(degree)
     row = np.zeros(degree + 1)
-    for j in range(order, degree + 1):
-        row[j] = _perm(j, order) * tau ** (j - order)
+    row[order:] = [perm[j][order] * tau ** (j - order) for j in range(order, degree + 1)]
     return row
 
 
+@functools.lru_cache(maxsize=1024)
 def _snap_gram(duration: float, degree: int, q: int) -> np.ndarray:
-    """Closed-form integral of products of q-th derivative monomials."""
+    """Closed-form integral of products of q-th derivative monomials
+    (read-only: the array is shared by every caller with these arguments)."""
+    perm = _perm_table(degree)
     g = np.zeros((degree + 1, degree + 1))
     for j in range(q, degree + 1):
         for l in range(q, degree + 1):
             p = j + l - 2 * q
-            g[j, l] = _perm(j, q) * _perm(l, q) * duration ** (p + 1) / (p + 1)
+            g[j, l] = perm[j][q] * perm[l][q] * duration ** (p + 1) / (p + 1)
+    g.setflags(write=False)
     return g
 
 
 def build_qp(
-    waypoints_1d,
+    waypoints,
     times: TimeAllocation,
     degree: int = DEFAULT_DEGREE,
     deriv_order: int = SNAP_ORDER,
 ) -> QuadraticProgram:
-    """Assemble the minimum-snap QP for one dimension.
+    """Assemble the minimum-snap QP.
 
     Decision vector: per-segment monomial coefficients in local time.
     Constraints: waypoint interpolation at both ends of every segment, rest
     boundaries (derivatives 1..3 zero at the trajectory ends), and
     derivative continuity of orders 1..3 at interior knots. Snap continuity
     is not imposed; it emerges at the optimum.
+
+    Cost and constraint matrix do not depend on the waypoint values, so one
+    QP serves every dimension: waypoints of shape (n,) give an `eq_vec` of
+    shape (m,), waypoints of shape (n, dims) one column per dimension.
     """
-    wp = np.asarray(waypoints_1d, dtype=float)
+    wp = np.asarray(waypoints, dtype=float)
     n_seg = len(times.durations)
     if wp.shape[0] != n_seg + 1:
         raise ValueError("waypoint count must be segment count + 1")
@@ -131,70 +166,99 @@ def build_qp(
 
     ncoef = degree + 1
     nvar = ncoef * n_seg
+    durations = [float(T) for T in times.durations]
     cost = np.zeros((nvar, nvar))
-    for s, T in enumerate(times.durations):
+    for s, T in enumerate(durations):
         i = s * ncoef
-        cost[i : i + ncoef, i : i + ncoef] = _snap_gram(float(T), degree, deriv_order)
+        cost[i : i + ncoef, i : i + ncoef] = _snap_gram(T, degree, deriv_order)
 
-    rows = []
-    rhs = []
-
-    def add(seg: int, tau: float, order: int, value: float | None, other: int | None = None):
-        row = np.zeros(nvar)
-        row[seg * ncoef : (seg + 1) * ncoef] = _deriv_row(tau, degree, order)
-        if other is not None:
-            row[other * ncoef : (other + 1) * ncoef] -= _deriv_row(0.0, degree, order)
-        rows.append(row)
-        rhs.append(0.0 if value is None else value)
-
-    for s, T in enumerate(times.durations):
-        add(s, 0.0, 0, wp[s])
-        add(s, float(T), 0, wp[s + 1])
+    # (segment, local time, derivative order, value or None, next segment)
+    cons = []
+    for s, T in enumerate(durations):
+        cons.append((s, 0.0, 0, wp[s], None))
+        cons.append((s, T, 0, wp[s + 1], None))
     for order in range(1, deriv_order):
-        add(0, 0.0, order, 0.0)
-        add(n_seg - 1, float(times.durations[-1]), order, 0.0)
+        cons.append((0, 0.0, order, 0.0, None))
+        cons.append((n_seg - 1, durations[-1], order, 0.0, None))
     for s in range(n_seg - 1):
         for order in range(1, deriv_order):
-            add(s, float(times.durations[s]), order, None, other=s + 1)
+            cons.append((s, durations[s], order, None, s + 1))
 
-    return QuadraticProgram(
-        cost=cost, eq_mat=np.array(rows), eq_vec=np.array(rhs)
-    )
+    at_zero = [_deriv_row(0.0, degree, order) for order in range(deriv_order)]
+    eq_mat = np.zeros((len(cons), nvar))
+    eq_vec = np.zeros((len(cons),) + wp.shape[1:])
+    for k, (seg, tau, order, value, other) in enumerate(cons):
+        row = at_zero[order] if tau == 0.0 else _deriv_row(tau, degree, order)
+        eq_mat[k, seg * ncoef : (seg + 1) * ncoef] = row
+        if other is not None:
+            eq_mat[k, other * ncoef : (other + 1) * ncoef] -= at_zero[order]
+        if value is not None:
+            eq_vec[k] = value
+
+    return QuadraticProgram(cost=cost, eq_mat=eq_mat, eq_vec=eq_vec)
 
 
 def solve_qp(qp: QuadraticProgram, residual_tol: float = 1e-8) -> np.ndarray:
     """Exact equality-constrained minimizer via the KKT linear system.
 
     A tiny ridge (1e-9) is added to the cost's null directions when the
-    plain system is singular.
+    plain system is singular. A 2-D `eq_vec` is solved column by column
+    against one KKT matrix; the result has one column per `eq_vec` column.
     """
     n = qp.cost.shape[0]
     m = qp.eq_mat.shape[0]
-    rhs = np.concatenate([np.zeros(n), qp.eq_vec])
+    kkts: dict[float, np.ndarray] = {}
 
     def kkt(reg: float) -> np.ndarray:
-        top = np.hstack([2 * qp.cost + reg * np.eye(n), qp.eq_mat.T])
-        bot = np.hstack([qp.eq_mat, np.zeros((m, m))])
-        return np.vstack([top, bot])
+        if reg not in kkts:
+            mat = np.zeros((n + m, n + m))
+            mat[:n, :n] = 2 * qp.cost + reg * np.eye(n)
+            mat[:n, n:] = qp.eq_mat.T
+            mat[n:, :n] = qp.eq_mat
+            kkts[reg] = mat
+        return kkts[reg]
 
-    sol = None
-    for reg in (0.0, 1e-9):
-        try:
-            cand = np.linalg.solve(kkt(reg), rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(cand)):
-            sol = cand
-            break
-    if sol is None:
-        sol, *_ = np.linalg.lstsq(kkt(1e-9), rhs, rcond=None)
-        if not np.all(np.isfinite(sol)):
-            raise TrajectoryError("KKT system rank-deficient beyond regularization")
-    x = sol[:n]
-    residual = np.max(np.abs(qp.eq_mat @ x - qp.eq_vec)) if m else 0.0
-    if residual > residual_tol:
-        raise TrajectoryError(f"constraints inconsistent (residual {residual:.3g})")
-    return x
+    def solve_column(eq_vec: np.ndarray) -> np.ndarray:
+        # one np.linalg.solve per column: a multi-column solve is not
+        # bit-identical to single ones
+        rhs = np.concatenate([np.zeros(n), eq_vec])
+        sol = None
+        for reg in (0.0, 1e-9):
+            try:
+                cand = np.linalg.solve(kkt(reg), rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(cand)):
+                sol = cand
+                break
+        if sol is None:
+            sol, *_ = np.linalg.lstsq(kkt(1e-9), rhs, rcond=None)
+            if not np.all(np.isfinite(sol)):
+                raise TrajectoryError("KKT system rank-deficient beyond regularization")
+        x = sol[:n]
+        residual = np.max(np.abs(qp.eq_mat @ x - eq_vec)) if m else 0.0
+        if residual > residual_tol:
+            raise TrajectoryError(f"constraints inconsistent (residual {residual:.3g})")
+        return x
+
+    if qp.eq_vec.ndim == 1:
+        return solve_column(qp.eq_vec)
+    return np.stack([solve_column(qp.eq_vec[:, c]) for c in range(qp.eq_vec.shape[1])], axis=1)
+
+
+def _horner(coeffs: np.ndarray, tau, order: int) -> np.ndarray:
+    """The `order`-th derivative of polynomials with monomial coefficients
+    `coeffs` (..., degree+1) at local times `tau`, which broadcast against
+    `coeffs[..., 0]`: Horner's recurrence on the derivative coefficients."""
+    degree = coeffs.shape[-1] - 1
+    perm = _perm_table(degree)
+    # derivative coefficients c_j * j!/(j-order)!, all in one multiplication
+    deriv = coeffs[..., order:] * np.array([perm[j][order] for j in range(order, degree + 1)])
+    acc = np.zeros(coeffs.shape[:-1])
+    for j in range(degree - order, -1, -1):
+        acc *= tau
+        acc += deriv[..., j]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -219,22 +283,18 @@ class PolynomialTrajectory:
     def segments(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Segment index and local time of each sample time, with times
         clamped to [0, T]."""
-        t = np.clip(np.asarray(ts, dtype=float), 0.0, self.total_time)
+        t = np.asarray(ts, dtype=float).clip(0.0, self.total_time)
         knots = self.times.knots
-        idx = np.searchsorted(knots, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times.durations) - 1)
+        # the last knot at or before t, never the final one: with t >= 0 this
+        # is searchsorted(knots, t, "right") - 1 capped at the last segment
+        idx = knots[1:-1].searchsorted(t, side="right")
         return idx, t - knots[idx]
 
     def eval_many(self, ts, order: int = 0) -> np.ndarray:
         """Values of the `order`-th derivative at each time, (len(ts), dims);
         times are clamped to [0, T]."""
         seg, tau = self.segments(ts)
-        coeffs = self.coeffs[:, seg, :]  # (dims, samples, degree+1)
-        # Horner on the derivative coefficients
-        acc = np.zeros(coeffs.shape[:2])
-        for j in range(self.degree, order - 1, -1):
-            acc = acc * tau + coeffs[:, :, j] * _perm(j, order)
-        return acc.T
+        return _horner(self.coeffs[:, seg, :], tau, order).T
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
         """Value of the `order`-th derivative at time t (clamped to [0, T])."""
@@ -247,19 +307,15 @@ def min_snap(
     degree: int = DEFAULT_DEGREE,
     deriv_order: int = SNAP_ORDER,
 ) -> PolynomialTrajectory:
-    """Solve the minimum-snap QP independently per dimension and assemble."""
+    """Solve the minimum-snap QP for every dimension (one build, one
+    right-hand-side column per dimension) and assemble."""
     wp = np.asarray(waypoints, dtype=float)
     if wp.ndim == 1:
         wp = wp[:, None]
     if wp.shape[0] < 2:
         raise ValueError("need at least two waypoints")
-    n_seg = len(times.durations)
-    ncoef = degree + 1
-    coeffs = np.zeros((wp.shape[1], n_seg, ncoef))
-    for d in range(wp.shape[1]):
-        qp = build_qp(wp[:, d], times, degree, deriv_order)
-        x = solve_qp(qp)
-        coeffs[d] = x.reshape(n_seg, ncoef)
+    x = solve_qp(build_qp(wp, times, degree, deriv_order))  # (nvar, dims)
+    coeffs = x.T.reshape(wp.shape[1], len(times.durations), degree + 1)
     return PolynomialTrajectory(coeffs=coeffs, times=times)
 
 
@@ -295,17 +351,35 @@ def _time_grid(trajs: Sequence[PolynomialTrajectory], dt: float) -> np.ndarray:
     return ts
 
 
+def _eval_common(
+    trajs: Sequence[PolynomialTrajectory], ts: np.ndarray, orders: Sequence[int]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every trajectory at every time, in one pass: one segment lookup per
+    trajectory, then the Horner recurrence over all robots for each order.
+
+    Returns the segment index of each sample, (robots, samples), and per
+    requested order the values, (robots, samples, dims). The trajectories
+    must share a degree.
+    """
+    segs, taus, coeffs = [], [], []
+    for tr in trajs:
+        seg, tau = tr.segments(ts)
+        segs.append(seg)
+        taus.append(tau)
+        coeffs.append(tr.coeffs.transpose(1, 0, 2)[seg])  # (samples, dims, degree+1)
+    tau = np.array(taus)[:, :, None]
+    coeffs = np.array(coeffs)
+    return np.array(segs), [_horner(coeffs, tau, order) for order in orders]
+
+
 def sample_common(trajs: Sequence[PolynomialTrajectory], dt: float) -> TrajectorySamples:
     """Sample every trajectory on one grid up to the latest final time; a
     robot past its own final time holds its final position at rest."""
     ts = _time_grid(trajs, dt)
-    pos = np.array([tr.eval_many(ts, 0) for tr in trajs])
-    vel = np.array([tr.eval_many(ts, 1) for tr in trajs])
-    acc = np.array([tr.eval_many(ts, 2) for tr in trajs])
-    for r, tr in enumerate(trajs):
-        done = ts > tr.total_time
-        vel[r, done] = 0.0
-        acc[r, done] = 0.0
+    _, (pos, vel, acc) = _eval_common(trajs, ts, (0, 1, 2))
+    done = ts > np.array([tr.total_time for tr in trajs])[:, None]
+    vel[done] = 0.0
+    acc[done] = 0.0
     return TrajectorySamples(t=ts, pos=pos, vel=vel, acc=acc)
 
 
@@ -395,35 +469,47 @@ def validate(
     """
     res = grid.resolution
     ts = _time_grid(trajs, dt)
-    pos = np.array([tr.eval_many(ts, 0) for tr in trajs])
+    segs, (pos,) = _eval_common(trajs, ts, (0,))
+    x, y = pos[..., 0], pos[..., 1]  # (robots, samples)
+
+    # obstacle: the rounded cell is off the map or occupied (np.rint rounds
+    # half to even, as round() does)
+    cx, cy = np.rint(x), np.rint(y)
+    hit = ~((cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height))
+    inside = ~hit
+    hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
+
+    # corridor: distance to the sample's own chord with point_segment_distance's
+    # arithmetic; a zero-length chord gives the distance to its point
+    ends = np.array([
+        np.array(p.chords, dtype=float)[np.asarray(p.chord_of_segment)[seg]]
+        for p, seg in zip(problems, segs)
+    ])  # (robots, samples, 2 ends, 2)
+    ax, ay, bx, by = ends[..., 0, 0], ends[..., 0, 1], ends[..., 1, 0], ends[..., 1, 1]
+    vx, vy = bx - ax, by - ay
+    norm2 = vx * vx + vy * vy
+    proj = np.divide((x - ax) * vx + (y - ay) * vy, norm2, out=np.zeros_like(norm2), where=norm2 != 0)
+    u = np.clip(proj, 0.0, 1.0)
+    dx, dy = x - (ax + u * vx), y - (ay + u * vy)
+    dist = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), float, dx.size)
+    off = ~hit & (dist.reshape(dx.shape) * res > corridor_halfwidth + DIST_TOL)
+
+    # per robot, by sample; an obstacle hit hides a corridor departure
     violations: list[Violation] = []
+    times = ts.tolist()
+    seg_of = segs.tolist()
+    for r, n in zip(*(idx.tolist() for idx in np.nonzero(hit | off))):
+        kind = "obstacle" if hit[r, n] else "corridor"
+        violations.append(Violation(kind, r, times[n], segment=seg_of[r][n]))
 
-    for r, tr in enumerate(trajs):
-        segs = tr.segments(ts)[0].tolist()
-        for n, t in enumerate(ts):
-            x, y = pos[r, n]
-            cx, cy = round(x), round(y)
-            seg_idx = segs[n]
-            if not grid.in_bounds((cx, cy)) or not grid.is_free((cx, cy)):
-                violations.append(Violation("obstacle", r, float(t), segment=seg_idx))
-                continue
-            chord_idx = problems[r].chord_of_segment[seg_idx]
-            a, b = problems[r].chords[chord_idx]
-            if point_segment_distance((x, y), a, b) * res > corridor_halfwidth + DIST_TOL:
-                violations.append(Violation("corridor", r, float(t), segment=seg_idx))
-
-    n_rob = len(trajs)
-    for i in range(n_rob):
-        for j in range(i + 1, n_rob):
-            d = np.linalg.norm(pos[i] - pos[j], axis=1) * res
-            bad = np.flatnonzero(d < d_safe - DIST_TOL)
-            if bad.size:
-                # report at the deepest encroachment, not the first crossing:
-                # repair targets the segment active where the pair is closest
-                worst = bad[np.argmin(d[bad])]
-                violations.append(
-                    Violation("separation", i, float(ts[worst]), other=j)
-                )
+    # then each pair i < j at its deepest encroachment, not the first
+    # crossing: repair targets the segment active where the pair is closest
+    first, second = np.triu_indices(len(trajs), 1)
+    d = np.linalg.norm(pos[first] - pos[second], axis=2) * res  # (pairs, samples)
+    bad = d < d_safe - DIST_TOL
+    for k in np.flatnonzero(bad.any(axis=1)).tolist():
+        worst = int(np.argmin(np.where(bad[k], d[k], np.inf)))
+        violations.append(Violation("separation", int(first[k]), times[worst], other=int(second[k])))
     return violations
 
 

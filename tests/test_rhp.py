@@ -1,10 +1,13 @@
 """Receding-horizon driver tests: horizon planning, partial execution,
 run-loop termination, and metric summaries."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+
+from swarmplan import cli
 
 from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
@@ -259,3 +262,27 @@ def test_obstacle_run_avoids_occupied_cells():
         for x, y in result.pos[r]:
             cx, cy = round(x), round(y)
             assert grid.is_free((cx, cy)), (r, x, y)
+
+
+# SHA-256 over (status, horizons, discrete cells) and the bytes of t, pos,
+# vel and acc of `plan --scenario <name> --robots 5 --seed <seed>`, recorded
+# with the per-sample evaluation and validation loops (x86-64, numpy 2.4 with
+# OpenBLAS). A faster trajectory path must reproduce these bytes; a change
+# meant to alter trajectories records new values and says why.
+PIPELINE_DIGESTS = {
+    ("corridor", 0): "0a02c7bc1350d5ee30d0892b8c2ead6446390ef3e35331946992283e6772d876",
+    ("blocks", 1): "863bbb4efc38f42ab23747d7393f3e44c92908581e4d50a875bbb167801d4496",
+}
+
+
+@pytest.mark.parametrize("scenario, seed", sorted(PIPELINE_DIGESTS))
+def test_run_golden_digest(scenario, seed):
+    args = cli.make_parser().parse_args(
+        ["plan", "--scenario", scenario, "--robots", "5", "--seed", str(seed), "--out", "unused"]
+    )
+    sc, cfg = cli.build_scenario(cli._load_cfg(args))
+    result = run(sc, cli.rhp_config(cfg))
+    digest = hashlib.sha256(repr((result.status, result.horizons, result.discrete)).encode())
+    for a in (result.t, result.pos, result.vel, result.acc):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == PIPELINE_DIGESTS[scenario, seed]

@@ -9,18 +9,30 @@ import pytest
 from scipy.integrate import simpson
 
 from swarmplan.grid import OccupancyGrid
+from swarmplan.paths import point_segment_distance
 from swarmplan.trajopt import (
+    DIST_TOL,
+    MAX_SEGMENT_SCALINGS,
     PolynomialTrajectory,
+    QuadraticProgram,
     SmoothingProblem,
     TimeAllocation,
     UnrepairableError,
     Violation,
+    _hold_at_start,
+    _perm,
+    _perm_table,
+    _shave_segment,
+    _snap_gram,
     allocate_times,
+    build_qp,
     min_snap,
     qp_objective,
     repair,
     sample,
+    sample_common,
     smooth_and_validate,
+    solve_qp,
     validate,
 )
 
@@ -33,6 +45,19 @@ def test_time_allocation_knots_and_total():
     ta = TimeAllocation(durations=np.array([1.0, 2.0, 0.5]))
     assert np.allclose(ta.knots, [0.0, 1.0, 3.0, 3.5])
     assert ta.total == pytest.approx(3.5)
+
+
+def test_time_allocation_caches_exact_knots_and_total():
+    d = np.random.default_rng(3).uniform(0.1, 3.0, 20)
+    ta = TimeAllocation(durations=d)
+    assert np.array_equal(ta.knots, np.concatenate([[0.0], np.cumsum(d)]))
+    # the pairwise np.sum, not the running cumsum's last knot (they differ
+    # in the last bit for these durations)
+    assert type(ta.total) is float and ta.total == float(np.sum(d))
+    assert ta.total != ta.knots[-1]
+    assert not ta.knots.flags.writeable
+    with pytest.raises(ValueError):
+        ta.knots[0] = 1.0
 
 
 @pytest.mark.parametrize("durations", [[], [0.0], [1.0, -2.0]])
@@ -337,3 +362,256 @@ def test_smooth_and_validate_raises_for_parked_overlap():
 def test_violation_fields():
     v = Violation("separation", 0, 1.5, other=2)
     assert (v.kind, v.robot, v.time, v.other) == ("separation", 0, 1.5, 2)
+
+
+def validate_reference(trajs, grid, problems, d_safe=1.0, corridor_halfwidth=1.0, dt=0.05):
+    """One sample at a time: per robot and sample, an obstacle hit (rounded
+    cell off the map or occupied) hides a corridor check against the
+    sample's own chord; then each pair i < j at its deepest encroachment."""
+    res = grid.resolution
+    t_max = max(tr.total_time for tr in trajs)
+    ts = np.arange(0.0, t_max, dt)
+    if len(ts) == 0 or ts[-1] < t_max:
+        ts = np.append(ts, t_max)
+    pos = np.array([tr.eval_many(ts, 0) for tr in trajs])
+    violations = []
+    for r, tr in enumerate(trajs):
+        segs = tr.segments(ts)[0].tolist()
+        for n, t in enumerate(ts):
+            x, y = pos[r, n]
+            cx, cy = round(x), round(y)
+            seg_idx = segs[n]
+            if not grid.in_bounds((cx, cy)) or not grid.is_free((cx, cy)):
+                violations.append(Violation("obstacle", r, float(t), segment=seg_idx))
+                continue
+            a, b = problems[r].chords[problems[r].chord_of_segment[seg_idx]]
+            if point_segment_distance((x, y), a, b) * res > corridor_halfwidth + DIST_TOL:
+                violations.append(Violation("corridor", r, float(t), segment=seg_idx))
+    for i in range(len(trajs)):
+        for j in range(i + 1, len(trajs)):
+            d = np.linalg.norm(pos[i] - pos[j], axis=1) * res
+            bad = np.flatnonzero(d < d_safe - DIST_TOL)
+            if bad.size:
+                worst = bad[np.argmin(d[bad])]
+                violations.append(Violation("separation", i, float(ts[worst]), other=j))
+    return violations
+
+
+def random_validate_case(rng):
+    """A random map (some cells occupied) and up to 10 robots whose paths may
+    leave it, with hold-at-start chords, midpoint splits and rest splits."""
+    w, h = int(rng.integers(8, 20)), int(rng.integers(8, 20))
+    grid = OccupancyGrid(
+        prob=np.where(rng.random((h, w)) < 0.12, 1.0, 0.0),
+        resolution=float(rng.choice([0.5, 1.0, 2.0])),
+    )
+    problems = []
+    for r in range(int(rng.integers(1, 11))):
+        # half-cell coordinates, up to two cells off the map
+        wps = np.round(rng.uniform([-2.0, -2.0], [w + 1.0, h + 1.0], (int(rng.integers(2, 6)), 2)) * 2) / 2
+        prob = SmoothingProblem.from_waypoints(r, wps, allocate_times(wps, float(rng.uniform(0.5, 3.0))))
+        if rng.random() < 0.3:
+            _hold_at_start(prob, float(rng.uniform(0.2, 2.0)))  # zero-length chord 0
+        if rng.random() < 0.3:
+            seg = int(rng.integers(len(prob.durations)))
+            # a segment shaved to its limit is split at its chord midpoint;
+            # both halves keep the parent chord
+            _shave_segment(prob, seg, {(r, prob.chord_of_segment[seg]): MAX_SEGMENT_SCALINGS})
+        if rng.random() < 0.3:
+            prob.rest_indices.add(int(rng.integers(1, len(prob.waypoints))))
+        problems.append(prob)
+    return grid, problems, [p.solve() for p in problems]
+
+
+def test_validate_equals_per_sample_reference():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(80):
+        grid, problems, trajs = random_validate_case(rng)
+        kwargs = dict(
+            d_safe=float(rng.uniform(0.5, 3.0)),
+            corridor_halfwidth=float(rng.uniform(0.05, 1.0)),
+            dt=float(rng.choice([0.05, 0.1, 0.13])),
+        )
+        got = validate(trajs, grid, problems, **kwargs)
+        assert got == validate_reference(trajs, grid, problems, **kwargs)
+        assert all(type(v.time) is float for v in got)
+        seen |= {v.kind for v in got}
+        for v in got:
+            if v.kind == "obstacle":
+                c = np.round(trajs[v.robot].eval(v.time))
+                seen.add("off-map" if not grid.in_bounds(c) else "occupied")
+        seen |= {"hold" for p in problems if p.chords[0][0] == p.chords[0][1]}
+        seen |= {"split" for p in problems if len(set(p.chord_of_segment)) < len(p.chord_of_segment)}
+        seen |= {"finished" for tr in trajs if tr.total_time < max(t.total_time for t in trajs)}
+        if len(trajs) == 10:
+            seen.add("n10")
+    assert seen >= {
+        "obstacle", "corridor", "separation", "off-map", "occupied", "hold", "split", "finished", "n10"
+    }
+
+
+@pytest.mark.parametrize("x, y, cell", [(2.5, 3.5, (2, 4)), (3.5, 2.5, (4, 2)), (0.5, 4.5, (0, 4))])
+def test_validate_rounds_half_to_even_like_round(x, y, cell):
+    prob = np.zeros((8, 8))
+    prob[cell[1], cell[0]] = 1.0
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    coeffs = np.zeros((2, 1, 8))
+    coeffs[:, 0, 0] = [x, y]  # parked exactly on a half-cell coordinate
+    traj = PolynomialTrajectory(coeffs, TimeAllocation(np.array([1.0])))
+    problem = SmoothingProblem.from_waypoints(0, [(x, y), (x, y)], TimeAllocation(np.array([1.0])))
+    got = validate([traj], grid, [problem])
+    assert got and all(v.kind == "obstacle" for v in got)
+    assert got == validate_reference([traj], grid, [problem])
+
+
+def snap_gram_reference(duration, degree, q):
+    g = np.zeros((degree + 1, degree + 1))
+    for j in range(q, degree + 1):
+        for l in range(q, degree + 1):
+            p = j + l - 2 * q
+            g[j, l] = _perm(j, q) * _perm(l, q) * duration ** (p + 1) / (p + 1)
+    return g
+
+
+def build_qp_reference(wp_1d, times, degree=7, deriv_order=4):
+    """One dimension, one dense row per constraint, appended in order."""
+    wp = np.asarray(wp_1d, dtype=float)
+    n_seg, ncoef = len(times.durations), degree + 1
+    nvar = ncoef * n_seg
+    cost = np.zeros((nvar, nvar))
+    for s, T in enumerate(times.durations):
+        cost[s * ncoef : (s + 1) * ncoef, s * ncoef : (s + 1) * ncoef] = snap_gram_reference(
+            float(T), degree, deriv_order
+        )
+
+    def deriv_row(tau, order):
+        row = np.zeros(ncoef)
+        for j in range(order, degree + 1):
+            row[j] = _perm(j, order) * tau ** (j - order)
+        return row
+
+    rows, rhs = [], []
+
+    def add(seg, tau, order, value, other=None):
+        row = np.zeros(nvar)
+        row[seg * ncoef : (seg + 1) * ncoef] = deriv_row(tau, order)
+        if other is not None:
+            row[other * ncoef : (other + 1) * ncoef] -= deriv_row(0.0, order)
+        rows.append(row)
+        rhs.append(0.0 if value is None else value)
+
+    for s, T in enumerate(times.durations):
+        add(s, 0.0, 0, wp[s])
+        add(s, float(T), 0, wp[s + 1])
+    for order in range(1, deriv_order):
+        add(0, 0.0, order, 0.0)
+        add(n_seg - 1, float(times.durations[-1]), order, 0.0)
+    for s in range(n_seg - 1):
+        for order in range(1, deriv_order):
+            add(s, float(times.durations[s]), order, None, other=s + 1)
+    return QuadraticProgram(cost=cost, eq_mat=np.array(rows), eq_vec=np.array(rhs))
+
+
+def solve_qp_reference(qp):
+    """The KKT system assembled from blocks and solved for one right-hand side."""
+    n, m = qp.cost.shape[0], qp.eq_mat.shape[0]
+    kkt = np.vstack([
+        np.hstack([2 * qp.cost + 0.0 * np.eye(n), qp.eq_mat.T]),
+        np.hstack([qp.eq_mat, np.zeros((m, m))]),
+    ])
+    return np.linalg.solve(kkt, np.concatenate([np.zeros(n), qp.eq_vec]))[:n]
+
+
+def min_snap_reference(wps, times):
+    wps = np.asarray(wps, dtype=float)
+    return np.array([
+        solve_qp_reference(build_qp_reference(wps[:, d], times)).reshape(len(times.durations), 8)
+        for d in range(wps.shape[1])
+    ])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_min_snap_equals_per_dimension_qp_exactly(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    wps = rng.uniform(-20.0, 20.0, (n, 2))
+    ta = TimeAllocation(rng.uniform(0.1, 3.0, n - 1))
+    qp = build_qp(wps, ta)
+    for d in range(2):
+        ref = build_qp_reference(wps[:, d], ta)
+        one = build_qp(wps[:, d], ta)
+        assert np.array_equal(qp.cost, ref.cost) and np.array_equal(one.cost, ref.cost)
+        assert np.array_equal(qp.eq_mat, ref.eq_mat) and np.array_equal(one.eq_mat, ref.eq_mat)
+        assert np.array_equal(qp.eq_vec[:, d], ref.eq_vec) and np.array_equal(one.eq_vec, ref.eq_vec)
+        assert np.array_equal(solve_qp(one), solve_qp_reference(ref))
+    assert np.array_equal(min_snap(wps, ta).coeffs, min_snap_reference(wps, ta))
+
+
+def test_rest_split_solve_equals_per_dimension_qp_exactly():
+    rng = np.random.default_rng(11)
+    wps = rng.uniform(0.0, 30.0, (7, 2))
+    prob = SmoothingProblem.from_waypoints(0, wps, allocate_times(wps, 1.3))
+    _hold_at_start(prob, 1.5)
+    prob.rest_indices |= {3, 5}
+    rests = sorted(prob.rest_indices)
+    bounds = [0, *rests, len(prob.waypoints) - 1]
+    want = np.concatenate([
+        min_snap_reference(prob.waypoints[lo : hi + 1], TimeAllocation(np.array(prob.durations[lo:hi])))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ], axis=1)
+    assert np.array_equal(prob.solve().coeffs, want)
+
+
+def test_sample_common_equals_stacked_eval_many():
+    rng = np.random.default_rng(5)
+    trajs = []
+    for _ in range(6):
+        wps = rng.uniform(0.0, 20.0, (int(rng.integers(2, 6)), 2))
+        trajs.append(min_snap(wps, allocate_times(wps, float(rng.uniform(0.5, 3.0)))))
+    s = sample_common(trajs, 0.07)
+    t_max = max(tr.total_time for tr in trajs)
+    assert s.t[-1] == t_max and np.array_equal(s.t[:-1], np.arange(0.0, t_max, 0.07)[: len(s.t) - 1])
+    assert any(tr.total_time < t_max for tr in trajs)  # some robots finish early
+    for order, got in enumerate((s.pos, s.vel, s.acc)):
+        want = np.array([tr.eval_many(s.t, order) for tr in trajs])
+        if order:
+            for r, tr in enumerate(trajs):
+                want[r, s.t > tr.total_time] = 0.0
+        assert np.array_equal(got, want)
+
+
+def test_perm_table_and_snap_gram_equal_loop_definitions():
+    for degree in (3, 7, 9, 12):
+        table = _perm_table(degree)
+        assert [[type(v) for v in row] for row in table] == [[float] * (degree + 1)] * (degree + 1)
+        assert table == tuple(tuple(_perm(j, q) for q in range(degree + 1)) for j in range(degree + 1))
+    rng = np.random.default_rng(9)
+    for duration in [0.1, 1.0, 2**0.5, *rng.uniform(0.05, 5.0, 20).tolist()]:
+        for degree, q in ((7, 4), (7, 3), (9, 4), (5, 2)):
+            g = _snap_gram(duration, degree, q)
+            assert np.array_equal(g, snap_gram_reference(duration, degree, q))
+            assert not g.flags.writeable
+            assert _snap_gram(duration, degree, q) is g
+    assert _snap_gram.cache_info().maxsize is not None
+
+
+def test_validate_corridor_limit_is_exact_on_the_boundary():
+    # a robot whose distance to its chord, as point_segment_distance computes
+    # it, equals the corridor limit is inside the corridor; np.hypot rounds
+    # differently from math.hypot on some of these points
+    pts = np.random.default_rng(1).uniform(0.6, 3.0, (20000, 2))
+    exact = np.array([math.hypot(x, y) for x, y in pts.tolist()])
+    on_limit = (exact - DIST_TOL) + DIST_TOL == exact
+    rounds_apart = np.hypot(pts[:, 0], pts[:, 1]) != exact
+    picked = np.flatnonzero(on_limit & rounds_apart).tolist() + np.flatnonzero(on_limit)[:40].tolist()
+    grid = free_grid(8, 8)
+    ta = TimeAllocation(np.array([1.0]))
+    # a zero-length chord at the origin: the distance is hypot(x, y)
+    problem = SmoothingProblem.from_waypoints(0, [(0.0, 0.0), (0.0, 0.0)], ta)
+    for k in picked:
+        coeffs = np.zeros((2, 1, 8))
+        coeffs[:, 0, 0] = pts[k]
+        traj = PolynomialTrajectory(coeffs, ta)
+        assert validate([traj], grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL) == []
+        assert validate([traj], grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL - 1e-6)
