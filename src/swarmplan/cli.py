@@ -13,6 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 from scipy import ndimage
@@ -47,36 +48,37 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Flat run configuration; defaults follow the standard parameter set."""
+    """Flat run configuration. Each field is both a config-file key and a
+    command-line flag; defaults owned by a library dataclass are read from it."""
 
     scenario: str = "free"  # free | corridor | blocks, ignored when map_path set
     map_path: str | None = None
     robots: int = 5
-    k: int = 3
-    order: int = 4
-    r_comm: float = math.inf
-    attract_amp: float = 0.7
-    repulse_amp: float = 0.9
-    attract_len: float = 14.0
-    repulse_len: float = 4.0
-    goal_amp: float = 3.0
-    goal_len: float = 20.0
-    sigma: float = 1.0
-    occupied_value: float = 5.0
+    k: int = OptimizeConfig.k
+    order: int = OptimizeConfig.search_order
+    r_comm: float = OptimizeConfig.r_comm
+    attract_amp: float = InteractionParams.attract_amp
+    repulse_amp: float = InteractionParams.repulse_amp
+    attract_len: float = InteractionParams.attract_len
+    repulse_len: float = InteractionParams.repulse_len
+    goal_amp: float = GoalParams.amp
+    goal_len: float = GoalParams.length_scale
+    sigma: float = ObstacleParams.sigma
+    occupied_value: float = ObstacleParams.occupied_value
     start_x: float | None = None
     start_y: float | None = None
     start_std: float = 2.0
     goal_x: float | None = None
     goal_y: float | None = None
-    horizon: int = 4
-    execution_fraction: float = 0.5
-    goal_radius: float = 2.0
-    max_horizons: int = 200
-    v_nominal: float = 1.0
-    d_safe: float = 1.0
-    corridor_halfwidth: float = 1.0
-    dt: float = 0.05
-    trim_backward: bool = False
+    horizon: int = rhp.RhpConfig.planning_horizon
+    execution_fraction: float = rhp.RhpConfig.execution_fraction
+    goal_radius: float = rhp.RhpConfig.goal_radius
+    max_horizons: int = rhp.RhpConfig.max_horizons
+    v_nominal: float = rhp.RhpConfig.v_nominal
+    d_safe: float = rhp.RhpConfig.d_safe
+    corridor_halfwidth: float = rhp.RhpConfig.corridor_halfwidth
+    dt: float = rhp.RhpConfig.dt
+    trim_backward: bool | None = None  # None: True for corridor, else False
     use_goal: bool = True
     seed: int = 0
     map_size: int = 30
@@ -138,7 +140,9 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
 
 def generate_scenario(kind: str, cfg: ScenarioConfig, seed: int) -> tuple[OccupancyGrid, ScenarioConfig]:
     """Build the map for one of the standard scenario families and fill in
-    default start/goal positions."""
+    default start/goal positions and `trim_backward` (on for the corridor)."""
+    if cfg.trim_backward is None:
+        cfg = replace(cfg, trim_backward=kind == "corridor")
     if kind == "free":
         s = cfg.map_size
         prob = np.zeros((s, s))
@@ -238,6 +242,8 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[rhp.Scenario, ScenarioConfig]:
         grid = load_map(path.read_text())
         if cfg.start_x is None or cfg.goal_x is None:
             raise ConfigError("explicit maps require start and goal coordinates")
+        if cfg.trim_backward is None:
+            cfg = replace(cfg, trim_backward=False)
     else:
         grid, cfg = generate_scenario(cfg.scenario, cfg, cfg.seed)
 
@@ -376,32 +382,8 @@ def _load_cfg(args) -> ScenarioConfig:
         cfg = ScenarioConfig.from_text(path.read_text())
     else:
         cfg = ScenarioConfig()
-    overrides = {}
-    for name in (
-        "scenario",
-        "robots",
-        "k",
-        "order",
-        "seed",
-        "horizon",
-        "max_horizons",
-        "goal_x",
-        "goal_y",
-        "start_x",
-        "start_y",
-        "start_std",
-        "trim_backward",
-        "use_goal",
-        "map_path",
-    ):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if cfg.scenario == "corridor" and "trim_backward" not in overrides:
-        cfg = replace(cfg, trim_backward=True)
-    return cfg
+    names = {f.name for f in dc_fields(ScenarioConfig)}
+    return replace(cfg, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def cmd_plan(args) -> int:
@@ -421,13 +403,7 @@ def cmd_mrf_only(args) -> int:
     cfg = _load_cfg(args)
     scenario, cfg = build_scenario(cfg)
     state = make_state(scenario.start, scenario.grid, cfg.k, cfg.r_comm)
-    mrf_cfg = OptimizeConfig(
-        k=cfg.k,
-        search_order=cfg.order,
-        r_comm=cfg.r_comm,
-        goal=scenario.goal,
-        trim_backward=cfg.trim_backward,
-    )
+    mrf_cfg = replace(rhp_config(cfg).mrf, goal=scenario.goal)
     paths, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,14 +452,12 @@ def cmd_bench(args) -> int:
     for n in robot_counts:
         for order in orders:
             cfg = ScenarioConfig(
-                scenario="free", robots=n, k=min(3, n - 1), order=order,
+                scenario="free", robots=n, k=min(ScenarioConfig.k, n - 1), order=order,
                 seed=args.seed, map_size=max(30, 4 * int(math.sqrt(n)) + 20),
             )
             scenario, cfg = build_scenario(cfg)
             state = make_state(scenario.start, scenario.grid, cfg.k, cfg.r_comm)
-            mrf_cfg = OptimizeConfig(
-                k=cfg.k, search_order=order, goal=scenario.goal, max_sweeps=args.sweeps
-            )
+            mrf_cfg = replace(rhp_config(cfg).mrf, goal=scenario.goal, max_sweeps=args.sweeps)
             _, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
             per_sweep = 1000 * float(np.mean(trace.sweep_seconds)) if trace.sweep_seconds else 0.0
             lines.append(f"{n},{order},{per_sweep:.3f}")
@@ -506,26 +480,25 @@ def cmd_render_field(args) -> int:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser):
+    """One flag per `ScenarioConfig` field, typed by its annotation; a flag
+    left out sets nothing, so the config file or the field default holds."""
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--scenario", choices=["free", "corridor", "blocks"])
-    p.add_argument("--map-path", dest="map_path")
-    p.add_argument("--robots", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--order", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-horizons", dest="max_horizons", type=int)
-    p.add_argument("--goal-x", dest="goal_x", type=float)
-    p.add_argument("--goal-y", dest="goal_y", type=float)
-    p.add_argument("--start-x", dest="start_x", type=float)
-    p.add_argument("--start-y", dest="start_y", type=float)
-    p.add_argument("--start-std", dest="start_std", type=float)
-    p.add_argument("--trim-backward", dest="trim_backward", action="store_const", const=True)
-    p.add_argument("--no-goal", dest="use_goal", action="store_const", const=False)
+    for name, hint in get_type_hints(ScenarioConfig).items():
+        kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))  # drop `| None`
+        kw = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS, **kw)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a configuration error (exit 1) instead
+    of argparse's exit 2, which here means the horizon cap was reached."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="swarmplan", description=__doc__)
+    parser = _Parser(prog="swarmplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="full receding-horizon planning pipeline")
@@ -540,8 +513,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth", help="smooth a waypoint CSV into trajectories")
     p.add_argument("--waypoints", required=True, help="CSV: robot,...,x,y")
-    p.add_argument("--v-nominal", dest="v_nominal", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=0.05)
+    p.add_argument("--v-nominal", dest="v_nominal", type=float, default=rhp.RhpConfig.v_nominal)
+    p.add_argument("--dt", type=float, default=rhp.RhpConfig.dt)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_smooth)
 
@@ -567,10 +540,7 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -59,7 +59,6 @@ class RhpConfig:
     goal_radius: float = 2.0
     max_horizons: int = 200
     v_nominal: float = 1.0
-    t_floor: float = 0.1
     d_safe: float = 1.0
     corridor_halfwidth: float = 1.0
     dt: float = 0.05
@@ -156,7 +155,7 @@ def execute_fraction(
     res = scenario.grid.resolution
     problems = [
         SmoothingProblem.from_waypoints(
-            p.robot, p.waypoints, allocate_times(p.waypoints, config.v_nominal, config.t_floor, res)
+            p.robot, p.waypoints, allocate_times(p.waypoints, config.v_nominal, resolution=res)
         )
         for p in pruned
     ]

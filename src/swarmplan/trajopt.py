@@ -592,15 +592,18 @@ def repair(
     problems: Sequence[SmoothingProblem],
     violations: Sequence[Violation],
     scale_counts: dict,
-    trajs: Sequence[PolynomialTrajectory] | None = None,
+    trajs: Sequence[PolynomialTrajectory],
     d_safe: float = 1.0,
 ) -> bool:
     """Apply one repair round in place; returns True if anything changed.
 
     Corridor violations shrink the offending segment's duration by 0.8; after
     five shrinks the chord midpoint is inserted as a waypoint. Separation
-    violations stagger the pair by scaling the closing robot's durations by
-    1.25 (the later-id robot when no trajectories are supplied).
+    violations read `trajs` at the violation time: a robot that has drifted
+    off its chord is pinned to it; otherwise one robot of the pair, by
+    default the one closing the gap, is delayed: its durations scale by 1.25,
+    or it holds at its start when one robot parks on or starts in the
+    other's route.
     """
     if not violations:
         return False
@@ -625,29 +628,28 @@ def repair(
                 continue
             pairs_done.add(pair)
 
-            if trajs is not None:
-                # geometric case: a robot has drifted off its own chord at the
-                # violation time (corner bulge), encroaching on a lane that is
-                # safe chord-to-chord — pin the drifting robot's active
-                # segment to its exact chord with full stops at its endpoints
-                seg_of = {}
-                dev = {}
-                for r in (lo, hi):
-                    s = int(trajs[r].segments([v.time])[0][0])
-                    seg_of[r] = s
-                    chord = problems[r].chords[problems[r].chord_of_segment[s]]
-                    dev[r] = point_segment_distance(tuple(trajs[r].eval(v.time, 0)), *chord)
-                worst = max((lo, hi), key=lambda r: dev[r])
-                if dev[worst] > 0.01:
-                    prob = problems[worst]
-                    seg = seg_of[worst]
-                    rests = {r for r in (seg, seg + 1) if 0 < r < len(prob.waypoints) - 1}
-                    if rests - prob.rest_indices:
-                        prob.rest_indices |= rests
-                    else:
-                        _shave_segment(prob, seg, scale_counts)
-                    changed = True
-                    continue
+            # geometric case: a robot has drifted off its own chord at the
+            # violation time (corner bulge), encroaching on a lane that is
+            # safe chord-to-chord — pin the drifting robot's active
+            # segment to its exact chord with full stops at its endpoints
+            seg_of = {}
+            dev = {}
+            for r in (lo, hi):
+                s = int(trajs[r].segments([v.time])[0][0])
+                seg_of[r] = s
+                chord = problems[r].chords[problems[r].chord_of_segment[s]]
+                dev[r] = point_segment_distance(tuple(trajs[r].eval(v.time, 0)), *chord)
+            worst = max((lo, hi), key=lambda r: dev[r])
+            if dev[worst] > 0.01:
+                prob = problems[worst]
+                seg = seg_of[worst]
+                rests = {r for r in (seg, seg + 1) if 0 < r < len(prob.waypoints) - 1}
+                if rests - prob.rest_indices:
+                    prob.rest_indices |= rests
+                else:
+                    _shave_segment(prob, seg, scale_counts)
+                changed = True
+                continue
 
             # timing conflict: stagger the pair by slowing exactly one robot,
             # and keep slowing that same robot on recurrence so the stagger
@@ -674,11 +676,8 @@ def repair(
                     mover = hi  # hi's route passes lo's start: hi waits
                 elif hi_blocks and not lo_blocks:
                     mover = lo
-                elif trajs is not None:
-                    mover = _closing_robot(trajs, v)
-                    sticky = False
                 else:
-                    mover = hi
+                    mover = _closing_robot(trajs, v)
                     sticky = False
                 scale_counts[pair] = (mover, 0, sticky)
             if mover in staggered:
