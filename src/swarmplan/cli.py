@@ -1,14 +1,13 @@
 """Command-line front end: scenario configuration and generation, seeded
 start sampling, run orchestration and result-file emission.
 
-Subcommands: plan, mrf-only, smooth, bench, render-field.
+Subcommands: plan, mrf-only, smooth, render-field.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 import time
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -98,8 +97,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
+        """Parse `key = value` lines, each value typed as its flag is:
+        `none` for a `| None` field, `true`/`false` for a bool, else the
+        annotated type."""
         kwargs = {}
-        types = {f.name: f for f in dc_fields(cls)}
+        kinds = _field_kinds()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -107,28 +109,37 @@ class ScenarioConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in types:
+            if key not in kinds:
                 raise ConfigError(f"line {lineno}: unknown key '{key}'")
-            kwargs[key] = _parse_value(val)
+            kind, optional = kinds[key]
+            try:
+                kwargs[key] = _typed(val, kind, optional)
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: cannot read {val!r} as {kind.__name__} for '{key}'"
+                ) from None
         return cls(**kwargs)
 
 
-def _parse_value(val: str):
+def _field_kinds() -> dict[str, tuple[type, bool]]:
+    """Each `ScenarioConfig` field's type with `| None` dropped, and whether
+    it admits None."""
+    kinds = {}
+    for name, hint in get_type_hints(ScenarioConfig).items():
+        args = get_args(hint) or (hint,)
+        kinds[name] = (next(t for t in args if t is not type(None)), type(None) in args)
+    return kinds
+
+
+def _typed(val: str, kind: type, optional: bool):
     low = val.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none",):
+    if optional and low == "none":
         return None
-    if low == "inf":
-        return math.inf
-    try:
-        return int(val)
-    except ValueError:
-        pass
-    try:
-        return float(val)
-    except ValueError:
-        return val
+    if kind is bool:
+        if low not in ("true", "false"):
+            raise ValueError(val)
+        return low == "true"
+    return kind(val)
 
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
@@ -445,28 +456,6 @@ def cmd_smooth(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    robot_counts = [int(v) for v in args.robots.split(",")]
-    orders = [int(v) for v in args.order.split(",")]
-    lines = ["robots,order,ms_per_sweep"]
-    for n in robot_counts:
-        for order in orders:
-            cfg = ScenarioConfig(
-                scenario="free", robots=n, k=min(ScenarioConfig.k, n - 1), order=order,
-                seed=args.seed, map_size=max(30, 4 * int(math.sqrt(n)) + 20),
-            )
-            scenario, cfg = build_scenario(cfg)
-            state = make_state(scenario.start, scenario.grid, cfg.k, cfg.r_comm)
-            mrf_cfg = replace(rhp_config(cfg).mrf, goal=scenario.goal, max_sweeps=args.sweeps)
-            _, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
-            per_sweep = 1000 * float(np.mean(trace.sweep_seconds)) if trace.sweep_seconds else 0.0
-            lines.append(f"{n},{order},{per_sweep:.3f}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "bench.csv").write_text("\n".join(lines) + "\n")
-    return EXIT_OK
-
-
 def cmd_render_field(args) -> int:
     cfg = _load_cfg(args)
     scenario, cfg = build_scenario(cfg)
@@ -483,8 +472,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     """One flag per `ScenarioConfig` field, typed by its annotation; a flag
     left out sets nothing, so the config file or the field default holds."""
     p.add_argument("--config", help="key = value config file")
-    for name, hint in get_type_hints(ScenarioConfig).items():
-        kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))  # drop `| None`
+    for name, (kind, _) in _field_kinds().items():
         kw = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
         p.add_argument("--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS, **kw)
 
@@ -517,14 +505,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=rhp.RhpConfig.dt)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_smooth)
-
-    p = sub.add_parser("bench", help="ICM sweep timing benchmark")
-    p.add_argument("--robots", default="5,10,15")
-    p.add_argument("--order", default="2,4,8")
-    p.add_argument("--sweeps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("render-field", help="write the static field dump")
     _add_scenario_flags(p)

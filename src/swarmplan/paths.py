@@ -163,70 +163,49 @@ def _step_conflict(a, b, sa, sb, robot, paths, source_steps) -> bool:
 def prune(
     paths: Sequence["DiscretePath"],
     grid: OccupancyGrid,
-    horizon_len: int,
     source_steps: Sequence[Sequence[int]] | None = None,
 ) -> list[PrunedPath]:
-    """Greedy chord pruning within horizon windows.
+    """Greedy chord pruning, each path taken whole as one window.
 
-    Per window, per robot in ascending id: repeatedly extend the chord from
-    the current anchor to the farthest later waypoint that keeps line of
-    sight and does not intersect any earlier robot's chord with an
-    overlapping step range. Consecutive original waypoints are always an
-    admissible fallback, so the result never gains waypoints.
+    Per robot in ascending id: repeatedly extend the chord from the current
+    anchor to the farthest later waypoint that keeps line of sight and does
+    not intersect any earlier robot's chord with an overlapping step range.
+    Consecutive original waypoints are always an admissible fallback, so the
+    result never gains waypoints.
 
-    `source_steps` lets an already pruned path be re-pruned against the same
-    window boundaries (defaults to 0..T).
+    `source_steps` lets an already pruned path be re-pruned against the
+    original step numbering (defaults to 0..T).
     """
-    if horizon_len < 1:
-        raise ValueError("horizon_len must be at least 1")
-    if not paths:
-        return []
     if source_steps is None:
         source_steps = [list(range(len(p.cells))) for p in paths]
 
-    last_step = max(steps[-1] for steps in source_steps)
-    boundaries = list(range(0, last_step, horizon_len)) + [last_step]
-
     results: list[PrunedPath] = []
-    kept: list[list[int]] = [[0] for _ in paths]  # retained indices per path
-    for w in range(len(boundaries) - 1):
-        lo, hi = boundaries[w], boundaries[w + 1]
-        window_chords: list[_Chord] = []
-        for p, steps, keep in zip(paths, source_steps, kept):
-            idx_in = [k for k, s in enumerate(steps) if lo <= s <= hi]
-            anchor = idx_in[0]
-            while anchor != idx_in[-1]:
-                pos_a = anchor
-                chosen = None
-                for j in reversed(idx_in[idx_in.index(pos_a) + 1 :]):
-                    if not line_of_sight(grid, p.cells[pos_a], p.cells[j]):
-                        continue
-                    conflict = any(
-                        _ranges_overlap(steps[pos_a], steps[j], ch.step_a, ch.step_b)
-                        and segments_intersect(p.cells[pos_a], p.cells[j], ch.cell_a, ch.cell_b)
-                        for ch in window_chords
-                        if ch.robot != p.robot
-                    ) or _step_conflict(
-                        p.cells[pos_a], p.cells[j], steps[pos_a], steps[j],
-                        p.robot, paths, source_steps,
-                    )
-                    if not conflict:
-                        chosen = j
-                        break
-                if chosen is None:
-                    # the original single step is accepted unconditionally
-                    chosen = idx_in[idx_in.index(pos_a) + 1]
-                window_chords.append(
-                    _Chord(p.robot, steps[pos_a], steps[chosen], p.cells[pos_a], p.cells[chosen])
+    chords: list[_Chord] = []
+    for p, steps in zip(paths, source_steps):
+        keep = [0]  # retained indices
+        last = len(steps) - 1
+        while keep[-1] != last:
+            a = keep[-1]
+            chosen = a + 1  # the original single step is accepted unconditionally
+            for j in range(last, a, -1):
+                if not line_of_sight(grid, p.cells[a], p.cells[j]):
+                    continue
+                conflict = any(
+                    _ranges_overlap(steps[a], steps[j], ch.step_a, ch.step_b)
+                    and segments_intersect(p.cells[a], p.cells[j], ch.cell_a, ch.cell_b)
+                    for ch in chords
+                    if ch.robot != p.robot
+                ) or _step_conflict(
+                    p.cells[a], p.cells[j], steps[a], steps[j], p.robot, paths, source_steps
                 )
-                if keep[-1] != chosen:
-                    keep.append(chosen)
-                anchor = chosen
-
-    for p, steps, keep in zip(paths, source_steps, kept):
+                if not conflict:
+                    chosen = j
+                    break
+            chords.append(_Chord(p.robot, steps[a], steps[chosen], p.cells[a], p.cells[chosen]))
+            keep.append(chosen)
         if len(keep) == 1:
             # stationary robot: keep a degenerate two-point path
-            keep = [keep[0], keep[0]]
+            keep = [0, 0]
         results.append(
             PrunedPath(
                 robot=p.robot,

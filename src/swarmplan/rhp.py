@@ -1,9 +1,10 @@
-"""Receding-horizon driver: plan a few MRF sweeps ahead and prune them, then
-execute a fraction of that plan (re-prune, minimum-snap smoothing,
-validation/repair, sampling), looped until the swarm reaches the goal.
+"""Receding-horizon driver: plan a few MRF sweeps ahead, then execute a
+fraction of that plan (prune, minimum-snap smoothing, validation/repair,
+sampling), looped until the swarm reaches the goal.
 
-Only the executed fraction is ever smoothed: the rest of the lookahead is
-discarded when the next horizon replans from the new positions."""
+Only the executed fraction is ever pruned and smoothed: there is no
+lookahead prune, and the rest of the lookahead is discarded when the next
+horizon replans from the new positions."""
 
 from __future__ import annotations
 
@@ -66,13 +67,12 @@ class RhpConfig:
 
 @dataclass
 class HorizonPlan:
-    """One horizon's lookahead: the discrete sweep paths and their pruned
-    waypoints. Nothing here is smoothed; `execute_fraction` smooths the part
-    it executes."""
+    """One horizon's lookahead: the discrete sweep paths only. Nothing here
+    is pruned or smoothed; `execute_fraction` prunes and smooths the part it
+    executes."""
 
     index: int
     discrete: list[DiscretePath]
-    pruned: list[PrunedPath]
     trace: EnergyTrace
     terminal: bool
 
@@ -80,7 +80,8 @@ class HorizonPlan:
 @dataclass
 class ExecutionRecord:
     """Executed portion of a horizon, sampled on a common time grid.
-    `steps` is the number of discrete steps each robot advanced."""
+    `steps` is the number of discrete steps each robot advanced; `pruned`
+    holds the chords that were smoothed."""
 
     t: np.ndarray
     pos: np.ndarray  # (robots, samples, 2)
@@ -88,6 +89,7 @@ class ExecutionRecord:
     acc: np.ndarray
     end_cells: tuple[Cell, ...]
     steps: int
+    pruned: list[PrunedPath]
 
 
 @dataclass
@@ -104,29 +106,25 @@ class RunResult:
     moved_counts: list[int]
     sweep_seconds: list[float]
     discrete: list[list[Cell]]  # executed cells per robot, all horizons
-    pruned: list[list[PrunedPath]]  # per horizon
+    pruned: list[list[PrunedPath]]  # per executed horizon
     reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
 def plan_horizon(
     state: SwarmState, scenario: Scenario, config: RhpConfig, index: int = 0
 ) -> HorizonPlan:
-    """Run up to H MRF sweeps and prune the window.
+    """Run up to H MRF sweeps.
 
-    The plan is lookahead only: `execute_fraction` smooths, validates and
-    samples the fraction that is executed, and the next horizon replans the
-    rest.
+    The plan is lookahead only: `execute_fraction` prunes, smooths,
+    validates and samples the fraction that is executed, and the next
+    horizon replans the rest.
     """
     mrf_cfg = replace(
         config.mrf, max_sweeps=config.planning_horizon, goal=scenario.goal
     )
     paths, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
-    steps = len(paths[0].cells) - 1
-    terminal = steps == 0
-    pruned = prune(paths, scenario.grid, config.planning_horizon)
-    return HorizonPlan(
-        index=index, discrete=paths, pruned=pruned, trace=trace, terminal=terminal
-    )
+    terminal = len(paths[0].cells) == 1  # no robot moved
+    return HorizonPlan(index=index, discrete=paths, trace=trace, terminal=terminal)
 
 
 def execute_fraction(
@@ -147,11 +145,11 @@ def execute_fraction(
         empty = np.zeros((len(plan.discrete), 0, 2))
         return ExecutionRecord(
             t=np.zeros(0), pos=empty, vel=empty.copy(), acc=empty.copy(),
-            end_cells=end_cells, steps=0,
+            end_cells=end_cells, steps=0, pruned=[],
         )
 
     truncated = [DiscretePath(p.robot, p.cells[: e + 1]) for p in plan.discrete]
-    pruned = prune(truncated, scenario.grid, e)
+    pruned = prune(truncated, scenario.grid)
     res = scenario.grid.resolution
     problems = [
         SmoothingProblem.from_waypoints(
@@ -168,7 +166,7 @@ def execute_fraction(
     )
     s = sample_common(trajs, config.dt)
     return ExecutionRecord(
-        t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e
+        t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e, pruned=pruned
     )
 
 
@@ -210,7 +208,6 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         energies.extend(plan.trace.energies[1:])
         moved_counts.extend(plan.trace.moved_counts)
         sweep_seconds.extend(plan.trace.sweep_seconds)
-        pruned_log.append(plan.pruned)
 
         if plan.terminal:
             # swarm energy converged with unchanged positions: MRF fixed point
@@ -223,6 +220,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
             status = STATUS_UNREPAIRABLE
             reason = str(exc)
             break
+        pruned_log.append(record.pruned)
         if len(record.t):
             all_t.append(record.t + t_offset)
             all_pos.append(record.pos)

@@ -594,8 +594,9 @@ def repair(
     scale_counts: dict,
     trajs: Sequence[PolynomialTrajectory],
     d_safe: float = 1.0,
-) -> bool:
-    """Apply one repair round in place; returns True if anything changed.
+) -> set[int]:
+    """Apply one repair round in place; returns the indices of the problems
+    it changed.
 
     Corridor violations shrink the offending segment's duration by 0.8; after
     five shrinks the chord midpoint is inserted as a waypoint. Separation
@@ -605,9 +606,7 @@ def repair(
     or it holds at its start when one robot parks on or starts in the
     other's route.
     """
-    if not violations:
-        return False
-    changed = False
+    changed: set[int] = set()
     corridor_done: set[tuple[int, int]] = set()
     pairs_done: set[tuple] = set()
     staggered: set[int] = set()
@@ -620,7 +619,7 @@ def repair(
                 continue
             corridor_done.add(key)
             _shave_segment(prob, v.segment, scale_counts)
-            changed = True
+            changed.add(v.robot)
         elif v.kind == "separation":
             lo, hi = min(v.robot, v.other), max(v.robot, v.other)
             pair = ("pair", lo, hi)
@@ -648,7 +647,7 @@ def repair(
                     prob.rest_indices |= rests
                 else:
                     _shave_segment(prob, seg, scale_counts)
-                changed = True
+                changed.add(worst)
                 continue
 
             # timing conflict: stagger the pair by slowing exactly one robot,
@@ -690,7 +689,7 @@ def repair(
                 _hold_at_start(problems[mover], 0.5 * sum(problems[other].durations))
             else:
                 problems[mover].durations = [d * 1.25 for d in problems[mover].durations]
-            changed = True
+            changed.add(mover)
     return changed
 
 
@@ -703,12 +702,17 @@ def smooth_and_validate(
     max_rounds: int = MAX_REPAIR_ROUNDS,
     degree: int = DEFAULT_DEGREE,
 ) -> list[PolynomialTrajectory]:
-    """Solve, validate, and repair until feasible or the round limit."""
+    """Solve, validate, and repair until feasible or the round limit. After
+    a repair round only the problems it changed are solved again: `solve`
+    depends on nothing else, so every other trajectory stands."""
     scale_counts: dict = {}
+    trajs = [None] * len(problems)
+    todo = range(len(problems))
     for _ in range(max_rounds + 1):
-        trajs = [p.solve(degree) for p in problems]
+        for i in todo:
+            trajs[i] = problems[i].solve(degree)
         report = validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt)
         if not report:
             return trajs
-        repair(problems, report, scale_counts, trajs, d_safe)
+        todo = repair(problems, report, scale_counts, trajs, d_safe)
     raise UnrepairableError(report, max_rounds)

@@ -267,7 +267,7 @@ def test_10_pruning_collapses_idempotent_and_clear():
     grid_free = OccupancyGrid(prob=np.zeros((20, 20)), resolution=1.0)
     # five collinear waypoints collapse to two
     path = DiscretePath(robot=0, cells=tuple(Cell(x, 5) for x in range(5)))
-    out = prune([path], grid_free, horizon_len=10)
+    out = prune([path], grid_free)
     assert len(out[0].waypoints) == 2
 
     # idempotence and chord clearance on an obstacle dog-leg
@@ -281,11 +281,10 @@ def test_10_pruning_collapses_idempotent_and_clear():
     )
     paths = [DiscretePath(robot=0, cells=cells), path]
     for p, g in ((paths[0], grid), (path, grid_free)):
-        first = prune([p], g, horizon_len=20)[0]
+        first = prune([p], g)[0]
         again = prune(
             [DiscretePath(robot=p.robot, cells=first.waypoints)],
             g,
-            horizon_len=20,
             source_steps=[first.source_steps],
         )[0]
         assert again.waypoints == first.waypoints

@@ -190,17 +190,6 @@ def test_smooth_command_missing_file(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_bench_command(tmp_path):
-    out = tmp_path / "bench"
-    code = run_command(
-        ["bench", "--robots", "4", "--order", "2", "--sweeps", "2", "--out", str(out)]
-    )
-    assert code == EXIT_OK
-    rows = (out / "bench.csv").read_text().splitlines()
-    assert rows[0] == "robots,order,ms_per_sweep"
-    assert rows[1].startswith("4,2,")
-
-
 def test_render_field_command(tmp_path):
     out = tmp_path / "field"
     code = run_command(

@@ -9,6 +9,7 @@ import pytest
 
 from swarmplan.cli import (
     EXIT_CONFIG,
+    ConfigError,
     ScenarioConfig,
     _load_cfg,
     build_scenario,
@@ -108,6 +109,28 @@ def test_flag_equals_config_file_and_wins(name, tmp_path):
 def test_argument_errors_exit_as_config_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_command(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", ["robots = 5.5", "k = two", "use_goal = maybe", "seed = none"])
+def test_config_file_value_of_the_wrong_type_is_a_config_error(line, tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match=line.split(" =")[0]):
+        ScenarioConfig.from_text(line + "\n")
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(line + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["plan", "--config", str(cfgfile), "--out", "out"]) == EXIT_CONFIG
+
+
+def test_config_file_value_is_typed_by_the_field(tmp_path):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("start_x = 10\ngoal_x = none\nsigma = inf\nuse_goal = FALSE\n")
+    by_file = _cfg(["plan", "--config", str(cfgfile)])
+    by_flag = _cfg(["plan", "--start-x", "10", "--sigma", "inf", "--no-use-goal"])
+    assert by_file == by_flag
+    assert type(by_file.start_x) is float
+    assert by_file.goal_x is None
+    assert by_file.to_text() == by_flag.to_text()
+    assert "start_x = 10.0\n" in by_file.to_text()
 
 
 def test_corridor_trim_backward_default_same_on_library_and_cli():

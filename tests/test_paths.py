@@ -154,7 +154,7 @@ def free_grid(w=20, h=20):
 
 def test_prune_collinear_run_collapses_to_two_waypoints():
     path = DiscretePath(robot=0, cells=tuple(Cell(x, 3) for x in range(5)))
-    out = prune([path], free_grid(), horizon_len=10)
+    out = prune([path], free_grid())
     assert out[0].waypoints == (Cell(0, 3), Cell(4, 3))
     assert out[0].source_steps == (0, 4)
 
@@ -163,11 +163,10 @@ def test_prune_idempotent():
     path = DiscretePath(
         robot=0, cells=(Cell(0, 0), Cell(1, 1), Cell(2, 2), Cell(3, 2), Cell(4, 2))
     )
-    first = prune([path], free_grid(), horizon_len=10)
+    first = prune([path], free_grid())
     again = prune(
         [DiscretePath(robot=0, cells=first[0].waypoints)],
         free_grid(),
-        horizon_len=10,
         source_steps=[first[0].source_steps],
     )
     assert again[0].waypoints == first[0].waypoints
@@ -181,7 +180,7 @@ def test_prune_respects_obstacles():
     prob[0, 3] = 0.0  # gap at (3, 0)
     grid = OccupancyGrid(prob=prob, resolution=1.0)
     cells = (Cell(0, 2), Cell(1, 1), Cell(2, 0), Cell(3, 0), Cell(4, 0), Cell(5, 1), Cell(6, 2))
-    out = prune([DiscretePath(robot=0, cells=cells)], grid, horizon_len=10)
+    out = prune([DiscretePath(robot=0, cells=cells)], grid)
     for a, b in zip(out[0].waypoints, out[0].waypoints[1:]):
         assert line_of_sight(grid, a, b)
     assert len(out[0].waypoints) >= 3
@@ -189,7 +188,7 @@ def test_prune_respects_obstacles():
 
 def test_prune_stationary_robot_gets_degenerate_path():
     path = DiscretePath(robot=0, cells=(Cell(2, 2), Cell(2, 2), Cell(2, 2)))
-    out = prune([path], free_grid(), horizon_len=10)
+    out = prune([path], free_grid())
     assert out[0].waypoints == (Cell(2, 2), Cell(2, 2))
     assert out[0].source_steps[0] == 0
     assert len(out[0].waypoints) == 2
@@ -197,19 +196,11 @@ def test_prune_stationary_robot_gets_degenerate_path():
 
 def test_prune_preserves_endpoints_and_step_order():
     rngcells = (Cell(1, 1), Cell(2, 2), Cell(3, 2), Cell(4, 3), Cell(5, 3))
-    out = prune([DiscretePath(robot=0, cells=rngcells)], free_grid(), horizon_len=10)
+    out = prune([DiscretePath(robot=0, cells=rngcells)], free_grid())
     wp, steps = out[0].waypoints, out[0].source_steps
     assert wp[0] == rngcells[0] and wp[-1] == rngcells[-1]
     assert steps[0] == 0 and steps[-1] == 4
     assert list(steps) == sorted(steps)
-
-
-def test_prune_windows_keep_boundary_waypoints():
-    # With horizon_len=2, a straight 5-step run must retain the step-2 and
-    # step-4 cells as window boundaries.
-    path = DiscretePath(robot=0, cells=tuple(Cell(x, 0) for x in range(6)))
-    out = prune([path], free_grid(), horizon_len=2)
-    assert set(out[0].source_steps) == {0, 2, 4, 5}
 
 
 def test_prune_chord_avoids_crossing_other_robot():
@@ -219,7 +210,7 @@ def test_prune_chord_avoids_crossing_other_robot():
     p1 = DiscretePath(
         robot=1, cells=(Cell(2, 0), Cell(2, 1), Cell(2, 2), Cell(2, 3), Cell(2, 4))
     )
-    out = prune([p0, p1], free_grid(), horizon_len=10)
+    out = prune([p0, p1], free_grid())
     # both full chords would intersect at (2, 2); at least one robot must
     # break its chord there or earlier
     chords0 = list(zip(out[0].waypoints, out[0].waypoints[1:]))
@@ -235,15 +226,10 @@ def test_prune_chord_keeps_clearance_from_held_robot():
         robot=0, cells=(Cell(0, 2), Cell(1, 3), Cell(2, 4), Cell(3, 3), Cell(4, 2))
     )
     p1 = DiscretePath(robot=1, cells=tuple(Cell(2, 2) for _ in range(5)))
-    out = prune([p0, p1], free_grid(), horizon_len=10)
+    out = prune([p0, p1], free_grid())
     for a, b in zip(out[0].waypoints, out[0].waypoints[1:]):
         assert point_segment_distance((2, 2), a, b) >= 1.0
 
 
-def test_prune_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        prune([DiscretePath(robot=0, cells=(Cell(0, 0), Cell(1, 0)))], free_grid(), 0)
-
-
 def test_prune_empty_input():
-    assert prune([], free_grid(), 5) == []
+    assert prune([], free_grid()) == []

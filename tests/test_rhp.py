@@ -22,7 +22,7 @@ from swarmplan.rhp import (
     plan_horizon,
     run,
 )
-from swarmplan.trajopt import UnrepairableError, Violation
+from swarmplan.trajopt import SmoothingProblem, UnrepairableError, Violation
 
 
 IPARAMS = InteractionParams()
@@ -59,7 +59,7 @@ def test_plan_horizon_produces_consistent_plan():
     plan = plan_horizon(state, sc, cfg, index=3)
     assert plan.index == 3
     n = len(sc.start)
-    assert len(plan.discrete) == len(plan.pruned) == n
+    assert len(plan.discrete) == n
     steps = len(plan.discrete[0].cells) - 1
     assert 1 <= steps <= cfg.planning_horizon
     assert not plan.terminal
@@ -102,7 +102,6 @@ def test_execute_fraction_holds_finished_robot_at_rest():
             DiscretePath(0, [Cell(4, 4), Cell(6, 4), Cell(8, 4), Cell(10, 4)]),
             DiscretePath(1, [Cell(10, 10), Cell(10, 11), Cell(10, 11), Cell(10, 11)]),
         ],
-        pruned=[],
         trace=None,
         terminal=False,
     )
@@ -142,6 +141,61 @@ def test_run_smooths_once_per_executed_horizon(monkeypatch):
     assert result.horizons > 1
     assert len(executed) >= 1
     assert len(calls) == len(executed)
+
+
+def test_plan_horizon_does_not_prune(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rhp, "prune", lambda *args, **kwargs: calls.append(args))
+    sc = free_scenario()
+    cfg = small_config()
+    plan = plan_horizon(make_state(sc.start, sc.grid, cfg.mrf.k), sc, cfg)
+    assert not plan.terminal
+    assert calls == []
+
+
+def test_run_logs_the_chords_each_executed_horizon_smoothed(monkeypatch):
+    prunes = []
+    real_prune = rhp.prune
+
+    def counting_prune(*args, **kwargs):
+        prunes.append(1)
+        return real_prune(*args, **kwargs)
+
+    handed = []  # (robot, waypoints) given to the smoother, per horizon
+    real_from_waypoints = SmoothingProblem.from_waypoints
+
+    def recording_from_waypoints(robot, waypoints, times):
+        handed[-1].append((robot, tuple(waypoints)))
+        return real_from_waypoints(robot, waypoints, times)
+
+    real_execute = rhp.execute_fraction
+
+    def recording_execute(*args, **kwargs):
+        handed.append([])
+        return real_execute(*args, **kwargs)
+
+    monkeypatch.setattr(rhp, "prune", counting_prune)
+    monkeypatch.setattr(rhp, "execute_fraction", recording_execute)
+    monkeypatch.setattr(SmoothingProblem, "from_waypoints", staticmethod(recording_from_waypoints))
+    result = run(free_scenario(), small_config())
+    assert result.horizons > 1
+    assert len(prunes) == len(handed) == len(result.pruned)
+    for horizon, smoothed in zip(result.pruned, handed):
+        assert [(p.robot, p.waypoints) for p in horizon] == smoothed
+        assert all(p.source_steps[0] == 0 for p in horizon)
+
+
+def test_unrepairable_horizon_logs_no_chords(monkeypatch):
+    error = UnrepairableError([Violation("separation", 0, 1.0, other=1)], 10)
+
+    def failing_smooth(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(rhp, "smooth_and_validate", failing_smooth)
+    result = run(free_scenario(), small_config())
+    assert result.status == rhp.STATUS_UNREPAIRABLE
+    assert result.horizons == 1
+    assert result.pruned == []
 
 
 def test_run_keeps_unrepairable_reason(monkeypatch):

@@ -2,16 +2,19 @@
 against closed-form and quadrature oracles, derivative continuity, sampling,
 validation of crafted infeasible plans, and the repair loop."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from swarmplan import trajopt
 from swarmplan.grid import OccupancyGrid
 from swarmplan.paths import point_segment_distance
 from swarmplan.trajopt import (
     DIST_TOL,
+    MAX_REPAIR_ROUNDS,
     MAX_SEGMENT_SCALINGS,
     PolynomialTrajectory,
     QuadraticProgram,
@@ -357,6 +360,87 @@ def test_smooth_and_validate_raises_for_parked_overlap():
     assert f"{len(err.violations)} violation(s)" in msg
     for v in err.violations:
         assert f"separation robots 0-1 at t={v.time:.3f}" in msg
+
+
+REPAIR_CASES = {
+    # a clean crossing, a fast corner and a robot nobody meets: repair
+    # touches one or two problems a round
+    "crossing-corner-bystander": lambda: [
+        make_problem(0, [(0.0, 5.0), (12.0, 5.0)]),
+        make_problem(1, [(6.0, 0.0), (6.0, 12.0)]),
+        make_problem(2, [(20.0, 20.0), (30.0, 20.0), (30.0, 30.0)], v=2.0),
+        make_problem(3, [(2.0, 30.0), (10.0, 30.0)]),
+    ],
+    # a parked overlap no repair can clear, next to a robot nobody meets
+    "parked-overlap-bystander": lambda: [
+        make_problem(0, [(5.0, 5.0), (5.0, 5.0)]),
+        make_problem(1, [(5.5, 5.0), (5.5, 5.0)]),
+        make_problem(2, [(20.0, 20.0), (30.0, 20.0)]),
+    ],
+}
+
+
+def solve_all_reference(problems, grid):
+    """The repair loop with every problem solved again in every round."""
+    scale_counts = {}
+    for _ in range(MAX_REPAIR_ROUNDS + 1):
+        trajs = [p.solve() for p in problems]
+        report = validate(trajs, grid, problems)
+        if not report:
+            return trajs
+        repair(problems, report, scale_counts, trajs)
+    raise UnrepairableError(report, MAX_REPAIR_ROUNDS)
+
+
+def outcome(fn, problems):
+    try:
+        return fn(problems, free_grid()), None
+    except UnrepairableError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(REPAIR_CASES))
+def test_smooth_and_validate_solves_only_what_repair_changed(case, monkeypatch):
+    ref_problems = REPAIR_CASES[case]()
+    ref_trajs, ref_error = outcome(solve_all_reference, ref_problems)
+
+    solves = []
+    real_solve = SmoothingProblem.solve
+
+    def counting_solve(self, *args, **kwargs):
+        solves.append(self.robot)
+        return real_solve(self, *args, **kwargs)
+
+    rounds = []
+    real_repair = trajopt.repair
+
+    def checked_repair(problems, *args, **kwargs):
+        before = copy.deepcopy(list(problems))
+        changed = real_repair(problems, *args, **kwargs)
+        # repair names exactly the problems it mutated
+        assert changed == {i for i, (a, b) in enumerate(zip(before, problems)) if a != b}
+        rounds.append(changed)
+        return changed
+
+    monkeypatch.setattr(SmoothingProblem, "solve", counting_solve)
+    monkeypatch.setattr(trajopt, "repair", checked_repair)
+    problems = REPAIR_CASES[case]()
+    trajs, error = outcome(smooth_and_validate, problems)
+
+    assert error == ref_error
+    assert problems == ref_problems
+    if ref_trajs is None:
+        assert len(rounds) == MAX_REPAIR_ROUNDS + 1
+        resolved = rounds[:-1]  # the last round's repair is never solved
+    else:
+        assert len(trajs) == len(ref_trajs)
+        for got, want in zip(trajs, ref_trajs):
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert np.array_equal(got.times.durations, want.times.durations)
+        resolved = rounds
+    assert rounds
+    assert len(solves) == len(problems) + sum(len(c) for c in resolved)
+    assert len(solves) < len(problems) * (len(resolved) + 1)
 
 
 def test_violation_fields():
