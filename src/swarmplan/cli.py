@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MAX_HORIZONS = 2
 EXIT_UNREPAIRABLE = 3
+EXIT_CYCLE = 4
 
 
 class ConfigError(ValueError):
@@ -407,6 +408,8 @@ def cmd_plan(args) -> int:
         return EXIT_OK
     if result.status == rhp.STATUS_MAX_HORIZONS:
         return EXIT_MAX_HORIZONS
+    if result.status == rhp.STATUS_CYCLE:
+        return EXIT_CYCLE
     return EXIT_UNREPAIRABLE
 
 
@@ -426,29 +429,58 @@ def cmd_mrf_only(args) -> int:
     return EXIT_OK if trace.converged else EXIT_MAX_HORIZONS
 
 
+def waypoint_problems(text: str, v_nominal: float) -> list[SmoothingProblem]:
+    """One smoothing problem per robot from waypoint CSV text.
+
+    Columns are found by the header's `robot`, `x` and `y`; without a header
+    they are the first and the last two. A row with `waypoint_index` 0
+    starts a new rest-to-rest piece, as each horizon of a `pruned_paths.csv`
+    does: its first point is the previous piece's last, kept once as a rest
+    waypoint. Repeated points within a piece are dropped, so the only
+    segment between equal points is the hold of a robot that stays put
+    for a whole piece.
+    """
+    rows = [line.split(",") for line in text.strip().splitlines()]
+    cols = {"robot": 0, "x": -2, "y": -1}
+    if rows and rows[0][0].strip().lower() == "robot":
+        cols = {name.strip().lower(): i for i, name in enumerate(rows.pop(0))}
+    pieces: dict[int, list[list[tuple[float, float]]]] = {}
+    for row in rows:
+        robot = pieces.setdefault(int(row[cols["robot"]]), [])
+        point = (float(row[cols["x"]]), float(row[cols["y"]]))
+        if not robot or ("waypoint_index" in cols and int(row[cols["waypoint_index"]]) == 0):
+            robot.append([point])
+        elif point != robot[-1][-1]:
+            robot[-1].append(point)
+    problems = []
+    for r in sorted(pieces):
+        waypoints: list[tuple[float, float]] = []
+        rests = set()
+        for piece in pieces[r]:
+            if len(piece) == 1:
+                piece = piece * 2  # a stationary robot holds its cell
+            if waypoints:
+                rests.add(len(waypoints) - 1)
+                if waypoints[-1] == piece[0]:
+                    piece = piece[1:]
+            waypoints += piece
+        problem = SmoothingProblem.from_waypoints(r, waypoints, allocate_times(waypoints, v_nominal))
+        problem.rest_indices = rests
+        problems.append(problem)
+    return problems
+
+
 def cmd_smooth(args) -> int:
     src = Path(args.waypoints)
     if not src.exists():
         raise ConfigError(f"waypoint file not found: {src}")
-    rows = src.read_text().strip().splitlines()
-    if rows and rows[0].lower().startswith("robot"):
-        rows = rows[1:]
-    byrobot: dict[int, list[tuple[float, float]]] = {}
-    for row in rows:
-        parts = row.split(",")
-        r = int(parts[0])
-        byrobot.setdefault(r, []).append((float(parts[-2]), float(parts[-1])))
     out_lines = ["robot,t,x,y,vx,vy,ax,ay"]
-    for r in sorted(byrobot):
-        wps = byrobot[r]
-        times = allocate_times(wps, v_nominal=args.v_nominal)
-        problem = SmoothingProblem.from_waypoints(r, wps, times)
-        traj = problem.solve()
-        samples = sample(traj, args.dt)
+    for problem in waypoint_problems(src.read_text(), args.v_nominal):
+        samples = sample(problem.solve(), args.dt)
         for i, t in enumerate(samples.t):
             p, v, a = samples.pos[i], samples.vel[i], samples.acc[i]
             out_lines.append(
-                f"{r},{_fmt(t)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(v[0])},{_fmt(v[1])},{_fmt(a[0])},{_fmt(a[1])}"
+                f"{problem.robot},{_fmt(t)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(v[0])},{_fmt(v[1])},{_fmt(a[0])},{_fmt(a[1])}"
             )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -51,11 +51,10 @@ class OptimizeConfig:
 
 @dataclass(frozen=True)
 class SwarmState:
-    """Robot cell positions at one optimization step plus their graph."""
+    """Robot cell positions plus their interaction graph."""
 
     positions: tuple[Cell, ...]
     graph: InteractionGraph
-    t: int = 0
 
 
 def make_state(
@@ -63,7 +62,6 @@ def make_state(
     grid: OccupancyGrid,
     k: int,
     r_comm: float = math.inf,
-    t: int = 0,
 ) -> SwarmState:
     """Validate positions (free, distinct, in bounds) and build the state."""
     cells = tuple(Cell(int(p[0]), int(p[1])) for p in positions)
@@ -74,7 +72,7 @@ def make_state(
             raise ValueError(f"robot position {tuple(c)} outside grid")
         if not grid.is_free(c):
             raise ValueError(f"robot position {tuple(c)} is occupied")
-    return SwarmState(positions=cells, graph=build_interaction_graph(cells, k, r_comm), t=t)
+    return SwarmState(positions=cells, graph=build_interaction_graph(cells, k, r_comm))
 
 
 @dataclass
@@ -433,7 +431,7 @@ def optimize(
     for sweep in range(1, config.max_sweeps + 1):
         tic = time.perf_counter()
         graph = build_interaction_graph(positions, config.k, config.r_comm)
-        state = SwarmState(positions=tuple(positions), graph=graph, t=sweep - 1)
+        state = SwarmState(positions=tuple(positions), graph=graph)
         spaces = [local_search_space(grid, state, i, config.search_order) for i in range(n)]
         spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
 
@@ -445,16 +443,14 @@ def optimize(
             blocked = sweep_segments + [
                 (positions[j], positions[j]) for j in range(i + 1, n)
             ]
-            state = SwarmState(positions=tuple(positions), graph=graph, t=sweep - 1)
+            state = SwarmState(positions=tuple(positions), graph=graph)
             new = icm_update(state, i, spaces, static, iparams, config.goal, blocked)
             sweep_segments.append((positions[i], new))
             if new != positions[i]:
                 moved += 1
                 positions[i] = new
             if update_hook is not None:
-                update_hook(
-                    sweep, i, SwarmState(positions=tuple(positions), graph=graph, t=sweep - 1)
-                )
+                update_hook(sweep, i, SwarmState(positions=tuple(positions), graph=graph))
         sweep_seconds.append(time.perf_counter() - tic)
 
         if moved == 0:
@@ -464,7 +460,7 @@ def optimize(
         for i in range(n):
             path_cells[i].append(positions[i])
         energies.append(
-            swarm_energy(SwarmState(tuple(positions), graph, sweep), static, iparams)
+            swarm_energy(SwarmState(tuple(positions), graph), static, iparams)
         )
         moved_counts.append(moved)
 

@@ -1,10 +1,13 @@
 """Receding-horizon driver: plan a few MRF sweeps ahead, then execute a
-fraction of that plan (prune, minimum-snap smoothing, validation/repair,
-sampling), looped until the swarm reaches the goal.
+fraction of that plan (prune, minimum-snap smoothing, validation, the
+execution-schedule fallback, sampling), looped until the swarm reaches the
+goal.
 
 Only the executed fraction is ever pruned and smoothed: there is no
 lookahead prune, and the rest of the lookahead is discarded when the next
-horizon replans from the new positions."""
+horizon replans from the new positions. A horizon depends only on the
+positions it starts from, so a run that returns to an earlier start state
+stops: the rest would replay the same cycle."""
 
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .trajopt import (
 STATUS_GOAL = "goal-converged"
 STATUS_MAX_HORIZONS = "max-horizons"
 STATUS_UNREPAIRABLE = "unrepairable"
+STATUS_CYCLE = "cycle"
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,6 @@ class HorizonPlan:
     is pruned or smoothed; `execute_fraction` prunes and smooths the part it
     executes."""
 
-    index: int
     discrete: list[DiscretePath]
     trace: EnergyTrace
     terminal: bool
@@ -81,7 +84,8 @@ class HorizonPlan:
 class ExecutionRecord:
     """Executed portion of a horizon, sampled on a common time grid.
     `steps` is the number of discrete steps each robot advanced; `pruned`
-    holds the chords that were smoothed."""
+    holds the chords that were smoothed, or every step cell (`source_steps`
+    0..steps) when the execution schedule ran instead."""
 
     t: np.ndarray
     pos: np.ndarray  # (robots, samples, 2)
@@ -110,9 +114,7 @@ class RunResult:
     reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
-def plan_horizon(
-    state: SwarmState, scenario: Scenario, config: RhpConfig, index: int = 0
-) -> HorizonPlan:
+def plan_horizon(state: SwarmState, scenario: Scenario, config: RhpConfig) -> HorizonPlan:
     """Run up to H MRF sweeps.
 
     The plan is lookahead only: `execute_fraction` prunes, smooths,
@@ -124,7 +126,7 @@ def plan_horizon(
     )
     paths, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
     terminal = len(paths[0].cells) == 1  # no robot moved
-    return HorizonPlan(index=index, discrete=paths, trace=trace, terminal=terminal)
+    return HorizonPlan(discrete=paths, trace=trace, terminal=terminal)
 
 
 def execute_fraction(
@@ -134,7 +136,9 @@ def execute_fraction(
 
     The executed sub-path is pruned and smoothed rest-to-rest so the horizon
     joint is a genuine stop point, then sampled on a common grid; a robot
-    that finishes early holds its final position at rest.
+    that finishes early holds its final position at rest. If the smoothed
+    paths fail validation, the discrete steps run one by one in the
+    execution schedule of `trajopt.repair` instead.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
@@ -157,13 +161,18 @@ def execute_fraction(
         )
         for p in pruned
     ]
-    trajs = smooth_and_validate(
+    steps = [p.cells for p in truncated]
+    trajs, scheduled = smooth_and_validate(
         problems,
         scenario.grid,
+        steps,
         d_safe=config.d_safe,
         corridor_halfwidth=config.corridor_halfwidth,
         dt=config.dt,
+        v_nominal=config.v_nominal,
     )
+    if scheduled:
+        pruned = [PrunedPath(p.robot, p.cells, tuple(range(e + 1))) for p in truncated]
     s = sample_common(trajs, config.dt)
     return ExecutionRecord(
         t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e, pruned=pruned
@@ -175,8 +184,8 @@ def _all_at_goal(positions: Sequence[Cell], goal, radius: float) -> bool:
 
 
 def run(scenario: Scenario, config: RhpConfig) -> RunResult:
-    """Plan-execute loop until goal convergence, a swarm fixed point, the
-    horizon cap, or an unrepairable plan."""
+    """Plan-execute loop until goal convergence, a swarm fixed point, a
+    repeated start state, the horizon cap, or an unrepairable plan."""
     grid = scenario.grid
     state = make_state(scenario.start, grid, config.mrf.k, config.mrf.r_comm)
     n = len(state.positions)
@@ -194,6 +203,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     status = STATUS_MAX_HORIZONS
     horizons = 0
     reason = None
+    seen: set[tuple[Cell, ...]] = set()
 
     for h in range(config.max_horizons):
         if scenario.goal is not None and _all_at_goal(
@@ -201,7 +211,11 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         ):
             status = STATUS_GOAL
             break
-        plan = plan_horizon(state, scenario, config, index=h)
+        if state.positions in seen:
+            status = STATUS_CYCLE
+            break
+        seen.add(state.positions)
+        plan = plan_horizon(state, scenario, config)
         horizons = h + 1
         if not energies:
             energies.append(plan.trace.energies[0])
@@ -230,7 +244,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
 
         for r in range(n):
             discrete[r].extend(plan.discrete[r].cells[1 : record.steps + 1])
-        state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm, t=state.t + record.steps)
+        state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm)
     else:
         status = STATUS_MAX_HORIZONS
 

@@ -1,6 +1,7 @@
 """Minimum-snap piecewise polynomial smoothing of pruned waypoint paths:
 equality-constrained QP assembly and KKT solve, time allocation, sampling,
-and the validate/repair feasibility loop.
+validation, and the execution schedule that replaces a horizon's smoothed
+paths when they fail validation.
 
 The executed-fraction work runs on arrays. `min_snap` builds one QP per
 robot (cost and constraints do not depend on the dimension) and solves it
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import OccupancyGrid
-from .paths import point_segment_distance
+from .paths import point_segment_distance, segments_intersect
 
 DEFAULT_DEGREE = 7
 SNAP_ORDER = 4
@@ -41,17 +42,16 @@ class TrajectoryError(RuntimeError):
 
 
 class UnrepairableError(TrajectoryError):
-    """Validation violations persisted through the repair round limit.
+    """A horizon has no feasible trajectories: a step of the execution
+    schedule has no order, or the schedule still fails validation.
 
     `violations` is the final report; the message names each one.
     """
 
-    def __init__(self, violations: Sequence["Violation"], rounds: int):
+    def __init__(self, violations: Sequence["Violation"], cause: str = "remain after repair"):
         self.violations = list(violations)
         detail = "; ".join(v.describe() for v in self.violations)
-        super().__init__(
-            f"{len(self.violations)} violation(s) remain after {rounds} repair rounds: {detail}"
-        )
+        super().__init__(f"{len(self.violations)} violation(s) {cause}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -406,30 +406,21 @@ class Violation:
 
 @dataclass
 class SmoothingProblem:
-    """One robot's smoothing input, mutated by the repair loop.
-
-    `chords` are the fixed pruned-path segments used for the corridor check;
-    `chord_of_segment` maps each QP segment to its owning chord (segments
-    inserted by repair keep the parent's chord).
-    """
+    """One robot's smoothing input; `repair` rewrites it into the execution
+    schedule. Each segment's straight chord between its two waypoints is
+    the reference for the corridor check."""
 
     robot: int
     waypoints: list[tuple[float, float]]
     durations: list[float]
-    chords: list[tuple[tuple[float, float], tuple[float, float]]]
-    chord_of_segment: list[int]
     rest_indices: set[int] = field(default_factory=set)
 
     @classmethod
     def from_waypoints(cls, robot: int, waypoints, times: TimeAllocation) -> "SmoothingProblem":
-        wps = [tuple(map(float, w)) for w in waypoints]
-        chords = [(wps[i], wps[i + 1]) for i in range(len(wps) - 1)]
         return cls(
             robot=robot,
-            waypoints=wps,
+            waypoints=[tuple(map(float, w)) for w in waypoints],
             durations=[float(d) for d in times.durations],
-            chords=chords,
-            chord_of_segment=list(range(len(chords))),
         )
 
     def solve(self, degree: int = DEFAULT_DEGREE) -> PolynomialTrajectory:
@@ -479,10 +470,11 @@ def validate(
     inside = ~hit
     hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
 
-    # corridor: distance to the sample's own chord with point_segment_distance's
-    # arithmetic; a zero-length chord gives the distance to its point
+    # corridor: distance to the sample's own segment with
+    # point_segment_distance's arithmetic; a zero-length segment gives the
+    # distance to its point
     ends = np.array([
-        np.array(p.chords, dtype=float)[np.asarray(p.chord_of_segment)[seg]]
+        np.array(p.waypoints, dtype=float)[seg[:, None] + [0, 1]]
         for p, seg in zip(problems, segs)
     ])  # (robots, samples, 2 ends, 2)
     ax, ay, bx, by = ends[..., 0, 0], ends[..., 0, 1], ends[..., 1, 0], ends[..., 1, 1]
@@ -503,7 +495,7 @@ def validate(
         violations.append(Violation(kind, r, times[n], segment=seg_of[r][n]))
 
     # then each pair i < j at its deepest encroachment, not the first
-    # crossing: repair targets the segment active where the pair is closest
+    # crossing
     first, second = np.triu_indices(len(trajs), 1)
     d = np.linalg.norm(pos[first] - pos[second], axis=2) * res  # (pairs, samples)
     bad = d < d_safe - DIST_TOL
@@ -513,206 +505,160 @@ def validate(
     return violations
 
 
-MAX_SEGMENT_SCALINGS = 5
-MAX_REPAIR_ROUNDS = 10
 # slack for boundary-exact clearances: solver round-off must not flag a
 # configuration that sits exactly on the safety limit
 DIST_TOL = 1e-9
 
 
-def _shave_segment(
-    prob: SmoothingProblem, seg: int, scale_counts: dict
-) -> None:
-    """Pull one segment toward its chord: shrink its duration by 0.8, and after
-    five shrinks insert the chord midpoint as an interpolated waypoint."""
-    chord = prob.chord_of_segment[seg]
-    key = (prob.robot, chord)
-    if scale_counts.get(key, 0) < MAX_SEGMENT_SCALINGS:
-        prob.durations[seg] *= 0.8
-        scale_counts[key] = scale_counts.get(key, 0) + 1
-    else:
-        a, b = prob.chords[chord]
-        mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-        half = prob.durations[seg] / 2.0
-        prob.waypoints.insert(seg + 1, mid)
-        prob.durations[seg : seg + 1] = [max(half, T_FLOOR), max(half, T_FLOOR)]
-        prob.chord_of_segment[seg : seg + 1] = [chord, chord]
-        prob.rest_indices = {r + 1 if r > seg else r for r in prob.rest_indices}
-        scale_counts[key] = 0
+def _segment_gap(a, b, c, d) -> float:
+    """Distance between the closed segments a-b and c-d."""
+    if segments_intersect(a, b, c, d):
+        return 0.0
+    return min(
+        point_segment_distance(a, c, d),
+        point_segment_distance(b, c, d),
+        point_segment_distance(c, a, b),
+        point_segment_distance(d, a, b),
+    )
 
 
-def _closing_robot(trajs, v: Violation) -> int:
-    """The robot of the violating pair that is moving toward the other at the
-    violation time (slowing it staggers the pair apart). Later id on ties."""
-    i, j = v.robot, v.other
-    pi, pj = trajs[i].eval(v.time, 0), trajs[j].eval(v.time, 0)
-    vi, vj = trajs[i].eval(v.time, 1), trajs[j].eval(v.time, 1)
-    u = pj - pi
-    norm = float(np.hypot(u[0], u[1]))
-    if norm == 0:
-        return max(i, j)
-    u = u / norm
-    closing_i = float(np.dot(vi, u))  # i chasing j
-    closing_j = float(np.dot(vj, -u))  # j chasing i
-    if closing_i == closing_j:
-        return max(i, j)
-    return i if closing_i > closing_j else j
+def _step_slots(a, b, d_safe: float, res: float) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Execution slots for one discrete step, each robot r moving a[r] -> b[r].
 
+    Robots move one slot at a time, everyone else at rest at their start or
+    end cell. r's segment within d_safe of q's start means q goes first; of
+    q's end, r goes first. A topological sort (ties to the lower id) orders
+    the moves, and each move takes the first slot after every earlier move
+    it comes within d_safe of, so moves in one slot stay d_safe apart at any
+    timing. A robot that holds its cell takes no slot, but its cell
+    constrains the others like any start and end.
 
-def _parks_on_route(problems: Sequence[SmoothingProblem], i: int, j: int, d_safe: float) -> bool:
-    """Robot i's final waypoint lies within d_safe of one of robot j's chords,
-    so a parked i blocks j's route and i's arrival must be delayed."""
-    p = problems[i].waypoints[-1]
-    return any(point_segment_distance(p, a, b) < d_safe for a, b in problems[j].chords)
+    Returns the slots, or no slots and the pairs of a precedence cycle when
+    no order exists (a swap, or a move past a held robot).
+    """
+    n = len(a)
+    limit = d_safe - DIST_TOL
 
+    def near(p, r):  # r's segment comes within d_safe of point p
+        return point_segment_distance(p, a[r], b[r]) * res < limit
 
-def _start_blocks_route(problems: Sequence[SmoothingProblem], i: int, j: int, d_safe: float) -> bool:
-    """Robot i's start lies within d_safe of robot j's chords, so j must wait
-    for i to depart before entering that stretch."""
-    p = problems[i].waypoints[0]
-    return any(point_segment_distance(p, a, b) < d_safe for a, b in problems[j].chords)
+    before: list[set[int]] = [set() for _ in range(n)]  # before[r]: robots r waits for
+    for r in range(n):
+        for q in range(n):
+            if q != r:
+                if near(a[q], r):
+                    before[r].add(q)
+                if near(b[q], r):
+                    before[q].add(r)
 
+    order: list[int] = []
+    left = set(range(n))
+    while left:
+        ready = [r for r in left if not before[r] & left]
+        if not ready:
+            # every robot left waits for another one left: walk back along
+            # those waits until a robot repeats
+            walk = [min(left)]
+            while walk.count(walk[-1]) < 2:
+                walk.append(min(before[walk[-1]] & left))
+            cycle = walk[walk.index(walk[-1]) :]
+            return [], sorted({(min(p), max(p)) for p in zip(cycle, cycle[1:])})
+        order.append(min(ready))
+        left.remove(order[-1])
 
-def _hold_at_start(prob: SmoothingProblem, duration: float) -> None:
-    """Delay a robot by parking it at its start before it moves, instead of
-    slowing it down: the start cell is safe, crawling through a conflict
-    zone is not."""
-    w0 = prob.waypoints[0]
-    if len(prob.waypoints) > 1 and prob.waypoints[1] == w0:
-        prob.durations[0] += duration
-        return
-    prob.waypoints.insert(1, w0)
-    prob.durations.insert(0, duration)
-    prob.chords.insert(0, (w0, w0))
-    prob.chord_of_segment = [0] + [c + 1 for c in prob.chord_of_segment]
-    prob.rest_indices = {r + 1 for r in prob.rest_indices} | {1}
+    slot: dict[int, int] = {}
+    for r in order:
+        if a[r] != b[r]:
+            slot[r] = 1 + max(
+                (s for q, s in slot.items() if _segment_gap(a[q], b[q], a[r], b[r]) * res < limit),
+                default=-1,
+            )
+    slots: list[list[int]] = [[] for _ in range(max(slot.values(), default=-1) + 1)]
+    for r, s in slot.items():
+        slots[s].append(r)
+    return slots, []
 
 
 def repair(
     problems: Sequence[SmoothingProblem],
-    violations: Sequence[Violation],
-    scale_counts: dict,
-    trajs: Sequence[PolynomialTrajectory],
+    steps: Sequence[Sequence[tuple[float, float]]],
     d_safe: float = 1.0,
-) -> set[int]:
-    """Apply one repair round in place; returns the indices of the problems
-    it changed.
+    v_nominal: float = 1.0,
+    resolution: float = 1.0,
+) -> None:
+    """Rewrite every problem in place into one schedule of the discrete
+    `steps` (per robot, its cell at each step; all the same length).
 
-    Corridor violations shrink the offending segment's duration by 0.8; after
-    five shrinks the chord midpoint is inserted as a waypoint. Separation
-    violations read `trajs` at the violation time: a robot that has drifted
-    off its chord is pinned to it; otherwise one robot of the pair, by
-    default the one closing the gap, is delayed: its durations scale by 1.25,
-    or it holds at its start when one robot parks on or starts in the
-    other's route.
+    Each step's moves run rest-to-rest along their straight segments, slot
+    by slot in the order `_step_slots` gives. A slot lasts as long as its
+    longest move at `v_nominal` (at least `T_FLOOR`); a robot not moving
+    holds its cell at rest. A lone rest-to-rest segment is exactly its
+    chord, so every robot is, at every moment, on its own segment or at rest
+    at a step's start or end cell.
+
+    Guarantee: whenever every step has an order, each moving robot keeps
+    d_safe from every other robot's position, and robots at rest sit on
+    distinct cells. Precondition: d_safe <= resolution, so that distinct
+    cells are d_safe apart. ICM keeps every move 1.0 cell from the robots it
+    holds, so its steps satisfy it. When a step has no order, raises
+    UnrepairableError naming the pairs that have none, at the time the step
+    would start.
     """
-    changed: set[int] = set()
-    corridor_done: set[tuple[int, int]] = set()
-    pairs_done: set[tuple] = set()
-    staggered: set[int] = set()
-    for v in violations:
-        if v.kind in ("corridor", "obstacle"):
-            prob = problems[v.robot]
-            chord = prob.chord_of_segment[v.segment]
-            key = (v.robot, chord)
-            if key in corridor_done:
-                continue
-            corridor_done.add(key)
-            _shave_segment(prob, v.segment, scale_counts)
-            changed.add(v.robot)
-        elif v.kind == "separation":
-            lo, hi = min(v.robot, v.other), max(v.robot, v.other)
-            pair = ("pair", lo, hi)
-            if pair in pairs_done:
-                continue
-            pairs_done.add(pair)
-
-            # geometric case: a robot has drifted off its own chord at the
-            # violation time (corner bulge), encroaching on a lane that is
-            # safe chord-to-chord — pin the drifting robot's active
-            # segment to its exact chord with full stops at its endpoints
-            seg_of = {}
-            dev = {}
-            for r in (lo, hi):
-                s = int(trajs[r].segments([v.time])[0][0])
-                seg_of[r] = s
-                chord = problems[r].chords[problems[r].chord_of_segment[s]]
-                dev[r] = point_segment_distance(tuple(trajs[r].eval(v.time, 0)), *chord)
-            worst = max((lo, hi), key=lambda r: dev[r])
-            if dev[worst] > 0.01:
-                prob = problems[worst]
-                seg = seg_of[worst]
-                rests = {r for r in (seg, seg + 1) if 0 < r < len(prob.waypoints) - 1}
-                if rests - prob.rest_indices:
-                    prob.rest_indices |= rests
-                else:
-                    _shave_segment(prob, seg, scale_counts)
-                changed.add(worst)
-                continue
-
-            # timing conflict: stagger the pair by slowing exactly one robot,
-            # and keep slowing that same robot on recurrence so the stagger
-            # accumulates instead of oscillating between the two
-            if pair in scale_counts:
-                prev, tries, sticky = scale_counts[pair]
-                if sticky or tries < 4:
-                    mover = prev
-                    scale_counts[pair] = (prev, tries + 1, sticky)
-                else:
-                    mover = hi if prev == lo else lo
-                    scale_counts[pair] = (mover, 0, False)
-            else:
-                lo_parks = _parks_on_route(problems, lo, hi, d_safe)
-                hi_parks = _parks_on_route(problems, hi, lo, d_safe)
-                lo_blocks = _start_blocks_route(problems, lo, hi, d_safe)
-                hi_blocks = _start_blocks_route(problems, hi, lo, d_safe)
-                sticky = True
-                if lo_parks and not hi_parks:
-                    mover = lo  # lo ends up on hi's route: delay its arrival
-                elif hi_parks and not lo_parks:
-                    mover = hi
-                elif lo_blocks and not hi_blocks:
-                    mover = hi  # hi's route passes lo's start: hi waits
-                elif hi_blocks and not lo_blocks:
-                    mover = lo
-                else:
-                    mover = _closing_robot(trajs, v)
-                    sticky = False
-                scale_counts[pair] = (mover, 0, sticky)
-            if mover in staggered:
-                continue
-            staggered.add(mover)
-            other = hi if mover == lo else lo
-            if _parks_on_route(problems, mover, other, d_safe) or _start_blocks_route(
-                problems, other, mover, d_safe
-            ):
-                _hold_at_start(problems[mover], 0.5 * sum(problems[other].durations))
-            else:
-                problems[mover].durations = [d * 1.25 for d in problems[mover].durations]
-            changed.add(mover)
-    return changed
+    cells = [[tuple(map(float, c)) for c in s] for s in steps]
+    waypoints = [s[:1] for s in cells]
+    durations: list[list[float]] = [[] for _ in cells]
+    held_since = [0.0] * len(cells)  # when each robot came to rest where it is
+    t = 0.0
+    for k in range(len(cells[0]) - 1):
+        a = [s[k] for s in cells]
+        b = [s[k + 1] for s in cells]
+        slots, stuck = _step_slots(a, b, d_safe, resolution)
+        if stuck:
+            raise UnrepairableError(
+                [Violation("separation", lo, t, other=hi) for lo, hi in stuck],
+                "have no execution order",
+            )
+        for movers in slots:
+            longest = max(math.hypot(b[r][0] - a[r][0], b[r][1] - a[r][1]) for r in movers)
+            end = t + max(longest * resolution / v_nominal, T_FLOOR)
+            for r in movers:
+                if t > held_since[r]:
+                    waypoints[r].append(a[r])
+                    durations[r].append(t - held_since[r])
+                waypoints[r].append(b[r])
+                durations[r].append(end - t)
+                held_since[r] = end
+            t = end
+    for r, prob in enumerate(problems):
+        if not durations[r]:  # never moves: holds its cell for the whole schedule
+            waypoints[r].append(waypoints[r][0])
+            durations[r].append(max(t, T_FLOOR))
+        prob.waypoints = waypoints[r]
+        prob.durations = durations[r]
+        prob.rest_indices = set(range(1, len(waypoints[r]) - 1))
 
 
 def smooth_and_validate(
     problems: Sequence[SmoothingProblem],
     grid: OccupancyGrid,
+    steps: Sequence[Sequence[tuple[float, float]]],
     d_safe: float = 1.0,
     corridor_halfwidth: float = 1.0,
     dt: float = 0.05,
-    max_rounds: int = MAX_REPAIR_ROUNDS,
+    v_nominal: float = 1.0,
     degree: int = DEFAULT_DEGREE,
-) -> list[PolynomialTrajectory]:
-    """Solve, validate, and repair until feasible or the round limit. After
-    a repair round only the problems it changed are solved again: `solve`
-    depends on nothing else, so every other trajectory stands."""
-    scale_counts: dict = {}
-    trajs = [None] * len(problems)
-    todo = range(len(problems))
-    for _ in range(max_rounds + 1):
-        for i in todo:
-            trajs[i] = problems[i].solve(degree)
-        report = validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt)
-        if not report:
-            return trajs
-        todo = repair(problems, report, scale_counts, trajs, d_safe)
-    raise UnrepairableError(report, max_rounds)
+) -> tuple[list[PolynomialTrajectory], bool]:
+    """Solve and validate the problems; if validation fails, `repair`
+    rewrites them into the execution schedule of the discrete `steps`, which
+    is solved and validated once more. Returns the trajectories and whether
+    the schedule replaced the smoothed paths; violations that remain raise
+    UnrepairableError."""
+    trajs = [p.solve(degree) for p in problems]
+    if not validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt):
+        return trajs, False
+    repair(problems, steps, d_safe, v_nominal, grid.resolution)
+    trajs = [p.solve(degree) for p in problems]
+    report = validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt)
+    if report:
+        raise UnrepairableError(report)
+    return trajs, True

@@ -7,6 +7,7 @@ import pytest
 from swarmplan import rhp
 from swarmplan.cli import (
     EXIT_CONFIG,
+    EXIT_CYCLE,
     EXIT_OK,
     EXIT_UNREPAIRABLE,
     ConfigError,
@@ -16,6 +17,7 @@ from swarmplan.cli import (
     run_command,
     sample_start,
     stream_rng,
+    waypoint_problems,
 )
 from swarmplan.graph import build_interaction_graph, check_connectivity_condition
 from swarmplan.trajopt import UnrepairableError, Violation
@@ -140,7 +142,7 @@ def test_plan_command_byte_deterministic(tmp_path):
 
 def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
     def failing_execute(*args, **kwargs):
-        raise UnrepairableError([Violation("separation", 0, 3.1, other=8)], 10)
+        raise UnrepairableError([Violation("separation", 0, 3.1, other=8)])
 
     monkeypatch.setattr(rhp, "execute_fraction", failing_execute)
     out = tmp_path / "run"
@@ -149,7 +151,7 @@ def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
     lines = (out / "summary.txt").read_text().splitlines()
     assert lines[0] == "status: unrepairable"
     assert lines[-1] == (
-        "reason: 1 violation(s) remain after 10 repair rounds: "
+        "reason: 1 violation(s) remain after repair: "
         "separation robots 0-8 at t=3.100"
     )
 
@@ -181,6 +183,58 @@ def test_smooth_command(tmp_path):
     assert float(first[2]) == pytest.approx(2.0, abs=1e-6)
     robots = {r.split(",")[0] for r in rows[1:]}
     assert robots == {"0", "1"}
+
+
+def test_plan_command_exits_4_on_a_cycle(tmp_path):
+    out = tmp_path / "run"
+    code = run_command(
+        ["plan", "--scenario", "corridor", "--robots", "5", "--seed", "5", "--out", str(out)]
+    )
+    assert code == EXIT_CYCLE == 4
+    assert (out / "summary.txt").read_text().splitlines()[:2] == ["status: cycle", "horizons: 15"]
+
+
+# two horizons of a pruned_paths.csv: robot 0 moves on in the second, robot 1
+# holds its cell through the first
+TWO_HORIZONS = """robot,waypoint_index,x,y,source_step
+0,0,2,2,0
+0,1,5,2,2
+1,0,2,8,0
+1,1,2,8,0
+0,0,5,2,0
+0,1,5,4,1
+0,2,5,6,2
+1,0,2,8,0
+1,1,3,8,2
+"""
+
+
+def test_waypoint_problems_join_horizons_at_rest():
+    probs = waypoint_problems(TWO_HORIZONS, v_nominal=1.0)
+    assert [p.robot for p in probs] == [0, 1]
+    assert probs[0].waypoints == [(2.0, 2.0), (5.0, 2.0), (5.0, 4.0), (5.0, 6.0)]
+    assert probs[1].waypoints == [(2.0, 8.0), (2.0, 8.0), (3.0, 8.0)]
+    assert [p.rest_indices for p in probs] == [{1}, {1}]
+    for p in probs:
+        # the one segment between equal points is robot 1's hold
+        equal = [s for s, (a, b) in enumerate(zip(p.waypoints, p.waypoints[1:])) if a == b]
+        assert equal == ([0] if p.robot == 1 else [])
+        traj = p.solve()
+        joint = traj.times.knots[1]
+        assert np.allclose(traj.eval(joint, 1), 0.0, atol=1e-9)
+
+
+def test_smooth_command_reads_pruned_paths_columns(tmp_path):
+    wp = tmp_path / "pruned_paths.csv"
+    wp.write_text(TWO_HORIZONS)
+    out = tmp_path / "smooth"
+    assert run_command(["smooth", "--waypoints", str(wp), "--out", str(out)]) == EXIT_OK
+    rows = [r.split(",") for r in (out / "trajectories.csv").read_text().splitlines()[1:]]
+    first = {r[0]: r for r in reversed(rows)}
+    assert [float(v) for v in first["0"][2:4]] == [2.0, 2.0]
+    assert [float(v) for v in first["1"][2:4]] == [2.0, 8.0]
+    last = {r[0]: r for r in rows}
+    assert np.allclose([float(v) for v in last["0"][2:4]], [5.0, 6.0], atol=1e-9)
 
 
 def test_smooth_command_missing_file(tmp_path):

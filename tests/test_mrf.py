@@ -240,7 +240,7 @@ def test_icm_update_never_increases_frozen_graph_energy():
         positions = list(state.positions)
         positions[i] = new
         after = swarm_energy(
-            type(state)(positions=tuple(positions), graph=state.graph, t=state.t),
+            type(state)(positions=tuple(positions), graph=state.graph),
             None,
             IPARAMS,
         )

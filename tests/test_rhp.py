@@ -56,8 +56,7 @@ def test_plan_horizon_produces_consistent_plan():
     sc = free_scenario()
     cfg = small_config()
     state = make_state(sc.start, sc.grid, cfg.mrf.k)
-    plan = plan_horizon(state, sc, cfg, index=3)
-    assert plan.index == 3
+    plan = plan_horizon(state, sc, cfg)
     n = len(sc.start)
     assert len(plan.discrete) == n
     steps = len(plan.discrete[0].cells) - 1
@@ -97,7 +96,6 @@ def test_execute_fraction_holds_finished_robot_at_rest():
     # trajectory ends first and must then hold its final cell at rest.
     sc = free_scenario(goal=None, starts=((4, 4), (10, 10)))
     plan = HorizonPlan(
-        index=0,
         discrete=[
             DiscretePath(0, [Cell(4, 4), Cell(6, 4), Cell(8, 4), Cell(10, 4)]),
             DiscretePath(1, [Cell(10, 10), Cell(10, 11), Cell(10, 11), Cell(10, 11)]),
@@ -186,7 +184,7 @@ def test_run_logs_the_chords_each_executed_horizon_smoothed(monkeypatch):
 
 
 def test_unrepairable_horizon_logs_no_chords(monkeypatch):
-    error = UnrepairableError([Violation("separation", 0, 1.0, other=1)], 10)
+    error = UnrepairableError([Violation("separation", 0, 1.0, other=1)])
 
     def failing_smooth(*args, **kwargs):
         raise error
@@ -199,7 +197,7 @@ def test_unrepairable_horizon_logs_no_chords(monkeypatch):
 
 
 def test_run_keeps_unrepairable_reason(monkeypatch):
-    error = UnrepairableError([Violation("separation", 0, 3.1, other=8)], 10)
+    error = UnrepairableError([Violation("separation", 0, 3.1, other=8)])
 
     def failing_execute(*args, **kwargs):
         raise error
@@ -209,8 +207,32 @@ def test_run_keeps_unrepairable_reason(monkeypatch):
     assert result.status == rhp.STATUS_UNREPAIRABLE
     assert result.reason == str(error)
     assert result.reason == (
-        "1 violation(s) remain after 10 repair rounds: separation robots 0-8 at t=3.100"
+        "1 violation(s) remain after repair: separation robots 0-8 at t=3.100"
     )
+
+
+def test_run_stops_at_a_repeated_start_state(monkeypatch):
+    # corridor N=5 seed 5 starts horizon 15 where it started horizon 13 and
+    # would replay that period-2 cycle until the horizon cap
+    starts = []
+    real_plan = rhp.plan_horizon
+
+    def recording_plan(state, *args, **kwargs):
+        starts.append(state.positions)
+        return real_plan(state, *args, **kwargs)
+
+    monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
+    args = cli.make_parser().parse_args(
+        ["plan", "--scenario", "corridor", "--robots", "5", "--seed", "5", "--out", "unused"]
+    )
+    sc, cfg = cli.build_scenario(cli._load_cfg(args))
+    result = run(sc, cli.rhp_config(cfg))
+    assert result.status == rhp.STATUS_CYCLE
+    assert result.horizons == len(starts) == 15
+    assert len(set(starts)) == len(starts)
+    final = tuple(cells[-1] for cells in result.discrete)
+    assert final == starts[13]
+    assert result.reason is None
 
 
 def test_run_without_failure_has_no_reason():

@@ -1,31 +1,31 @@
 """Trajectory optimization tests: time allocation, the minimum-snap QP
 against closed-form and quadrature oracles, derivative continuity, sampling,
-validation of crafted infeasible plans, and the repair loop."""
+validation of crafted infeasible plans, and the execution schedule that
+repair builds from discrete steps."""
 
-import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from swarmplan import trajopt
-from swarmplan.grid import OccupancyGrid
+from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
+from swarmplan.grid import Cell, OccupancyGrid
+from swarmplan.mrf import OptimizeConfig, make_state, optimize
 from swarmplan.paths import point_segment_distance
 from swarmplan.trajopt import (
     DIST_TOL,
-    MAX_REPAIR_ROUNDS,
-    MAX_SEGMENT_SCALINGS,
     PolynomialTrajectory,
     QuadraticProgram,
     SmoothingProblem,
     TimeAllocation,
     UnrepairableError,
     Violation,
-    _hold_at_start,
     _perm,
     _perm_table,
-    _shave_segment,
     _snap_gram,
     allocate_times,
     build_qp,
@@ -297,51 +297,14 @@ def test_validate_holds_final_position_for_finished_robot():
     assert validate(trajs, free_grid(), probs) == []
 
 
-def test_repair_mutates_problem_on_separation():
-    probs = [
-        make_problem(0, [(0.0, 5.0), (12.0, 5.0), (12.0, 10.0)]),
-        make_problem(1, [(12.0, 5.0), (0.0, 5.0), (0.0, 10.0)]),
-    ]
-    snapshot = [
-        (list(p.durations), list(p.waypoints), set(p.rest_indices)) for p in probs
-    ]
-    trajs = [p.solve() for p in probs]
-    report = [
-        v for v in validate(trajs, free_grid(), probs) if v.kind == "separation"
-    ]
-    assert report
-    repair(probs, report, {}, trajs)
-    after = [
-        (list(p.durations), list(p.waypoints), set(p.rest_indices)) for p in probs
-    ]
-    assert after != snapshot  # a pin, delay, or slowdown was applied
-
-
-def test_repair_slows_pair_when_geometry_is_clean():
-    # Perpendicular crossing with no chord deviation: the only lever is
-    # timing, so repair must lengthen someone's schedule.
-    probs = [
-        make_problem(0, [(0.0, 5.0), (12.0, 5.0)]),
-        make_problem(1, [(6.0, 0.0), (6.0, 12.0)]),
-    ]
-    before = sum(sum(p.durations) for p in probs)
-    trajs = [p.solve() for p in probs]
-    report = [
-        v for v in validate(trajs, free_grid(), probs) if v.kind == "separation"
-    ]
-    assert report
-    repair(probs, report, {}, trajs)
-    after = sum(sum(p.durations) for p in probs)
-    assert after > before
-
-
 def test_smooth_and_validate_resolves_crossing():
     # perpendicular routes whose midpoints meet simultaneously
     probs = [
         make_problem(0, [(0.0, 5.0), (12.0, 5.0)]),
         make_problem(1, [(6.0, 0.0), (6.0, 12.0)]),
     ]
-    trajs = smooth_and_validate(probs, free_grid())
+    trajs, scheduled = smooth_and_validate(probs, free_grid(), [p.waypoints for p in probs])
+    assert scheduled
     assert validate(trajs, free_grid(), probs) == []
 
 
@@ -352,7 +315,7 @@ def test_smooth_and_validate_raises_for_parked_overlap():
         make_problem(1, [(5.5, 5.0), (5.5, 5.0)]),
     ]
     with pytest.raises(UnrepairableError) as info:
-        smooth_and_validate(probs, free_grid())
+        smooth_and_validate(probs, free_grid(), [p.waypoints for p in probs])
     err = info.value
     assert err.violations
     assert all(v.kind == "separation" and (v.robot, v.other) == (0, 1) for v in err.violations)
@@ -362,85 +325,224 @@ def test_smooth_and_validate_raises_for_parked_overlap():
         assert f"separation robots 0-1 at t={v.time:.3f}" in msg
 
 
-REPAIR_CASES = {
-    # a clean crossing, a fast corner and a robot nobody meets: repair
-    # touches one or two problems a round
-    "crossing-corner-bystander": lambda: [
-        make_problem(0, [(0.0, 5.0), (12.0, 5.0)]),
-        make_problem(1, [(6.0, 0.0), (6.0, 12.0)]),
-        make_problem(2, [(20.0, 20.0), (30.0, 20.0), (30.0, 30.0)], v=2.0),
-        make_problem(3, [(2.0, 30.0), (10.0, 30.0)]),
-    ],
-    # a parked overlap no repair can clear, next to a robot nobody meets
-    "parked-overlap-bystander": lambda: [
-        make_problem(0, [(5.0, 5.0), (5.0, 5.0)]),
-        make_problem(1, [(5.5, 5.0), (5.5, 5.0)]),
-        make_problem(2, [(20.0, 20.0), (30.0, 20.0)]),
-    ],
-}
+def test_repair_names_a_swap_that_has_no_order():
+    steps = [[(3.0, 3.0), (4.0, 3.0)], [(4.0, 3.0), (3.0, 3.0)]]
+    probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
+    with pytest.raises(UnrepairableError) as info:
+        repair(probs, steps)
+    err = info.value
+    assert [(v.kind, v.robot, v.other, v.time) for v in err.violations] == [("separation", 0, 1, 0.0)]
+    assert str(err) == "1 violation(s) have no execution order: separation robots 0-1 at t=0.000"
 
 
-def solve_all_reference(problems, grid):
-    """The repair loop with every problem solved again in every round."""
-    scale_counts = {}
-    for _ in range(MAX_REPAIR_ROUNDS + 1):
-        trajs = [p.solve() for p in problems]
-        report = validate(trajs, grid, problems)
-        if not report:
-            return trajs
-        repair(problems, report, scale_counts, trajs)
-    raise UnrepairableError(report, MAX_REPAIR_ROUNDS)
+def sweep_order_schedule(steps):
+    """One step executed in id order, one robot at a time, as ICM's sweep
+    moved them: rest-to-rest moves of 1 s, holds in between."""
+    n = len(steps)
+    probs = []
+    for r, (a, b) in enumerate(steps):
+        wps = [a] * (r > 0) + [a, b] + [b] * (r < n - 1)
+        durs = [float(r)] * (r > 0) + [1.0] + [float(n - 1 - r)] * (r < n - 1)
+        prob = SmoothingProblem.from_waypoints(r, wps, TimeAllocation(np.array(durs)))
+        prob.rest_indices = set(range(1, len(wps) - 1))
+        probs.append(prob)
+    return probs
 
 
-def outcome(fn, problems):
-    try:
-        return fn(problems, free_grid()), None
-    except UnrepairableError as exc:
-        return None, str(exc)
+def test_repair_orders_a_step_that_sweep_order_breaks():
+    # ICM moved robot 0 first, with robot 1 held 1.41 away; robot 1's move
+    # then crosses no moved segment but passes 0.45 from robot 0's new cell
+    steps = [[(1.0, 2.0), (1.0, 1.0)], [(0.0, 0.0), (2.0, 1.0)]]
+    swept = sweep_order_schedule(steps)
+    report = validate([p.solve() for p in swept], free_grid(), swept)
+    assert [(v.kind, v.robot, v.other) for v in report] == [("separation", 0, 1)]
+
+    probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
+    repair(probs, steps)
+    # robot 1 goes first while robot 0 holds its start, then robot 0 moves
+    assert probs[0].waypoints == [(1.0, 2.0), (1.0, 2.0), (1.0, 1.0)]
+    assert probs[1].waypoints == [(0.0, 0.0), (2.0, 1.0)]
+    assert validate([p.solve() for p in probs], free_grid(), probs) == []
 
 
-@pytest.mark.parametrize("case", sorted(REPAIR_CASES))
-def test_smooth_and_validate_solves_only_what_repair_changed(case, monkeypatch):
-    ref_problems = REPAIR_CASES[case]()
-    ref_trajs, ref_error = outcome(solve_all_reference, ref_problems)
+def test_repair_moves_apart_robots_in_one_slot():
+    # far-apart moves share a slot; a robot that never moves holds its cell
+    steps = [[(0.0, 0.0), (2.0, 0.0)], [(0.0, 10.0), (1.0, 10.0)], [(9.0, 9.0), (9.0, 9.0)]]
+    probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
+    repair(probs, steps, v_nominal=2.0)
+    assert [p.waypoints for p in probs] == steps
+    assert [p.durations for p in probs] == [[1.0], [1.0], [1.0]]
 
-    solves = []
+
+def test_schedule_pieces_stay_on_their_segments():
+    rng = np.random.default_rng(7)
+    # five robots on a 4-cell-spaced lattice, three steps of single-cell moves
+    steps = []
+    for r in range(5):
+        cell = np.array([5.0 + 4.0 * r, 5.0 + 4.0 * (r % 2)])
+        path = [tuple(cell)]
+        for _ in range(3):
+            cell = cell + rng.integers(-1, 2, 2)
+            path.append(tuple(cell + 0.0))
+        steps.append(path)
+    probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
+    repair(probs, steps, resolution=1.0)
+    trajs = [p.solve() for p in probs]
+    for prob, traj in zip(probs, trajs):
+        assert len(prob.rest_indices) == len(prob.waypoints) - 2  # every joint is a rest
+        ts = np.linspace(0.0, traj.total_time, 2001)
+        segs, _ = traj.segments(ts)
+        for seg, pos in zip(segs.tolist(), traj.eval_many(ts)):
+            a, b = prob.waypoints[seg], prob.waypoints[seg + 1]
+            assert point_segment_distance(tuple(pos), a, b) <= 1e-9
+    assert validate(trajs, free_grid(), probs) == []
+
+
+@pytest.mark.parametrize("steps, repaired", [
+    # two crossing routes: validation fails once, repair runs once
+    ([[(0.0, 5.0), (12.0, 5.0)], [(6.0, 0.0), (6.0, 12.0)]], True),
+    # two routes far apart: validation passes, no repair
+    ([[(0.0, 5.0), (12.0, 5.0)], [(0.0, 20.0), (12.0, 20.0)]], False),
+])
+def test_smooth_and_validate_repairs_at_most_once(steps, repaired, monkeypatch):
+    solved = []
     real_solve = SmoothingProblem.solve
 
-    def counting_solve(self, *args, **kwargs):
-        solves.append(self.robot)
+    def recording_solve(self, *args, **kwargs):
+        solved.append((self.robot, list(self.waypoints), list(self.durations)))
         return real_solve(self, *args, **kwargs)
 
-    rounds = []
+    repairs = []
     real_repair = trajopt.repair
 
-    def checked_repair(problems, *args, **kwargs):
-        before = copy.deepcopy(list(problems))
-        changed = real_repair(problems, *args, **kwargs)
-        # repair names exactly the problems it mutated
-        assert changed == {i for i, (a, b) in enumerate(zip(before, problems)) if a != b}
-        rounds.append(changed)
-        return changed
+    def counting_repair(*args, **kwargs):
+        repairs.append(len(solved))
+        return real_repair(*args, **kwargs)
 
-    monkeypatch.setattr(SmoothingProblem, "solve", counting_solve)
-    monkeypatch.setattr(trajopt, "repair", checked_repair)
-    problems = REPAIR_CASES[case]()
-    trajs, error = outcome(smooth_and_validate, problems)
+    monkeypatch.setattr(SmoothingProblem, "solve", recording_solve)
+    monkeypatch.setattr(trajopt, "repair", counting_repair)
+    probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
+    trajs, scheduled = smooth_and_validate(probs, free_grid(), steps)
+    assert scheduled == repaired
+    assert len(repairs) == int(repaired)
+    if repaired:
+        # every repaired problem is solved once, as repair left it
+        assert repairs == [len(probs)]
+        after = [(p.robot, p.waypoints, p.durations) for p in probs]
+        assert solved[len(probs):] == after
+    assert len(solved) == len(probs) * (1 + repaired)
+    assert validate(trajs, free_grid(), probs) == []
 
-    assert error == ref_error
-    assert problems == ref_problems
-    if ref_trajs is None:
-        assert len(rounds) == MAX_REPAIR_ROUNDS + 1
-        resolved = rounds[:-1]  # the last round's repair is never solved
-    else:
-        assert len(trajs) == len(ref_trajs)
-        for got, want in zip(trajs, ref_trajs):
-            assert np.array_equal(got.coeffs, want.coeffs)
-            assert np.array_equal(got.times.durations, want.times.durations)
-        resolved = rounds
-    assert rounds
-    assert len(solves) == len(problems) + sum(len(c) for c in resolved)
-    assert len(solves) < len(problems) * (len(resolved) + 1)
+
+def precedence(a, b, d_safe, res):
+    """(q, r) for every pair where q's move must come before r's: r's
+    segment within d_safe of q's start, or q's segment of r's end."""
+    edges = set()
+    for r in range(len(a)):
+        for q in range(len(a)):
+            if q != r:
+                if point_segment_distance(a[q], a[r], b[r]) * res < d_safe - DIST_TOL:
+                    edges.add((q, r))
+                if point_segment_distance(b[q], a[r], b[r]) * res < d_safe - DIST_TOL:
+                    edges.add((r, q))
+    return edges
+
+
+def has_cycle(edges):
+    """Whether the directed graph of `edges` has a cycle (Kahn's algorithm
+    leaves a node over)."""
+    nodes = {n for e in edges for n in e}
+    indegree = {n: sum(1 for _, b in edges if b == n) for n in nodes}
+    ready = [n for n in nodes if not indegree[n]]
+    while ready:
+        q = ready.pop()
+        nodes.discard(q)
+        for a, b in edges:
+            if a == q:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    ready.append(b)
+    return bool(nodes)
+
+
+def check_forced_schedule(steps, grid, d_safe):
+    """Repair on `steps` either raises naming pairs whose precedences close
+    a cycle at the first step without an order, or gives trajectories with
+    no separation or corridor violation (obstacle hits belong to the
+    steps' straight moves, not to the schedule)."""
+    res = grid.resolution
+    probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
+    try:
+        repair(probs, steps, d_safe=d_safe, resolution=res)
+    except UnrepairableError as exc:
+        assert "have no execution order" in str(exc)
+        assert len({v.time for v in exc.violations}) == 1
+        assert all(v.kind == "separation" and v.robot < v.other for v in exc.violations)
+        graphs = [
+            precedence([s[k] for s in steps], [s[k + 1] for s in steps], d_safe, res)
+            for k in range(len(steps[0]) - 1)
+        ]
+        edges = next(g for g in graphs if has_cycle(g))
+        named = {frozenset((v.robot, v.other)) for v in exc.violations}
+        assert has_cycle({e for e in edges if frozenset(e) in named})
+        return "no order"
+    report = validate([p.solve() for p in probs], grid, probs, d_safe=d_safe)
+    assert not [v for v in report if v.kind != "obstacle"]
+    return "scheduled"
+
+
+def random_map(rng, res):
+    w, h = int(rng.integers(8, 15)), int(rng.integers(8, 15))
+    prob = np.where(rng.random((h, w)) < 0.1, 1.0, 0.0)
+    free = [Cell(int(x), int(y)) for y, x in zip(*np.nonzero(prob == 0.0))]
+    return OccupancyGrid(prob=prob, resolution=res), free
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    robots=st.integers(2, 6),
+    sweeps=st.integers(1, 4),
+    res=st.sampled_from([0.5, 1.0, 2.0]),
+    d_safe_share=st.floats(0.5, 1.0),
+)
+def test_forced_schedule_of_icm_steps(seed, robots, sweeps, res, d_safe_share):
+    # random small maps and start sets, a few ICM sweeps, and the schedule
+    # forced on them whether or not smoothing would have passed
+    rng = np.random.default_rng(seed)
+    grid, free = random_map(rng, res)
+    starts = [free[i] for i in rng.choice(len(free), size=robots, replace=False)]
+    goal = (float(rng.uniform(0, grid.width - 1)), float(rng.uniform(0, grid.height - 1)))
+    static = build_goal_field(grid, GoalParams(goal=goal))
+    k = min(2, robots - 1)
+    state = make_state(starts, grid, k=k)
+    cfg = OptimizeConfig(k=k, max_sweeps=sweeps, goal=goal)
+    paths, _ = optimize(state, grid, static, InteractionParams(), cfg)
+    steps = [[tuple(map(float, c)) for c in p.cells] for p in paths]
+    if len(steps[0]) > 1:
+        check_forced_schedule(steps, grid, d_safe_share * res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), robots=st.integers(2, 6), res=st.sampled_from([0.5, 1.0, 2.0]))
+def test_forced_schedule_of_random_steps(seed, robots, res):
+    # two steps of random moves of up to two cells between distinct cells,
+    # so some steps have no order
+    rng = np.random.default_rng(seed)
+    grid, free = random_map(rng, res)
+    cells = [free[i] for i in rng.choice(len(free), size=robots, replace=False)]
+    steps = [[tuple(map(float, c))] for c in cells]
+    for _ in range(2):
+        taken = set()
+        for path in steps:
+            x, y = path[-1]
+            options = [
+                (x + dx, y + dy) for dx in range(-2, 3) for dy in range(-2, 3)
+                if (x + dx, y + dy) not in taken
+            ]
+            path.append(options[int(rng.integers(len(options)))])
+            taken.add(path[-1])
+    check_forced_schedule(steps, grid, res)
 
 
 def test_violation_fields():
@@ -468,7 +570,7 @@ def validate_reference(trajs, grid, problems, d_safe=1.0, corridor_halfwidth=1.0
             if not grid.in_bounds((cx, cy)) or not grid.is_free((cx, cy)):
                 violations.append(Violation("obstacle", r, float(t), segment=seg_idx))
                 continue
-            a, b = problems[r].chords[problems[r].chord_of_segment[seg_idx]]
+            a, b = problems[r].waypoints[seg_idx], problems[r].waypoints[seg_idx + 1]
             if point_segment_distance((x, y), a, b) * res > corridor_halfwidth + DIST_TOL:
                 violations.append(Violation("corridor", r, float(t), segment=seg_idx))
     for i in range(len(trajs)):
@@ -483,35 +585,43 @@ def validate_reference(trajs, grid, problems, d_safe=1.0, corridor_halfwidth=1.0
 
 def random_validate_case(rng):
     """A random map (some cells occupied) and up to 10 robots whose paths may
-    leave it, with hold-at-start chords, midpoint splits and rest splits."""
+    leave it, with holds at the start, midpoint splits and rest splits; the
+    set names the shapes drawn."""
     w, h = int(rng.integers(8, 20)), int(rng.integers(8, 20))
     grid = OccupancyGrid(
         prob=np.where(rng.random((h, w)) < 0.12, 1.0, 0.0),
         resolution=float(rng.choice([0.5, 1.0, 2.0])),
     )
-    problems = []
+    problems, shapes = [], set()
     for r in range(int(rng.integers(1, 11))):
         # half-cell coordinates, up to two cells off the map
         wps = np.round(rng.uniform([-2.0, -2.0], [w + 1.0, h + 1.0], (int(rng.integers(2, 6)), 2)) * 2) / 2
         prob = SmoothingProblem.from_waypoints(r, wps, allocate_times(wps, float(rng.uniform(0.5, 3.0))))
         if rng.random() < 0.3:
-            _hold_at_start(prob, float(rng.uniform(0.2, 2.0)))  # zero-length chord 0
+            # hold at the start: a zero-length segment 0, at rest
+            prob.waypoints.insert(0, prob.waypoints[0])
+            prob.durations.insert(0, float(rng.uniform(0.2, 2.0)))
+            prob.rest_indices.add(1)
+            shapes.add("hold")
         if rng.random() < 0.3:
+            # a segment split at its chord midpoint
             seg = int(rng.integers(len(prob.durations)))
-            # a segment shaved to its limit is split at its chord midpoint;
-            # both halves keep the parent chord
-            _shave_segment(prob, seg, {(r, prob.chord_of_segment[seg]): MAX_SEGMENT_SCALINGS})
+            (ax, ay), (bx, by) = prob.waypoints[seg], prob.waypoints[seg + 1]
+            prob.waypoints.insert(seg + 1, ((ax + bx) / 2.0, (ay + by) / 2.0))
+            prob.durations[seg : seg + 1] = [prob.durations[seg] / 2.0] * 2
+            prob.rest_indices = {i + 1 if i > seg else i for i in prob.rest_indices}
+            shapes.add("split")
         if rng.random() < 0.3:
             prob.rest_indices.add(int(rng.integers(1, len(prob.waypoints))))
         problems.append(prob)
-    return grid, problems, [p.solve() for p in problems]
+    return grid, problems, [p.solve() for p in problems], shapes
 
 
 def test_validate_equals_per_sample_reference():
     rng = np.random.default_rng(2024)
     seen = set()
     for _ in range(80):
-        grid, problems, trajs = random_validate_case(rng)
+        grid, problems, trajs, shapes = random_validate_case(rng)
         kwargs = dict(
             d_safe=float(rng.uniform(0.5, 3.0)),
             corridor_halfwidth=float(rng.uniform(0.05, 1.0)),
@@ -525,8 +635,7 @@ def test_validate_equals_per_sample_reference():
             if v.kind == "obstacle":
                 c = np.round(trajs[v.robot].eval(v.time))
                 seen.add("off-map" if not grid.in_bounds(c) else "occupied")
-        seen |= {"hold" for p in problems if p.chords[0][0] == p.chords[0][1]}
-        seen |= {"split" for p in problems if len(set(p.chord_of_segment)) < len(p.chord_of_segment)}
+        seen |= shapes
         seen |= {"finished" for tr in trajs if tr.total_time < max(t.total_time for t in trajs)}
         if len(trajs) == 10:
             seen.add("n10")
@@ -635,9 +744,11 @@ def test_min_snap_equals_per_dimension_qp_exactly(seed):
 def test_rest_split_solve_equals_per_dimension_qp_exactly():
     rng = np.random.default_rng(11)
     wps = rng.uniform(0.0, 30.0, (7, 2))
-    prob = SmoothingProblem.from_waypoints(0, wps, allocate_times(wps, 1.3))
-    _hold_at_start(prob, 1.5)
-    prob.rest_indices |= {3, 5}
+    # a 1.5 s hold at the start, at rest, then rests at waypoints 3 and 5
+    held = np.concatenate([wps[:1], wps])
+    durations = np.concatenate([[1.5], allocate_times(wps, 1.3).durations])
+    prob = SmoothingProblem.from_waypoints(0, held, TimeAllocation(durations))
+    prob.rest_indices |= {1, 3, 5}
     rests = sorted(prob.rest_indices)
     bounds = [0, *rests, len(prob.waypoints) - 1]
     want = np.concatenate([
