@@ -81,10 +81,17 @@ class EnergyTrace:
 
     energies: list[float]
     moved_counts: list[int]
-    converged: bool
-    iterations: int
     status: str  # 'converged' | 'max-sweeps'
     sweep_seconds: list[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+    @property
+    def iterations(self) -> int:
+        """Sweeps that moved a robot (a final zero-move sweep is not counted)."""
+        return len(self.energies) - 1
 
 
 @dataclass(frozen=True)
@@ -356,9 +363,11 @@ def icm_update(
     row-major order. Candidates whose move segment would cross a blocked
     segment are skipped (the current cell is exempt), so the result never
     increases the frozen-graph swarm energy. Held robots (point blocks) need
-    full clearance along the whole move, not just non-crossing: a diagonal
-    slide past an adjacent held robot cannot be staggered away at the
-    trajectory stage.
+    full clearance along the whole move, not just non-crossing:
+    `trajopt.repair` needs an execution order for every step, and a move
+    that passes within 1.0 of a held robot has none. The held cell is that
+    robot's start, so it would go before the move, and its end, so it would
+    go after it.
     """
     own = state.positions[i]
     candidates = spaces[i]
@@ -475,8 +484,6 @@ def optimize(
     trace = EnergyTrace(
         energies=energies,
         moved_counts=moved_counts,
-        converged=(status == "converged"),
-        iterations=len(energies) - 1,
         status=status,
         sweep_seconds=sweep_seconds,
     )

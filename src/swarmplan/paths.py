@@ -128,50 +128,21 @@ class PrunedPath:
     source_steps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Chord:
-    robot: int
-    step_a: int
-    step_b: int
-    cell_a: Cell
-    cell_b: Cell
-
-
-def _ranges_overlap(a0: int, a1: int, b0: int, b1: int) -> bool:
-    return a0 <= b1 and b0 <= a1
-
-
-def _step_conflict(a, b, sa, sb, robot, paths, source_steps) -> bool:
-    """Candidate chord a-b (steps sa..sb) against other robots' raw step
-    segments: a robot holding its cell demands full safety clearance from
-    the chord, a moving robot demands non-crossing."""
-    for q, qsteps in zip(paths, source_steps):
-        if q.robot == robot:
-            continue
-        for t in range(len(qsteps) - 1):
-            if not _ranges_overlap(sa, sb, qsteps[t], qsteps[t + 1]):
-                continue
-            c0, c1 = q.cells[t], q.cells[t + 1]
-            if c0 == c1:
-                if point_segment_distance(c0, a, b) < 1.0:
-                    return True
-            elif segments_intersect(a, b, c0, c1):
-                return True
-    return False
-
-
 def prune(
     paths: Sequence["DiscretePath"],
     grid: OccupancyGrid,
     source_steps: Sequence[Sequence[int]] | None = None,
 ) -> list[PrunedPath]:
-    """Greedy chord pruning, each path taken whole as one window.
+    """Greedy line-of-sight pruning, each robot's path on its own.
 
-    Per robot in ascending id: repeatedly extend the chord from the current
-    anchor to the farthest later waypoint that keeps line of sight and does
-    not intersect any earlier robot's chord with an overlapping step range.
-    Consecutive original waypoints are always an admissible fallback, so the
-    result never gains waypoints.
+    From each anchor, extend the chord to the farthest later waypoint with
+    line of sight. The single step to the next waypoint is kept even without
+    line of sight (ICM's candidate disk does not require it), so the result
+    never gains waypoints. A robot that never moves keeps a two-point path.
+
+    A robot's chords do not depend on any other robot: separation is the
+    job of `trajopt.validate`, and of the execution schedule
+    (`trajopt.repair`) that replaces smoothed paths which fail it.
 
     `source_steps` lets an already pruned path be re-pruned against the
     original step numbering (defaults to 0..T).
@@ -180,28 +151,16 @@ def prune(
         source_steps = [list(range(len(p.cells))) for p in paths]
 
     results: list[PrunedPath] = []
-    chords: list[_Chord] = []
     for p, steps in zip(paths, source_steps):
         keep = [0]  # retained indices
         last = len(steps) - 1
         while keep[-1] != last:
             a = keep[-1]
-            chosen = a + 1  # the original single step is accepted unconditionally
-            for j in range(last, a, -1):
-                if not line_of_sight(grid, p.cells[a], p.cells[j]):
-                    continue
-                conflict = any(
-                    _ranges_overlap(steps[a], steps[j], ch.step_a, ch.step_b)
-                    and segments_intersect(p.cells[a], p.cells[j], ch.cell_a, ch.cell_b)
-                    for ch in chords
-                    if ch.robot != p.robot
-                ) or _step_conflict(
-                    p.cells[a], p.cells[j], steps[a], steps[j], p.robot, paths, source_steps
-                )
-                if not conflict:
+            chosen = a + 1  # the single step, with or without line of sight
+            for j in range(last, a + 1, -1):
+                if line_of_sight(grid, p.cells[a], p.cells[j]):
                     chosen = j
                     break
-            chords.append(_Chord(p.robot, steps[a], steps[chosen], p.cells[a], p.cells[chosen]))
             keep.append(chosen)
         if len(keep) == 1:
             # stationary robot: keep a degenerate two-point path

@@ -396,7 +396,6 @@ class Violation:
     kind: str  # 'obstacle' | 'separation' | 'corridor'
     robot: int
     time: float
-    segment: int | None = None
     other: int | None = None
 
     def describe(self) -> str:
@@ -489,10 +488,8 @@ def validate(
     # per robot, by sample; an obstacle hit hides a corridor departure
     violations: list[Violation] = []
     times = ts.tolist()
-    seg_of = segs.tolist()
     for r, n in zip(*(idx.tolist() for idx in np.nonzero(hit | off))):
-        kind = "obstacle" if hit[r, n] else "corridor"
-        violations.append(Violation(kind, r, times[n], segment=seg_of[r][n]))
+        violations.append(Violation("obstacle" if hit[r, n] else "corridor", r, times[n]))
 
     # then each pair i < j at its deepest encroachment, not the first
     # crossing

@@ -1,5 +1,6 @@
 """Geometry and pruning tests: supercover traversal against a dense-sampling
-oracle, segment intersection, point-segment distance, and chord pruning."""
+oracle, segment intersection, point-segment distance, and line-of-sight
+pruning."""
 
 import math
 
@@ -203,32 +204,26 @@ def test_prune_preserves_endpoints_and_step_order():
     assert list(steps) == sorted(steps)
 
 
-def test_prune_chord_avoids_crossing_other_robot():
-    # Robot 1 cuts across robot 0's straight line at step 2; robot 0's chord
-    # may not shortcut through the crossing.
-    p0 = DiscretePath(robot=0, cells=tuple(Cell(x, 2) for x in range(5)))
-    p1 = DiscretePath(
-        robot=1, cells=(Cell(2, 0), Cell(2, 1), Cell(2, 2), Cell(2, 3), Cell(2, 4))
-    )
-    out = prune([p0, p1], free_grid())
-    # both full chords would intersect at (2, 2); at least one robot must
-    # break its chord there or earlier
-    chords0 = list(zip(out[0].waypoints, out[0].waypoints[1:]))
-    chords1 = list(zip(out[1].waypoints, out[1].waypoints[1:]))
-    assert len(chords0) > 1 or len(chords1) > 1
+def random_walks(rng):
+    """A random map (some cells occupied) and 2-6 robots, each on a random
+    walk of king moves and holds that stays on the map."""
+    w, h = int(rng.integers(6, 16)), int(rng.integers(6, 16))
+    grid = OccupancyGrid(prob=np.where(rng.random((h, w)) < 0.15, 1.0, 0.0), resolution=1.0)
+    steps = int(rng.integers(1, 9))
+    paths = []
+    for r in range(int(rng.integers(2, 7))):
+        cells = [Cell(int(rng.integers(w)), int(rng.integers(h)))]
+        for _ in range(steps):
+            x, y = cells[-1] + rng.integers(-1, 2, 2)
+            cells.append(Cell(int(np.clip(x, 0, w - 1)), int(np.clip(y, 0, h - 1))))
+        paths.append(DiscretePath(robot=r, cells=tuple(cells)))
+    return paths, grid
 
 
-def test_prune_chord_keeps_clearance_from_held_robot():
-    # Robot 1 holds (2, 2); robot 0 detours around it with every raw step
-    # at distance sqrt(2). Merging the detour into a straight chord would
-    # pass through the held cell and must be rejected.
-    p0 = DiscretePath(
-        robot=0, cells=(Cell(0, 2), Cell(1, 3), Cell(2, 4), Cell(3, 3), Cell(4, 2))
-    )
-    p1 = DiscretePath(robot=1, cells=tuple(Cell(2, 2) for _ in range(5)))
-    out = prune([p0, p1], free_grid())
-    for a, b in zip(out[0].waypoints, out[0].waypoints[1:]):
-        assert point_segment_distance((2, 2), a, b) >= 1.0
+@pytest.mark.parametrize("seed", range(40))
+def test_prune_treats_each_robot_alone(seed):
+    paths, grid = random_walks(np.random.default_rng(seed))
+    assert prune(paths, grid) == [prune([p], grid)[0] for p in paths]
 
 
 def test_prune_empty_input():

@@ -340,25 +340,33 @@ def test_obstacle_run_avoids_occupied_cells():
             assert grid.is_free((cx, cy)), (r, x, y)
 
 
-# SHA-256 over (status, horizons, discrete cells) and the bytes of t, pos,
-# vel and acc of `plan --scenario <name> --robots 5 --seed <seed>`, recorded
-# with the per-sample evaluation and validation loops (x86-64, numpy 2.4 with
-# OpenBLAS). A faster trajectory path must reproduce these bytes; a change
-# meant to alter trajectories records new values and says why.
-PIPELINE_DIGESTS = {
-    ("corridor", 0): "0a02c7bc1350d5ee30d0892b8c2ead6446390ef3e35331946992283e6772d876",
-    ("blocks", 1): "863bbb4efc38f42ab23747d7393f3e44c92908581e4d50a875bbb167801d4496",
+# Digests of `plan --scenario <name> --robots 5 --seed <seed>`, recorded on
+# x86-64 with numpy 2.4 and OpenBLAS. PLAN_DIGESTS is SHA-256 over repr of
+# (status, horizons, discrete cells): what ICM planned and executed, which
+# nothing after the MRF stage may change. TRAJECTORY_DIGESTS is SHA-256 over
+# the bytes of t, pos, vel and acc. A faster trajectory path must reproduce
+# both; a change meant to alter trajectories records new trajectory digests
+# and says why.
+PLAN_DIGESTS = {
+    ("corridor", 0): "402c78dc0f8875b8a964d85bcd634331addf265eea79546d2885a4a10b898f5e",
+    ("blocks", 1): "2e1a68b1fbb47d41b7b1d4c28d9cd14a91d8aa46f99a7f044675ab5c2a1e174c",
+}
+TRAJECTORY_DIGESTS = {
+    ("corridor", 0): "adc540a2963807deb0d8631a6775efa8534c9944ebabca1e239b9e25fea18cb3",
+    ("blocks", 1): "3030a5eda117b0bce3627f2e17ac77c2307b25d972d5b38e74f26b9eadfed519",
 }
 
 
-@pytest.mark.parametrize("scenario, seed", sorted(PIPELINE_DIGESTS))
+@pytest.mark.parametrize("scenario, seed", sorted(PLAN_DIGESTS))
 def test_run_golden_digest(scenario, seed):
     args = cli.make_parser().parse_args(
         ["plan", "--scenario", scenario, "--robots", "5", "--seed", str(seed), "--out", "unused"]
     )
     sc, cfg = cli.build_scenario(cli._load_cfg(args))
     result = run(sc, cli.rhp_config(cfg))
-    digest = hashlib.sha256(repr((result.status, result.horizons, result.discrete)).encode())
+    plan = hashlib.sha256(repr((result.status, result.horizons, result.discrete)).encode())
+    assert plan.hexdigest() == PLAN_DIGESTS[scenario, seed], "plan changed"
+    trajectory = hashlib.sha256()
     for a in (result.t, result.pos, result.vel, result.acc):
-        digest.update(np.ascontiguousarray(a).tobytes())
-    assert digest.hexdigest() == PIPELINE_DIGESTS[scenario, seed]
+        trajectory.update(np.ascontiguousarray(a).tobytes())
+    assert trajectory.hexdigest() == TRAJECTORY_DIGESTS[scenario, seed], "trajectories changed"

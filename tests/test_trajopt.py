@@ -568,11 +568,11 @@ def validate_reference(trajs, grid, problems, d_safe=1.0, corridor_halfwidth=1.0
             cx, cy = round(x), round(y)
             seg_idx = segs[n]
             if not grid.in_bounds((cx, cy)) or not grid.is_free((cx, cy)):
-                violations.append(Violation("obstacle", r, float(t), segment=seg_idx))
+                violations.append(Violation("obstacle", r, float(t)))
                 continue
             a, b = problems[r].waypoints[seg_idx], problems[r].waypoints[seg_idx + 1]
             if point_segment_distance((x, y), a, b) * res > corridor_halfwidth + DIST_TOL:
-                violations.append(Violation("corridor", r, float(t), segment=seg_idx))
+                violations.append(Violation("corridor", r, float(t)))
     for i in range(len(trajs)):
         for j in range(i + 1, len(trajs)):
             d = np.linalg.norm(pos[i] - pos[j], axis=1) * res
