@@ -222,23 +222,42 @@ def _connected(grid: OccupancyGrid, a, b) -> bool:
     return labels[ay, ax] != 0 and labels[ay, ax] == labels[by, bx]
 
 
+_START_ATTEMPTS = 1000
+
+
 def sample_start(cfg: ScenarioConfig, grid: OccupancyGrid, seed: int) -> tuple[Cell, ...]:
     """Draw N distinct free start cells from an isotropic Gaussian around the
-    start mean, rejecting draws that violate the connectivity condition."""
+    start mean, rejecting draws that violate the connectivity condition.
+
+    Attempts are drawn in doubling batches (1, 2, 4, ...) of one
+    `multivariate_normal` call each; the stream yields the same numbers as
+    one attempt per call, so the first attempt that passes is the same.
+    Rounding (half to even, like `round`), bounds and distinctness are
+    checked on the whole batch; the free-cell and connectivity checks then
+    run on the survivors in attempt order.
+    """
     rng = stream_rng(seed, "start")
     mean = np.array([cfg.start_x, cfg.start_y], dtype=float)
     cov = np.eye(2) * cfg.start_std**2
-    for _ in range(1000):
-        pts = rng.multivariate_normal(mean, cov, size=cfg.robots)
-        cells = tuple(Cell(int(round(x)), int(round(y))) for x, y in pts)
-        if len(set(cells)) != len(cells):
-            continue
-        if not all(grid.in_bounds(c) and grid.is_free(c) for c in cells):
-            continue
-        g = build_interaction_graph(cells, cfg.k, cfg.r_comm)
-        if check_connectivity_condition(g):
-            return cells
-    raise ConfigError("could not sample a feasible start state in 1000 attempts")
+    height, width = grid.prob.shape
+    tried, batch = 0, 1
+    while tried < _START_ATTEMPTS:
+        size = min(batch, _START_ATTEMPTS - tried)
+        tried, batch = tried + size, 2 * batch
+        pts = np.rint(rng.multivariate_normal(mean, cov, size=(size, cfg.robots)))
+        xs, ys = pts[..., 0], pts[..., 1]
+        fit = ((xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)).all(axis=1)
+        keys = np.sort(np.where(fit[:, None], ys * width + xs, 0), axis=1)
+        fit &= (np.diff(keys, axis=1) != 0).all(axis=1)
+        # a non-finite draw fails in int() below, as it did one at a time
+        for a in np.flatnonzero(fit | ~np.isfinite(pts).all(axis=(1, 2))):
+            cells = tuple(Cell(int(x), int(y)) for x, y in pts[a].tolist())
+            if not all(grid.is_free(c) for c in cells):
+                continue
+            g = build_interaction_graph(cells, cfg.k, cfg.r_comm)
+            if check_connectivity_condition(g):
+                return cells
+    raise ConfigError(f"could not sample a feasible start state in {_START_ATTEMPTS} attempts")
 
 
 def build_scenario(cfg: ScenarioConfig) -> tuple[rhp.Scenario, ScenarioConfig]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,30 +30,74 @@ class InteractionGraph:
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
 
+    @cached_property
+    def cliques_of(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per robot, the cliques that contain it, in `cliques` order; built
+        on first use and kept with the graph."""
+        members: list[list[tuple[int, ...]]] = [[] for _ in range(self.n_robots)]
+        for clique in self.cliques:
+            for i in clique:
+                members[i].append(clique)
+        return tuple(map(tuple, members))
+
+
+def pack_rows(matrix: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as an int: bit j is entry [row, j]."""
+    rows = np.asarray(matrix, dtype=bool)
+    packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    width = len(packed) // len(rows) if len(rows) else 0
+    return [int.from_bytes(packed[k * width : (k + 1) * width], "little") for k in range(len(rows))]
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
 
 def maximal_cliques(adjacency: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Enumerate maximal cliques with the pivoting Bron-Kerbosch recursion.
+    """Enumerate maximal cliques with the pivoting Bron-Kerbosch recursion
+    (Tomita, Tanaka & Takahashi 2006) on int bitsets: bit j of vertex i's
+    mask is set iff i and j are adjacent, and the clique, candidate and
+    excluded sets are masks too.
 
     Pivot: vertex of P|X with the most neighbors in P, lowest id on ties.
-    Isolated vertices yield singleton cliques.
+    Isolated vertices yield singleton cliques. Each clique is a sorted tuple
+    and the result is sorted, so it does not depend on the recursion order.
     """
-    adj = np.asarray(adjacency, dtype=bool)
-    n = adj.shape[0]
-    neighbors = [set(np.flatnonzero(adj[i]).tolist()) for i in range(n)]
-    found: list[tuple[int, ...]] = []
+    neighbors = pack_rows(adjacency)
+    n = len(neighbors)
+    found: list[int] = []
 
-    def expand(clique: set[int], candidates: set[int], excluded: set[int]):
-        if not candidates and not excluded:
-            found.append(tuple(sorted(clique)))
+    def expand(clique: int, candidates: int, excluded: int):
+        if not candidates:
+            if not excluded:
+                found.append(clique)
             return
-        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & neighbors[u]))
-        for v in sorted(candidates - neighbors[pivot]):
-            expand(clique | {v}, candidates & neighbors[v], excluded & neighbors[v])
-            candidates.remove(v)
-            excluded.add(v)
+        most = -1
+        rest = candidates | excluded
+        while rest:  # ascending ids, so ties keep the lowest
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            count = (candidates & neighbors[u]).bit_count()
+            if count > most:
+                most, pivot = count, u
+        todo = candidates & ~neighbors[pivot]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            nv = neighbors[low.bit_length() - 1]
+            expand(clique | low, candidates & nv, excluded & nv)
+            candidates ^= low
+            excluded |= low
 
-    expand(set(), set(range(n)), set())
-    return tuple(sorted(found))
+    expand(0, (1 << n) - 1, 0)
+    return tuple(sorted(map(_bits, found)))
 
 
 def build_interaction_graph(positions, k: int, r_comm: float = math.inf) -> InteractionGraph:
@@ -71,17 +116,16 @@ def build_interaction_graph(positions, k: int, r_comm: float = math.inf) -> Inte
 
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    if np.any(dist[~np.eye(n, dtype=bool)] == 0):
+    if np.count_nonzero(dist == 0) > n:  # the diagonal holds n zeros
         raise ValueError("robot positions must be pairwise distinct")
 
     # a stable sort keeps equal distances in id order; column 0 is the robot
     # itself (its only zero distance), and the sorted distances are ascending,
     # so the in-range peers among the k nearest are the in-range k nearest
     nearest = np.argsort(dist, axis=1, kind="stable")[:, 1 : k + 1]
-    in_range = np.take_along_axis(dist, nearest, axis=1) <= r_comm
-    rows = np.broadcast_to(np.arange(n)[:, None], nearest.shape)
+    rows = np.arange(n)[:, None]
     adj = np.zeros((n, n), dtype=bool)
-    adj[rows[in_range], nearest[in_range]] = True
+    adj[rows, nearest] = dist[rows, nearest] <= r_comm
     adj |= adj.T
 
     return InteractionGraph(

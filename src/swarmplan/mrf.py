@@ -1,19 +1,27 @@
 """Swarm energy model over the interaction graph's maximal cliques and its
 coordinate-descent (ICM) minimization into discrete multi-robot paths.
 
-Robots sit on integer cells, so the ICM sweep reads two exact lookup tables
+Robots sit on integer cells, so the ICM sweep reads exact lookup tables
 instead of calling the scalar geometry: pair energies by cell offset (one
-table per `InteractionParams`, each entry filled by `interaction_energy`) and
-blocked-move conflicts by block and candidate offset (one table per disk
-radius, filled by the point-clearance and crossing predicates). Energies are
-added in `clique_energy`'s order, so results are bit-for-bit those of the
-scalar functions, which stay the reference."""
+growable table per `InteractionParams`, each entry filled by
+`interaction_energy`) and blocked-move conflicts by block and candidate
+offset (one table per disk radius, filled by the point-clearance and
+crossing predicates). Each conflict row is packed into an int, so a robot
+update ORs the rows of the blocks near it and tests one bit per candidate.
+Energies are added in `clique_energy`'s order, so results are bit-for-bit
+those of the scalar functions, which stay the reference.
+
+Two one-slot caches serve the sweep: the static field's values as Python
+floats, and the free cells of each search disk on the map. Each is keyed by
+the identity of the last field or grid it saw and holds only that one, so a
+process that plans on many scenarios keeps one map's worth, not one per
+scenario; holding the object also keeps its id from being reused.
+"""
 
 from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import add
@@ -26,6 +34,7 @@ from .graph import (
     InteractionGraph,
     build_interaction_graph,
     check_connectivity_condition,
+    pack_rows,
 )
 from .grid import OCCUPIED_THRESHOLD, Cell, OccupancyGrid, disk_cells
 from .paths import point_segment_distance, segments_intersect
@@ -102,17 +111,44 @@ class DiscretePath:
     cells: tuple[Cell, ...]
 
 
+class _LastSeen:
+    """Cache of `build(obj)` for the last object it was asked about, matched
+    by identity. It keeps that one object alive, so its id cannot be reused,
+    and lets it go as soon as another object is asked about."""
+
+    def __init__(self, build: Callable):
+        self._build = build
+        self._slot: tuple = (self, None)  # a key no caller passes
+
+    def __call__(self, obj):
+        key, value = self._slot
+        if key is not obj:
+            value = self._build(obj)
+            self._slot = (obj, value)
+        return value
+
+
+# Static-field values as nested lists of Python floats ([y][x]): the same
+# floats `ScalarField.at` returns, without a numpy scalar per read.
+_static_values = _LastSeen(lambda static: static.value.tolist())
+# Free search disks of one grid by (center, order), filled on first use.
+_free_disks = _LastSeen(lambda grid: {})
+
+
 def local_search_space(
     grid: OccupancyGrid, state: SwarmState, i: int, order: int
 ) -> list[Cell]:
     """Free cells of the order-n disk around robot i; always contains the
     robot's own (free) cell."""
-    prob = grid.prob  # disk cells are in bounds, so read it directly
-    return [
-        c
-        for c in disk_cells(state.positions[i], order, grid)
-        if prob[c[1], c[0]] < OCCUPIED_THRESHOLD
-    ]
+    center = state.positions[i]
+    disks = _free_disks(grid)
+    free = disks.get((center, order))
+    if free is None:
+        prob = grid.prob  # disk cells are in bounds, so read it directly
+        free = disks[center, order] = tuple(
+            c for c in disk_cells(center, order, grid) if prob[c[1], c[0]] < OCCUPIED_THRESHOLD
+        )
+    return list(free)
 
 
 def apply_heuristics(
@@ -138,14 +174,14 @@ def apply_heuristics(
         for c in space:
             if c in occupied_now:
                 continue
-            d = math.hypot(c[0] - positions[i][0], c[1] - positions[i][1])
             if c not in claimed:
                 claimed[c] = i
-            else:
-                j = claimed[c]
-                dj = math.hypot(c[0] - positions[j][0], c[1] - positions[j][1])
-                if d < dj:
-                    claimed[c] = i
+                continue
+            j = claimed[c]
+            d = math.hypot(c[0] - positions[i][0], c[1] - positions[i][1])
+            dj = math.hypot(c[0] - positions[j][0], c[1] - positions[j][1])
+            if d < dj:
+                claimed[c] = i
 
     out: list[list[Cell]] = []
     for i, space in enumerate(spaces):
@@ -186,27 +222,28 @@ def clique_energy(
 # block and the candidate from the mover. The tables below hold exactly the
 # floats and booleans the scalar functions return for those offsets.
 
-_PAIR_TABLES: dict[InteractionParams, tuple[array, int]] = {}
+_PAIR_TABLES: dict[InteractionParams, list[list[float]]] = {}
 
 
-def _pair_energies(iparams: InteractionParams, extent: int) -> tuple[array, int]:
-    """(table, width) with table[|dy| * width + |dx|] ==
+def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[float]]:
+    """Square table with table[|dy|][|dx|] ==
     interaction_energy((0, 0), (dx, dy), iparams) for |dx|, |dy| < extent.
 
     `math.hypot` ignores signs, so the entry serves all four quadrants. The
-    table grows to the largest extent asked for; existing rows are copied.
+    table grows to the largest extent asked for (existing rows are copied),
+    and an offset past its edge raises IndexError instead of reading another
+    entry.
     """
-    table, width = _PAIR_TABLES.get(iparams, (array("d"), 0))
-    if extent <= width:
-        return table, width
-    grown = array("d")
+    table = _PAIR_TABLES.get(iparams, [])
+    if extent <= len(table):
+        return table
+    grown = []
     for dy in range(extent):
-        if dy < width:
-            grown.extend(table[dy * width : (dy + 1) * width])
-        for dx in range(width if dy < width else 0, extent):
-            grown.append(interaction_energy((0, 0), (dx, dy), iparams))
-    _PAIR_TABLES[iparams] = (grown, extent)
-    return grown, extent
+        row = list(table[dy]) if dy < len(table) else []
+        row.extend(interaction_energy((0, 0), (dx, dy), iparams) for dx in range(len(row), extent))
+        grown.append(row)
+    _PAIR_TABLES[iparams] = grown
+    return grown
 
 
 def _span(cells) -> int:
@@ -219,13 +256,13 @@ def _span(cells) -> int:
 def _clique_terms(
     clique: Sequence[int],
     positions: Sequence[Cell],
-    static: ScalarField | None,
-    table: array,
-    width: int,
+    values: list[list[float]] | None,
+    table: list[list[float]],
     i: int = -1,
 ) -> tuple[list[float], list[tuple[int, int]]]:
     """The terms `clique_energy` adds, in its order, and the slots of the
-    terms that depend on robot i's cell.
+    terms that depend on robot i's cell. `values` are the static field's
+    `_static_values`, or None without a static field.
 
     Each slot is (term index, j): j is the robot paired with i, or -1 for
     i's own static term. Slot terms hold 0.0 until filled; `reduce(add,
@@ -233,22 +270,24 @@ def _clique_terms(
     """
     terms: list[float] = []
     slots: list[tuple[int, int]] = []
-    if static is not None:
-        for m in clique:
+    cells = [positions[m] for m in clique]
+    if values is not None:
+        for m, (x, y) in zip(clique, cells):
             if m == i:
                 slots.append((len(terms), -1))
                 terms.append(0.0)
             else:
-                terms.append(static.at(positions[m]))
-    for a in range(len(clique)):
+                terms.append(values[y][x])
+    for a, ca in enumerate(clique):
+        ax, ay = cells[a]
         for b in range(a + 1, len(clique)):
-            ca, cb = clique[a], clique[b]
-            if i in (ca, cb):
+            cb = clique[b]
+            if ca == i or cb == i:
                 slots.append((len(terms), cb if ca == i else ca))
                 terms.append(0.0)
             else:
-                pa, pb = positions[ca], positions[cb]
-                terms.append(table[abs(pa[1] - pb[1]) * width + abs(pa[0] - pb[0])])
+                bx, by = cells[b]
+                terms.append(table[abs(ay - by)][abs(ax - bx)])
     return terms, slots
 
 
@@ -265,6 +304,14 @@ def _conflicts(own: Cell, c: Cell, s0: Cell, s1: Cell) -> bool:
 # as (3, 4); a held robot can sit at exactly distance 1 from them, and the
 # float clearance test then depends on the absolute coordinates.
 _MAX_CONFLICT_RADIUS = 3
+
+
+@lru_cache(maxsize=None)
+def _conflict_rows(r: int) -> tuple[int, ...]:
+    """`_conflict_table(r)` with each [w, u] row packed into an int: bit
+    (vy + r) * (2r + 1) + vx + r is entry [w, u, v]."""
+    n = 2 * r + 1
+    return tuple(pack_rows(_conflict_table(r).reshape(-1, n * n)))
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +362,8 @@ def _blocked_moves(
     if r == 0:
         return hit
     n, m = 2 * r + 1, 4 * r + 1
-    rows: list[int] = []
+    rows = _conflict_rows(r)
+    mask = 0  # bit v: the move to offset v conflicts with a windowed block
     for s0, s1 in blocked_segments:
         ux, uy = s1[0] - s0[0], s1[1] - s0[1]
         if -r <= ux <= r and -r <= uy <= r:
@@ -323,14 +371,11 @@ def _blocked_moves(
             # a block starting outside the window lies more than r from
             # every point of the move
             if 0 <= wx < m and 0 <= wy < m:
-                rows.append((wy * m + wx) * n * n + (uy + r) * n + ux + r)
+                mask |= rows[(wy * m + wx) * n * n + (uy + r) * n + ux + r]
         else:
             hit = [h or _conflicts(own, c, s0, s1) for h, c in zip(hit, candidates)]
-    if rows:
-        table = _conflict_table(r).reshape(-1, n * n)
-        cols = [(dy + r) * n + dx + r for dx, dy in offsets]
-        found = table[np.array(rows)[:, None], cols].any(axis=0)
-        hit = [a or b for a, b in zip(hit, found.tolist())]
+    if mask:
+        hit = [h or mask >> (dy + r) * n + dx + r & 1 == 1 for h, (dx, dy) in zip(hit, offsets)]
     return hit
 
 
@@ -340,11 +385,54 @@ def swarm_energy(
     """Sum of clique energies over all maximal cliques (shared members count
     once per clique, by definition)."""
     positions = state.positions
-    table, width = _pair_energies(iparams, _span(positions))
+    table = _pair_energies(iparams, _span(positions))
+    values = None if static is None else _static_values(static)
     return sum(
-        reduce(add, _clique_terms(c, positions, static, table, width)[0], 0.0)
+        reduce(add, _clique_terms(c, positions, values, table)[0], 0.0)
         for c in state.graph.cliques
     )
+
+
+def _candidate_energies(
+    i: int,
+    candidates: Sequence[Cell],
+    state: SwarmState,
+    values: list[list[float]] | None,
+    table: list[list[float]],
+) -> list[float]:
+    """Summed energy of the cliques containing robot i for each candidate
+    cell, bit-for-bit `sum(clique_energy(...))` with i moved there."""
+    positions = state.positions
+    # the terms that depend on the candidate, as one column per partner j
+    # (-1: i's own static term) over all candidates
+    columns: dict[int, list[float]] = {}
+
+    def column(j: int) -> list[float]:
+        if j not in columns:
+            if j < 0:
+                columns[j] = [values[cy][cx] for cx, cy in candidates]
+            else:
+                px, py = positions[j]
+                columns[j] = [table[abs(cy - py)][abs(cx - px)] for cx, cy in candidates]
+        return columns[j]
+
+    # Each clique's energy for every candidate, added term by term in
+    # `clique_energy`'s order; the terms before the first varying one are
+    # the same for every candidate, so they are added once.
+    per_clique = []
+    for cl in state.graph.cliques_of[i]:
+        terms, slots = _clique_terms(cl, positions, values, table, i)
+        varying = dict(slots)
+        first = slots[0][0]
+        acc = [reduce(add, terms[:first], 0.0)] * len(candidates)
+        for k in range(first, len(terms)):
+            if k in varying:
+                acc = list(map(add, acc, column(varying[k])))
+            else:
+                t = terms[k]
+                acc = [a + t for a in acc]
+        per_clique.append(acc)
+    return [sum(es) for es in zip(*per_clique)]
 
 
 def icm_update(
@@ -374,37 +462,21 @@ def icm_update(
     if blocked_segments:
         hit = _blocked_moves(own, candidates, blocked_segments)
         candidates = [c for c, h in zip(candidates, hit) if c == own or not h]
-    positions = state.positions
-    cliques_i = [cl for cl in state.graph.cliques if i in cl]
-    members = {m for cl in cliques_i for m in cl}
-    table, width = _pair_energies(
-        iparams, _span([*candidates, *(positions[m] for m in members)])
-    )
-    layouts = [_clique_terms(cl, positions, static, table, width, i) for cl in cliques_i]
-    partners = {j for _, slots in layouts for _, j in slots}
+    values = None if static is None else _static_values(static)
+    try:
+        energies = _candidate_energies(i, candidates, state, values, _pair_energies(iparams))
+    except IndexError:  # an offset past the pair table's edge: grow it
+        members = {m for cl in state.graph.cliques_of[i] for m in cl}
+        span = _span([*candidates, *(state.positions[m] for m in members)])
+        energies = _candidate_energies(i, candidates, state, values, _pair_energies(iparams, span))
 
-    best = None
-    best_key = None
-    for c in candidates:
-        cx, cy = c
-        varying = {
-            j: static.at(c)
-            if j < 0
-            else table[abs(cy - positions[j][1]) * width + abs(cx - positions[j][0])]
-            for j in partners
-        }
-        energies = []
-        for terms, slots in layouts:
-            for k, j in slots:
-                terms[k] = varying[j]
-            energies.append(reduce(add, terms, 0.0))
-        e = sum(energies)
-        gdist = math.hypot(cx - goal[0], cy - goal[1]) if goal is not None else 0.0
-        key = (e, gdist, cy, cx)
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    assert best is not None  # own cell is always admissible
-    return best
+    # the lowest (energy, goal distance, y, x)
+    low = min(energies)
+    ties = [c for c, e in zip(candidates, energies) if e == low]
+    if goal is None:
+        return min(ties, key=lambda c: (c[1], c[0]))
+    gx, gy = goal
+    return min(ties, key=lambda c: (math.hypot(c[0] - gx, c[1] - gy), c[1], c[0]))
 
 
 UpdateHook = Callable[[int, int, SwarmState], None]

@@ -1,10 +1,12 @@
 """Command-line tests: configuration round-trips, seeded stream RNG,
 scenario generation, subcommand exit codes, and output-file determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from swarmplan import rhp
+from swarmplan import cli, rhp
 from swarmplan.cli import (
     EXIT_CONFIG,
     EXIT_CYCLE,
@@ -20,6 +22,7 @@ from swarmplan.cli import (
     waypoint_problems,
 )
 from swarmplan.graph import build_interaction_graph, check_connectivity_condition
+from swarmplan.grid import Cell
 from swarmplan.trajopt import UnrepairableError, Violation
 
 
@@ -89,6 +92,84 @@ def test_sample_start_distinct_free_connected():
     g = build_interaction_graph(cells, cfg.k)
     assert check_connectivity_condition(g)
     assert cells == sample_start(cfg, grid, seed=2)  # deterministic
+
+
+def sample_start_reference(cfg, grid, seed):
+    """[DERIVED] oracle: one `multivariate_normal` call per attempt, each
+    check in Python, the first passing attempt returned."""
+    rng = stream_rng(seed, "start")
+    mean = np.array([cfg.start_x, cfg.start_y], dtype=float)
+    cov = np.eye(2) * cfg.start_std**2
+    for _ in range(1000):
+        pts = rng.multivariate_normal(mean, cov, size=cfg.robots)
+        cells = tuple(Cell(int(round(x)), int(round(y))) for x, y in pts)
+        if len(set(cells)) != len(cells):
+            continue
+        if not all(grid.in_bounds(c) and grid.is_free(c) for c in cells):
+            continue
+        if check_connectivity_condition(build_interaction_graph(cells, cfg.k, cfg.r_comm)):
+            return cells
+    return None
+
+
+def test_sample_start_equals_per_attempt_reference():
+    # 210 configs around each scenario's default start: draws are rejected
+    # for coincident cells, cells off the map, occupied cells and isolated
+    # robots, and a few configs run out of attempts. The last config, twenty
+    # robots in a 0.3-cell spread, always does.
+    rng = np.random.default_rng(9)
+    grids = [
+        generate_scenario(kind, ScenarioConfig(scenario=kind), seed=s)
+        for kind in ("free", "corridor", "blocks")
+        for s in (0, 1)
+    ]
+    configs = []
+    for grid, base in grids:
+        for _ in range(35):
+            robots = int(rng.integers(2, 21))
+            cfg = replace(
+                base,
+                robots=robots,
+                k=int(rng.integers(1, min(robots - 1, 4) + 1)),
+                start_x=base.start_x + float(rng.uniform(-3, 3)),
+                start_y=base.start_y + float(rng.uniform(-3, 3)),
+                start_std=float(rng.choice([1.0, 2.0, 3.0])) + robots / 10,
+                r_comm=float(rng.choice([3.0, 6.0, np.inf])),
+            )
+            configs.append((grid, cfg))
+    configs.append((grids[0][0], replace(grids[0][1], robots=20, start_std=0.3)))
+    capped = 0
+    for seed, (grid, cfg) in enumerate(configs):
+        expected = sample_start_reference(cfg, grid, seed)
+        if expected is None:
+            capped += 1
+            with pytest.raises(ConfigError, match="in 1000 attempts"):
+                sample_start(cfg, grid, seed)
+        else:
+            cells = sample_start(cfg, grid, seed)
+            assert cells == expected
+            assert all(type(c) is Cell and type(c.x) is int and type(c.y) is int for c in cells)
+    assert 1 < capped < len(configs) // 10
+    assert expected is None
+
+
+def test_sample_start_draws_doubling_batches_up_to_the_cap(monkeypatch):
+    drawn = []
+    stream_rng_ = cli.stream_rng
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def multivariate_normal(self, mean, cov, size):
+            drawn.append(size)
+            return self.rng.multivariate_normal(mean, cov, size=size)
+
+    monkeypatch.setattr(cli, "stream_rng", lambda seed, stream: Counting(stream_rng_(seed, stream)))
+    grid, cfg = generate_scenario("free", ScenarioConfig(scenario="free"), seed=0)
+    with pytest.raises(ConfigError, match="in 1000 attempts"):
+        sample_start(replace(cfg, robots=20, start_std=0.3), grid, 0)
+    assert drawn == [(b, 20) for b in (1, 2, 4, 8, 16, 32, 64, 128, 256, 489)]
 
 
 def test_build_scenario_validates():

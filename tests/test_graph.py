@@ -153,6 +153,57 @@ def test_maximal_cliques_match_brute_force_on_random_graphs():
         assert maximal_cliques(adj) == brute_force_maximal_cliques(adj)
 
 
+def set_bron_kerbosch(adj):
+    """[DERIVED] oracle: the set-based pivoting Bron-Kerbosch recursion the
+    bitset one replaced (pivot: most neighbors in P, lowest id on ties)."""
+    n = adj.shape[0]
+    neighbors = [set(np.flatnonzero(adj[i]).tolist()) for i in range(n)]
+    found = []
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            found.append(tuple(sorted(clique)))
+            return
+        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & neighbors[u]))
+        for v in sorted(candidates - neighbors[pivot]):
+            expand(clique | {v}, candidates & neighbors[v], excluded & neighbors[v])
+            candidates.remove(v)
+            excluded.add(v)
+
+    expand(set(), set(range(n)), set())
+    return tuple(sorted(found))
+
+
+def test_maximal_cliques_match_set_oracle_on_knn_graphs():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(5, 31))
+        cells = rng.choice(60 * 60, size=n, replace=False)
+        pos = np.stack([cells % 60, cells // 60], axis=1)
+        g = build_interaction_graph(pos, k=int(rng.integers(1, min(n - 1, 6) + 1)))
+        assert g.cliques == set_bron_kerbosch(g.adjacency)
+
+
+def test_maximal_cliques_match_set_oracle_on_dense_graphs():
+    # dense graphs have many large overlapping cliques; n > 63 needs
+    # neighbor masks wider than one machine word
+    rng = np.random.default_rng(32)
+    for n, p in [*((int(n), rng.uniform(0.5, 0.9)) for n in rng.integers(10, 25, size=40)), (70, 0.3)]:
+        adj = np.triu(rng.random((n, n)) < p, 1)
+        adj = adj | adj.T
+        assert maximal_cliques(adj) == set_bron_kerbosch(adj)
+
+
+def test_cliques_of_lists_each_robots_cliques_in_order():
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        pos = rng.choice(400, size=12, replace=False)
+        g = build_interaction_graph(np.stack([pos % 20, pos // 20], axis=1), k=3)
+        assert g.cliques_of == tuple(
+            tuple(c for c in g.cliques if i in c) for i in range(g.n_robots)
+        )
+
+
 def test_cliques_sorted_deterministically():
     adj = np.zeros((5, 5), dtype=bool)
     for a, b in [(3, 4), (0, 1), (1, 2), (0, 2)]:

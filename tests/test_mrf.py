@@ -2,9 +2,12 @@
 heuristics, clique energies, the update rule against an exhaustive-argmin
 oracle, energy monotonicity, and convergence behavior."""
 
+import gc
 import hashlib
 import itertools
 import math
+import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,8 +23,12 @@ from swarmplan.fields import (
     interaction_energy,
 )
 from swarmplan.grid import Cell, OccupancyGrid, disk_cells
+from swarmplan import mrf
 from swarmplan.mrf import (
     ConnectivityError,
+    _blocked_moves,
+    _candidate_energies,
+    _conflict_rows,
     _conflict_table,
     _pair_energies,
     DiscretePath,
@@ -136,7 +143,7 @@ def test_swarm_energy_sums_maximal_cliques():
     assert total == pytest.approx(expected)
 
 
-def exhaustive_argmin(state, i, spaces, static, goal, blocked=()):
+def exhaustive_argmin(state, i, spaces, static, goal, blocked=(), iparams=IPARAMS):
     """[DERIVED] oracle: skip candidates whose move conflicts with a block
     (a point block needs clearance 1.0, a segment must not be crossed; the
     own cell is exempt), evaluate every other candidate's clique-sum energy
@@ -154,7 +161,7 @@ def exhaustive_argmin(state, i, spaces, static, goal, blocked=()):
             continue
         positions = list(state.positions)
         positions[i] = cand
-        e = sum(clique_energy(cl, positions, static, IPARAMS) for cl in cliques_i)
+        e = sum(clique_energy(cl, positions, static, iparams) for cl in cliques_i)
         gd = math.hypot(cand[0] - goal[0], cand[1] - goal[1]) if goal else 0.0
         kk = (e, gd, cand[1], cand[0])
         if best is None or kk < best[0]:
@@ -221,6 +228,113 @@ def test_icm_update_matches_exhaustive_argmin_with_blocked_moves():
         assert got == exhaustive_argmin(state, i, spaces, static, goal_params.goal, blocks)
         n_blocked += got != exhaustive_argmin(state, i, spaces, static, goal_params.goal)
     assert n_blocked > 20  # the blocks decide a good share of the updates
+
+
+def test_blocked_moves_equal_scalar_predicates():
+    # [DERIVED] the packed conflict rows (disk radius <= 3) and the scalar
+    # fallback (radius 4) against the predicates, at the map's coordinates
+    # and shifted by 1000 along either axis.
+    rng = np.random.default_rng(17)
+    grid = free_grid(12, 12)
+    n_hit = 0
+    for _ in range(300):
+        cells = set()
+        while len(cells) < 5:
+            cells.add((int(rng.integers(0, 12)), int(rng.integers(0, 12))))
+        state = make_state(sorted(cells), grid, k=2)
+        i = int(rng.integers(0, 5))
+        order = int(rng.choice([1, 2, 4, 5, 9, 16]))
+        shift = Cell(*(int(v) for v in rng.choice([0, 1000], size=2)))
+        own = Cell(state.positions[i][0] + shift[0], state.positions[i][1] + shift[1])
+        candidates = [Cell(c[0] + shift[0], c[1] + shift[1]) for c in disk_cells(state.positions[i], order, grid)]
+        blocks = [
+            (Cell(a[0] + shift[0], a[1] + shift[1]), Cell(b[0] + shift[0], b[1] + shift[1]))
+            for a, b in random_blocks(rng, state, i, int(rng.integers(1, 8)))
+        ]
+        expected = [
+            any(
+                point_segment_distance(s0, own, c) < 1.0 if s0 == s1 else segments_intersect(own, c, s0, s1)
+                for s0, s1 in blocks
+            )
+            for c in candidates
+        ]
+        assert _blocked_moves(own, candidates, blocks) == expected
+        n_hit += sum(expected)
+    assert n_hit > 300
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_blocked_moves_at_the_window_edge(r):
+    # [DERIVED] one block at a time, starting on the two outer rings of the
+    # 4r + 1 window or on the ring just outside it, with every extent up to
+    # r, against every move of Chebyshev radius <= r.
+    own = Cell(40, 50)
+    span = range(-r, r + 1)
+    candidates = [Cell(own[0] + vx, own[1] + vy) for vy in span for vx in span]
+    ring = range(-2 * r - 1, 2 * r + 2)
+    starts = [(wx, wy) for wy in ring for wx in ring if max(abs(wx), abs(wy)) >= 2 * r - 1]
+    for wx, wy in starts:
+        s0 = Cell(own[0] + wx, own[1] + wy)
+        for uy in span:
+            for ux in span:
+                s1 = Cell(s0[0] + ux, s0[1] + uy)
+                expected = [
+                    point_segment_distance(s0, own, c) < 1.0 if s0 == s1 else segments_intersect(own, c, s0, s1)
+                    for c in candidates
+                ]
+                assert _blocked_moves(own, candidates, [(s0, s1)]) == expected
+
+
+def test_candidate_energies_equal_clique_energy_sums():
+    # [DERIVED] every candidate's energy, not only the argmin, is the float
+    # the scalar clique energies give, with and without a static field
+    rng = np.random.default_rng(21)
+    grid = free_grid(16, 16)
+    static = build_goal_field(grid, GoalParams(goal=(4.5, 11.0)))
+    table = _pair_energies(IPARAMS, 16)
+    for _ in range(150):
+        cells = set()
+        while len(cells) < 6:
+            cells.add((int(rng.integers(0, 16)), int(rng.integers(0, 16))))
+        state = make_state(sorted(cells, key=lambda _: rng.random()), grid, k=int(rng.integers(1, 5)))
+        i = int(rng.integers(0, 6))
+        candidates = local_search_space(grid, state, i, int(rng.choice([2, 4, 8])))
+        for fld in (static, None):
+            values = None if fld is None else fld.value.tolist()
+            expected = []
+            for c in candidates:
+                positions = list(state.positions)
+                positions[i] = c
+                expected.append(
+                    sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
+                )
+            assert _candidate_energies(i, candidates, state, values, table) == expected
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_conflict_rows_pack_conflict_table_rows(r):
+    n = 2 * r + 1
+    table = _conflict_table(r).reshape(-1, n * n)
+    rows = _conflict_rows(r)
+    assert len(rows) == len(table)
+    for packed, row in zip(rows, table):
+        assert packed == sum(1 << int(v) for v in np.flatnonzero(row))
+
+
+def test_icm_update_grows_the_pair_table():
+    # A parameter set no other test uses starts with an empty table; each
+    # state below spans more cells than any before it.
+    iparams = InteractionParams(attract_amp=0.61, repulse_amp=0.95, attract_len=13.0, repulse_len=3.5)
+    grid = free_grid(50, 50)
+    static = build_goal_field(grid, GoalParams(goal=(25.0, 25.0)))
+    for spread in (3, 10, 25, 49):
+        cells = [(0, 0), (spread, 1), (1, spread), (spread, spread)]
+        state = make_state(cells, grid, k=2)
+        spaces = apply_heuristics([local_search_space(grid, state, i, 4) for i in range(4)], state)
+        for i in range(4):
+            got = icm_update(state, i, spaces, static, iparams, (25.0, 25.0))
+            assert got == exhaustive_argmin(state, i, spaces, static, (25.0, 25.0), iparams=iparams)
+        assert len(_pair_energies(iparams)) >= spread + 1
 
 
 def test_icm_update_never_increases_frozen_graph_energy():
@@ -378,12 +492,18 @@ def test_two_robot_equilibrium_matches_lattice_scan():
 )
 def test_pair_table_equals_interaction_energy(iparams):
     _pair_energies(iparams, 7)  # grown below, keeping these rows
-    table, width = _pair_energies(iparams, 60)
-    assert width >= 60
+    table = _pair_energies(iparams, 60)
+    width = len(table)
+    assert width >= 60 and all(len(row) == width for row in table)
+    # an offset past the edge raises instead of reading another entry
+    with pytest.raises(IndexError):
+        table[0][width]
+    with pytest.raises(IndexError):
+        table[width][0]
     origin = Cell(1000, 999)
     for dy in range(60):
         for dx in range(60):
-            entry = table[dy * width + dx]
+            entry = table[dy][dx]
             assert entry == interaction_energy((0, 0), (dx, dy), iparams)
             for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
                 other = (origin[0] + sx * dx, origin[1] + sy * dy)
@@ -446,14 +566,63 @@ def test_local_search_space_equals_free_cell_comprehension():
             assert local_search_space(grid, state, i, order) == expected
 
 
-# SHA-256 of repr((paths, energies)) for the formation-n20 run below, as
-# computed by the scalar-energy ICM this table-driven one replaced.
+def test_cached_free_disk_equals_comprehension_at_map_edges():
+    # every cell of a small obstacle map is a center, so disks are clipped
+    # at all four edges and corners; the second pass reads the cache
+    rng = np.random.default_rng(12)
+    prob = np.where(rng.random((7, 10)) < 0.3, 1.0, 0.0)
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    free = [Cell(x, y) for y in range(7) for x in range(10) if grid.is_free(Cell(x, y))]
+    state = make_state(free, grid, k=1)
+    for _ in range(2):
+        for order in (1, 2, 4, 5, 8, 9, 13):
+            for i, p in enumerate(state.positions):
+                expected = [c for c in disk_cells(p, order, grid) if grid.is_free(c)]
+                got = local_search_space(grid, state, i, order)
+                assert got == expected
+                assert all(type(c) is Cell for c in got)
+                got.clear()  # callers get their own list
+
+
+def test_lookup_caches_hold_only_the_last_grid_and_field():
+    # Two maps of one size with different walls and goals, used in turn:
+    # each read must come from the map and field at hand, and the first
+    # pair must be released once the second is used.
+    def use(wall_x, goal):
+        prob = np.zeros((8, 8))
+        prob[:6, wall_x] = 1.0
+        grid = OccupancyGrid(prob=prob, resolution=1.0)
+        static = build_goal_field(grid, GoalParams(goal=goal))
+        state = make_state([(wall_x - 1, 2), (wall_x + 1, 3), (wall_x - 1, 6)], grid, k=1)
+        for i, p in enumerate(state.positions):
+            expected = [c for c in disk_cells(p, 4, grid) if grid.is_free(c)]
+            assert local_search_space(grid, state, i, 4) == expected
+        expected = sum(clique_energy(c, state.positions, static, IPARAMS) for c in state.graph.cliques)
+        assert swarm_energy(state, static, IPARAMS) == expected
+        return weakref.ref(grid), weakref.ref(static)
+
+    first = use(3, (1.0, 7.0))
+    gc.collect()
+    assert all(ref() is not None for ref in first)  # held by the caches
+    second = use(4, (6.0, 0.0))
+    gc.collect()
+    assert all(ref() is None for ref in first)
+    assert all(ref() is not None for ref in second)
+    use(3, (1.0, 7.0))
+
+
+# SHA-256 of repr((paths, energies)) for the formation-n20 runs below. Seed 2
+# was computed by the scalar-energy ICM the table-driven one replaced; it
+# converges at 39 sweeps without repeating a state. Seed 0 was computed by
+# the table-driven ICM before its sweep was packed into ints and one-slot
+# caches; it repeats a state from sweep 19 and replays to the 500-sweep cap.
 FORMATION_N20_SEED2_DIGEST = "9e23d69ceb1787ea668839cc8172e822a4c33c46b99dcb12e52c8aaaf13e2908"
+FORMATION_N20_SEED0_DIGEST = "3b4672ea6b01cf6240d14aded3f5836036e77c0baac22911dd1a03621d341989"
 
 
-def test_optimize_formation_n20_golden_digest():
+def formation_n20_run(seed):
     config_path = Path(__file__).resolve().parents[1] / "perfbench/configs/formation-n20.txt"
-    cfg = replace(ScenarioConfig.from_text(config_path.read_text()), seed=2)
+    cfg = replace(ScenarioConfig.from_text(config_path.read_text()), seed=seed)
     scenario, cfg = build_scenario(cfg)
     state = make_state(scenario.start, scenario.grid, cfg.k, cfg.r_comm)
     mrf_cfg = OptimizeConfig(
@@ -464,6 +633,34 @@ def test_optimize_formation_n20_golden_digest():
         trim_backward=cfg.trim_backward,
     )
     paths, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
-    assert trace.iterations == 39
     text = repr(([p.cells for p in paths], trace.energies))
-    assert hashlib.sha256(text.encode()).hexdigest() == FORMATION_N20_SEED2_DIGEST
+    return trace, hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_optimize_formation_n20_golden_digest():
+    trace, digest = formation_n20_run(2)
+    assert trace.iterations == 39
+    assert digest == FORMATION_N20_SEED2_DIGEST
+
+
+def test_optimize_formation_n20_cycling_golden_digest():
+    trace, digest = formation_n20_run(0)
+    assert trace.iterations == 500 and trace.status == "max-sweeps"
+    assert digest == FORMATION_N20_SEED0_DIGEST
+
+
+def test_sweep_seconds_include_the_graph_build(monkeypatch):
+    # the graph rebuild is part of the sweep that step_ms_p50 times
+    delay = 0.02
+    build = mrf.build_interaction_graph
+
+    def slow_build(*args, **kwargs):
+        time.sleep(delay)
+        return build(*args, **kwargs)
+
+    grid = free_grid(20, 20)
+    state = make_state([(3, 3), (9, 4), (5, 10), (12, 12)], grid, k=2)
+    monkeypatch.setattr(mrf, "build_interaction_graph", slow_build)
+    _, trace = optimize(state, grid, None, IPARAMS, OptimizeConfig(k=2, goal=(10.0, 10.0), max_sweeps=6))
+    assert len(trace.sweep_seconds) >= 2
+    assert all(s >= delay for s in trace.sweep_seconds)
