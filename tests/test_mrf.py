@@ -230,6 +230,14 @@ def test_icm_update_matches_exhaustive_argmin_with_blocked_moves():
     assert n_blocked > 20  # the blocks decide a good share of the updates
 
 
+def scalar_conflict(own, c, s0, s1):
+    """[DERIVED] the move own -> c against the block s0 -> s1: a point
+    block needs clearance 1.0, a segment must not be crossed."""
+    if s0 == s1:
+        return point_segment_distance(s0, own, c) < 1.0
+    return segments_intersect(own, c, s0, s1)
+
+
 def test_blocked_moves_equal_scalar_predicates():
     # [DERIVED] the packed conflict rows (disk radius <= 3) and the scalar
     # fallback (radius 4) against the predicates, at the map's coordinates
@@ -251,13 +259,7 @@ def test_blocked_moves_equal_scalar_predicates():
             (Cell(a[0] + shift[0], a[1] + shift[1]), Cell(b[0] + shift[0], b[1] + shift[1]))
             for a, b in random_blocks(rng, state, i, int(rng.integers(1, 8)))
         ]
-        expected = [
-            any(
-                point_segment_distance(s0, own, c) < 1.0 if s0 == s1 else segments_intersect(own, c, s0, s1)
-                for s0, s1 in blocks
-            )
-            for c in candidates
-        ]
+        expected = [any(scalar_conflict(own, c, s0, s1) for s0, s1 in blocks) for c in candidates]
         assert _blocked_moves(own, candidates, blocks) == expected
         n_hit += sum(expected)
     assert n_hit > 300
@@ -278,10 +280,7 @@ def test_blocked_moves_at_the_window_edge(r):
         for uy in span:
             for ux in span:
                 s1 = Cell(s0[0] + ux, s0[1] + uy)
-                expected = [
-                    point_segment_distance(s0, own, c) < 1.0 if s0 == s1 else segments_intersect(own, c, s0, s1)
-                    for c in candidates
-                ]
+                expected = [scalar_conflict(own, c, s0, s1) for c in candidates]
                 assert _blocked_moves(own, candidates, [(s0, s1)]) == expected
 
 
