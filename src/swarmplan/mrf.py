@@ -12,10 +12,12 @@ Energies are added in `clique_energy`'s order, so results are bit-for-bit
 those of the scalar functions, which stay the reference.
 
 Two one-slot caches serve the sweep: the static field's values as Python
-floats, and the free cells of each search disk on the map. Each is keyed by
-the identity of the last field or grid it saw and holds only that one, so a
+floats, and the map's free mask as Python bools. Each is keyed by the
+identity of the last field or grid it saw and holds only that one, so a
 process that plans on many scenarios keeps one map's worth, not one per
-scenario; holding the object also keeps its id from being reused.
+scenario; holding the object also keeps its id from being reused. Nothing
+is cached by robot position, so a sweep costs the same whether or not ICM
+has visited its state before.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .graph import (
     check_connectivity_condition,
     pack_rows,
 )
-from .grid import OCCUPIED_THRESHOLD, Cell, OccupancyGrid, disk_cells
+from .grid import Cell, OccupancyGrid, disk_cells
 from .paths import point_segment_distance, segments_intersect
 
 
@@ -131,8 +133,8 @@ class _LastSeen:
 # Static-field values as nested lists of Python floats ([y][x]): the same
 # floats `ScalarField.at` returns, without a numpy scalar per read.
 _static_values = _LastSeen(lambda static: static.value.tolist())
-# Free search disks of one grid by (center, order), filled on first use.
-_free_disks = _LastSeen(lambda grid: {})
+# The grid's free mask as nested lists of bools ([y][x]).
+_free_mask = _LastSeen(lambda grid: grid.free_mask().tolist())
 
 
 def local_search_space(
@@ -140,15 +142,8 @@ def local_search_space(
 ) -> list[Cell]:
     """Free cells of the order-n disk around robot i; always contains the
     robot's own (free) cell."""
-    center = state.positions[i]
-    disks = _free_disks(grid)
-    free = disks.get((center, order))
-    if free is None:
-        prob = grid.prob  # disk cells are in bounds, so read it directly
-        free = disks[center, order] = tuple(
-            c for c in disk_cells(center, order, grid) if prob[c[1], c[0]] < OCCUPIED_THRESHOLD
-        )
-    return list(free)
+    free = _free_mask(grid)  # disk cells are in bounds, so read it directly
+    return [c for c in disk_cells(state.positions[i], order, grid) if free[c[1]][c[0]]]
 
 
 def apply_heuristics(
@@ -225,6 +220,10 @@ def clique_energy(
 _PAIR_TABLES: dict[InteractionParams, list[list[float]]] = {}
 
 
+class _PastTableEdge(Exception):
+    """A pair offset fell past the edge of the pair-energy table."""
+
+
 def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[float]]:
     """Square table with table[|dy|][|dx|] ==
     interaction_energy((0, 0), (dx, dy), iparams) for |dx|, |dy| < extent.
@@ -232,7 +231,8 @@ def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[flo
     `math.hypot` ignores signs, so the entry serves all four quadrants. The
     table grows to the largest extent asked for (existing rows are copied),
     and an offset past its edge raises IndexError instead of reading another
-    entry.
+    entry; `_clique_terms` and `_candidate_energies` turn that into
+    `_PastTableEdge`.
     """
     table = _PAIR_TABLES.get(iparams, [])
     if extent <= len(table):
@@ -287,7 +287,10 @@ def _clique_terms(
                 terms.append(0.0)
             else:
                 bx, by = cells[b]
-                terms.append(table[abs(ay - by)][abs(ax - bx)])
+                try:
+                    terms.append(table[abs(ay - by)][abs(ax - bx)])
+                except IndexError:
+                    raise _PastTableEdge from None
     return terms, slots
 
 
@@ -401,7 +404,8 @@ def _candidate_energies(
     table: list[list[float]],
 ) -> list[float]:
     """Summed energy of the cliques containing robot i for each candidate
-    cell, bit-for-bit `sum(clique_energy(...))` with i moved there."""
+    cell, bit-for-bit `sum(clique_energy(...))` with i moved there. Raises
+    `_PastTableEdge` when an offset lies past the edge of `table`."""
     positions = state.positions
     # the terms that depend on the candidate, as one column per partner j
     # (-1: i's own static term) over all candidates
@@ -413,17 +417,21 @@ def _candidate_energies(
                 columns[j] = [values[cy][cx] for cx, cy in candidates]
             else:
                 px, py = positions[j]
-                columns[j] = [table[abs(cy - py)][abs(cx - px)] for cx, cy in candidates]
+                try:
+                    columns[j] = [table[abs(cy - py)][abs(cx - px)] for cx, cy in candidates]
+                except IndexError:
+                    raise _PastTableEdge from None
         return columns[j]
 
     # Each clique's energy for every candidate, added term by term in
     # `clique_energy`'s order; the terms before the first varying one are
-    # the same for every candidate, so they are added once.
+    # the same for every candidate, so they are added once. Without a static
+    # field, the clique of an isolated robot has no terms at all.
     per_clique = []
     for cl in state.graph.cliques_of[i]:
         terms, slots = _clique_terms(cl, positions, values, table, i)
         varying = dict(slots)
-        first = slots[0][0]
+        first = slots[0][0] if slots else len(terms)
         acc = [reduce(add, terms[:first], 0.0)] * len(candidates)
         for k in range(first, len(terms)):
             if k in varying:
@@ -465,7 +473,7 @@ def icm_update(
     values = None if static is None else _static_values(static)
     try:
         energies = _candidate_energies(i, candidates, state, values, _pair_energies(iparams))
-    except IndexError:  # an offset past the pair table's edge: grow it
+    except _PastTableEdge:  # grow the table to cover this update
         members = {m for cl in state.graph.cliques_of[i] for m in cl}
         span = _span([*candidates, *(state.positions[m] for m in members)])
         energies = _candidate_energies(i, candidates, state, values, _pair_energies(iparams, span))

@@ -388,6 +388,32 @@ def test_optimize_rejects_isolated_robot():
         optimize(state, grid, None, IPARAMS, OptimizeConfig(k=2, r_comm=5.0))
 
 
+def test_update_of_isolated_robot_matches_exhaustive_argmin():
+    # [DERIVED] a robot out of r_comm range sits in a singleton clique; the
+    # graph is rebuilt every sweep, so optimize can reach this state after a
+    # connected start. Without a static field that clique has no terms.
+    grid = free_grid(40, 40)
+    static = build_goal_field(grid, GoalParams(goal=(20.5, 20.0)))
+    state = make_state([(0, 0), (1, 0), (30, 30)], grid, k=2, r_comm=5.0)
+    assert state.graph.cliques_of[2] == ((2,),)
+    spaces = apply_heuristics([local_search_space(grid, state, i, 4) for i in range(3)], state)
+    for fld in (static, None):
+        values = None if fld is None else fld.value.tolist()
+        for i in range(3):
+            expected = []
+            for c in spaces[i]:
+                positions = list(state.positions)
+                positions[i] = c
+                expected.append(
+                    sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
+                )
+            table = _pair_energies(IPARAMS, 40)
+            assert _candidate_energies(i, spaces[i], state, values, table) == expected
+            for goal in (None, (25.0, 33.0)):
+                got = icm_update(state, i, spaces, fld, IPARAMS, goal)
+                assert got == exhaustive_argmin(state, i, spaces, fld, goal)
+
+
 def test_optimize_converges_and_reports_trace():
     grid = free_grid(30, 30)
     state = make_state([(5, 5), (7, 5), (5, 7), (7, 7)], grid, k=2)
