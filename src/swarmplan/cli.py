@@ -153,65 +153,46 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
 def generate_scenario(kind: str, cfg: ScenarioConfig, seed: int) -> tuple[OccupancyGrid, ScenarioConfig]:
     """Build the map for one of the standard scenario families and fill in
     default start/goal positions and `trim_backward` (on for the corridor)."""
+    sizes = {"free": cfg.map_size, "corridor": 40, "blocks": 30}
+    if kind not in sizes:
+        raise ConfigError(f"unknown scenario kind '{kind}'")
+    s = sizes[kind]
+    defaults = {  # start_x, start_y, goal_x, goal_y
+        "free": (s / 2, s / 2, s / 2, s / 2),
+        "corridor": (s / 2, 8.0, s / 2, float(s - 8)),
+        "blocks": (5.0, s / 2, float(s - 5), s / 2),
+    }[kind]
+    names = ("start_x", "start_y", "goal_x", "goal_y")
+    cfg = replace(cfg, **{k: d for k, d in zip(names, defaults) if getattr(cfg, k) is None})
     if cfg.trim_backward is None:
         cfg = replace(cfg, trim_backward=kind == "corridor")
+    prob = np.zeros((s, s))
     if kind == "free":
-        s = cfg.map_size
-        prob = np.zeros((s, s))
-        grid = OccupancyGrid(prob=prob)
-        cfg = replace(
-            cfg,
-            start_x=cfg.start_x if cfg.start_x is not None else s / 2,
-            start_y=cfg.start_y if cfg.start_y is not None else s / 2,
-            goal_x=cfg.goal_x if cfg.goal_x is not None else s / 2,
-            goal_y=cfg.goal_y if cfg.goal_y is not None else s / 2,
-        )
-        return grid, cfg
+        return OccupancyGrid(prob=prob), cfg
     if kind == "corridor":
-        s = 40
-        prob = np.zeros((s, s))
         y0 = s // 2 - cfg.wall_thickness // 2
         gap_lo = s // 2 - cfg.corridor_width // 2
         prob[y0 : y0 + cfg.wall_thickness, :] = 1.0
         prob[y0 : y0 + cfg.wall_thickness, gap_lo : gap_lo + cfg.corridor_width] = 0.0
+        return OccupancyGrid(prob=prob), cfg
+    start, goal = (cfg.start_x, cfg.start_y), (cfg.goal_x, cfg.goal_y)
+    rng = stream_rng(seed, "map")
+    for _ in range(100):
+        prob = np.zeros((s, s))
+        for _ in range(cfg.n_blocks):
+            w = int(rng.integers(2, cfg.block_max + 1))
+            h = int(rng.integers(2, cfg.block_max + 1))
+            x = int(rng.integers(0, s - w))
+            y = int(rng.integers(0, s - h))
+            prob[y : y + h, x : x + w] = 1.0
+        # keep a clear pocket at the start and goal
+        for cx, cy in (start, goal):
+            x0, y0 = int(round(cx)), int(round(cy))
+            prob[max(0, y0 - 3) : y0 + 4, max(0, x0 - 3) : x0 + 4] = 0.0
         grid = OccupancyGrid(prob=prob)
-        cfg = replace(
-            cfg,
-            start_x=cfg.start_x if cfg.start_x is not None else s / 2,
-            start_y=cfg.start_y if cfg.start_y is not None else 8.0,
-            goal_x=cfg.goal_x if cfg.goal_x is not None else s / 2,
-            goal_y=cfg.goal_y if cfg.goal_y is not None else float(s - 8),
-        )
-        return grid, cfg
-    if kind == "blocks":
-        s = 30
-        start = (
-            cfg.start_x if cfg.start_x is not None else 5.0,
-            cfg.start_y if cfg.start_y is not None else s / 2,
-        )
-        goal = (
-            cfg.goal_x if cfg.goal_x is not None else float(s - 5),
-            cfg.goal_y if cfg.goal_y is not None else s / 2,
-        )
-        rng = stream_rng(seed, "map")
-        for _ in range(100):
-            prob = np.zeros((s, s))
-            for _ in range(cfg.n_blocks):
-                w = int(rng.integers(2, cfg.block_max + 1))
-                h = int(rng.integers(2, cfg.block_max + 1))
-                x = int(rng.integers(0, s - w))
-                y = int(rng.integers(0, s - h))
-                prob[y : y + h, x : x + w] = 1.0
-            # keep a clear pocket at the start and goal
-            for cx, cy in (start, goal):
-                x0, y0 = int(round(cx)), int(round(cy))
-                prob[max(0, y0 - 3) : y0 + 4, max(0, x0 - 3) : x0 + 4] = 0.0
-            grid = OccupancyGrid(prob=prob)
-            if _connected(grid, start, goal):
-                cfg = replace(cfg, start_x=start[0], start_y=start[1], goal_x=goal[0], goal_y=goal[1])
-                return grid, cfg
-        raise ConfigError("could not generate a connected random-blocks map in 100 tries")
-    raise ConfigError(f"unknown scenario kind '{kind}'")
+        if _connected(grid, start, goal):
+            return grid, cfg
+    raise ConfigError("could not generate a connected random-blocks map in 100 tries")
 
 
 def _connected(grid: OccupancyGrid, a, b) -> bool:
@@ -327,6 +308,14 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+_TRAJECTORY_HEADER = "robot,t,x,y,vx,vy,ax,ay"
+
+
+def _trajectory_row(robot: int, t: float, p, v, a) -> str:
+    """One `trajectories.csv` row: time, position, velocity, acceleration."""
+    return ",".join([str(robot), *map(_fmt, (t, p[0], p[1], v[0], v[1], a[0], a[1]))])
+
+
 def write_energy_csv(path: Path, energies, moved_counts):
     lines = ["iteration,energy,moved_robots"]
     for i, e in enumerate(energies):
@@ -353,14 +342,11 @@ def write_pruned_csv(path: Path, pruned_log):
 
 
 def write_trajectories_csv(path: Path, result: rhp.RunResult):
-    lines = ["robot,t,x,y,vx,vy,ax,ay"]
-    n = result.pos.shape[0]
-    for r in range(n):
+    lines = [_TRAJECTORY_HEADER]
+    for r in range(result.pos.shape[0]):
         for m, t in enumerate(result.t):
             p, v, a = result.pos[r, m], result.vel[r, m], result.acc[r, m]
-            lines.append(
-                f"{r},{_fmt(t)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(v[0])},{_fmt(v[1])},{_fmt(a[0])},{_fmt(a[1])}"
-            )
+            lines.append(_trajectory_row(r, t, p, v, a))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -493,14 +479,12 @@ def cmd_smooth(args) -> int:
     src = Path(args.waypoints)
     if not src.exists():
         raise ConfigError(f"waypoint file not found: {src}")
-    out_lines = ["robot,t,x,y,vx,vy,ax,ay"]
+    out_lines = [_TRAJECTORY_HEADER]
     for problem in waypoint_problems(src.read_text(), args.v_nominal):
         samples = sample(problem.solve(), args.dt)
         for i, t in enumerate(samples.t):
             p, v, a = samples.pos[i], samples.vel[i], samples.acc[i]
-            out_lines.append(
-                f"{problem.robot},{_fmt(t)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(v[0])},{_fmt(v[1])},{_fmt(a[0])},{_fmt(a[1])}"
-            )
+            out_lines.append(_trajectory_row(problem.robot, t, p, v, a))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trajectories.csv").write_text("\n".join(out_lines) + "\n")

@@ -5,11 +5,12 @@ Robots sit on integer cells, so the ICM sweep reads exact lookup tables
 instead of calling the scalar geometry: pair energies by cell offset (one
 growable table per `InteractionParams`, each entry filled by
 `interaction_energy`) and blocked-move conflicts by block and candidate
-offset (one table per disk radius, filled by the point-clearance and
-crossing predicates). Each conflict row is packed into an int, so a robot
+offset (one tuple of ints per disk radius, one bit per conflicting move set
+by the point-clearance and crossing predicate `_conflicts`), so a robot
 update ORs the rows of the blocks near it and tests one bit per candidate.
-Energies are added in `clique_energy`'s order, so results are bit-for-bit
-those of the scalar functions, which stay the reference.
+`swarm_energy` and each robot update add clique energies through one
+helper, `_clique_sum`, in `clique_energy`'s order, so results are
+bit-for-bit those of the scalar functions, which stay the reference.
 
 Two one-slot caches serve the sweep: the static field's values as Python
 floats, and the map's free mask as Python bools. Each is keyed by the
@@ -25,21 +26,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .fields import InteractionParams, ScalarField, interaction_energy
-from .graph import (
-    InteractionGraph,
-    build_interaction_graph,
-    check_connectivity_condition,
-    pack_rows,
-)
+from .graph import InteractionGraph, build_interaction_graph, check_connectivity_condition
 from .grid import Cell, OccupancyGrid, disk_cells
 from .paths import point_segment_distance, segments_intersect
+
+
+# `optimize` stops after PATIENCE consecutive sweeps whose energy changed by
+# less than EPS_CONVERGE.
+EPS_CONVERGE = 1e-6
+PATIENCE = 2
 
 
 class ConnectivityError(ValueError):
@@ -55,8 +55,6 @@ class OptimizeConfig:
     r_comm: float = math.inf
     goal: tuple[float, float] | None = None
     trim_backward: bool = False
-    eps_converge: float = 1e-6
-    patience: int = 2
     max_sweeps: int = 500
 
 
@@ -231,8 +229,7 @@ def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[flo
     `math.hypot` ignores signs, so the entry serves all four quadrants. The
     table grows to the largest extent asked for (existing rows are copied),
     and an offset past its edge raises IndexError instead of reading another
-    entry; `_clique_terms` and `_candidate_energies` turn that into
-    `_PastTableEdge`.
+    entry; `_clique_sum` turns that into `_PastTableEdge`.
     """
     table = _PAIR_TABLES.get(iparams, [])
     if extent <= len(table):
@@ -253,45 +250,24 @@ def _span(cells) -> int:
     return max(max(xs) - min(xs), max(ys) - min(ys)) + 1
 
 
-def _clique_terms(
-    clique: Sequence[int],
-    positions: Sequence[Cell],
-    values: list[list[float]] | None,
-    table: list[list[float]],
-    i: int = -1,
-) -> tuple[list[float], list[tuple[int, int]]]:
-    """The terms `clique_energy` adds, in its order, and the slots of the
-    terms that depend on robot i's cell. `values` are the static field's
-    `_static_values`, or None without a static field.
-
-    Each slot is (term index, j): j is the robot paired with i, or -1 for
-    i's own static term. Slot terms hold 0.0 until filled; `reduce(add,
-    terms, 0.0)` then equals `clique_energy`.
-    """
-    terms: list[float] = []
-    slots: list[tuple[int, int]] = []
-    cells = [positions[m] for m in clique]
+def _clique_sum(
+    cells: Sequence[Cell], values: list[list[float]] | None, table: list[list[float]]
+) -> float:
+    """`clique_energy` of a clique whose members sit on `cells`, from the
+    lookup tables and added in its order: the members' static values
+    (`_static_values`, or None without a static field), then the pair
+    energies for a < b. Raises `_PastTableEdge` when a pair offset lies
+    past the edge of `table`."""
+    e = 0.0
     if values is not None:
-        for m, (x, y) in zip(clique, cells):
-            if m == i:
-                slots.append((len(terms), -1))
-                terms.append(0.0)
-            else:
-                terms.append(values[y][x])
-    for a, ca in enumerate(clique):
-        ax, ay = cells[a]
-        for b in range(a + 1, len(clique)):
-            cb = clique[b]
-            if ca == i or cb == i:
-                slots.append((len(terms), cb if ca == i else ca))
-                terms.append(0.0)
-            else:
-                bx, by = cells[b]
-                try:
-                    terms.append(table[abs(ay - by)][abs(ax - bx)])
-                except IndexError:
-                    raise _PastTableEdge from None
-    return terms, slots
+        for x, y in cells:
+            e += values[y][x]
+    try:
+        for (ax, ay), (bx, by) in combinations(cells, 2):
+            e += table[abs(ay - by)][abs(ax - bx)]
+    except IndexError:
+        raise _PastTableEdge from None
+    return e
 
 
 def _conflicts(own: Cell, c: Cell, s0: Cell, s1: Cell) -> bool:
@@ -311,42 +287,32 @@ _MAX_CONFLICT_RADIUS = 3
 
 @lru_cache(maxsize=None)
 def _conflict_rows(r: int) -> tuple[int, ...]:
-    """`_conflict_table(r)` with each [w, u] row packed into an int: bit
-    (vy + r) * (2r + 1) + vx + r is entry [w, u, v]."""
-    n = 2 * r + 1
-    return tuple(pack_rows(_conflict_table(r).reshape(-1, n * n)))
-
-
-@lru_cache(maxsize=None)
-def _conflict_table(r: int) -> np.ndarray:
     """Blocked-move conflicts for candidate moves of Chebyshev radius <= r.
 
-    Entry [w, u, v] tells whether the move from (0, 0) to v conflicts with a
-    block from w to w + u, by the predicates `icm_update` applies: clearance
-    below 1.0 from a point block (u = (0, 0)), crossing for a segment. w spans
-    [-2r, 2r]^2, u and v span [-r, r]^2, each flattened row-major (y, then x).
-    Only blocks whose bounding box meets the move's are evaluated: any other
-    block is at least 1 away along one axis, so it neither crosses the move
-    nor comes closer than 1.0 (rounding in the projection is monotonic and
-    keeps the computed gap at 1 or more).
+    Row ((wy + 2r) * m + wx + 2r) * n^2 + (uy + r) * n + ux + r stands for
+    the block from w to w + u, with n = 2r + 1 and m = 4r + 1. Its bit
+    (vy + r) * n + vx + r is set iff the move from (0, 0) to v conflicts
+    with that block by `_conflicts`: clearance below 1.0 from a point block
+    (u = (0, 0)), crossing for a segment. w spans [-2r, 2r]^2, u and v span
+    [-r, r]^2. Only blocks whose bounding box meets the move's are
+    evaluated: any other block is at least 1 away along one axis, so it
+    neither crosses the move nor comes closer than 1.0 (rounding in the
+    projection is monotonic and keeps the computed gap at 1 or more).
     """
     n, m = 2 * r + 1, 4 * r + 1
-    table = np.zeros((m * m, n * n, n * n), dtype=bool)
+    rows = [0] * (m * m * n * n)
     span = range(-r, r + 1)
     for vy in span:
         for vx in span:
-            v = (vx, vy)
-            col = (vy + r) * n + vx + r
+            bit = 1 << (vy + r) * n + vx + r
             for uy in span:
                 for ux in span:
                     u_idx = (uy + r) * n + ux + r
                     for wy in range(min(0, vy) - max(0, uy), max(0, vy) - min(0, uy) + 1):
                         for wx in range(min(0, vx) - max(0, ux), max(0, vx) - min(0, ux) + 1):
-                            table[(wy + 2 * r) * m + wx + 2 * r, u_idx, col] = _conflicts(
-                                (0, 0), v, (wx, wy), (wx + ux, wy + uy)
-                            )
-    table.setflags(write=False)
-    return table
+                            if _conflicts((0, 0), (vx, vy), (wx, wy), (wx + ux, wy + uy)):
+                                rows[((wy + 2 * r) * m + wx + 2 * r) * n * n + u_idx] |= bit
+    return tuple(rows)
 
 
 def _blocked_moves(
@@ -391,8 +357,7 @@ def swarm_energy(
     table = _pair_energies(iparams, _span(positions))
     values = None if static is None else _static_values(static)
     return sum(
-        reduce(add, _clique_terms(c, positions, values, table)[0], 0.0)
-        for c in state.graph.cliques
+        _clique_sum([positions[m] for m in c], values, table) for c in state.graph.cliques
     )
 
 
@@ -407,39 +372,15 @@ def _candidate_energies(
     cell, bit-for-bit `sum(clique_energy(...))` with i moved there. Raises
     `_PastTableEdge` when an offset lies past the edge of `table`."""
     positions = state.positions
-    # the terms that depend on the candidate, as one column per partner j
-    # (-1: i's own static term) over all candidates
-    columns: dict[int, list[float]] = {}
-
-    def column(j: int) -> list[float]:
-        if j not in columns:
-            if j < 0:
-                columns[j] = [values[cy][cx] for cx, cy in candidates]
-            else:
-                px, py = positions[j]
-                try:
-                    columns[j] = [table[abs(cy - py)][abs(cx - px)] for cx, cy in candidates]
-                except IndexError:
-                    raise _PastTableEdge from None
-        return columns[j]
-
-    # Each clique's energy for every candidate, added term by term in
-    # `clique_energy`'s order; the terms before the first varying one are
-    # the same for every candidate, so they are added once. Without a static
-    # field, the clique of an isolated robot has no terms at all.
-    per_clique = []
+    per_clique = []  # each clique's energy for every candidate
     for cl in state.graph.cliques_of[i]:
-        terms, slots = _clique_terms(cl, positions, values, table, i)
-        varying = dict(slots)
-        first = slots[0][0] if slots else len(terms)
-        acc = [reduce(add, terms[:first], 0.0)] * len(candidates)
-        for k in range(first, len(terms)):
-            if k in varying:
-                acc = list(map(add, acc, column(varying[k])))
-            else:
-                t = terms[k]
-                acc = [a + t for a in acc]
-        per_clique.append(acc)
+        cells = [positions[m] for m in cl]
+        k = cl.index(i)
+        energies = []
+        for c in candidates:
+            cells[k] = c
+            energies.append(_clique_sum(cells, values, table))
+        per_clique.append(energies)
     return [sum(es) for es in zip(*per_clique)]
 
 
@@ -553,9 +494,9 @@ def optimize(
         )
         moved_counts.append(moved)
 
-        if abs(energies[-1] - energies[-2]) < config.eps_converge:
+        if abs(energies[-1] - energies[-2]) < EPS_CONVERGE:
             stagnant += 1
-            if stagnant >= config.patience:
+            if stagnant >= PATIENCE:
                 status = "converged"
                 break
         else:

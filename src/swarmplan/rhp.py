@@ -245,8 +245,6 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         for r in range(n):
             discrete[r].extend(plan.discrete[r].cells[1 : record.steps + 1])
         state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm)
-    else:
-        status = STATUS_MAX_HORIZONS
 
     if scenario.goal is not None and status == STATUS_MAX_HORIZONS and _all_at_goal(
         state.positions, scenario.goal, config.goal_radius

@@ -35,6 +35,8 @@ from .paths import point_segment_distance, segments_intersect
 DEFAULT_DEGREE = 7
 SNAP_ORDER = 4
 T_FLOOR = 0.1
+# largest equality-constraint residual `solve_qp` accepts
+RESIDUAL_TOL = 1e-8
 
 
 class TrajectoryError(RuntimeError):
@@ -79,17 +81,16 @@ class TimeAllocation:
         object.__setattr__(self, "total", float(np.sum(d)))
 
 
-def allocate_times(
-    waypoints, v_nominal: float = 1.0, t_floor: float = T_FLOOR, resolution: float = 1.0
-) -> TimeAllocation:
-    """Constant-velocity traversal times, floored for degenerate segments."""
+def allocate_times(waypoints, v_nominal: float = 1.0, resolution: float = 1.0) -> TimeAllocation:
+    """Constant-velocity traversal times, floored at `T_FLOOR` for
+    degenerate segments."""
     wp = np.asarray(waypoints, dtype=float)
     if wp.shape[0] < 2:
         raise ValueError("need at least two waypoints")
     if v_nominal <= 0:
         raise ValueError("v_nominal must be positive")
     seg = np.linalg.norm(np.diff(wp, axis=0), axis=1) * resolution
-    return TimeAllocation(durations=np.maximum(seg / v_nominal, t_floor))
+    return TimeAllocation(durations=np.maximum(seg / v_nominal, T_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def build_qp(
     return QuadraticProgram(cost=cost, eq_mat=eq_mat, eq_vec=eq_vec)
 
 
-def solve_qp(qp: QuadraticProgram, residual_tol: float = 1e-8) -> np.ndarray:
+def solve_qp(qp: QuadraticProgram) -> np.ndarray:
     """Exact equality-constrained minimizer via the KKT linear system.
 
     A tiny ridge (1e-9) is added to the cost's null directions when the
@@ -237,7 +238,7 @@ def solve_qp(qp: QuadraticProgram, residual_tol: float = 1e-8) -> np.ndarray:
                 raise TrajectoryError("KKT system rank-deficient beyond regularization")
         x = sol[:n]
         residual = np.max(np.abs(qp.eq_mat @ x - eq_vec)) if m else 0.0
-        if residual > residual_tol:
+        if residual > RESIDUAL_TOL:
             raise TrajectoryError(f"constraints inconsistent (residual {residual:.3g})")
         return x
 

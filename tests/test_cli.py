@@ -1,7 +1,9 @@
 """Command-line tests: configuration round-trips, seeded stream RNG,
 scenario generation, subcommand exit codes, and output-file determinism."""
 
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,3 +363,47 @@ def test_invalid_config_path_exit_code(tmp_path):
         ["plan", "--config", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o")]
     )
     assert code == EXIT_CONFIG
+
+
+# SHA-256 of each output file except timing.csv (wall times), recorded on
+# x86-64 with numpy 2.4 and OpenBLAS. The tests above compare one run with
+# another; these pin the bytes themselves, so a refactor of the writers or
+# the planner that changes any output byte fails here.
+OUTPUT_DIGESTS = {
+    "blocks/config.txt": "0216f234a4dc23c27e4e6f00506c40d46e40de9aedb56604fbb122e9d77e3682",
+    "blocks/discrete_paths.csv": "1d5f7d04ff61b207fe14154f4fec974230a32653c7ef3568a858324a6b3fd2a9",
+    "blocks/energy.csv": "3c6c43c127f4aec3925668863b257e7fa8593bfe5ca0ab4aa6d23f4921ad5d92",
+    "blocks/metrics.csv": "8e0ce086747fb26adc18f89d88b8ec0f6e4729ea7ec3f7dcd7184058089b0ca5",
+    "blocks/pruned_paths.csv": "6c524438336a63997e854adb68c59099f93d4d212b6661943ef8b4fca8361266",
+    "blocks/summary.txt": "c41e0f78be5b5bdfe16b9b340d5cdbbd4887b8df9ee43eb8e13fdbcca0f67207",
+    "blocks/trajectories.csv": "bffc1cf1a21e93127179fefd7df763e4a338f592a9576b52df328e4342dd066f",
+    "corridor/config.txt": "022b13af02259baadc1ac71a2591c00274a53954639d19843a04e327a4f833f7",
+    "corridor/discrete_paths.csv": "c73eae1a4f7a88b1279ab064951d3dfda07476b73dedc5526bd88194987d5d59",
+    "corridor/energy.csv": "63a7fa8c5860408a2d002105f211e43a68cdfbb2d505de3388c80d69ba1a7fa2",
+    "corridor/metrics.csv": "463b46fffcc947ad44150b12b532e6a503e2db234ea5aa05bd6c934751bd996c",
+    "corridor/pruned_paths.csv": "ef3f6846d0534f18d736574866db970551a8708f425305cc6d593de1152b9616",
+    "corridor/summary.txt": "9da809d709fdc43ba7ad59ae0b4048f70fea614306a435efa6e3f4d5cd1bfedb",
+    "corridor/trajectories.csv": "f88211926f59525f172eadb0082c5a24fd6cab794126995c1d09fa56b661a811",
+    "formation/config.txt": "152ce39a0cfe8050a0087aff8007f351a200b139c730b6ca3898114d78aafe7f",
+    "formation/discrete_paths.csv": "0a2e3377d40617818aa7c6b33491f34366c4bf39b05e1c16bb166d79c51928e6",
+    "formation/energy.csv": "894ba845b4af39667016ae24aeacb733e8ed0d759c334a70f615416edc8dcd57",
+    "smooth/trajectories.csv": "9d084546b6b8045cb11d352874a75df49df3dc1a977b69763e178d827d7163d5",
+}
+
+
+def test_output_files_golden_digest(tmp_path):
+    formation = Path(__file__).resolve().parents[1] / "perfbench/configs/formation-n20.txt"
+    commands = [
+        ["plan", "--scenario", "corridor", "--seed", "0", "--out", str(tmp_path / "corridor")],
+        ["plan", "--scenario", "blocks", "--seed", "1", "--out", str(tmp_path / "blocks")],
+        ["mrf-only", "--config", str(formation), "--seed", "2", "--out", str(tmp_path / "formation")],
+        ["smooth", "--waypoints", str(tmp_path / "corridor/pruned_paths.csv"), "--out", str(tmp_path / "smooth")],
+    ]
+    for argv in commands:
+        assert run_command(argv) == EXIT_OK, argv
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*")
+        if p.is_file() and p.name != "timing.csv"
+    }
+    assert digests == OUTPUT_DIGESTS

@@ -29,7 +29,6 @@ from swarmplan.mrf import (
     _blocked_moves,
     _candidate_energies,
     _conflict_rows,
-    _conflict_table,
     _pair_energies,
     DiscretePath,
     OptimizeConfig,
@@ -310,16 +309,6 @@ def test_candidate_energies_equal_clique_energy_sums():
             assert _candidate_energies(i, candidates, state, values, table) == expected
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_conflict_rows_pack_conflict_table_rows(r):
-    n = 2 * r + 1
-    table = _conflict_table(r).reshape(-1, n * n)
-    rows = _conflict_rows(r)
-    assert len(rows) == len(table)
-    for packed, row in zip(rows, table):
-        assert packed == sum(1 << int(v) for v in np.flatnonzero(row))
-
-
 def test_icm_update_grows_the_pair_table():
     # A parameter set no other test uses starts with an empty table; each
     # state below spans more cells than any before it.
@@ -537,30 +526,33 @@ def test_pair_table_equals_interaction_energy(iparams):
 
 @pytest.mark.parametrize("r", sorted({math.isqrt(order) for order in range(1, 13)}))
 def test_conflict_table_equals_scalar_predicates(r):
-    # [DERIVED] entry [w, u, v]: does the move origin -> origin + v conflict
-    # with the block origin + w -> origin + w + u, at translated origins.
-    table = _conflict_table(r)
+    # [DERIVED] bit v of row (w, u): does the move origin -> origin + v
+    # conflict with the block origin + w -> origin + w + u, at translated
+    # origins.
+    rows = _conflict_rows(r)
     n, m = 2 * r + 1, 4 * r + 1
+    assert len(rows) == m * m * n * n
+    assert all(row >> n * n == 0 for row in rows)  # no bit past the n * n moves
     span = range(-r, r + 1)
     for ox, oy in ((37, 53), (1000, 999)):
-        expected = np.zeros_like(table)
+        got, expected = [], []
         for wy in range(-2 * r, 2 * r + 1):
             for wx in range(-2 * r, 2 * r + 1):
                 s0 = (ox + wx, oy + wy)
-                row = (wy + 2 * r) * m + wx + 2 * r
                 for uy in span:
                     for ux in span:
                         s1 = (s0[0] + ux, s0[1] + uy)
-                        col_u = (uy + r) * n + ux + r
+                        row = rows[((wy + 2 * r) * m + wx + 2 * r) * n * n + (uy + r) * n + ux + r]
                         for vy in span:
                             for vx in span:
                                 c = (ox + vx, oy + vy)
-                                expected[row, col_u, (vy + r) * n + vx + r] = (
+                                got.append(row >> (vy + r) * n + vx + r & 1 == 1)
+                                expected.append(
                                     point_segment_distance(s0, (ox, oy), c) < 1.0
                                     if s0 == s1
                                     else segments_intersect((ox, oy), c, s0, s1)
                                 )
-        assert np.array_equal(table, expected)
+        assert got == expected
 
 
 def test_swarm_energy_equals_clique_energy_sum():
