@@ -252,8 +252,11 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[rhp.Scenario, ScenarioConfig]:
         if not path.exists():
             raise ConfigError(f"map file not found: {path}")
         grid = load_map(path.read_text())
-        if cfg.start_x is None or cfg.goal_x is None:
-            raise ConfigError("explicit maps require start and goal coordinates")
+        missing = [k for k in ("start_x", "start_y", "goal_x", "goal_y") if getattr(cfg, k) is None]
+        if missing:
+            raise ConfigError(
+                f"explicit maps require start and goal coordinates; missing {', '.join(missing)}"
+            )
         if cfg.trim_backward is None:
             cfg = replace(cfg, trim_backward=False)
     else:
@@ -444,16 +447,32 @@ def waypoint_problems(text: str, v_nominal: float) -> list[SmoothingProblem]:
     waypoint. Repeated points within a piece are dropped, so the only
     segment between equal points is the hold of a robot that stays put
     for a whole piece.
+
+    A header without an `x` or `y` column, and a row whose fields cannot be
+    read, raise ConfigError naming the column or the line.
     """
+    # line numbers count the blank lines that strip() drops
+    first_line = 1 + text[: len(text) - len(text.lstrip())].count("\n")
     rows = [line.split(",") for line in text.strip().splitlines()]
     cols = {"robot": 0, "x": -2, "y": -1}
     if rows and rows[0][0].strip().lower() == "robot":
         cols = {name.strip().lower(): i for i, name in enumerate(rows.pop(0))}
+        first_line += 1
+        missing = [name for name in ("x", "y") if name not in cols]
+        if missing:
+            raise ConfigError(f"waypoint header has no {' or '.join(missing)} column")
     pieces: dict[int, list[list[tuple[float, float]]]] = {}
-    for row in rows:
-        robot = pieces.setdefault(int(row[cols["robot"]]), [])
-        point = (float(row[cols["x"]]), float(row[cols["y"]]))
-        if not robot or ("waypoint_index" in cols and int(row[cols["waypoint_index"]]) == 0):
+    for lineno, row in enumerate(rows, start=first_line):
+        try:
+            if len(row) < 3:  # without a header, x would be the robot field
+                raise IndexError
+            robot = pieces.setdefault(int(row[cols["robot"]]), [])
+            point = (float(row[cols["x"]]), float(row[cols["y"]]))
+            new_piece = "waypoint_index" in cols and int(row[cols["waypoint_index"]]) == 0
+        except (IndexError, ValueError):
+            line = ",".join(row)
+            raise ConfigError(f"line {lineno}: cannot read robot, x and y from {line!r}") from None
+        if not robot or new_piece:
             robot.append([point])
         elif point != robot[-1][-1]:
             robot[-1].append(point)

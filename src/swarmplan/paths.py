@@ -1,5 +1,6 @@
 """Grid-line geometry (supercover traversal, segment intersection) and
-waypoint pruning of discrete paths."""
+waypoint pruning of discrete paths. The supercover traversal is one
+error-term walk along the segment's major axis, for every octant."""
 
 from __future__ import annotations
 
@@ -16,51 +17,38 @@ if TYPE_CHECKING:
 def supercover_cells(a: Cell, b: Cell) -> list[Cell]:
     """Every cell the closed segment between the centers of `a` and `b`
     touches, including cells met only at a corner. Conservative superset of
-    Bresenham."""
+    Bresenham.
+
+    One walk for every octant: step along the major axis u (x on ties) and
+    advance the minor axis v when the error term passes the major length;
+    `cell` maps (u, v) back to (x, y)."""
     x0, y0 = int(a[0]), int(a[1])
-    x1, y1 = int(b[0]), int(b[1])
-    dx, dy = x1 - x0, y1 - y0
-    xstep = 1 if dx > 0 else -1
-    ystep = 1 if dy > 0 else -1
-    dx, dy = abs(dx), abs(dy)
-    cells = [Cell(x0, y0)]
-    ddx, ddy = 2 * dx, 2 * dy
-    x, y = x0, y0
-    if dx >= dy:
-        errorprev = error = dx
-        for _ in range(dx):
-            x += xstep
-            error += ddy
-            if error > ddx:
-                y += ystep
-                error -= ddx
-                if error + errorprev < ddx:
-                    cells.append(Cell(x, y - ystep))
-                elif error + errorprev > ddx:
-                    cells.append(Cell(x - xstep, y))
-                else:
-                    # exact corner crossing: take both adjacent cells
-                    cells.append(Cell(x, y - ystep))
-                    cells.append(Cell(x - xstep, y))
-            cells.append(Cell(x, y))
-            errorprev = error
+    dx, dy = int(b[0]) - x0, int(b[1]) - y0
+    if abs(dx) >= abs(dy):
+        u, v, du, dv, cell = x0, y0, dx, dy, Cell
     else:
-        errorprev = error = dy
-        for _ in range(dy):
-            y += ystep
-            error += ddx
-            if error > ddy:
-                x += xstep
-                error -= ddy
-                if error + errorprev < ddy:
-                    cells.append(Cell(x - xstep, y))
-                elif error + errorprev > ddy:
-                    cells.append(Cell(x, y - ystep))
-                else:
-                    cells.append(Cell(x - xstep, y))
-                    cells.append(Cell(x, y - ystep))
-            cells.append(Cell(x, y))
-            errorprev = error
+        u, v, du, dv, cell = y0, x0, dy, dx, lambda u, v: Cell(v, u)
+    ustep = 1 if du > 0 else -1
+    vstep = 1 if dv > 0 else -1
+    du, dv = abs(du), abs(dv)
+    ddu, ddv = 2 * du, 2 * dv
+    cells = [Cell(x0, y0)]
+    errorprev = error = du
+    for _ in range(du):
+        u += ustep
+        error += ddv
+        if error > ddu:
+            v += vstep
+            error -= ddu
+            # the segment reached the new major column before the new minor
+            # row (cell (u, v - vstep)), after it (cell (u - ustep, v)), or
+            # exactly at their corner, where it touches both
+            if error + errorprev <= ddu:
+                cells.append(cell(u, v - vstep))
+            if error + errorprev >= ddu:
+                cells.append(cell(u - ustep, v))
+        cells.append(cell(u, v))
+        errorprev = error
     return cells
 
 

@@ -286,13 +286,11 @@ class RunMetrics:
     min_dist: np.ndarray
     avg_dist: np.ndarray
     path_lengths: np.ndarray
-    sweep_seconds: list[float]
-    horizons: int
 
 
 def metrics(result: RunResult, resolution: float = 1.0) -> RunMetrics:
-    """Min/avg pairwise inter-robot distance over time, sampled path lengths,
-    and per-sweep timing."""
+    """Min/avg pairwise inter-robot distance over time and sampled path
+    lengths."""
     n, m, _ = result.pos.shape
     if m == 0:
         raise ValueError("run produced no samples")
@@ -317,6 +315,4 @@ def metrics(result: RunResult, resolution: float = 1.0) -> RunMetrics:
         min_dist=min_d,
         avg_dist=avg_d,
         path_lengths=lengths,
-        sweep_seconds=list(result.sweep_seconds),
-        horizons=result.horizons,
     )

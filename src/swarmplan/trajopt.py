@@ -3,6 +3,10 @@ equality-constrained QP assembly and KKT solve, time allocation, sampling,
 validation, and the execution schedule that replaces a horizon's smoothed
 paths when they fail validation.
 
+The problem is fixed: every segment is a polynomial of degree `DEGREE` (7)
+and the cost is the integral of the squared `SNAP_ORDER`-th (4th)
+derivative, snap (Mellinger & Kumar, ICRA 2011).
+
 The executed-fraction work runs on arrays. `min_snap` builds one QP per
 robot (cost and constraints do not depend on the dimension) and solves it
 once per right-hand-side column. `sample_common` and `validate` evaluate all
@@ -32,7 +36,7 @@ import numpy as np
 from .grid import OccupancyGrid
 from .paths import point_segment_distance, segments_intersect
 
-DEFAULT_DEGREE = 7
+DEGREE = 7
 SNAP_ORDER = 4
 T_FLOOR = 0.1
 # largest equality-constraint residual `solve_qp` accepts
@@ -111,41 +115,33 @@ def _perm(j: int, q: int) -> float:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _perm_table(degree: int) -> tuple[tuple[float, ...], ...]:
-    """`_perm(j, q)` for 0 <= j, q <= degree, indexed [j][q], as Python
-    floats (scalar arithmetic on numpy floats is several times slower)."""
-    return tuple(tuple(_perm(j, q) for q in range(degree + 1)) for j in range(degree + 1))
+# `_perm(j, q)` for 0 <= j, q <= DEGREE, indexed [j][q], as Python floats
+# (scalar arithmetic on numpy floats is several times slower)
+_PERM = tuple(tuple(_perm(j, q) for q in range(DEGREE + 1)) for j in range(DEGREE + 1))
 
 
-def _deriv_row(tau: float, degree: int, order: int) -> np.ndarray:
+def _deriv_row(tau: float, order: int) -> np.ndarray:
     # Python `**`, not np.power: the two differ in the last bit
-    perm = _perm_table(degree)
-    row = np.zeros(degree + 1)
-    row[order:] = [perm[j][order] * tau ** (j - order) for j in range(order, degree + 1)]
+    row = np.zeros(DEGREE + 1)
+    row[order:] = [_PERM[j][order] * tau ** (j - order) for j in range(order, DEGREE + 1)]
     return row
 
 
 @functools.lru_cache(maxsize=1024)
-def _snap_gram(duration: float, degree: int, q: int) -> np.ndarray:
-    """Closed-form integral of products of q-th derivative monomials
-    (read-only: the array is shared by every caller with these arguments)."""
-    perm = _perm_table(degree)
-    g = np.zeros((degree + 1, degree + 1))
-    for j in range(q, degree + 1):
-        for l in range(q, degree + 1):
+def _snap_gram(duration: float) -> np.ndarray:
+    """Closed-form integral of products of snap monomials over one segment
+    (read-only: the array is shared by every caller with this duration)."""
+    q = SNAP_ORDER
+    g = np.zeros((DEGREE + 1, DEGREE + 1))
+    for j in range(q, DEGREE + 1):
+        for l in range(q, DEGREE + 1):
             p = j + l - 2 * q
-            g[j, l] = perm[j][q] * perm[l][q] * duration ** (p + 1) / (p + 1)
+            g[j, l] = _PERM[j][q] * _PERM[l][q] * duration ** (p + 1) / (p + 1)
     g.setflags(write=False)
     return g
 
 
-def build_qp(
-    waypoints,
-    times: TimeAllocation,
-    degree: int = DEFAULT_DEGREE,
-    deriv_order: int = SNAP_ORDER,
-) -> QuadraticProgram:
+def build_qp(waypoints, times: TimeAllocation) -> QuadraticProgram:
     """Assemble the minimum-snap QP.
 
     Decision vector: per-segment monomial coefficients in local time.
@@ -162,34 +158,32 @@ def build_qp(
     n_seg = len(times.durations)
     if wp.shape[0] != n_seg + 1:
         raise ValueError("waypoint count must be segment count + 1")
-    if degree < 2 * deriv_order - 1:
-        raise ValueError(f"degree must be >= {2 * deriv_order - 1} for order-{deriv_order} objective")
 
-    ncoef = degree + 1
+    ncoef = DEGREE + 1
     nvar = ncoef * n_seg
     durations = [float(T) for T in times.durations]
     cost = np.zeros((nvar, nvar))
     for s, T in enumerate(durations):
         i = s * ncoef
-        cost[i : i + ncoef, i : i + ncoef] = _snap_gram(T, degree, deriv_order)
+        cost[i : i + ncoef, i : i + ncoef] = _snap_gram(T)
 
     # (segment, local time, derivative order, value or None, next segment)
     cons = []
     for s, T in enumerate(durations):
         cons.append((s, 0.0, 0, wp[s], None))
         cons.append((s, T, 0, wp[s + 1], None))
-    for order in range(1, deriv_order):
+    for order in range(1, SNAP_ORDER):
         cons.append((0, 0.0, order, 0.0, None))
         cons.append((n_seg - 1, durations[-1], order, 0.0, None))
     for s in range(n_seg - 1):
-        for order in range(1, deriv_order):
+        for order in range(1, SNAP_ORDER):
             cons.append((s, durations[s], order, None, s + 1))
 
-    at_zero = [_deriv_row(0.0, degree, order) for order in range(deriv_order)]
+    at_zero = [_deriv_row(0.0, order) for order in range(SNAP_ORDER)]
     eq_mat = np.zeros((len(cons), nvar))
     eq_vec = np.zeros((len(cons),) + wp.shape[1:])
     for k, (seg, tau, order, value, other) in enumerate(cons):
-        row = at_zero[order] if tau == 0.0 else _deriv_row(tau, degree, order)
+        row = at_zero[order] if tau == 0.0 else _deriv_row(tau, order)
         eq_mat[k, seg * ncoef : (seg + 1) * ncoef] = row
         if other is not None:
             eq_mat[k, other * ncoef : (other + 1) * ncoef] -= at_zero[order]
@@ -249,14 +243,12 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
 
 def _horner(coeffs: np.ndarray, tau, order: int) -> np.ndarray:
     """The `order`-th derivative of polynomials with monomial coefficients
-    `coeffs` (..., degree+1) at local times `tau`, which broadcast against
+    `coeffs` (..., DEGREE+1) at local times `tau`, which broadcast against
     `coeffs[..., 0]`: Horner's recurrence on the derivative coefficients."""
-    degree = coeffs.shape[-1] - 1
-    perm = _perm_table(degree)
     # derivative coefficients c_j * j!/(j-order)!, all in one multiplication
-    deriv = coeffs[..., order:] * np.array([perm[j][order] for j in range(order, degree + 1)])
+    deriv = coeffs[..., order:] * np.array([_PERM[j][order] for j in range(order, DEGREE + 1)])
     acc = np.zeros(coeffs.shape[:-1])
-    for j in range(degree - order, -1, -1):
+    for j in range(DEGREE - order, -1, -1):
         acc *= tau
         acc += deriv[..., j]
     return acc
@@ -266,16 +258,12 @@ def _horner(coeffs: np.ndarray, tau, order: int) -> np.ndarray:
 class PolynomialTrajectory:
     """Per-dimension piecewise polynomials in local segment time."""
 
-    coeffs: np.ndarray  # (dims, segments, degree+1)
+    coeffs: np.ndarray  # (dims, segments, DEGREE+1)
     times: TimeAllocation
 
     @property
     def dims(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[2] - 1
 
     @property
     def total_time(self) -> float:
@@ -294,20 +282,14 @@ class PolynomialTrajectory:
     def eval_many(self, ts, order: int = 0) -> np.ndarray:
         """Values of the `order`-th derivative at each time, (len(ts), dims);
         times are clamped to [0, T]."""
-        seg, tau = self.segments(ts)
-        return _horner(self.coeffs[:, seg, :], tau, order).T
+        return _eval_common([self], ts, (order,))[1][0][0]
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
         """Value of the `order`-th derivative at time t (clamped to [0, T])."""
         return self.eval_many([t], order)[0]
 
 
-def min_snap(
-    waypoints,
-    times: TimeAllocation,
-    degree: int = DEFAULT_DEGREE,
-    deriv_order: int = SNAP_ORDER,
-) -> PolynomialTrajectory:
+def min_snap(waypoints, times: TimeAllocation) -> PolynomialTrajectory:
     """Solve the minimum-snap QP for every dimension (one build, one
     right-hand-side column per dimension) and assemble."""
     wp = np.asarray(waypoints, dtype=float)
@@ -315,17 +297,17 @@ def min_snap(
         wp = wp[:, None]
     if wp.shape[0] < 2:
         raise ValueError("need at least two waypoints")
-    x = solve_qp(build_qp(wp, times, degree, deriv_order))  # (nvar, dims)
-    coeffs = x.T.reshape(wp.shape[1], len(times.durations), degree + 1)
+    x = solve_qp(build_qp(wp, times))  # (nvar, dims)
+    coeffs = x.T.reshape(wp.shape[1], len(times.durations), DEGREE + 1)
     return PolynomialTrajectory(coeffs=coeffs, times=times)
 
 
-def qp_objective(traj: PolynomialTrajectory, deriv_order: int = SNAP_ORDER) -> float:
-    """Integral of the squared `deriv_order` derivative over the trajectory."""
+def qp_objective(traj: PolynomialTrajectory) -> float:
+    """Integral of the squared snap over the trajectory."""
     total = 0.0
     for d in range(traj.dims):
         for s, T in enumerate(traj.times.durations):
-            g = _snap_gram(float(T), traj.degree, deriv_order)
+            g = _snap_gram(float(T))
             c = traj.coeffs[d, s]
             total += float(c @ g @ c)
     return total
@@ -359,15 +341,14 @@ def _eval_common(
     trajectory, then the Horner recurrence over all robots for each order.
 
     Returns the segment index of each sample, (robots, samples), and per
-    requested order the values, (robots, samples, dims). The trajectories
-    must share a degree.
+    requested order the values, (robots, samples, dims).
     """
     segs, taus, coeffs = [], [], []
     for tr in trajs:
         seg, tau = tr.segments(ts)
         segs.append(seg)
         taus.append(tau)
-        coeffs.append(tr.coeffs.transpose(1, 0, 2)[seg])  # (samples, dims, degree+1)
+        coeffs.append(tr.coeffs.transpose(1, 0, 2)[seg])  # (samples, dims, DEGREE+1)
     tau = np.array(taus)[:, :, None]
     coeffs = np.array(coeffs)
     return np.array(segs), [_horner(coeffs, tau, order) for order in orders]
@@ -423,19 +404,17 @@ class SmoothingProblem:
             durations=[float(d) for d in times.durations],
         )
 
-    def solve(self, degree: int = DEFAULT_DEGREE) -> PolynomialTrajectory:
+    def solve(self) -> PolynomialTrajectory:
         # interior rest waypoints split the solve into independent
         # rest-to-rest pieces; a lone rest-to-rest segment is its chord
         rests = sorted(r for r in self.rest_indices if 0 < r < len(self.waypoints) - 1)
         if not rests:
-            return min_snap(self.waypoints, TimeAllocation(np.array(self.durations)), degree)
+            return min_snap(self.waypoints, TimeAllocation(np.array(self.durations)))
         bounds = [0, *rests, len(self.waypoints) - 1]
         coeff_chunks = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             piece = min_snap(
-                self.waypoints[lo : hi + 1],
-                TimeAllocation(np.array(self.durations[lo:hi])),
-                degree,
+                self.waypoints[lo : hi + 1], TimeAllocation(np.array(self.durations[lo:hi]))
             )
             coeff_chunks.append(piece.coeffs)
         return PolynomialTrajectory(
@@ -644,18 +623,17 @@ def smooth_and_validate(
     corridor_halfwidth: float = 1.0,
     dt: float = 0.05,
     v_nominal: float = 1.0,
-    degree: int = DEFAULT_DEGREE,
 ) -> tuple[list[PolynomialTrajectory], bool]:
     """Solve and validate the problems; if validation fails, `repair`
     rewrites them into the execution schedule of the discrete `steps`, which
     is solved and validated once more. Returns the trajectories and whether
     the schedule replaced the smoothed paths; violations that remain raise
     UnrepairableError."""
-    trajs = [p.solve(degree) for p in problems]
+    trajs = [p.solve() for p in problems]
     if not validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt):
         return trajs, False
     repair(problems, steps, d_safe, v_nominal, grid.resolution)
-    trajs = [p.solve(degree) for p in problems]
+    trajs = [p.solve() for p in problems]
     report = validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt)
     if report:
         raise UnrepairableError(report)

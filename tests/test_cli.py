@@ -327,6 +327,53 @@ def test_smooth_command_missing_file(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def _plan_on_map(tmp_path, capsys, coords):
+    mapfile = tmp_path / "m.txt"
+    mapfile.write_text("gridmap 12 12 1.0\n" + ("0 " * 12 + "\n") * 12)
+    argv = ["plan", "--map-path", str(mapfile), "--out", str(tmp_path / "o")]
+    for name, value in coords.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    code = run_command(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("left_out", ["start_x", "start_y", "goal_x", "goal_y"])
+def test_plan_on_a_map_names_each_missing_coordinate(tmp_path, capsys, left_out):
+    coords = {"start_x": 5, "start_y": 5, "goal_x": 10, "goal_y": 10}
+    del coords[left_out]
+    code, err = _plan_on_map(tmp_path, capsys, coords)
+    assert code == EXIT_CONFIG
+    assert err == f"error: explicit maps require start and goal coordinates; missing {left_out}\n"
+
+
+def test_plan_on_a_map_names_every_missing_coordinate(tmp_path, capsys):
+    code, err = _plan_on_map(tmp_path, capsys, {"start_x": 5, "goal_x": 10})
+    assert code == EXIT_CONFIG
+    assert "missing start_y, goal_y" in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("robot,x,y\n0,2,2\n0,3\n", "line 3: cannot read robot, x and y from '0,3'"),
+        ("robot,x,y\n0,2,2\n0,a,2\n", "line 3: cannot read robot, x and y from '0,a,2'"),
+        ("\n0,2,2\n0,3,2,z\n", "line 3: cannot read robot, x and y from '0,3,2,z'"),
+        ("0,2,2\n0,3\n", "line 2: cannot read robot, x and y from '0,3'"),
+        ("robot,px,py\n0,2,2\n", "waypoint header has no x or y column"),
+        ("robot,x,z\n0,2,2\n", "waypoint header has no y column"),
+        ("id,x,y\n0,2,2\n", "line 1: cannot read robot, x and y from 'id,x,y'"),
+    ],
+)
+def test_smooth_command_names_the_bad_line_or_column(tmp_path, capsys, text, message):
+    wp = tmp_path / "wp.csv"
+    wp.write_text(text)
+    code = run_command(["smooth", "--waypoints", str(wp), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ConfigError, match=message):
+        waypoint_problems(text, v_nominal=1.0)
+
+
 def test_render_field_command(tmp_path):
     out = tmp_path / "field"
     code = run_command(

@@ -2,6 +2,7 @@
 oracle, segment intersection, point-segment distance, and line-of-sight
 pruning."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -79,6 +80,22 @@ def test_supercover_endpoints_present():
     cells = supercover_cells(Cell(-3, 7), Cell(4, -2))
     assert cells[0] == (-3, 7)
     assert cells[-1] == (4, -2)
+
+
+# SHA-256 over the cell lists of every segment from three origins to each
+# offset in [-15, 15]^2, recorded before the traversal became one walk for
+# every octant: it pins the order of the cells, not only the set
+SUPERCOVER_DIGEST = "f08c05a05c6b089ac1abff17c33ff7ed4c6185d9abaea75786c9d1f752d70b4b"
+
+
+def test_supercover_cells_golden_digest():
+    h = hashlib.sha256()
+    for ox, oy in ((0, 0), (5, 7), (37, 53)):
+        for dx in range(-15, 16):
+            for dy in range(-15, 16):
+                cells = supercover_cells(Cell(ox, oy), Cell(ox + dx, oy + dy))
+                h.update(repr([(int(x), int(y)) for x, y in cells]).encode())
+    assert h.hexdigest() == SUPERCOVER_DIGEST
 
 
 @given(

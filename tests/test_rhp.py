@@ -302,7 +302,6 @@ def test_metrics_series_and_lengths():
     sc = free_scenario()
     result = run(sc, small_config())
     m = metrics(result)
-    assert m.horizons == result.horizons
     assert len(m.min_dist) == len(result.t) == len(m.avg_dist)
     assert np.all(m.min_dist <= m.avg_dist + 1e-12)
     # robots kept their safety separation throughout execution

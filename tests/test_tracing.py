@@ -6,6 +6,12 @@ import importlib.util
 from pathlib import Path
 
 import swarmplan
+# the tracer reads these modules as attributes of the package, and
+# `import swarmplan` alone does not import `cli`
+import swarmplan.cli
+import swarmplan.mrf
+import swarmplan.rhp
+import swarmplan.trajopt
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 

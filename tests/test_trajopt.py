@@ -24,8 +24,8 @@ from swarmplan.trajopt import (
     TimeAllocation,
     UnrepairableError,
     Violation,
+    _PERM,
     _perm,
-    _perm_table,
     _snap_gram,
     allocate_times,
     build_qp,
@@ -184,7 +184,7 @@ def horner_reference(traj, t, order):
     out = np.zeros(traj.dims)
     for d in range(traj.dims):
         acc = 0.0
-        for j in range(traj.degree, order - 1, -1):
+        for j in range(7, order - 1, -1):
             perm = math.perm(j, order)
             acc = acc * tau + traj.coeffs[d, seg, j] * float(perm)
         out[d] = acc
@@ -777,17 +777,16 @@ def test_sample_common_equals_stacked_eval_many():
 
 
 def test_perm_table_and_snap_gram_equal_loop_definitions():
-    for degree in (3, 7, 9, 12):
-        table = _perm_table(degree)
-        assert [[type(v) for v in row] for row in table] == [[float] * (degree + 1)] * (degree + 1)
-        assert table == tuple(tuple(_perm(j, q) for q in range(degree + 1)) for j in range(degree + 1))
+    # the problem is fixed: degree 7, snap (order 4)
+    assert (trajopt.DEGREE, trajopt.SNAP_ORDER) == (7, 4)
+    assert [[type(v) for v in row] for row in _PERM] == [[float] * 8] * 8
+    assert _PERM == tuple(tuple(_perm(j, q) for q in range(8)) for j in range(8))
     rng = np.random.default_rng(9)
     for duration in [0.1, 1.0, 2**0.5, *rng.uniform(0.05, 5.0, 20).tolist()]:
-        for degree, q in ((7, 4), (7, 3), (9, 4), (5, 2)):
-            g = _snap_gram(duration, degree, q)
-            assert np.array_equal(g, snap_gram_reference(duration, degree, q))
-            assert not g.flags.writeable
-            assert _snap_gram(duration, degree, q) is g
+        g = _snap_gram(duration)
+        assert np.array_equal(g, snap_gram_reference(duration, 7, 4))
+        assert not g.flags.writeable
+        assert _snap_gram(duration) is g
     assert _snap_gram.cache_info().maxsize is not None
 
 
