@@ -33,7 +33,7 @@ from .graph import build_interaction_graph, check_connectivity_condition
 from .grid import Cell, OccupancyGrid, load_map, threshold_map
 from .mrf import OptimizeConfig, make_state, optimize
 from .paths import PrunedPath
-from .trajopt import SmoothingProblem, allocate_times, sample
+from .trajopt import SmoothingProblem, allocate_times, sample, solve_problems
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -252,11 +252,12 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[rhp.Scenario, ScenarioConfig]:
         if not path.exists():
             raise ConfigError(f"map file not found: {path}")
         grid = load_map(path.read_text())
-        missing = [k for k in ("start_x", "start_y", "goal_x", "goal_y") if getattr(cfg, k) is None]
+        # the goal is read only when it is used
+        needed = ("start_x", "start_y", "goal_x", "goal_y") if cfg.use_goal else ("start_x", "start_y")
+        missing = [k for k in needed if getattr(cfg, k) is None]
         if missing:
-            raise ConfigError(
-                f"explicit maps require start and goal coordinates; missing {', '.join(missing)}"
-            )
+            what = "start and goal" if cfg.use_goal else "start"
+            raise ConfigError(f"explicit maps require {what} coordinates; missing {', '.join(missing)}")
         if cfg.trim_backward is None:
             cfg = replace(cfg, trim_backward=False)
     else:
@@ -499,8 +500,9 @@ def cmd_smooth(args) -> int:
     if not src.exists():
         raise ConfigError(f"waypoint file not found: {src}")
     out_lines = [_TRAJECTORY_HEADER]
-    for problem in waypoint_problems(src.read_text(), args.v_nominal):
-        samples = sample(problem.solve(), args.dt)
+    problems = waypoint_problems(src.read_text(), args.v_nominal)
+    for problem, traj in zip(problems, solve_problems(problems)):
+        samples = sample(traj, args.dt)
         for i, t in enumerate(samples.t):
             p, v, a = samples.pos[i], samples.vel[i], samples.acc[i]
             out_lines.append(_trajectory_row(problem.robot, t, p, v, a))

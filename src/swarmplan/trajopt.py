@@ -7,12 +7,16 @@ The problem is fixed: every segment is a polynomial of degree `DEGREE` (7)
 and the cost is the integral of the squared `SNAP_ORDER`-th (4th)
 derivative, snap (Mellinger & Kumar, ICRA 2011).
 
-The executed-fraction work runs on arrays. `min_snap` builds one QP per
-robot (cost and constraints do not depend on the dimension) and solves it
-once per right-hand-side column. `sample_common` and `validate` evaluate all
-robots in one pass: one segment lookup per trajectory, then the Horner
-recurrence over every robot's samples for each derivative order. `validate`
-then checks obstacles, corridors and pair separation on whole arrays.
+The executed-fraction work runs on arrays. `solve_problems` splits every
+robot's problem at its rests into rest-to-rest pieces. A piece's cost and
+constraints depend only on its segment durations, not on the waypoint
+values or the dimension, so `_kkt_system` builds its KKT matrix once per
+duration tuple and caches it. Every piece of one system size is then solved
+in one stacked `np.linalg.solve`, one single-column system per piece and
+dimension. `sample_common` and `validate` evaluate all robots in one pass:
+one segment lookup per trajectory, then the Horner recurrence over every
+robot's samples for each derivative order. `validate` then checks
+obstacles, corridors and pair separation on whole arrays.
 
 Every array path keeps the scalar arithmetic's operation order, so results
 are bit-identical to a per-sample loop. These look equivalent but differ in
@@ -20,8 +24,9 @@ the last bit on some inputs (x86-64, AVX-512, numpy 2.4 with OpenBLAS), so
 they are not used: `np.power(tau, k)` for Python `tau ** k`; one
 `np.linalg.solve` with several right-hand-side columns for one solve per
 column; `scipy.linalg.lu_factor`/`lu_solve` per column; and `np.hypot` for
-`math.hypot`. One KKT matrix with a separate `np.linalg.solve` per column
-matches the per-dimension solves exactly.
+`math.hypot`. A stacked batch of single-column systems, matrices
+(k, n, n) against right-hand sides (k, n, 1), is solved matrix by matrix
+and matches k separate solves exactly.
 """
 
 from __future__ import annotations
@@ -85,16 +90,32 @@ class TimeAllocation:
         object.__setattr__(self, "total", float(np.sum(d)))
 
 
+@functools.lru_cache(maxsize=256)
+def _time_allocation(durations: tuple[float, ...]) -> TimeAllocation:
+    # shared by every caller with these durations; TimeAllocation is frozen
+    # and its arrays read-only
+    return TimeAllocation(np.array(durations))
+
+
 def allocate_times(waypoints, v_nominal: float = 1.0, resolution: float = 1.0) -> TimeAllocation:
-    """Constant-velocity traversal times, floored at `T_FLOOR` for
-    degenerate segments."""
+    """Constant-velocity traversal times between planar waypoints, floored
+    at `T_FLOOR` for degenerate segments. The allocation is cached by its
+    durations and shared."""
     wp = np.asarray(waypoints, dtype=float)
+    if wp.ndim != 2 or wp.shape[1] != 2:
+        raise ValueError("waypoints must be (x, y) pairs")
     if wp.shape[0] < 2:
         raise ValueError("need at least two waypoints")
     if v_nominal <= 0:
         raise ValueError("v_nominal must be positive")
-    seg = np.linalg.norm(np.diff(wp, axis=0), axis=1) * resolution
-    return TimeAllocation(durations=np.maximum(seg / v_nominal, T_FLOOR))
+    scale, v = float(resolution), float(v_nominal)
+    pts = wp.tolist()
+    durations = []
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        # np.linalg.norm's sqrt(x*x + y*y), in Python floats
+        dx, dy = x1 - x0, y1 - y0
+        durations.append(max(math.sqrt(dx * dx + dy * dy) * scale / v, T_FLOOR))
+    return _time_allocation(tuple(durations))
 
 
 @dataclass(frozen=True)
@@ -193,6 +214,29 @@ def build_qp(waypoints, times: TimeAllocation) -> QuadraticProgram:
     return QuadraticProgram(cost=cost, eq_mat=eq_mat, eq_vec=eq_vec)
 
 
+def _kkt_matrix(qp: QuadraticProgram, reg: float) -> np.ndarray:
+    """[[2 cost + reg I, eq_mat^T], [eq_mat, 0]]"""
+    n = qp.cost.shape[0]
+    m = qp.eq_mat.shape[0]
+    mat = np.zeros((n + m, n + m))
+    mat[:n, :n] = 2 * qp.cost + reg * np.eye(n)
+    mat[:n, n:] = qp.eq_mat.T
+    mat[n:, :n] = qp.eq_mat
+    return mat
+
+
+@functools.lru_cache(maxsize=128)
+def _kkt_system(durations: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """`build_qp`'s constraint matrix and `solve_qp`'s unregularised KKT
+    matrix for these segment durations; neither depends on the waypoint
+    values (read-only: shared by every piece with these durations)."""
+    qp = build_qp(np.zeros(len(durations) + 1), _time_allocation(durations))
+    kkt = _kkt_matrix(qp, 0.0)
+    qp.eq_mat.setflags(write=False)
+    kkt.setflags(write=False)
+    return qp.eq_mat, kkt
+
+
 def solve_qp(qp: QuadraticProgram) -> np.ndarray:
     """Exact equality-constrained minimizer via the KKT linear system.
 
@@ -206,11 +250,7 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
 
     def kkt(reg: float) -> np.ndarray:
         if reg not in kkts:
-            mat = np.zeros((n + m, n + m))
-            mat[:n, :n] = 2 * qp.cost + reg * np.eye(n)
-            mat[:n, n:] = qp.eq_mat.T
-            mat[n:, :n] = qp.eq_mat
-            kkts[reg] = mat
+            kkts[reg] = _kkt_matrix(qp, reg)
         return kkts[reg]
 
     def solve_column(eq_vec: np.ndarray) -> np.ndarray:
@@ -290,16 +330,15 @@ class PolynomialTrajectory:
 
 
 def min_snap(waypoints, times: TimeAllocation) -> PolynomialTrajectory:
-    """Solve the minimum-snap QP for every dimension (one build, one
-    right-hand-side column per dimension) and assemble."""
+    """The minimum-snap trajectory through `waypoints`, (n,) or (n, dims),
+    for every dimension: one problem without rests for `solve_problems`."""
     wp = np.asarray(waypoints, dtype=float)
     if wp.ndim == 1:
         wp = wp[:, None]
     if wp.shape[0] < 2:
         raise ValueError("need at least two waypoints")
-    x = solve_qp(build_qp(wp, times))  # (nvar, dims)
-    coeffs = x.T.reshape(wp.shape[1], len(times.durations), DEGREE + 1)
-    return PolynomialTrajectory(coeffs=coeffs, times=times)
+    problem = SmoothingProblem(0, list(map(tuple, wp.tolist())), times.durations.tolist())
+    return solve_problems([problem])[0]
 
 
 def qp_objective(traj: PolynomialTrajectory) -> float:
@@ -405,22 +444,86 @@ class SmoothingProblem:
         )
 
     def solve(self) -> PolynomialTrajectory:
-        # interior rest waypoints split the solve into independent
-        # rest-to-rest pieces; a lone rest-to-rest segment is its chord
-        rests = sorted(r for r in self.rest_indices if 0 < r < len(self.waypoints) - 1)
-        if not rests:
-            return min_snap(self.waypoints, TimeAllocation(np.array(self.durations)))
-        bounds = [0, *rests, len(self.waypoints) - 1]
-        coeff_chunks = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            piece = min_snap(
-                self.waypoints[lo : hi + 1], TimeAllocation(np.array(self.durations[lo:hi]))
-            )
-            coeff_chunks.append(piece.coeffs)
-        return PolynomialTrajectory(
-            np.concatenate(coeff_chunks, axis=1),
-            TimeAllocation(np.array(self.durations)),
-        )
+        return solve_problems([self])[0]
+
+
+def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTrajectory]:
+    """The minimum-snap trajectory of every problem.
+
+    Interior rest waypoints split a problem into independent rest-to-rest
+    pieces; a lone rest-to-rest segment is its chord. A piece of k segments
+    has a KKT system of size 13k + 3, cached by `_kkt_system` per duration
+    tuple. Each size is solved in one stacked `np.linalg.solve`: one
+    single-column system per piece and dimension, bit-identical to solving
+    them one by one. A piece whose stack raises LinAlgError, or whose
+    solution is not finite or misses a constraint by more than
+    `RESIDUAL_TOL`, is solved again by `solve_qp(build_qp(...))`, which
+    regularises the system or raises TrajectoryError.
+    """
+    ncoef = DEGREE + 1
+    times: list[TimeAllocation] = []
+    pieces: list[tuple[np.ndarray, tuple[float, ...]]] = []  # (waypoints, durations)
+    first_piece = []  # index of each problem's first piece
+    for p in problems:
+        durations = tuple(map(float, p.durations))
+        times.append(_time_allocation(durations))
+        wp = np.asarray(p.waypoints, dtype=float)
+        if wp.shape[0] != len(durations) + 1:
+            raise ValueError("waypoint count must be segment count + 1")
+        rests = sorted(r for r in p.rest_indices if 0 < r < len(wp) - 1)
+        bounds = [0, *rests, len(wp) - 1]
+        first_piece.append(len(pieces))
+        pieces += [(wp[lo : hi + 1], durations[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    first_piece.append(len(pieces))
+
+    by_size: dict[int, list[int]] = {}
+    for i, (_, durations) in enumerate(pieces):
+        by_size.setdefault(len(durations), []).append(i)
+    coeffs: list[np.ndarray | None] = [None] * len(pieces)
+    retry = []
+    for k, members in by_size.items():
+        n = ncoef * k
+        kkts, eq_mats, rows = [], [], [0]  # one system per piece and dimension
+        for i in members:
+            eq_mat, kkt = _kkt_system(pieces[i][1])
+            dims = pieces[i][0].shape[1]
+            kkts += [kkt] * dims
+            eq_mats += [eq_mat] * dims
+            rows.append(rows[-1] + dims)
+        rhs = np.zeros((rows[-1], kkts[0].shape[0], 1))
+        for i, lo, hi in zip(members, rows, rows[1:]):
+            wp = pieces[i][0]
+            # eq_vec: each segment's two end waypoints, then zeros
+            rhs[lo:hi, n : n + 2 * k : 2, 0] = wp[:-1].T
+            rhs[lo:hi, n + 1 : n + 2 * k : 2, 0] = wp[1:].T
+        try:
+            sol = np.linalg.solve(np.stack(kkts), rhs)
+        except np.linalg.LinAlgError:
+            good = [False] * rows[-1]
+        else:
+            x = np.ascontiguousarray(sol[:, :n])
+            # a non-finite piece fails the finiteness test below and is
+            # solved again; its residual may warn, so silence that
+            with np.errstate(invalid="ignore", over="ignore"):
+                residual = np.max(np.abs(np.stack(eq_mats) @ x - rhs[:, n:]), axis=(1, 2))
+            # `solve_qp`'s tests: finite, and no residual above the tolerance
+            good = (np.all(np.isfinite(sol), axis=(1, 2)) & ~(residual > RESIDUAL_TOL)).tolist()
+        for i, lo, hi in zip(members, rows, rows[1:]):
+            if all(good[lo:hi]):
+                coeffs[i] = x[lo:hi, :, 0].reshape(hi - lo, k, ncoef)
+            else:
+                retry.append(i)
+    # in piece order, so the first piece that fails raises, as one by one
+    for i in sorted(retry):
+        wp, durations = pieces[i]
+        x = solve_qp(build_qp(wp, _time_allocation(durations)))  # (n, dims)
+        coeffs[i] = x.T.reshape(wp.shape[1], len(durations), ncoef)
+
+    trajs = []
+    for ta, lo, hi in zip(times, first_piece, first_piece[1:]):
+        c = coeffs[lo] if hi - lo == 1 else np.concatenate(coeffs[lo:hi], axis=1)
+        trajs.append(PolynomialTrajectory(c, ta))
+    return trajs
 
 
 def validate(
@@ -629,11 +732,11 @@ def smooth_and_validate(
     is solved and validated once more. Returns the trajectories and whether
     the schedule replaced the smoothed paths; violations that remain raise
     UnrepairableError."""
-    trajs = [p.solve() for p in problems]
+    trajs = solve_problems(problems)
     if not validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt):
         return trajs, False
     repair(problems, steps, d_safe, v_nominal, grid.resolution)
-    trajs = [p.solve() for p in problems]
+    trajs = solve_problems(problems)
     report = validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt)
     if report:
         raise UnrepairableError(report)

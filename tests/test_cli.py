@@ -352,6 +352,19 @@ def test_plan_on_a_map_names_every_missing_coordinate(tmp_path, capsys):
     assert "missing start_y, goal_y" in err
 
 
+def test_mrf_only_on_a_map_without_a_goal_needs_no_goal_coordinates(tmp_path, capsys):
+    mapfile = tmp_path / "m.txt"
+    mapfile.write_text("gridmap 12 12 1.0\n" + ("0 " * 12 + "\n") * 12)
+    out = tmp_path / "o"
+    argv = ["mrf-only", "--map-path", str(mapfile), "--start-x", "5", "--start-y", "5", "--no-use-goal"]
+    assert run_command(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (out / "discrete_paths.csv").exists()
+    # the start is still required, and named alone
+    assert run_command(argv[:3] + argv[5:] + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: explicit maps require start coordinates; missing start_x\n"
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

@@ -84,6 +84,8 @@ def test_allocate_times_validation():
         allocate_times([(0, 0)], v_nominal=1.0)
     with pytest.raises(ValueError):
         allocate_times([(0, 0), (1, 0)], v_nominal=0.0)
+    with pytest.raises(ValueError, match="waypoints must be"):
+        allocate_times([(0, 0, 0), (1, 0, 0)], v_nominal=1.0)
 
 
 def test_rest_to_rest_unit_segment_closed_form():
@@ -405,12 +407,14 @@ def test_schedule_pieces_stay_on_their_segments():
     ([[(0.0, 5.0), (12.0, 5.0)], [(0.0, 20.0), (12.0, 20.0)]], False),
 ])
 def test_smooth_and_validate_repairs_at_most_once(steps, repaired, monkeypatch):
+    # recorded where smooth_and_validate solves: one solve_problems call per
+    # pass over every problem
     solved = []
-    real_solve = SmoothingProblem.solve
+    real_solve = trajopt.solve_problems
 
-    def recording_solve(self, *args, **kwargs):
-        solved.append((self.robot, list(self.waypoints), list(self.durations)))
-        return real_solve(self, *args, **kwargs)
+    def recording_solve(problems):
+        solved.extend((p.robot, list(p.waypoints), list(p.durations)) for p in problems)
+        return real_solve(problems)
 
     repairs = []
     real_repair = trajopt.repair
@@ -419,7 +423,7 @@ def test_smooth_and_validate_repairs_at_most_once(steps, repaired, monkeypatch):
         repairs.append(len(solved))
         return real_repair(*args, **kwargs)
 
-    monkeypatch.setattr(SmoothingProblem, "solve", recording_solve)
+    monkeypatch.setattr(trajopt, "solve_problems", recording_solve)
     monkeypatch.setattr(trajopt, "repair", counting_repair)
     probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
     trajs, scheduled = smooth_and_validate(probs, free_grid(), steps)
@@ -724,6 +728,17 @@ def min_snap_reference(wps, times):
     ])
 
 
+def split_reference(problem):
+    """`min_snap_reference` of each rest-to-rest piece, one by one, joined."""
+    wps = np.asarray(problem.waypoints, dtype=float)
+    rests = sorted(r for r in problem.rest_indices if 0 < r < len(wps) - 1)
+    bounds = [0, *rests, len(wps) - 1]
+    return np.concatenate([
+        min_snap_reference(wps[lo : hi + 1], TimeAllocation(np.array(problem.durations[lo:hi])))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ], axis=1)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_min_snap_equals_per_dimension_qp_exactly(seed):
     rng = np.random.default_rng(seed)
@@ -749,13 +764,164 @@ def test_rest_split_solve_equals_per_dimension_qp_exactly():
     durations = np.concatenate([[1.5], allocate_times(wps, 1.3).durations])
     prob = SmoothingProblem.from_waypoints(0, held, TimeAllocation(durations))
     prob.rest_indices |= {1, 3, 5}
-    rests = sorted(prob.rest_indices)
-    bounds = [0, *rests, len(prob.waypoints) - 1]
-    want = np.concatenate([
-        min_snap_reference(prob.waypoints[lo : hi + 1], TimeAllocation(np.array(prob.durations[lo:hi])))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ], axis=1)
-    assert np.array_equal(prob.solve().coeffs, want)
+    assert np.array_equal(prob.solve().coeffs, split_reference(prob))
+
+
+def random_problems(rng, count, dims=None):
+    """Problems of 1-6 segments, 1-D or 2-D, with random rests and T_FLOOR
+    holds (a repeated waypoint), and durations drawn from a small set so
+    that some repeat within the set and some are new."""
+    probs = []
+    for r in range(count):
+        d = dims or int(rng.integers(1, 3))
+        segs = int(rng.integers(1, 7))
+        wps = rng.uniform(-20.0, 20.0, (segs + 1, d))
+        durations = rng.choice([0.5, 1.0, 2.0, float(rng.uniform(0.1, 4.0))], segs)
+        hold = rng.random(segs) < 0.2
+        for s in np.flatnonzero(hold).tolist():
+            wps[s + 1] = wps[s]
+        durations[hold] = trajopt.T_FLOOR
+        prob = SmoothingProblem(r, [tuple(w) for w in wps.tolist()], durations.tolist())
+        prob.rest_indices = {int(i) for i in rng.integers(0, segs + 1, int(rng.integers(0, 4)))}
+        probs.append(prob)
+    return probs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solve_problems_equals_per_piece_solves_exactly(seed):
+    rng = np.random.default_rng(100 + seed)
+    probs = random_problems(rng, int(rng.integers(1, 9)), dims=(None, 1, 2)[seed % 3])
+    trajs = trajopt.solve_problems(probs)
+    for prob, traj in zip(probs, trajs, strict=True):
+        assert np.array_equal(traj.coeffs, split_reference(prob))
+        assert np.array_equal(traj.times.durations, prob.durations)
+        assert np.array_equal(prob.solve().coeffs, traj.coeffs)
+
+
+def test_solve_problems_mixes_sizes_cache_hits_and_misses():
+    rng = np.random.default_rng(7)
+    probs = random_problems(rng, 12)
+    # a duration no other test draws: a miss first, then hits
+    fresh = float(rng.uniform(5.0, 6.0))
+    probs += [SmoothingProblem(20 + r, [(0.0, 0.0), (r + 1.0, 2.0)], [fresh]) for r in range(3)]
+    sizes = {len(p.durations) for p in probs}
+    before = trajopt._kkt_system.cache_info()
+    trajs = trajopt.solve_problems(probs)
+    after = trajopt._kkt_system.cache_info()
+    assert len(sizes) > 2
+    assert after.misses > before.misses and after.hits >= before.hits + 2
+    for prob, traj in zip(probs, trajs, strict=True):
+        assert np.array_equal(traj.coeffs, split_reference(prob))
+
+
+def test_allocate_times_equals_numpy_formula():
+    offsets = [(dx, dy) for dx in range(-15, 16) for dy in range(-15, 16)]
+    for origin in [(0.0, 0.0), (5.0, 7.0), (2.5, -3.75)]:
+        # origin, origin + offset, origin, ...: every offset and its negative
+        wps = [origin]
+        for dx, dy in offsets:
+            wps += [(origin[0] + dx, origin[1] + dy), origin]
+        wp = np.array(wps)
+        for res in (1.0, 0.5, 0.1):
+            for v in (1.0, 1.3):
+                want = np.maximum(np.linalg.norm(np.diff(wp, axis=0), axis=1) * res / v, trajopt.T_FLOOR)
+                got = allocate_times(wps, v_nominal=v, resolution=res).durations
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    # and between points off the grid, where the sum of squares rounds
+    wp = np.random.default_rng(2).uniform(-15.0, 15.0, (2000, 2))
+    want = np.maximum(np.linalg.norm(np.diff(wp, axis=0), axis=1) * 0.5 / 1.3, trajopt.T_FLOOR)
+    assert np.array_equal(allocate_times(wp, v_nominal=1.3, resolution=0.5).durations, want)
+
+
+def test_cached_systems_are_read_only_shared_and_bounded():
+    rng = np.random.default_rng(4)
+    for segs in range(1, 5):
+        durations = tuple(rng.uniform(0.1, 3.0, segs).tolist())
+        eq_mat, kkt = trajopt._kkt_system(durations)
+        qp = build_qp(np.zeros(segs + 1), TimeAllocation(np.array(durations)))
+        n, m = qp.cost.shape[0], qp.eq_mat.shape[0]
+        assert np.array_equal(eq_mat, qp.eq_mat)
+        assert np.array_equal(kkt, np.block([[2 * qp.cost, qp.eq_mat.T], [qp.eq_mat, np.zeros((m, m))]]))
+        assert kkt.shape == (13 * segs + 3,) * 2 == (n + m,) * 2
+        assert not eq_mat.flags.writeable and not kkt.flags.writeable
+        assert trajopt._kkt_system(durations)[1] is kkt
+        ta = trajopt._time_allocation(durations)
+        assert trajopt._time_allocation(durations) is ta
+        assert not ta.durations.flags.writeable
+    wps = [(0.0, 0.0), (3.0, 4.0), (3.0, 4.0)]
+    assert allocate_times(wps) is allocate_times(np.array(wps))
+    assert trajopt._kkt_system.cache_info().maxsize is not None
+    assert trajopt._time_allocation.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_failed_stack_falls_back_to_the_per_piece_ladder(bad, monkeypatch):
+    rng = np.random.default_rng(21)
+    probs = random_problems(rng, 8)
+    want = [split_reference(p) for p in probs]
+    real_solve = np.linalg.solve
+    stacked = []
+
+    def failing_stack(a, b):
+        if np.ndim(a) == 3:
+            stacked.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    def inexact_stack(a, b):
+        # a stacked solution that misses its constraints by 1e-6
+        sol = real_solve(a, b)
+        return sol + 1e-6 if np.ndim(a) == 3 else sol
+
+    for fake in (failing_stack, inexact_stack):
+        monkeypatch.setattr(np.linalg, "solve", fake)
+        trajs = trajopt.solve_problems(probs)
+        for traj, w in zip(trajs, want, strict=True):
+            assert np.array_equal(traj.coeffs, w)
+    assert stacked
+
+    # a non-finite waypoint raises the ladder's error, whether the stack
+    # raises or solves
+    broken = SmoothingProblem(9, [(0.0, 0.0), (bad, 1.0)], [1.0])
+    for fake in (failing_stack, real_solve):
+        monkeypatch.setattr(np.linalg, "solve", fake)
+        with pytest.raises(trajopt.TrajectoryError, match="^KKT system rank-deficient beyond regularization$"):
+            trajopt.solve_problems(probs[:3] + [broken])
+
+
+def test_first_failing_piece_raises_as_when_solved_one_by_one():
+    # a 1e12 waypoint misses its constraints, a NaN one is not finite; the
+    # one-segment pieces are stacked before the two-segment one, but the
+    # error is that of the first failing problem in order
+    ok = SmoothingProblem(0, [(0.0, 0.0), (1.0, 1.0)], [1.0])
+    far = SmoothingProblem(1, [(0.0, 0.0), (1e12, 1.0), (2.0, 3.0)], [1.0, 2.0])
+    nan = SmoothingProblem(2, [(0.0, 0.0), (math.nan, 1.0)], [1.0])
+    with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual [^)]+\)$"):
+        trajopt.solve_problems([ok, far, nan])
+    with pytest.raises(trajopt.TrajectoryError, match="^KKT system rank-deficient beyond regularization$"):
+        trajopt.solve_problems([ok, nan, far])
+
+
+def test_smooth_and_validate_solves_once_per_system_size(monkeypatch):
+    # five robots in parallel lanes, pieces of 1, 2, 2, 3 and 1 segments:
+    # the pass validates and makes one stacked solve per size
+    lanes = [[0.0, 6.0], [0.0, 3.0, 6.0], [0.0, 2.0, 6.0], [0.0, 2.0, 4.0, 6.0], [1.0, 5.0]]
+    probs = [make_problem(r, [(x, 4.0 + 4.0 * r) for x in xs]) for r, xs in enumerate(lanes)]
+    steps = [[p.waypoints[0], p.waypoints[-1]] for p in probs]
+    real_solve = np.linalg.solve
+    calls = []
+
+    def counting_solve(a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    _, scheduled = smooth_and_validate(probs, free_grid(), steps)
+    assert not scheduled
+    # k segments: a system of size 13k + 3 for each robot and dimension
+    robots = {1: 2, 2: 2, 3: 1}
+    want = [((2 * c, 13 * k + 3, 13 * k + 3), (2 * c, 13 * k + 3, 1)) for k, c in robots.items()]
+    assert sorted(calls) == sorted(want)
 
 
 def test_sample_common_equals_stacked_eval_many():
