@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -450,7 +451,8 @@ def waypoint_problems(text: str, v_nominal: float) -> list[SmoothingProblem]:
     for a whole piece.
 
     A header without an `x` or `y` column, and a row whose fields cannot be
-    read, raise ConfigError naming the column or the line.
+    read or whose x or y is not finite, raise ConfigError naming the column
+    or the line.
     """
     # line numbers count the blank lines that strip() drops
     first_line = 1 + text[: len(text) - len(text.lstrip())].count("\n")
@@ -469,6 +471,8 @@ def waypoint_problems(text: str, v_nominal: float) -> list[SmoothingProblem]:
                 raise IndexError
             robot = pieces.setdefault(int(row[cols["robot"]]), [])
             point = (float(row[cols["x"]]), float(row[cols["y"]]))
+            if not all(map(math.isfinite, point)):
+                raise ValueError
             new_piece = "waypoint_index" in cols and int(row[cols["waypoint_index"]]) == 0
         except (IndexError, ValueError):
             line = ",".join(row)

@@ -32,7 +32,6 @@ from .trajopt import (
     SmoothingProblem,
     UnrepairableError,
     allocate_times,
-    sample_common,
     smooth_and_validate,
 )
 
@@ -136,9 +135,10 @@ def execute_fraction(
 
     The executed sub-path is pruned and smoothed rest-to-rest so the horizon
     joint is a genuine stop point, then sampled on a common grid; a robot
-    that finishes early holds its final position at rest. If the smoothed
-    paths fail validation, the discrete steps run one by one in the
-    execution schedule of `trajopt.repair` instead.
+    that finishes early holds its final position at rest. The record holds
+    the samples that passed validation. If the smoothed paths fail it, the
+    discrete steps run one by one in the execution schedule of
+    `trajopt.repair` instead.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
@@ -162,7 +162,7 @@ def execute_fraction(
         for p in pruned
     ]
     steps = [p.cells for p in truncated]
-    trajs, scheduled = smooth_and_validate(
+    s, scheduled = smooth_and_validate(
         problems,
         scenario.grid,
         steps,
@@ -173,7 +173,6 @@ def execute_fraction(
     )
     if scheduled:
         pruned = [PrunedPath(p.robot, p.cells, tuple(range(e + 1))) for p in truncated]
-    s = sample_common(trajs, config.dt)
     return ExecutionRecord(
         t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e, pruned=pruned
     )

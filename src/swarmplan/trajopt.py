@@ -7,16 +7,25 @@ The problem is fixed: every segment is a polynomial of degree `DEGREE` (7)
 and the cost is the integral of the squared `SNAP_ORDER`-th (4th)
 derivative, snap (Mellinger & Kumar, ICRA 2011).
 
+The KKT matrix [[2 cost, eq_mat^T], [eq_mat, 0]] is nonsingular for any
+positive segment durations, so it is solved as it is, with no ridge and no
+least-squares fallback. The constraint rows have full rank. The cost is
+positive definite on their null space: a piece of zero snap is cubic on
+every segment, and if it meets all-zero constraints, its first segment has
+value and derivatives 1-3 zero at t = 0, so it vanishes, and C^3
+continuity carries that into each next segment.
+
 The executed-fraction work runs on arrays. `solve_problems` splits every
 robot's problem at its rests into rest-to-rest pieces. A piece's cost and
 constraints depend only on its segment durations, not on the waypoint
 values or the dimension, so `_kkt_system` builds its KKT matrix once per
 duration tuple and caches it. Every piece of one system size is then solved
 in one stacked `np.linalg.solve`, one single-column system per piece and
-dimension. `sample_common` and `validate` evaluate all robots in one pass:
-one segment lookup per trajectory, then the Horner recurrence over every
-robot's samples for each derivative order. `validate` then checks
-obstacles, corridors and pair separation on whole arrays.
+dimension. `sample_common` evaluates all robots in one pass: one segment
+lookup per trajectory, then the Horner recurrence over every robot's
+samples for each derivative order. `validate` checks those samples for
+obstacles, corridors and pair separation on whole arrays, so a horizon that
+passes is evaluated once and its samples are what the caller records.
 
 Every array path keeps the scalar arithmetic's operation order, so results
 are bit-identical to a per-sample loop. These look equivalent but differ in
@@ -44,12 +53,13 @@ from .paths import point_segment_distance, segments_intersect
 DEGREE = 7
 SNAP_ORDER = 4
 T_FLOOR = 0.1
-# largest equality-constraint residual `solve_qp` accepts
+# largest absolute equality-constraint residual a solve accepts; round-off
+# grows with the coefficients, so a long chord in a short time can miss it
 RESIDUAL_TOL = 1e-8
 
 
 class TrajectoryError(RuntimeError):
-    """QP assembly or solve failure (inconsistent or rank-deficient system)."""
+    """QP solve failure (singular KKT system, or residual over `RESIDUAL_TOL`)."""
 
 
 class UnrepairableError(TrajectoryError):
@@ -80,8 +90,8 @@ class TimeAllocation:
         d = np.asarray(self.durations, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("need at least one segment duration")
-        if np.any(d <= 0):
-            raise ValueError("segment durations must be positive")
+        if not np.all((d > 0) & np.isfinite(d)):
+            raise ValueError("segment durations must be positive and finite")
         d.setflags(write=False)
         knots = np.concatenate([[0.0], np.cumsum(d)])
         knots.setflags(write=False)
@@ -214,12 +224,12 @@ def build_qp(waypoints, times: TimeAllocation) -> QuadraticProgram:
     return QuadraticProgram(cost=cost, eq_mat=eq_mat, eq_vec=eq_vec)
 
 
-def _kkt_matrix(qp: QuadraticProgram, reg: float) -> np.ndarray:
-    """[[2 cost + reg I, eq_mat^T], [eq_mat, 0]]"""
+def _kkt_matrix(qp: QuadraticProgram) -> np.ndarray:
+    """[[2 cost, eq_mat^T], [eq_mat, 0]], nonsingular (module docstring)"""
     n = qp.cost.shape[0]
     m = qp.eq_mat.shape[0]
     mat = np.zeros((n + m, n + m))
-    mat[:n, :n] = 2 * qp.cost + reg * np.eye(n)
+    mat[:n, :n] = 2 * qp.cost
     mat[:n, n:] = qp.eq_mat.T
     mat[n:, :n] = qp.eq_mat
     return mat
@@ -227,58 +237,53 @@ def _kkt_matrix(qp: QuadraticProgram, reg: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _kkt_system(durations: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """`build_qp`'s constraint matrix and `solve_qp`'s unregularised KKT
-    matrix for these segment durations; neither depends on the waypoint
-    values (read-only: shared by every piece with these durations)."""
+    """`build_qp`'s constraint matrix and its KKT matrix for these segment
+    durations; neither depends on the waypoint values (read-only: shared by
+    every piece with these durations)."""
     qp = build_qp(np.zeros(len(durations) + 1), _time_allocation(durations))
-    kkt = _kkt_matrix(qp, 0.0)
+    kkt = _kkt_matrix(qp)
     qp.eq_mat.setflags(write=False)
     kkt.setflags(write=False)
     return qp.eq_mat, kkt
 
 
+def _solve_stacked(kkt: np.ndarray, eq_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One `np.linalg.solve` of single-column KKT systems, `kkt` (s, N, N)
+    against `rhs` (s, N, 1) whose last m rows are the constraint values;
+    `kkt` and `eq_mat` (s, m, n) may broadcast from a leading 1. Returns the
+    minimizers (s, n, 1) and each system's largest constraint residual,
+    which is not finite if its solution is not."""
+    n = eq_mat.shape[-1]
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise TrajectoryError(f"KKT system singular ({exc})") from None
+    x = np.ascontiguousarray(sol[:, :n])
+    return x, np.max(np.abs(eq_mat @ x - rhs[:, n:]), axis=(1, 2))
+
+
+def _check_residuals(residual: np.ndarray) -> None:
+    """Raise TrajectoryError for the first residual over `RESIDUAL_TOL`;
+    `<=` is False for NaN, so a NaN residual fails too."""
+    bad = np.flatnonzero(~(residual <= RESIDUAL_TOL))
+    if bad.size:
+        raise TrajectoryError(f"constraints inconsistent (residual {residual[bad[0]]:.3g})")
+
+
 def solve_qp(qp: QuadraticProgram) -> np.ndarray:
     """Exact equality-constrained minimizer via the KKT linear system.
 
-    A tiny ridge (1e-9) is added to the cost's null directions when the
-    plain system is singular. A 2-D `eq_vec` is solved column by column
-    against one KKT matrix; the result has one column per `eq_vec` column.
+    A 2-D `eq_vec` is solved as one single-column system per column, in one
+    stacked solve; the result has one column per `eq_vec` column. Raises
+    TrajectoryError as `solve_problems` does.
     """
     n = qp.cost.shape[0]
-    m = qp.eq_mat.shape[0]
-    kkts: dict[float, np.ndarray] = {}
-
-    def kkt(reg: float) -> np.ndarray:
-        if reg not in kkts:
-            kkts[reg] = _kkt_matrix(qp, reg)
-        return kkts[reg]
-
-    def solve_column(eq_vec: np.ndarray) -> np.ndarray:
-        # one np.linalg.solve per column: a multi-column solve is not
-        # bit-identical to single ones
-        rhs = np.concatenate([np.zeros(n), eq_vec])
-        sol = None
-        for reg in (0.0, 1e-9):
-            try:
-                cand = np.linalg.solve(kkt(reg), rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(cand)):
-                sol = cand
-                break
-        if sol is None:
-            sol, *_ = np.linalg.lstsq(kkt(1e-9), rhs, rcond=None)
-            if not np.all(np.isfinite(sol)):
-                raise TrajectoryError("KKT system rank-deficient beyond regularization")
-        x = sol[:n]
-        residual = np.max(np.abs(qp.eq_mat @ x - eq_vec)) if m else 0.0
-        if residual > RESIDUAL_TOL:
-            raise TrajectoryError(f"constraints inconsistent (residual {residual:.3g})")
-        return x
-
-    if qp.eq_vec.ndim == 1:
-        return solve_column(qp.eq_vec)
-    return np.stack([solve_column(qp.eq_vec[:, c]) for c in range(qp.eq_vec.shape[1])], axis=1)
+    eq_vec = qp.eq_vec.reshape(len(qp.eq_vec), -1).T  # (columns, m)
+    rhs = np.zeros((len(eq_vec), n + len(qp.eq_mat), 1))
+    rhs[:, n:, 0] = eq_vec
+    x, residual = _solve_stacked(_kkt_matrix(qp)[None], qp.eq_mat[None], rhs)
+    _check_residuals(residual)
+    return x[0, :, 0] if qp.eq_vec.ndim == 1 else x[:, :, 0].T
 
 
 def _horner(coeffs: np.ndarray, tau, order: int) -> np.ndarray:
@@ -354,23 +359,14 @@ def qp_objective(traj: PolynomialTrajectory) -> float:
 
 @dataclass(frozen=True)
 class TrajectorySamples:
-    """Equally spaced samples of position, velocity and acceleration."""
+    """Equally spaced samples of position, velocity and acceleration, and
+    the segment each sample lies in."""
 
     t: np.ndarray
     pos: np.ndarray  # (n, dims), or (robots, n, dims) from sample_common
     vel: np.ndarray
     acc: np.ndarray
-
-
-def _time_grid(trajs: Sequence[PolynomialTrajectory], dt: float) -> np.ndarray:
-    """t = 0, dt, ... up to the latest final time, which is always included."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    t_max = max(tr.total_time for tr in trajs)
-    ts = np.arange(0.0, t_max, dt)
-    if len(ts) == 0 or ts[-1] < t_max:
-        ts = np.append(ts, t_max)
-    return ts
+    seg: np.ndarray  # (n,), or (robots, n) from sample_common
 
 
 def _eval_common(
@@ -394,20 +390,25 @@ def _eval_common(
 
 
 def sample_common(trajs: Sequence[PolynomialTrajectory], dt: float) -> TrajectorySamples:
-    """Sample every trajectory on one grid up to the latest final time; a
-    robot past its own final time holds its final position at rest."""
-    ts = _time_grid(trajs, dt)
-    _, (pos, vel, acc) = _eval_common(trajs, ts, (0, 1, 2))
+    """Sample every trajectory at t = 0, dt, ... and at the latest final
+    time; a robot past its own final time holds its final position at rest."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    t_max = max(tr.total_time for tr in trajs)
+    ts = np.arange(0.0, t_max, dt)
+    if len(ts) == 0 or ts[-1] < t_max:
+        ts = np.append(ts, t_max)
+    seg, (pos, vel, acc) = _eval_common(trajs, ts, (0, 1, 2))
     done = ts > np.array([tr.total_time for tr in trajs])[:, None]
     vel[done] = 0.0
     acc[done] = 0.0
-    return TrajectorySamples(t=ts, pos=pos, vel=vel, acc=acc)
+    return TrajectorySamples(t=ts, pos=pos, vel=vel, acc=acc, seg=seg)
 
 
 def sample(traj: PolynomialTrajectory, dt: float) -> TrajectorySamples:
     """Sample at t = 0, dt, ..., including the final time."""
     s = sample_common([traj], dt)
-    return TrajectorySamples(t=s.t, pos=s.pos[0], vel=s.vel[0], acc=s.acc[0])
+    return TrajectorySamples(t=s.t, pos=s.pos[0], vel=s.vel[0], acc=s.acc[0], seg=s.seg[0])
 
 
 @dataclass(frozen=True)
@@ -455,10 +456,11 @@ def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTraje
     has a KKT system of size 13k + 3, cached by `_kkt_system` per duration
     tuple. Each size is solved in one stacked `np.linalg.solve`: one
     single-column system per piece and dimension, bit-identical to solving
-    them one by one. A piece whose stack raises LinAlgError, or whose
-    solution is not finite or misses a constraint by more than
-    `RESIDUAL_TOL`, is solved again by `solve_qp(build_qp(...))`, which
-    regularises the system or raises TrajectoryError.
+    them one by one. The KKT matrix is nonsingular (see the module
+    docstring), so there is no second attempt: a non-finite waypoint raises
+    ValueError naming its robot before any solve, a singular stack raises
+    TrajectoryError, and so does the first piece, in piece order, that
+    misses a constraint by more than `RESIDUAL_TOL`.
     """
     ncoef = DEGREE + 1
     times: list[TimeAllocation] = []
@@ -470,6 +472,8 @@ def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTraje
         wp = np.asarray(p.waypoints, dtype=float)
         if wp.shape[0] != len(durations) + 1:
             raise ValueError("waypoint count must be segment count + 1")
+        if not np.isfinite(wp).all():
+            raise ValueError(f"robot {p.robot}: waypoints must be finite")
         rests = sorted(r for r in p.rest_indices if 0 < r < len(wp) - 1)
         bounds = [0, *rests, len(wp) - 1]
         first_piece.append(len(pieces))
@@ -480,7 +484,7 @@ def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTraje
     for i, (_, durations) in enumerate(pieces):
         by_size.setdefault(len(durations), []).append(i)
     coeffs: list[np.ndarray | None] = [None] * len(pieces)
-    retry = []
+    residuals: list[np.ndarray | None] = [None] * len(pieces)  # per piece and dimension
     for k, members in by_size.items():
         n = ncoef * k
         kkts, eq_mats, rows = [], [], [0]  # one system per piece and dimension
@@ -496,28 +500,13 @@ def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTraje
             # eq_vec: each segment's two end waypoints, then zeros
             rhs[lo:hi, n : n + 2 * k : 2, 0] = wp[:-1].T
             rhs[lo:hi, n + 1 : n + 2 * k : 2, 0] = wp[1:].T
-        try:
-            sol = np.linalg.solve(np.stack(kkts), rhs)
-        except np.linalg.LinAlgError:
-            good = [False] * rows[-1]
-        else:
-            x = np.ascontiguousarray(sol[:, :n])
-            # a non-finite piece fails the finiteness test below and is
-            # solved again; its residual may warn, so silence that
-            with np.errstate(invalid="ignore", over="ignore"):
-                residual = np.max(np.abs(np.stack(eq_mats) @ x - rhs[:, n:]), axis=(1, 2))
-            # `solve_qp`'s tests: finite, and no residual above the tolerance
-            good = (np.all(np.isfinite(sol), axis=(1, 2)) & ~(residual > RESIDUAL_TOL)).tolist()
+        x, residual = _solve_stacked(np.stack(kkts), np.stack(eq_mats), rhs)
         for i, lo, hi in zip(members, rows, rows[1:]):
-            if all(good[lo:hi]):
-                coeffs[i] = x[lo:hi, :, 0].reshape(hi - lo, k, ncoef)
-            else:
-                retry.append(i)
-    # in piece order, so the first piece that fails raises, as one by one
-    for i in sorted(retry):
-        wp, durations = pieces[i]
-        x = solve_qp(build_qp(wp, _time_allocation(durations)))  # (n, dims)
-        coeffs[i] = x.T.reshape(wp.shape[1], len(durations), ncoef)
+            coeffs[i] = x[lo:hi, :, 0].reshape(hi - lo, k, ncoef)
+            residuals[i] = residual[lo:hi]
+    if pieces:
+        # in piece order, so the first failing piece raises, as one by one
+        _check_residuals(np.concatenate(residuals))
 
     trajs = []
     for ta, lo, hi in zip(times, first_piece, first_piece[1:]):
@@ -527,22 +516,21 @@ def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTraje
 
 
 def validate(
-    trajs: Sequence[PolynomialTrajectory],
+    samples: TrajectorySamples,
     grid: OccupancyGrid,
     problems: Sequence[SmoothingProblem],
     d_safe: float = 1.0,
     corridor_halfwidth: float = 1.0,
-    dt: float = 0.05,
 ) -> list[Violation]:
-    """Sample all trajectories on a common grid and report obstacle hits,
-    separation losses and corridor departures. Empty report = feasible.
+    """Report the obstacle hits, separation losses and corridor departures
+    of the problems' trajectories, sampled on a common grid by
+    `sample_common`. Empty report = feasible.
 
     Distances are in meters (cell units times grid resolution); robots past
     their final time hold their final position.
     """
     res = grid.resolution
-    ts = _time_grid(trajs, dt)
-    segs, (pos,) = _eval_common(trajs, ts, (0,))
+    pos = samples.pos
     x, y = pos[..., 0], pos[..., 1]  # (robots, samples)
 
     # obstacle: the rounded cell is off the map or occupied (np.rint rounds
@@ -557,7 +545,7 @@ def validate(
     # distance to its point
     ends = np.array([
         np.array(p.waypoints, dtype=float)[seg[:, None] + [0, 1]]
-        for p, seg in zip(problems, segs)
+        for p, seg in zip(problems, samples.seg)
     ])  # (robots, samples, 2 ends, 2)
     ax, ay, bx, by = ends[..., 0, 0], ends[..., 0, 1], ends[..., 1, 0], ends[..., 1, 1]
     vx, vy = bx - ax, by - ay
@@ -570,13 +558,13 @@ def validate(
 
     # per robot, by sample; an obstacle hit hides a corridor departure
     violations: list[Violation] = []
-    times = ts.tolist()
+    times = samples.t.tolist()
     for r, n in zip(*(idx.tolist() for idx in np.nonzero(hit | off))):
         violations.append(Violation("obstacle" if hit[r, n] else "corridor", r, times[n]))
 
     # then each pair i < j at its deepest encroachment, not the first
     # crossing
-    first, second = np.triu_indices(len(trajs), 1)
+    first, second = np.triu_indices(len(pos), 1)
     d = np.linalg.norm(pos[first] - pos[second], axis=2) * res  # (pairs, samples)
     bad = d < d_safe - DIST_TOL
     for k in np.flatnonzero(bad.any(axis=1)).tolist():
@@ -726,18 +714,19 @@ def smooth_and_validate(
     corridor_halfwidth: float = 1.0,
     dt: float = 0.05,
     v_nominal: float = 1.0,
-) -> tuple[list[PolynomialTrajectory], bool]:
-    """Solve and validate the problems; if validation fails, `repair`
-    rewrites them into the execution schedule of the discrete `steps`, which
-    is solved and validated once more. Returns the trajectories and whether
-    the schedule replaced the smoothed paths; violations that remain raise
+) -> tuple[TrajectorySamples, bool]:
+    """Solve the problems, sample them every `dt` and validate the samples;
+    if validation fails, `repair` rewrites the problems into the execution
+    schedule of the discrete `steps`, which is solved, sampled and validated
+    once more. Returns the validated samples and whether the schedule
+    replaced the smoothed paths; violations that remain raise
     UnrepairableError."""
-    trajs = solve_problems(problems)
-    if not validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt):
-        return trajs, False
+    samples = sample_common(solve_problems(problems), dt)
+    if not validate(samples, grid, problems, d_safe, corridor_halfwidth):
+        return samples, False
     repair(problems, steps, d_safe, v_nominal, grid.resolution)
-    trajs = solve_problems(problems)
-    report = validate(trajs, grid, problems, d_safe, corridor_halfwidth, dt)
+    samples = sample_common(solve_problems(problems), dt)
+    report = validate(samples, grid, problems, d_safe, corridor_halfwidth)
     if report:
         raise UnrepairableError(report)
-    return trajs, True
+    return samples, True

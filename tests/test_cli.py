@@ -375,6 +375,8 @@ def test_mrf_only_on_a_map_without_a_goal_needs_no_goal_coordinates(tmp_path, ca
         ("robot,px,py\n0,2,2\n", "waypoint header has no x or y column"),
         ("robot,x,z\n0,2,2\n", "waypoint header has no y column"),
         ("id,x,y\n0,2,2\n", "line 1: cannot read robot, x and y from 'id,x,y'"),
+        ("robot,x,y\n0,2,2\n0,nan,2\n", "line 3: cannot read robot, x and y from '0,nan,2'"),
+        ("0,2,2\n0,3,inf\n", "line 2: cannot read robot, x and y from '0,3,inf'"),
     ],
 )
 def test_smooth_command_names_the_bad_line_or_column(tmp_path, capsys, text, message):

@@ -11,7 +11,7 @@ from swarmplan import cli
 
 from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
-from swarmplan import rhp
+from swarmplan import rhp, trajopt
 from swarmplan.mrf import DiscretePath, OptimizeConfig, make_state
 from swarmplan.rhp import (
     HorizonPlan,
@@ -115,6 +115,39 @@ def test_execute_fraction_holds_finished_robot_at_rest():
     assert np.all(record.acc[1, done] == 0.0)
     # robot 0 is still moving over the same stretch
     assert np.any(record.vel[0, done] != 0.0)
+
+
+@pytest.mark.parametrize("lanes, fallback", [
+    # parallel lanes far apart: the smoothed paths pass validation
+    ([[(x, 5) for x in range(13)], [(x, 20) for x in range(13)]], False),
+    # perpendicular routes whose midpoints meet: the schedule replaces them
+    ([[(x, 5) for x in range(13)], [(6, y) for y in range(13)]], True),
+])
+def test_execute_fraction_evaluates_each_validated_pass_once(lanes, fallback, monkeypatch):
+    # the record holds the samples validate checked: one evaluation of the
+    # trajectories per validated pass, not a second one for the record
+    evals, repairs = [], []
+    real_eval, real_repair = trajopt._eval_common, trajopt.repair
+
+    def counting_eval(*args, **kwargs):
+        evals.append(1)
+        return real_eval(*args, **kwargs)
+
+    def counting_repair(*args, **kwargs):
+        repairs.append(1)
+        return real_repair(*args, **kwargs)
+
+    monkeypatch.setattr(trajopt, "_eval_common", counting_eval)
+    monkeypatch.setattr(trajopt, "repair", counting_repair)
+    plan = HorizonPlan(
+        discrete=[DiscretePath(r, [Cell(*c) for c in cells]) for r, cells in enumerate(lanes)],
+        trace=None,
+        terminal=False,
+    )
+    record = execute_fraction(plan, 1.0, free_scenario(goal=None), small_config())
+    assert record.steps == 12
+    assert len(repairs) == int(fallback)
+    assert len(evals) == 1 + fallback
 
 
 def test_run_smooths_once_per_executed_horizon(monkeypatch):

@@ -63,7 +63,7 @@ def test_time_allocation_caches_exact_knots_and_total():
         ta.knots[0] = 1.0
 
 
-@pytest.mark.parametrize("durations", [[], [0.0], [1.0, -2.0]])
+@pytest.mark.parametrize("durations", [[], [0.0], [1.0, -2.0], [math.nan], [1.0, math.inf]])
 def test_time_allocation_validation(durations):
     with pytest.raises(ValueError):
         TimeAllocation(durations=np.array(durations))
@@ -245,7 +245,7 @@ def test_validate_clean_plan_is_empty():
         make_problem(1, [(2.0, 8.0), (10.0, 8.0)]),
     ]
     trajs = [p.solve() for p in probs]
-    assert validate(trajs, free_grid(), probs) == []
+    assert validate(sample_common(trajs, 0.05), free_grid(), probs) == []
 
 
 def test_validate_detects_obstacle_hit():
@@ -253,7 +253,7 @@ def test_validate_detects_obstacle_hit():
     prob[5, 10] = 1.0  # cell (10, 5)
     grid = OccupancyGrid(prob=prob, resolution=1.0)
     p = make_problem(0, [(5.0, 5.0), (15.0, 5.0)])
-    report = validate([p.solve()], grid, [p])
+    report = validate(sample_common([p.solve()], 0.05), grid, [p])
     assert any(v.kind == "obstacle" and v.robot == 0 for v in report)
 
 
@@ -263,7 +263,7 @@ def test_validate_detects_separation_loss():
         make_problem(1, [(12.0, 5.2), (0.0, 5.2)]),
     ]
     trajs = [p.solve() for p in probs]
-    report = validate(trajs, free_grid(), probs, d_safe=1.0)
+    report = validate(sample_common(trajs, 0.05), free_grid(), probs, d_safe=1.0)
     seps = [v for v in report if v.kind == "separation"]
     assert seps and seps[0].robot == 0 and seps[0].other == 1
 
@@ -274,7 +274,7 @@ def test_validate_reports_separation_at_deepest_point():
         make_problem(1, [(12.0, 5.0), (0.0, 5.0)]),
     ]
     trajs = [p.solve() for p in probs]
-    report = validate(trajs, free_grid(), probs, d_safe=1.0)
+    report = validate(sample_common(trajs, 0.05), free_grid(), probs, d_safe=1.0)
     v = next(v for v in report if v.kind == "separation")
     # head-on symmetric pass: the deepest point is mid-crossing
     d_at = np.linalg.norm(trajs[0].eval(v.time) - trajs[1].eval(v.time))
@@ -286,7 +286,7 @@ def test_validate_detects_corridor_departure():
     wps = [(2.0, 2.0), (12.0, 2.0), (12.0, 12.0)]
     ta = TimeAllocation(np.array([1.0, 1.0]))
     p = SmoothingProblem.from_waypoints(0, wps, ta)
-    report = validate([p.solve()], free_grid(), [p], corridor_halfwidth=1.0)
+    report = validate(sample_common([p.solve()], 0.05), free_grid(), [p], corridor_halfwidth=1.0)
     assert any(v.kind == "corridor" for v in report)
 
 
@@ -296,7 +296,7 @@ def test_validate_holds_final_position_for_finished_robot():
         make_problem(1, [(2.0, 8.0), (30.0, 8.0)], v=1.0),
     ]
     trajs = [p.solve() for p in probs]
-    assert validate(trajs, free_grid(), probs) == []
+    assert validate(sample_common(trajs, 0.05), free_grid(), probs) == []
 
 
 def test_smooth_and_validate_resolves_crossing():
@@ -305,9 +305,9 @@ def test_smooth_and_validate_resolves_crossing():
         make_problem(0, [(0.0, 5.0), (12.0, 5.0)]),
         make_problem(1, [(6.0, 0.0), (6.0, 12.0)]),
     ]
-    trajs, scheduled = smooth_and_validate(probs, free_grid(), [p.waypoints for p in probs])
+    samples, scheduled = smooth_and_validate(probs, free_grid(), [p.waypoints for p in probs])
     assert scheduled
-    assert validate(trajs, free_grid(), probs) == []
+    assert validate(samples, free_grid(), probs) == []
 
 
 def test_smooth_and_validate_raises_for_parked_overlap():
@@ -356,7 +356,7 @@ def test_repair_orders_a_step_that_sweep_order_breaks():
     # then crosses no moved segment but passes 0.45 from robot 0's new cell
     steps = [[(1.0, 2.0), (1.0, 1.0)], [(0.0, 0.0), (2.0, 1.0)]]
     swept = sweep_order_schedule(steps)
-    report = validate([p.solve() for p in swept], free_grid(), swept)
+    report = validate(sample_common([p.solve() for p in swept], 0.05), free_grid(), swept)
     assert [(v.kind, v.robot, v.other) for v in report] == [("separation", 0, 1)]
 
     probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
@@ -364,7 +364,7 @@ def test_repair_orders_a_step_that_sweep_order_breaks():
     # robot 1 goes first while robot 0 holds its start, then robot 0 moves
     assert probs[0].waypoints == [(1.0, 2.0), (1.0, 2.0), (1.0, 1.0)]
     assert probs[1].waypoints == [(0.0, 0.0), (2.0, 1.0)]
-    assert validate([p.solve() for p in probs], free_grid(), probs) == []
+    assert validate(sample_common([p.solve() for p in probs], 0.05), free_grid(), probs) == []
 
 
 def test_repair_moves_apart_robots_in_one_slot():
@@ -397,7 +397,7 @@ def test_schedule_pieces_stay_on_their_segments():
         for seg, pos in zip(segs.tolist(), traj.eval_many(ts)):
             a, b = prob.waypoints[seg], prob.waypoints[seg + 1]
             assert point_segment_distance(tuple(pos), a, b) <= 1e-9
-    assert validate(trajs, free_grid(), probs) == []
+    assert validate(sample_common(trajs, 0.05), free_grid(), probs) == []
 
 
 @pytest.mark.parametrize("steps, repaired", [
@@ -426,7 +426,7 @@ def test_smooth_and_validate_repairs_at_most_once(steps, repaired, monkeypatch):
     monkeypatch.setattr(trajopt, "solve_problems", recording_solve)
     monkeypatch.setattr(trajopt, "repair", counting_repair)
     probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
-    trajs, scheduled = smooth_and_validate(probs, free_grid(), steps)
+    samples, scheduled = smooth_and_validate(probs, free_grid(), steps)
     assert scheduled == repaired
     assert len(repairs) == int(repaired)
     if repaired:
@@ -435,7 +435,7 @@ def test_smooth_and_validate_repairs_at_most_once(steps, repaired, monkeypatch):
         after = [(p.robot, p.waypoints, p.durations) for p in probs]
         assert solved[len(probs):] == after
     assert len(solved) == len(probs) * (1 + repaired)
-    assert validate(trajs, free_grid(), probs) == []
+    assert validate(samples, free_grid(), probs) == []
 
 
 def precedence(a, b, d_safe, res):
@@ -490,7 +490,7 @@ def check_forced_schedule(steps, grid, d_safe):
         named = {frozenset((v.robot, v.other)) for v in exc.violations}
         assert has_cycle({e for e in edges if frozenset(e) in named})
         return "no order"
-    report = validate([p.solve() for p in probs], grid, probs, d_safe=d_safe)
+    report = validate(sample_common([p.solve() for p in probs], 0.05), grid, probs, d_safe=d_safe)
     assert not [v for v in report if v.kind != "obstacle"]
     return "scheduled"
 
@@ -527,16 +527,11 @@ def test_forced_schedule_of_icm_steps(seed, robots, sweeps, res, d_safe_share):
         check_forced_schedule(steps, grid, d_safe_share * res)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), robots=st.integers(2, 6), res=st.sampled_from([0.5, 1.0, 2.0]))
-def test_forced_schedule_of_random_steps(seed, robots, res):
-    # two steps of random moves of up to two cells between distinct cells,
-    # so some steps have no order
-    rng = np.random.default_rng(seed)
-    grid, free = random_map(rng, res)
-    cells = [free[i] for i in rng.choice(len(free), size=robots, replace=False)]
+def random_steps(rng, cells, count):
+    """Per robot, its start cell and then `count` random moves of up to two
+    cells, each step onto cells no other robot takes in that step."""
     steps = [[tuple(map(float, c))] for c in cells]
-    for _ in range(2):
+    for _ in range(count):
         taken = set()
         for path in steps:
             x, y = path[-1]
@@ -546,7 +541,18 @@ def test_forced_schedule_of_random_steps(seed, robots, res):
             ]
             path.append(options[int(rng.integers(len(options)))])
             taken.add(path[-1])
-    check_forced_schedule(steps, grid, res)
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), robots=st.integers(2, 6), res=st.sampled_from([0.5, 1.0, 2.0]))
+def test_forced_schedule_of_random_steps(seed, robots, res):
+    # two steps of random moves of up to two cells between distinct cells,
+    # so some steps have no order
+    rng = np.random.default_rng(seed)
+    grid, free = random_map(rng, res)
+    cells = [free[i] for i in rng.choice(len(free), size=robots, replace=False)]
+    check_forced_schedule(random_steps(rng, cells, 2), grid, res)
 
 
 def test_violation_fields():
@@ -629,10 +635,10 @@ def test_validate_equals_per_sample_reference():
         kwargs = dict(
             d_safe=float(rng.uniform(0.5, 3.0)),
             corridor_halfwidth=float(rng.uniform(0.05, 1.0)),
-            dt=float(rng.choice([0.05, 0.1, 0.13])),
         )
-        got = validate(trajs, grid, problems, **kwargs)
-        assert got == validate_reference(trajs, grid, problems, **kwargs)
+        dt = float(rng.choice([0.05, 0.1, 0.13]))
+        got = validate(sample_common(trajs, dt), grid, problems, **kwargs)
+        assert got == validate_reference(trajs, grid, problems, dt=dt, **kwargs)
         assert all(type(v.time) is float for v in got)
         seen |= {v.kind for v in got}
         for v in got:
@@ -657,7 +663,7 @@ def test_validate_rounds_half_to_even_like_round(x, y, cell):
     coeffs[:, 0, 0] = [x, y]  # parked exactly on a half-cell coordinate
     traj = PolynomialTrajectory(coeffs, TimeAllocation(np.array([1.0])))
     problem = SmoothingProblem.from_waypoints(0, [(x, y), (x, y)], TimeAllocation(np.array([1.0])))
-    got = validate([traj], grid, [problem])
+    got = validate(sample_common([traj], 0.05), grid, [problem])
     assert got and all(v.kind == "obstacle" for v in got)
     assert got == validate_reference([traj], grid, [problem])
 
@@ -855,51 +861,98 @@ def test_cached_systems_are_read_only_shared_and_bounded():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_failed_stack_falls_back_to_the_per_piece_ladder(bad, monkeypatch):
+def test_failed_stack_raises_and_a_non_finite_waypoint_is_rejected(bad, monkeypatch):
     rng = np.random.default_rng(21)
     probs = random_problems(rng, 8)
-    want = [split_reference(p) for p in probs]
+    qp = build_qp(np.asarray(probs[0].waypoints), TimeAllocation(np.array(probs[0].durations)))
     real_solve = np.linalg.solve
-    stacked = []
 
     def failing_stack(a, b):
-        if np.ndim(a) == 3:
-            stacked.append(a.shape)
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(a, b)
+        raise np.linalg.LinAlgError("Singular matrix")
 
     def inexact_stack(a, b):
-        # a stacked solution that misses its constraints by 1e-6
-        sol = real_solve(a, b)
-        return sol + 1e-6 if np.ndim(a) == 3 else sol
+        # a solution that misses its constraints by about 1e-6
+        return real_solve(a, b) + 1e-6
 
-    for fake in (failing_stack, inexact_stack):
+    # no second attempt: solve_problems and solve_qp raise alike
+    for fake, message in [
+        (failing_stack, r"^KKT system singular \(Singular matrix\)$"),
+        (inexact_stack, r"^constraints inconsistent \(residual [^)]+\)$"),
+    ]:
         monkeypatch.setattr(np.linalg, "solve", fake)
-        trajs = trajopt.solve_problems(probs)
-        for traj, w in zip(trajs, want, strict=True):
-            assert np.array_equal(traj.coeffs, w)
-    assert stacked
+        with pytest.raises(trajopt.TrajectoryError, match=message):
+            trajopt.solve_problems(probs)
+        with pytest.raises(trajopt.TrajectoryError, match=message):
+            solve_qp(qp)
 
-    # a non-finite waypoint raises the ladder's error, whether the stack
-    # raises or solves
+    # a finite waypoint whose solution overflows: its NaN residual fails too
+    monkeypatch.setattr(np.linalg, "solve", real_solve)
+    huge = SmoothingProblem(8, [(0.0, 0.0), (1.7e308, 1.0)], [1.0])
+    with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual nan\)$"):
+        trajopt.solve_problems([huge])
+
+    # a non-finite waypoint is named before any solve
+    solves = []
+
+    def counting_solve(a, b):
+        solves.append(np.shape(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     broken = SmoothingProblem(9, [(0.0, 0.0), (bad, 1.0)], [1.0])
-    for fake in (failing_stack, real_solve):
-        monkeypatch.setattr(np.linalg, "solve", fake)
-        with pytest.raises(trajopt.TrajectoryError, match="^KKT system rank-deficient beyond regularization$"):
-            trajopt.solve_problems(probs[:3] + [broken])
+    with pytest.raises(ValueError, match="^robot 9: waypoints must be finite$"):
+        trajopt.solve_problems(probs[:3] + [broken])
+    assert solves == []
 
 
 def test_first_failing_piece_raises_as_when_solved_one_by_one():
-    # a 1e12 waypoint misses its constraints, a NaN one is not finite; the
-    # one-segment pieces are stacked before the two-segment one, but the
+    # 1e12 and 1e14 waypoints miss their constraints by different residuals;
+    # the one-segment pieces are stacked before the two-segment one, but the
     # error is that of the first failing problem in order
     ok = SmoothingProblem(0, [(0.0, 0.0), (1.0, 1.0)], [1.0])
     far = SmoothingProblem(1, [(0.0, 0.0), (1e12, 1.0), (2.0, 3.0)], [1.0, 2.0])
-    nan = SmoothingProblem(2, [(0.0, 0.0), (math.nan, 1.0)], [1.0])
-    with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual [^)]+\)$"):
-        trajopt.solve_problems([ok, far, nan])
-    with pytest.raises(trajopt.TrajectoryError, match="^KKT system rank-deficient beyond regularization$"):
-        trajopt.solve_problems([ok, nan, far])
+    farther = SmoothingProblem(2, [(0.0, 0.0), (1e14, 1.0)], [1.0])
+    alone = []
+    for p in (far, farther):
+        with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual [^)]+\)$") as info:
+            trajopt.solve_problems([p])
+        alone.append(str(info.value))
+    assert alone[0] != alone[1]
+    for order, want in [([ok, far, farther], alone[0]), ([ok, farther, far], alone[1])]:
+        with pytest.raises(trajopt.TrajectoryError) as info:
+            trajopt.solve_problems(order)
+        assert str(info.value) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    res=st.sampled_from([0.5, 1.0, 2.0]),
+    v=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
+)
+def test_stacked_solve_of_pipeline_pieces_is_finite_and_exact(seed, res, v):
+    # pieces as the pipeline makes them: chords between cells of a 60 x 60
+    # map timed by allocate_times, and the rest-to-rest schedules with holds
+    # that repair builds from random steps; arbitrary duration and distance
+    # pairs are not such pieces (a long chord in a short time can miss
+    # RESIDUAL_TOL)
+    rng = np.random.default_rng(seed)
+    probs = []
+    for r in range(int(rng.integers(1, 7))):
+        cells = rng.integers(0, 61, (int(rng.integers(2, 10)), 2)).astype(float)
+        probs.append(SmoothingProblem.from_waypoints(r, cells, allocate_times(cells, v, res)))
+    starts = rng.choice(100, int(rng.integers(1, 6)), replace=False).tolist()
+    steps = random_steps(rng, [(c % 10, c // 10) for c in starts], int(rng.integers(1, 5)))
+    scheduled = [SmoothingProblem(10 + r, [], []) for r in range(len(steps))]
+    try:
+        repair(scheduled, steps, d_safe=res, v_nominal=v, resolution=res)
+        probs += scheduled
+    except UnrepairableError:
+        pass  # a step without an order: no schedule to solve
+    for prob, traj in zip(probs, trajopt.solve_problems(probs), strict=True):
+        assert np.all(np.isfinite(traj.coeffs))
+        knots = TimeAllocation(np.array(prob.durations)).knots
+        assert np.allclose(traj.eval_many(knots), prob.waypoints, rtol=0.0, atol=1e-8)
 
 
 def test_smooth_and_validate_solves_once_per_system_size(monkeypatch):
@@ -973,5 +1026,5 @@ def test_validate_corridor_limit_is_exact_on_the_boundary():
         coeffs = np.zeros((2, 1, 8))
         coeffs[:, 0, 0] = pts[k]
         traj = PolynomialTrajectory(coeffs, ta)
-        assert validate([traj], grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL) == []
-        assert validate([traj], grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL - 1e-6)
+        assert validate(sample_common([traj], 0.05), grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL) == []
+        assert validate(sample_common([traj], 0.05), grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL - 1e-6)
