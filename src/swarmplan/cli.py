@@ -34,7 +34,7 @@ from .graph import build_interaction_graph, check_connectivity_condition
 from .grid import Cell, OccupancyGrid, load_map, threshold_map
 from .mrf import OptimizeConfig, make_state, optimize
 from .paths import PrunedPath
-from .trajopt import SmoothingProblem, allocate_times, sample, solve_problems
+from .trajopt import SmoothingProblem, TrajectoryError, allocate_times, sample, solve_problems
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -177,6 +177,10 @@ def generate_scenario(kind: str, cfg: ScenarioConfig, seed: int) -> tuple[Occupa
         prob[y0 : y0 + cfg.wall_thickness, gap_lo : gap_lo + cfg.corridor_width] = 0.0
         return OccupancyGrid(prob=prob), cfg
     start, goal = (cfg.start_x, cfg.start_y), (cfg.goal_x, cfg.goal_y)
+    for name, point in (("start", start), ("goal", goal)):
+        # the cell `_connected` reads, as it rounds it
+        if not all(math.isfinite(v) and 0 <= round(v) < s for v in point):
+            raise ConfigError(f"{name} position outside the map")
     rng = stream_rng(seed, "map")
     for _ in range(100):
         prob = np.zeros((s, s))
@@ -580,7 +584,7 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, TrajectoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

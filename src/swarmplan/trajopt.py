@@ -1,41 +1,40 @@
 """Minimum-snap piecewise polynomial smoothing of pruned waypoint paths:
-equality-constrained QP assembly and KKT solve, time allocation, sampling,
-validation, and the execution schedule that replaces a horizon's smoothed
-paths when they fail validation.
+the closed-form rest-to-rest segment, equality-constrained QP assembly and
+KKT solve, time allocation, sampling, validation, and the execution
+schedule that replaces a horizon's smoothed paths when they fail
+validation.
 
 The problem is fixed: every segment is a polynomial of degree `DEGREE` (7)
 and the cost is the integral of the squared `SNAP_ORDER`-th (4th)
 derivative, snap (Mellinger & Kumar, ICRA 2011).
 
-The KKT matrix [[2 cost, eq_mat^T], [eq_mat, 0]] is nonsingular for any
-positive segment durations, so it is solved as it is, with no ridge and no
-least-squares fallback. The constraint rows have full rank. The cost is
-positive definite on their null space: a piece of zero snap is cubic on
-every segment, and if it meets all-zero constraints, its first segment has
-value and derivatives 1-3 zero at t = 0, so it vanishes, and C^3
-continuity carries that into each next segment.
+`solve_problems` splits every robot's problem at its rests into
+rest-to-rest pieces and `min_snap` solves each one. A piece of one segment,
+most of the pipeline's, is the septic smoothstep, written in closed form. A
+piece of more segments is a QP whose KKT matrix
+[[2 cost, eq_mat^T], [eq_mat, 0]] is nonsingular for any positive segment
+durations, so it is solved as it is, with no ridge and no least-squares
+fallback. The constraint rows have full rank. The cost is positive definite
+on their null space: a piece of zero snap is cubic on every segment, and if
+it meets all-zero constraints, its first segment has value and derivatives
+1-3 zero at t = 0, so it vanishes, and C^3 continuity carries that into
+each next segment.
 
-The executed-fraction work runs on arrays. `solve_problems` splits every
-robot's problem at its rests into rest-to-rest pieces. A piece's cost and
-constraints depend only on its segment durations, not on the waypoint
-values or the dimension, so `_kkt_system` builds its KKT matrix once per
-duration tuple and caches it. Every piece of one system size is then solved
-in one stacked `np.linalg.solve`, one single-column system per piece and
-dimension. `sample_common` evaluates all robots in one pass: one segment
-lookup per trajectory, then the Horner recurrence over every robot's
-samples for each derivative order. `validate` checks those samples for
-obstacles, corridors and pair separation on whole arrays, so a horizon that
-passes is evaluated once and its samples are what the caller records.
+`sample_common` evaluates all robots in one pass: one segment lookup per
+trajectory, then the Horner recurrence over every robot's samples for each
+derivative order. `validate` checks those samples for obstacles, corridors
+and pair separation on whole arrays, so a horizon that passes is evaluated
+once and its samples are what the caller records.
 
 Every array path keeps the scalar arithmetic's operation order, so results
 are bit-identical to a per-sample loop. These look equivalent but differ in
 the last bit on some inputs (x86-64, AVX-512, numpy 2.4 with OpenBLAS), so
-they are not used: `np.power(tau, k)` for Python `tau ** k`; one
-`np.linalg.solve` with several right-hand-side columns for one solve per
-column; `scipy.linalg.lu_factor`/`lu_solve` per column; and `np.hypot` for
-`math.hypot`. A stacked batch of single-column systems, matrices
-(k, n, n) against right-hand sides (k, n, 1), is solved matrix by matrix
-and matches k separate solves exactly.
+they are not used: `np.power(tau, k)` for Python `tau ** k` in the QP rows;
+one `np.linalg.solve` with several right-hand-side columns for one solve
+per column; and `np.hypot` for `math.hypot`. A stacked batch of
+single-column systems, matrices (k, n, n) against right-hand sides
+(k, n, 1), is solved matrix by matrix and matches k separate solves
+exactly.
 """
 
 from __future__ import annotations
@@ -53,13 +52,15 @@ from .paths import point_segment_distance, segments_intersect
 DEGREE = 7
 SNAP_ORDER = 4
 T_FLOOR = 0.1
-# largest absolute equality-constraint residual a solve accepts; round-off
-# grows with the coefficients, so a long chord in a short time can miss it
+# largest absolute equality-constraint residual a QP solve accepts, so it
+# bounds multi-segment pieces only; round-off grows with the coefficients,
+# so a long chord in a short time can miss it
 RESIDUAL_TOL = 1e-8
 
 
 class TrajectoryError(RuntimeError):
-    """QP solve failure (singular KKT system, or residual over `RESIDUAL_TOL`)."""
+    """Solve failure: a singular KKT system, a residual over `RESIDUAL_TOL`,
+    or closed-form coefficients that are not finite."""
 
 
 class UnrepairableError(TrajectoryError):
@@ -224,66 +225,34 @@ def build_qp(waypoints, times: TimeAllocation) -> QuadraticProgram:
     return QuadraticProgram(cost=cost, eq_mat=eq_mat, eq_vec=eq_vec)
 
 
-def _kkt_matrix(qp: QuadraticProgram) -> np.ndarray:
-    """[[2 cost, eq_mat^T], [eq_mat, 0]], nonsingular (module docstring)"""
-    n = qp.cost.shape[0]
-    m = qp.eq_mat.shape[0]
-    mat = np.zeros((n + m, n + m))
-    mat[:n, :n] = 2 * qp.cost
-    mat[:n, n:] = qp.eq_mat.T
-    mat[n:, :n] = qp.eq_mat
-    return mat
+def solve_qp(qp: QuadraticProgram) -> np.ndarray:
+    """Exact equality-constrained minimizer via the KKT linear system
+    [[2 cost, eq_mat^T], [eq_mat, 0]], nonsingular (module docstring).
 
-
-@functools.lru_cache(maxsize=128)
-def _kkt_system(durations: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """`build_qp`'s constraint matrix and its KKT matrix for these segment
-    durations; neither depends on the waypoint values (read-only: shared by
-    every piece with these durations)."""
-    qp = build_qp(np.zeros(len(durations) + 1), _time_allocation(durations))
-    kkt = _kkt_matrix(qp)
-    qp.eq_mat.setflags(write=False)
-    kkt.setflags(write=False)
-    return qp.eq_mat, kkt
-
-
-def _solve_stacked(kkt: np.ndarray, eq_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One `np.linalg.solve` of single-column KKT systems, `kkt` (s, N, N)
-    against `rhs` (s, N, 1) whose last m rows are the constraint values;
-    `kkt` and `eq_mat` (s, m, n) may broadcast from a leading 1. Returns the
-    minimizers (s, n, 1) and each system's largest constraint residual,
-    which is not finite if its solution is not."""
-    n = eq_mat.shape[-1]
+    A 2-D `eq_vec` is solved as one single-column system per column, stacked
+    in one `np.linalg.solve` and bit-identical to solving them one by one;
+    the result has one column per `eq_vec` column. Raises TrajectoryError
+    when the system is singular, or when a constraint is missed by more than
+    `RESIDUAL_TOL` (a NaN residual, from a solution that is not finite,
+    included).
+    """
+    n, m = qp.cost.shape[0], qp.eq_mat.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = 2 * qp.cost
+    kkt[:n, n:] = qp.eq_mat.T
+    kkt[n:, :n] = qp.eq_mat
+    eq_vec = qp.eq_vec.reshape(m, -1)  # (m, columns)
+    rhs = np.zeros((eq_vec.shape[1], n + m, 1))
+    rhs[:, n:, 0] = eq_vec.T
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        sol = np.linalg.solve(kkt[None], rhs)
     except np.linalg.LinAlgError as exc:
         raise TrajectoryError(f"KKT system singular ({exc})") from None
-    x = np.ascontiguousarray(sol[:, :n])
-    return x, np.max(np.abs(eq_mat @ x - rhs[:, n:]), axis=(1, 2))
-
-
-def _check_residuals(residual: np.ndarray) -> None:
-    """Raise TrajectoryError for the first residual over `RESIDUAL_TOL`;
-    `<=` is False for NaN, so a NaN residual fails too."""
-    bad = np.flatnonzero(~(residual <= RESIDUAL_TOL))
-    if bad.size:
-        raise TrajectoryError(f"constraints inconsistent (residual {residual[bad[0]]:.3g})")
-
-
-def solve_qp(qp: QuadraticProgram) -> np.ndarray:
-    """Exact equality-constrained minimizer via the KKT linear system.
-
-    A 2-D `eq_vec` is solved as one single-column system per column, in one
-    stacked solve; the result has one column per `eq_vec` column. Raises
-    TrajectoryError as `solve_problems` does.
-    """
-    n = qp.cost.shape[0]
-    eq_vec = qp.eq_vec.reshape(len(qp.eq_vec), -1).T  # (columns, m)
-    rhs = np.zeros((len(eq_vec), n + len(qp.eq_mat), 1))
-    rhs[:, n:, 0] = eq_vec
-    x, residual = _solve_stacked(_kkt_matrix(qp)[None], qp.eq_mat[None], rhs)
-    _check_residuals(residual)
-    return x[0, :, 0] if qp.eq_vec.ndim == 1 else x[:, :, 0].T
+    x = sol[:, :n, 0].T  # (n, columns)
+    residual = np.max(np.abs(qp.eq_mat @ x - eq_vec))
+    if not residual <= RESIDUAL_TOL:  # False for NaN
+        raise TrajectoryError(f"constraints inconsistent (residual {residual:.3g})")
+    return x[:, 0] if qp.eq_vec.ndim == 1 else x
 
 
 def _horner(coeffs: np.ndarray, tau, order: int) -> np.ndarray:
@@ -336,14 +305,31 @@ class PolynomialTrajectory:
 
 def min_snap(waypoints, times: TimeAllocation) -> PolynomialTrajectory:
     """The minimum-snap trajectory through `waypoints`, (n,) or (n, dims),
-    for every dimension: one problem without rests for `solve_problems`."""
+    for every dimension, at rest at both ends: one rest-to-rest piece.
+
+    One segment of duration T has a closed form: its 8 constraints fix the 8
+    coefficients, so it is p0 + Δ (35 s^4 - 84 s^5 + 70 s^6 - 20 s^7) with
+    s = t / T, and its velocity, acceleration and jerk are exactly zero at
+    t = 0. A hold (Δ = 0) is exactly constant. More segments are solved by
+    `solve_qp(build_qp(...))`. Raises TrajectoryError when the closed form's
+    coefficients are not finite, or as `solve_qp` does.
+    """
     wp = np.asarray(waypoints, dtype=float)
     if wp.ndim == 1:
         wp = wp[:, None]
-    if wp.shape[0] < 2:
-        raise ValueError("need at least two waypoints")
-    problem = SmoothingProblem(0, list(map(tuple, wp.tolist())), times.durations.tolist())
-    return solve_problems([problem])[0]
+    if wp.shape[0] != len(times.durations) + 1:
+        raise ValueError("waypoint count must be segment count + 1")
+    if wp.shape[0] > 2:
+        x = solve_qp(build_qp(wp, times))  # (segments * (DEGREE+1), dims)
+        return PolynomialTrajectory(x.T.reshape(wp.shape[1], -1, DEGREE + 1), times)
+    # Python floats: an overflow gives inf or NaN, with no warning or error
+    inv = 1.0 / times.total
+    inv4 = inv * inv * inv * inv
+    scale = (35.0 * inv4, -84.0 * inv4 * inv, 70.0 * inv4 * inv * inv, -20.0 * inv4 * inv * inv * inv)
+    coeffs = np.array([[[p0, 0.0, 0.0, 0.0, *((p1 - p0) * k for k in scale)]] for p0, p1 in zip(*wp.tolist())])
+    if not np.isfinite(coeffs).all():
+        raise TrajectoryError("closed-form coefficients not finite")
+    return PolynomialTrajectory(coeffs, times)
 
 
 def qp_objective(traj: PolynomialTrajectory) -> float:
@@ -452,66 +438,29 @@ def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTraje
     """The minimum-snap trajectory of every problem.
 
     Interior rest waypoints split a problem into independent rest-to-rest
-    pieces; a lone rest-to-rest segment is its chord. A piece of k segments
-    has a KKT system of size 13k + 3, cached by `_kkt_system` per duration
-    tuple. Each size is solved in one stacked `np.linalg.solve`: one
-    single-column system per piece and dimension, bit-identical to solving
-    them one by one. The KKT matrix is nonsingular (see the module
-    docstring), so there is no second attempt: a non-finite waypoint raises
-    ValueError naming its robot before any solve, a singular stack raises
-    TrajectoryError, and so does the first piece, in piece order, that
-    misses a constraint by more than `RESIDUAL_TOL`.
+    pieces; `min_snap` solves each piece and their coefficients are joined.
+    A non-finite waypoint raises ValueError naming its robot before any
+    piece is solved; then the first piece, in problem order, that fails
+    raises TrajectoryError.
     """
-    ncoef = DEGREE + 1
-    times: list[TimeAllocation] = []
-    pieces: list[tuple[np.ndarray, tuple[float, ...]]] = []  # (waypoints, durations)
-    first_piece = []  # index of each problem's first piece
+    checked = []
     for p in problems:
         durations = tuple(map(float, p.durations))
-        times.append(_time_allocation(durations))
         wp = np.asarray(p.waypoints, dtype=float)
         if wp.shape[0] != len(durations) + 1:
             raise ValueError("waypoint count must be segment count + 1")
         if not np.isfinite(wp).all():
             raise ValueError(f"robot {p.robot}: waypoints must be finite")
         rests = sorted(r for r in p.rest_indices if 0 < r < len(wp) - 1)
-        bounds = [0, *rests, len(wp) - 1]
-        first_piece.append(len(pieces))
-        pieces += [(wp[lo : hi + 1], durations[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    first_piece.append(len(pieces))
-
-    by_size: dict[int, list[int]] = {}
-    for i, (_, durations) in enumerate(pieces):
-        by_size.setdefault(len(durations), []).append(i)
-    coeffs: list[np.ndarray | None] = [None] * len(pieces)
-    residuals: list[np.ndarray | None] = [None] * len(pieces)  # per piece and dimension
-    for k, members in by_size.items():
-        n = ncoef * k
-        kkts, eq_mats, rows = [], [], [0]  # one system per piece and dimension
-        for i in members:
-            eq_mat, kkt = _kkt_system(pieces[i][1])
-            dims = pieces[i][0].shape[1]
-            kkts += [kkt] * dims
-            eq_mats += [eq_mat] * dims
-            rows.append(rows[-1] + dims)
-        rhs = np.zeros((rows[-1], kkts[0].shape[0], 1))
-        for i, lo, hi in zip(members, rows, rows[1:]):
-            wp = pieces[i][0]
-            # eq_vec: each segment's two end waypoints, then zeros
-            rhs[lo:hi, n : n + 2 * k : 2, 0] = wp[:-1].T
-            rhs[lo:hi, n + 1 : n + 2 * k : 2, 0] = wp[1:].T
-        x, residual = _solve_stacked(np.stack(kkts), np.stack(eq_mats), rhs)
-        for i, lo, hi in zip(members, rows, rows[1:]):
-            coeffs[i] = x[lo:hi, :, 0].reshape(hi - lo, k, ncoef)
-            residuals[i] = residual[lo:hi]
-    if pieces:
-        # in piece order, so the first failing piece raises, as one by one
-        _check_residuals(np.concatenate(residuals))
+        checked.append((wp, durations, [0, *rests, len(wp) - 1]))
 
     trajs = []
-    for ta, lo, hi in zip(times, first_piece, first_piece[1:]):
-        c = coeffs[lo] if hi - lo == 1 else np.concatenate(coeffs[lo:hi], axis=1)
-        trajs.append(PolynomialTrajectory(c, ta))
+    for wp, durations, bounds in checked:
+        coeffs = [
+            min_snap(wp[lo : hi + 1], _time_allocation(durations[lo:hi])).coeffs
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        trajs.append(PolynomialTrajectory(np.concatenate(coeffs, axis=1), _time_allocation(durations)))
     return trajs
 
 
@@ -660,9 +609,11 @@ def repair(
     Each step's moves run rest-to-rest along their straight segments, slot
     by slot in the order `_step_slots` gives. A slot lasts as long as its
     longest move at `v_nominal` (at least `T_FLOOR`); a robot not moving
-    holds its cell at rest. A lone rest-to-rest segment is exactly its
-    chord, so every robot is, at every moment, on its own segment or at rest
-    at a step's start or end cell.
+    holds its cell at rest. Every piece is then a lone rest-to-rest segment,
+    which `min_snap` writes in closed form as p0 + Δ σ(t / T), one
+    smoothstep σ for both coordinates: it is its chord by construction, and
+    a hold is exactly constant. So every robot is, at every moment, on its
+    own segment or at rest at a step's start or end cell.
 
     Guarantee: whenever every step has an order, each moving robot keeps
     d_safe from every other robot's position, and robots at rest sit on

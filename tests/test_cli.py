@@ -84,6 +84,18 @@ def test_generate_unknown_scenario_rejected():
         generate_scenario("maze", ScenarioConfig(), seed=0)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--goal-x", "30"], "goal position outside the map"),
+    (["--start-x", "100"], "start position outside the map"),
+    # rounds to column -3, which must not wrap round to column 27
+    (["--start-x", "-3"], "start position outside the map"),
+])
+def test_blocks_scenario_rejects_a_start_or_goal_off_the_map(tmp_path, capsys, flags, message):
+    code = run_command(["plan", "--scenario", "blocks", *flags, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sample_start_distinct_free_connected():
     cfg = ScenarioConfig(scenario="free")
     grid, cfg = generate_scenario("free", cfg, seed=2)
@@ -327,6 +339,21 @@ def test_smooth_command_missing_file(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_smooth_command_reports_a_failed_solve(tmp_path, capsys, monkeypatch):
+    # a piece of several segments is solved; its TrajectoryError is an
+    # error line and exit code, not a traceback
+    wp = tmp_path / "wp.csv"
+    wp.write_text("robot,x,y\n0,5,51\n0,1,32\n0,40,3\n0,55,58\n")
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code = run_command(["smooth", "--waypoints", str(wp), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: KKT system singular (Singular matrix)\n"
+
+
 def _plan_on_map(tmp_path, capsys, coords):
     mapfile = tmp_path / "m.txt"
     mapfile.write_text("gridmap 12 12 1.0\n" + ("0 " * 12 + "\n") * 12)
@@ -438,18 +465,18 @@ OUTPUT_DIGESTS = {
     "blocks/metrics.csv": "8e0ce086747fb26adc18f89d88b8ec0f6e4729ea7ec3f7dcd7184058089b0ca5",
     "blocks/pruned_paths.csv": "6c524438336a63997e854adb68c59099f93d4d212b6661943ef8b4fca8361266",
     "blocks/summary.txt": "c41e0f78be5b5bdfe16b9b340d5cdbbd4887b8df9ee43eb8e13fdbcca0f67207",
-    "blocks/trajectories.csv": "bffc1cf1a21e93127179fefd7df763e4a338f592a9576b52df328e4342dd066f",
+    "blocks/trajectories.csv": "b67e2761618baa08337388e734d0b18cfc543569f547ccb298b0ed4063bdd5db",
     "corridor/config.txt": "022b13af02259baadc1ac71a2591c00274a53954639d19843a04e327a4f833f7",
     "corridor/discrete_paths.csv": "c73eae1a4f7a88b1279ab064951d3dfda07476b73dedc5526bd88194987d5d59",
     "corridor/energy.csv": "63a7fa8c5860408a2d002105f211e43a68cdfbb2d505de3388c80d69ba1a7fa2",
     "corridor/metrics.csv": "463b46fffcc947ad44150b12b532e6a503e2db234ea5aa05bd6c934751bd996c",
     "corridor/pruned_paths.csv": "ef3f6846d0534f18d736574866db970551a8708f425305cc6d593de1152b9616",
     "corridor/summary.txt": "9da809d709fdc43ba7ad59ae0b4048f70fea614306a435efa6e3f4d5cd1bfedb",
-    "corridor/trajectories.csv": "f88211926f59525f172eadb0082c5a24fd6cab794126995c1d09fa56b661a811",
+    "corridor/trajectories.csv": "daffb8dd42c2fb4448ccd9f35638e141ed788dda57f19aef78941e12b7b14aaa",
     "formation/config.txt": "152ce39a0cfe8050a0087aff8007f351a200b139c730b6ca3898114d78aafe7f",
     "formation/discrete_paths.csv": "0a2e3377d40617818aa7c6b33491f34366c4bf39b05e1c16bb166d79c51928e6",
     "formation/energy.csv": "894ba845b4af39667016ae24aeacb733e8ed0d759c334a70f615416edc8dcd57",
-    "smooth/trajectories.csv": "9d084546b6b8045cb11d352874a75df49df3dc1a977b69763e178d827d7163d5",
+    "smooth/trajectories.csv": "f11a6cf3550574bf1bd49bcf281fec31990898e120ec6f587d3f7dc3f91efe26",
 }
 
 

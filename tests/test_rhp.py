@@ -384,8 +384,8 @@ PLAN_DIGESTS = {
     ("blocks", 1): "2e1a68b1fbb47d41b7b1d4c28d9cd14a91d8aa46f99a7f044675ab5c2a1e174c",
 }
 TRAJECTORY_DIGESTS = {
-    ("corridor", 0): "adc540a2963807deb0d8631a6775efa8534c9944ebabca1e239b9e25fea18cb3",
-    ("blocks", 1): "3030a5eda117b0bce3627f2e17ac77c2307b25d972d5b38e74f26b9eadfed519",
+    ("corridor", 0): "aa8c79ee92e77aab993d616c1dc80a075f1b77a3507def73fbf420b8b910d30f",
+    ("blocks", 1): "ac2831aae4f90b59998de2f614ba9617eb6c5f9ef3ff5f1d4634620c81831243",
 }
 
 

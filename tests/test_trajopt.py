@@ -734,15 +734,32 @@ def min_snap_reference(wps, times):
     ])
 
 
-def split_reference(problem):
-    """`min_snap_reference` of each rest-to-rest piece, one by one, joined."""
+def rest_pieces(problem):
+    """The waypoints and times of each rest-to-rest piece of `problem`."""
     wps = np.asarray(problem.waypoints, dtype=float)
     rests = sorted(r for r in problem.rest_indices if 0 < r < len(wps) - 1)
     bounds = [0, *rests, len(wps) - 1]
-    return np.concatenate([
-        min_snap_reference(wps[lo : hi + 1], TimeAllocation(np.array(problem.durations[lo:hi])))
+    return [
+        (wps[lo : hi + 1], TimeAllocation(np.array(problem.durations[lo:hi])))
         for lo, hi in zip(bounds[:-1], bounds[1:])
-    ], axis=1)
+    ]
+
+
+def split_reference(problem):
+    """`min_snap_reference` of each rest-to-rest piece, one by one, joined."""
+    return np.concatenate([min_snap_reference(wps, ta) for wps, ta in rest_pieces(problem)], axis=1)
+
+
+def assert_piece_matches_qp(coeffs, wps, times, qp_coeffs):
+    """A piece of several segments is `qp_coeffs` exactly. A one-segment
+    piece is the closed form: at exact rest at t = 0, and within 1e-12 of
+    `qp_coeffs` as coefficients in s = t / T, relative to the largest."""
+    if len(times.durations) > 1:
+        assert np.array_equal(coeffs, qp_coeffs)
+        return
+    assert np.array_equal(coeffs[:, 0, 0], wps[0]) and not coeffs[:, 0, 1:4].any()
+    unit = times.total ** np.arange(8)
+    assert np.max(np.abs(coeffs - qp_coeffs) * unit) <= 1e-12 * np.max(np.abs(qp_coeffs) * unit)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -795,29 +812,19 @@ def random_problems(rng, count, dims=None):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_solve_problems_equals_per_piece_solves_exactly(seed):
+    # each rest-to-rest piece is min_snap's, joined in order; against the
+    # per-dimension QP, exact for several segments, closed form for one
     rng = np.random.default_rng(100 + seed)
     probs = random_problems(rng, int(rng.integers(1, 9)), dims=(None, 1, 2)[seed % 3])
     trajs = trajopt.solve_problems(probs)
     for prob, traj in zip(probs, trajs, strict=True):
-        assert np.array_equal(traj.coeffs, split_reference(prob))
+        pieces = rest_pieces(prob)
+        solved = [min_snap(wps, ta).coeffs for wps, ta in pieces]
+        assert np.array_equal(traj.coeffs, np.concatenate(solved, axis=1))
+        for (wps, ta), coeffs in zip(pieces, solved):
+            assert_piece_matches_qp(coeffs, wps, ta, min_snap_reference(wps, ta))
         assert np.array_equal(traj.times.durations, prob.durations)
         assert np.array_equal(prob.solve().coeffs, traj.coeffs)
-
-
-def test_solve_problems_mixes_sizes_cache_hits_and_misses():
-    rng = np.random.default_rng(7)
-    probs = random_problems(rng, 12)
-    # a duration no other test draws: a miss first, then hits
-    fresh = float(rng.uniform(5.0, 6.0))
-    probs += [SmoothingProblem(20 + r, [(0.0, 0.0), (r + 1.0, 2.0)], [fresh]) for r in range(3)]
-    sizes = {len(p.durations) for p in probs}
-    before = trajopt._kkt_system.cache_info()
-    trajs = trajopt.solve_problems(probs)
-    after = trajopt._kkt_system.cache_info()
-    assert len(sizes) > 2
-    assert after.misses > before.misses and after.hits >= before.hits + 2
-    for prob, traj in zip(probs, trajs, strict=True):
-        assert np.array_equal(traj.coeffs, split_reference(prob))
 
 
 def test_allocate_times_equals_numpy_formula():
@@ -839,24 +846,15 @@ def test_allocate_times_equals_numpy_formula():
     assert np.array_equal(allocate_times(wp, v_nominal=1.3, resolution=0.5).durations, want)
 
 
-def test_cached_systems_are_read_only_shared_and_bounded():
+def test_cached_time_allocations_are_read_only_shared_and_bounded():
     rng = np.random.default_rng(4)
     for segs in range(1, 5):
         durations = tuple(rng.uniform(0.1, 3.0, segs).tolist())
-        eq_mat, kkt = trajopt._kkt_system(durations)
-        qp = build_qp(np.zeros(segs + 1), TimeAllocation(np.array(durations)))
-        n, m = qp.cost.shape[0], qp.eq_mat.shape[0]
-        assert np.array_equal(eq_mat, qp.eq_mat)
-        assert np.array_equal(kkt, np.block([[2 * qp.cost, qp.eq_mat.T], [qp.eq_mat, np.zeros((m, m))]]))
-        assert kkt.shape == (13 * segs + 3,) * 2 == (n + m,) * 2
-        assert not eq_mat.flags.writeable and not kkt.flags.writeable
-        assert trajopt._kkt_system(durations)[1] is kkt
         ta = trajopt._time_allocation(durations)
         assert trajopt._time_allocation(durations) is ta
-        assert not ta.durations.flags.writeable
+        assert not ta.durations.flags.writeable and not ta.knots.flags.writeable
     wps = [(0.0, 0.0), (3.0, 4.0), (3.0, 4.0)]
     assert allocate_times(wps) is allocate_times(np.array(wps))
-    assert trajopt._kkt_system.cache_info().maxsize is not None
     assert trajopt._time_allocation.cache_info().maxsize is not None
 
 
@@ -864,6 +862,8 @@ def test_cached_systems_are_read_only_shared_and_bounded():
 def test_failed_stack_raises_and_a_non_finite_waypoint_is_rejected(bad, monkeypatch):
     rng = np.random.default_rng(21)
     probs = random_problems(rng, 8)
+    # a piece of several segments, which is solved, not written in closed form
+    assert any(len(ta.durations) > 1 for p in probs for _, ta in rest_pieces(p))
     qp = build_qp(np.asarray(probs[0].waypoints), TimeAllocation(np.array(probs[0].durations)))
     real_solve = np.linalg.solve
 
@@ -885,33 +885,46 @@ def test_failed_stack_raises_and_a_non_finite_waypoint_is_rejected(bad, monkeypa
         with pytest.raises(trajopt.TrajectoryError, match=message):
             solve_qp(qp)
 
-    # a finite waypoint whose solution overflows: its NaN residual fails too
+    # a finite waypoint whose coefficients overflow: in closed form, and in
+    # a solve, whose NaN residual fails too
     monkeypatch.setattr(np.linalg, "solve", real_solve)
     huge = SmoothingProblem(8, [(0.0, 0.0), (1.7e308, 1.0)], [1.0])
+    with pytest.raises(trajopt.TrajectoryError, match=r"^closed-form coefficients not finite$"):
+        trajopt.solve_problems([huge])
+    huge = SmoothingProblem(8, [(0.0, 0.0), (1.7e308, 1.0), (0.0, 0.0)], [1.0, 1.0])
     with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual nan\)$"):
         trajopt.solve_problems([huge])
 
-    # a non-finite waypoint is named before any solve
+    # a non-finite waypoint is named before any piece is solved
     solves = []
 
     def counting_solve(a, b):
         solves.append(np.shape(a))
         return real_solve(a, b)
 
+    real_min_snap = trajopt.min_snap
+
+    def counting_min_snap(wps, times):
+        solves.append(len(times.durations))
+        return real_min_snap(wps, times)
+
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(trajopt, "min_snap", counting_min_snap)
     broken = SmoothingProblem(9, [(0.0, 0.0), (bad, 1.0)], [1.0])
     with pytest.raises(ValueError, match="^robot 9: waypoints must be finite$"):
-        trajopt.solve_problems(probs[:3] + [broken])
+        trajopt.solve_problems(probs + [broken])
     assert solves == []
 
 
 def test_first_failing_piece_raises_as_when_solved_one_by_one():
     # 1e12 and 1e14 waypoints miss their constraints by different residuals;
-    # the one-segment pieces are stacked before the two-segment one, but the
-    # error is that of the first failing problem in order
+    # the error is that of the first failing problem in order, and a far
+    # one-segment piece is exact in closed form
     ok = SmoothingProblem(0, [(0.0, 0.0), (1.0, 1.0)], [1.0])
     far = SmoothingProblem(1, [(0.0, 0.0), (1e12, 1.0), (2.0, 3.0)], [1.0, 2.0])
-    farther = SmoothingProblem(2, [(0.0, 0.0), (1e14, 1.0)], [1.0])
+    farther = SmoothingProblem(2, [(0.0, 0.0), (1e14, 1.0), (2.0, 3.0), (5.0, 1.0)], [1.0, 2.0, 0.5])
+    closed = SmoothingProblem(3, [(0.0, 0.0), (1e14, 1.0)], [1.0])
+    assert np.array_equal(closed.solve().eval(1.0), [1e14, 1.0])
     alone = []
     for p in (far, farther):
         with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual [^)]+\)$") as info:
@@ -924,18 +937,12 @@ def test_first_failing_piece_raises_as_when_solved_one_by_one():
         assert str(info.value) == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    res=st.sampled_from([0.5, 1.0, 2.0]),
-    v=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
-)
-def test_stacked_solve_of_pipeline_pieces_is_finite_and_exact(seed, res, v):
-    # pieces as the pipeline makes them: chords between cells of a 60 x 60
-    # map timed by allocate_times, and the rest-to-rest schedules with holds
-    # that repair builds from random steps; arbitrary duration and distance
-    # pairs are not such pieces (a long chord in a short time can miss
-    # RESIDUAL_TOL)
+def pipeline_problems(seed, res, v):
+    """Problems as the pipeline makes them: chords between cells of a
+    60 x 60 map timed by allocate_times, and the rest-to-rest schedules with
+    holds that repair builds from random steps; arbitrary duration and
+    distance pairs are not such pieces (a long chord in a short time can
+    miss RESIDUAL_TOL)."""
     rng = np.random.default_rng(seed)
     probs = []
     for r in range(int(rng.integers(1, 7))):
@@ -949,17 +956,55 @@ def test_stacked_solve_of_pipeline_pieces_is_finite_and_exact(seed, res, v):
         probs += scheduled
     except UnrepairableError:
         pass  # a step without an order: no schedule to solve
+    return probs
+
+
+pipeline_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    res=st.sampled_from([0.5, 1.0, 2.0]),
+    v=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**pipeline_args)
+def test_min_snap_of_pipeline_pieces_equals_the_qp(seed, res, v):
+    # a one-segment piece is the closed form, within 1e-12 of the QP; a
+    # piece of several segments is solve_qp(build_qp(...)) exactly
+    for prob in pipeline_problems(seed, res, v):
+        for wps, ta in rest_pieces(prob):
+            qp_coeffs = solve_qp(build_qp(wps, ta)).T.reshape(2, -1, 8)
+            assert_piece_matches_qp(min_snap(wps, ta).coeffs, wps, ta, qp_coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**pipeline_args)
+def test_stacked_solve_of_pipeline_pieces_is_finite_and_exact(seed, res, v):
+    probs = pipeline_problems(seed, res, v)
     for prob, traj in zip(probs, trajopt.solve_problems(probs), strict=True):
         assert np.all(np.isfinite(traj.coeffs))
         knots = TimeAllocation(np.array(prob.durations)).knots
         assert np.allclose(traj.eval_many(knots), prob.waypoints, rtol=0.0, atol=1e-8)
 
 
-def test_smooth_and_validate_solves_once_per_system_size(monkeypatch):
-    # five robots in parallel lanes, pieces of 1, 2, 2, 3 and 1 segments:
-    # the pass validates and makes one stacked solve per size
-    lanes = [[0.0, 6.0], [0.0, 3.0, 6.0], [0.0, 2.0, 6.0], [0.0, 2.0, 4.0, 6.0], [1.0, 5.0]]
-    probs = [make_problem(r, [(x, 4.0 + 4.0 * r) for x in xs]) for r, xs in enumerate(lanes)]
+def lanes(*xs):
+    """Robot r's waypoints along y = 4 + 4r, at the x values given for it."""
+    return [[(x, 4.0 + 4.0 * r) for x in row] for r, row in enumerate(xs)]
+
+
+@pytest.mark.parametrize("paths, scheduled, want", [
+    # pieces of 1, 2, 2, 3 and 1 segments: the pass validates and solves
+    # each piece of k > 1 segments, a KKT system of size 13k + 3 for both
+    # dimensions
+    (lanes([0.0, 6.0], [0.0, 3.0, 6.0], [0.0, 2.0, 6.0], [0.0, 2.0, 4.0, 6.0], [1.0, 5.0]), False, [2, 2, 3]),
+    # one-segment pieces only: closed form, no solve
+    (lanes([0.0, 6.0], [0.0, 5.0], [1.0, 5.0]), False, []),
+    # two crossing routes, then their schedule, whose pieces all have one
+    # segment: no solve in either pass
+    ([[(0.0, 5.0), (12.0, 5.0)], [(6.0, 0.0), (6.0, 12.0)]], True, []),
+])
+def test_smooth_and_validate_solves_only_multi_segment_pieces(paths, scheduled, want, monkeypatch):
+    probs = [make_problem(r, wps) for r, wps in enumerate(paths)]
     steps = [[p.waypoints[0], p.waypoints[-1]] for p in probs]
     real_solve = np.linalg.solve
     calls = []
@@ -969,12 +1014,8 @@ def test_smooth_and_validate_solves_once_per_system_size(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    _, scheduled = smooth_and_validate(probs, free_grid(), steps)
-    assert not scheduled
-    # k segments: a system of size 13k + 3 for each robot and dimension
-    robots = {1: 2, 2: 2, 3: 1}
-    want = [((2 * c, 13 * k + 3, 13 * k + 3), (2 * c, 13 * k + 3, 1)) for k, c in robots.items()]
-    assert sorted(calls) == sorted(want)
+    assert smooth_and_validate(probs, free_grid(), steps)[1] == scheduled
+    assert calls == [((1, 13 * k + 3, 13 * k + 3), (2, 13 * k + 3, 1)) for k in want]
 
 
 def test_sample_common_equals_stacked_eval_many():
