@@ -37,7 +37,9 @@ from .grid import (
 from .mrf import (
     DiscretePath,
     EnergyTrace,
+    KnownSweeps,
     OptimizeConfig,
+    Sweep,
     SwarmState,
     apply_heuristics,
     clique_energy,

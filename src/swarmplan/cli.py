@@ -177,10 +177,9 @@ def generate_scenario(kind: str, cfg: ScenarioConfig, seed: int) -> tuple[Occupa
         prob[y0 : y0 + cfg.wall_thickness, gap_lo : gap_lo + cfg.corridor_width] = 0.0
         return OccupancyGrid(prob=prob), cfg
     start, goal = (cfg.start_x, cfg.start_y), (cfg.goal_x, cfg.goal_y)
-    for name, point in (("start", start), ("goal", goal)):
-        # the cell `_connected` reads, as it rounds it
-        if not all(math.isfinite(v) and 0 <= round(v) < s for v in point):
-            raise ConfigError(f"{name} position outside the map")
+    # `_connected` reads the cells they round to
+    _check_on_map("start", start, (s, s))
+    _check_on_map("goal", goal, (s, s))
     rng = stream_rng(seed, "map")
     for _ in range(100):
         prob = np.zeros((s, s))
@@ -198,6 +197,17 @@ def generate_scenario(kind: str, cfg: ScenarioConfig, seed: int) -> tuple[Occupa
         if _connected(grid, start, goal):
             return grid, cfg
     raise ConfigError("could not generate a connected random-blocks map in 100 tries")
+
+
+def _check_on_map(name: str, point: tuple[float, float], shape: tuple[int, int]) -> None:
+    """Raise ConfigError unless `point` rounds to a cell of a map of `shape`
+    (height, width), naming a coordinate that is not finite."""
+    for axis, v in zip("xy", point):
+        if not math.isfinite(v):
+            raise ConfigError(f"{name}_{axis} must be finite, got {v}")
+    height, width = shape
+    if not (0 <= round(point[0]) < width and 0 <= round(point[1]) < height):
+        raise ConfigError(f"{name} position outside the map")
 
 
 def _connected(grid: OccupancyGrid, a, b) -> bool:
@@ -275,8 +285,9 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[rhp.Scenario, ScenarioConfig]:
         repulse_len=cfg.repulse_len,
     )
     goal = (cfg.goal_x, cfg.goal_y) if cfg.use_goal else None
-    if cfg.use_goal and not grid.in_bounds((int(round(cfg.goal_x)), int(round(cfg.goal_y)))):
-        raise ConfigError("goal position outside the map")
+    _check_on_map("start", (cfg.start_x, cfg.start_y), grid.prob.shape)
+    if goal is not None:
+        _check_on_map("goal", goal, grid.prob.shape)
 
     obstacle = build_obstacle_field(
         threshold_map(grid, cfg.occupied_value),

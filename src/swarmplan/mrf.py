@@ -19,6 +19,16 @@ process that plans on many scenarios keeps one map's worth, not one per
 scenario; holding the object also keeps its id from being reused. Nothing
 is cached by robot position, so a sweep costs the same whether or not ICM
 has visited its state before.
+
+A sweep is a function of the positions it starts from (and of the map,
+fields and config), so `optimize` can take sweeps it is handed instead of
+computing them: `KnownSweeps`, the part of the receding horizon's
+lookahead that was not executed, whose first sweep starts at the next
+horizon's initial positions. It takes each known sweep's positions, energy
+and moved count, and then keeps the same books as for a computed sweep, so
+its stop tests and its trace are those of computing every sweep.
+`energies[0]` is still computed: the previous horizon's energy at those
+positions was taken on another sweep's graph.
 """
 
 from __future__ import annotations
@@ -84,6 +94,25 @@ def make_state(
     return SwarmState(positions=cells, graph=build_interaction_graph(cells, k, r_comm))
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """One ICM sweep: the positions after it, the swarm energy there on the
+    graph the sweep froze, and how many robots it moved. A sweep that moves
+    no robot ends `optimize`, which computes no energy for it (None)."""
+
+    positions: tuple[Cell, ...]
+    energy: float | None
+    moved: int
+
+
+@dataclass(frozen=True)
+class KnownSweeps:
+    """Sweeps already computed, in order, from the positions `start`."""
+
+    start: tuple[Cell, ...]
+    sweeps: tuple[Sweep, ...]
+
+
 @dataclass
 class EnergyTrace:
     """Per-sweep swarm energies (index 0 is the initial energy)."""
@@ -92,6 +121,7 @@ class EnergyTrace:
     moved_counts: list[int]
     status: str  # 'converged' | 'max-sweeps'
     sweep_seconds: list[float] = field(default_factory=list)
+    sweeps: list[Sweep] = field(default_factory=list)  # every sweep run, a zero-move one included
 
     @property
     def converged(self) -> bool:
@@ -431,6 +461,47 @@ def icm_update(
 UpdateHook = Callable[[int, int, SwarmState], None]
 
 
+def _sweep(
+    sweep: int,
+    start: tuple[Cell, ...],
+    grid: OccupancyGrid,
+    static: ScalarField | None,
+    iparams: InteractionParams,
+    config: OptimizeConfig,
+    update_hook: UpdateHook | None,
+) -> tuple[Sweep, float]:
+    """Sweep all robots once from `start` in ascending id, on the graph and
+    candidate spaces of `start`; also return the seconds the robot updates
+    took, which leave out the energy after the sweep."""
+    tic = time.perf_counter()
+    n = len(start)
+    positions = list(start)
+    graph = build_interaction_graph(start, config.k, config.r_comm)
+    state = SwarmState(positions=start, graph=graph)
+    spaces = [local_search_space(grid, state, i, config.search_order) for i in range(n)]
+    spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
+
+    moved = 0
+    sweep_segments: list[tuple[Cell, Cell]] = []
+    for i in range(n):
+        # robots not yet updated this sweep block their current cell as a
+        # point; already updated robots block their whole move segment
+        blocked = sweep_segments + [(positions[j], positions[j]) for j in range(i + 1, n)]
+        state = SwarmState(positions=tuple(positions), graph=graph)
+        new = icm_update(state, i, spaces, static, iparams, config.goal, blocked)
+        sweep_segments.append((positions[i], new))
+        if new != positions[i]:
+            moved += 1
+            positions[i] = new
+        if update_hook is not None:
+            update_hook(sweep, i, SwarmState(positions=tuple(positions), graph=graph))
+    seconds = time.perf_counter() - tic
+
+    after = tuple(positions)
+    energy = swarm_energy(SwarmState(after, graph), static, iparams) if moved else None
+    return Sweep(after, energy, moved), seconds
+
+
 def optimize(
     initial: SwarmState,
     grid: OccupancyGrid,
@@ -438,6 +509,7 @@ def optimize(
     iparams: InteractionParams,
     config: OptimizeConfig,
     update_hook: UpdateHook | None = None,
+    known: KnownSweeps | None = None,
 ) -> tuple[list[DiscretePath], EnergyTrace]:
     """ICM loop: rebuild graph, build and filter candidate spaces, sweep all
     robots in ascending id, until a zero-move sweep, energy stagnation, or
@@ -445,54 +517,47 @@ def optimize(
 
     `update_hook(sweep, robot, state)` is called after every single-robot
     update with the frozen-sweep graph, for instrumentation.
+
+    `known` holds sweeps already computed from `initial.positions` on the
+    same map, fields and config. They are taken in order instead of being
+    computed again; a sweep is a function of the positions it starts from,
+    so the result is the same. A known sweep calls no `update_hook`, and its
+    `sweep_seconds` entry is the time taken to look it up. Raises ValueError
+    when `known` starts elsewhere.
     """
     if not check_connectivity_condition(initial.graph):
         raise ConnectivityError("initial interaction graph has an isolated robot")
+    positions = tuple(initial.positions)
+    if known is not None and tuple(known.start) != positions:
+        raise ValueError("known sweeps do not start at the initial positions")
 
-    n = len(initial.positions)
-    positions = list(initial.positions)
     path_cells: list[list[Cell]] = [[p] for p in positions]
     energies = [swarm_energy(initial, static, iparams)]
     moved_counts: list[int] = []
     sweep_seconds: list[float] = []
+    sweeps: list[Sweep] = []
     status = "max-sweeps"
     stagnant = 0
+    carried = iter(known.sweeps if known is not None else ())
 
     for sweep in range(1, config.max_sweeps + 1):
         tic = time.perf_counter()
-        graph = build_interaction_graph(positions, config.k, config.r_comm)
-        state = SwarmState(positions=tuple(positions), graph=graph)
-        spaces = [local_search_space(grid, state, i, config.search_order) for i in range(n)]
-        spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
+        step = next(carried, None)
+        seconds = time.perf_counter() - tic
+        if step is None:
+            step, seconds = _sweep(sweep, positions, grid, static, iparams, config, update_hook)
+        sweep_seconds.append(seconds)
+        sweeps.append(step)
 
-        moved = 0
-        sweep_segments: list[tuple[Cell, Cell]] = []
-        for i in range(n):
-            # robots not yet updated this sweep block their current cell as a
-            # point; already updated robots block their whole move segment
-            blocked = sweep_segments + [
-                (positions[j], positions[j]) for j in range(i + 1, n)
-            ]
-            state = SwarmState(positions=tuple(positions), graph=graph)
-            new = icm_update(state, i, spaces, static, iparams, config.goal, blocked)
-            sweep_segments.append((positions[i], new))
-            if new != positions[i]:
-                moved += 1
-                positions[i] = new
-            if update_hook is not None:
-                update_hook(sweep, i, SwarmState(positions=tuple(positions), graph=graph))
-        sweep_seconds.append(time.perf_counter() - tic)
-
-        if moved == 0:
+        if step.moved == 0:
             status = "converged"
             break
 
-        for i in range(n):
-            path_cells[i].append(positions[i])
-        energies.append(
-            swarm_energy(SwarmState(tuple(positions), graph), static, iparams)
-        )
-        moved_counts.append(moved)
+        positions = step.positions
+        for cells, c in zip(path_cells, positions):
+            cells.append(c)
+        energies.append(step.energy)
+        moved_counts.append(step.moved)
 
         if abs(energies[-1] - energies[-2]) < EPS_CONVERGE:
             stagnant += 1
@@ -507,6 +572,7 @@ def optimize(
         moved_counts=moved_counts,
         status=status,
         sweep_seconds=sweep_seconds,
+        sweeps=sweeps,
     )
     paths = [DiscretePath(robot=i, cells=tuple(cells)) for i, cells in enumerate(path_cells)]
     return paths, trace

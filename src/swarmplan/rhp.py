@@ -4,10 +4,14 @@ execution-schedule fallback, sampling), looped until the swarm reaches the
 goal.
 
 Only the executed fraction is ever pruned and smoothed: there is no
-lookahead prune, and the rest of the lookahead is discarded when the next
-horizon replans from the new positions. A horizon depends only on the
-positions it starts from, so a run that returns to an earlier start state
-stops: the rest would replay the same cycle."""
+lookahead prune. The next horizon starts where the executed steps end, and
+an ICM sweep is a function of the positions it starts from, so the sweeps
+of the lookahead that were not executed are the next horizon's first
+sweeps. `run` hands them over, and `mrf.optimize` takes them instead of
+computing them again; the plan is the same as when every sweep is
+computed. The handover lives in one `run` only. A horizon depends only on
+the positions it starts from, so a run that returns to an earlier start
+state stops: the rest would replay the same cycle."""
 
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from .grid import Cell, OccupancyGrid
 from .mrf import (
     DiscretePath,
     EnergyTrace,
+    KnownSweeps,
     OptimizeConfig,
     SwarmState,
     make_state,
@@ -78,6 +83,11 @@ class HorizonPlan:
     trace: EnergyTrace
     terminal: bool
 
+    def tail(self, steps: int) -> KnownSweeps:
+        """The sweeps after the first `steps`, from where those steps end."""
+        start = tuple(p.cells[steps] for p in self.discrete)
+        return KnownSweeps(start, tuple(self.trace.sweeps[steps:]))
+
 
 @dataclass
 class ExecutionRecord:
@@ -113,17 +123,22 @@ class RunResult:
     reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
-def plan_horizon(state: SwarmState, scenario: Scenario, config: RhpConfig) -> HorizonPlan:
-    """Run up to H MRF sweeps.
+def plan_horizon(
+    state: SwarmState, scenario: Scenario, config: RhpConfig, known: KnownSweeps | None = None
+) -> HorizonPlan:
+    """Run up to H MRF sweeps, taking the `known` ones (the previous
+    horizon's unexecuted tail) as they are.
 
     The plan is lookahead only: `execute_fraction` prunes, smooths,
-    validates and samples the fraction that is executed, and the next
-    horizon replans the rest.
+    validates and samples the fraction that is executed, and the plan's
+    `tail` hands the sweeps it did not execute to the next horizon.
     """
     mrf_cfg = replace(
         config.mrf, max_sweeps=config.planning_horizon, goal=scenario.goal
     )
-    paths, trace = optimize(state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
+    paths, trace = optimize(
+        state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg, known=known
+    )
     terminal = len(paths[0].cells) == 1  # no robot moved
     return HorizonPlan(discrete=paths, trace=trace, terminal=terminal)
 
@@ -203,6 +218,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     horizons = 0
     reason = None
     seen: set[tuple[Cell, ...]] = set()
+    known = None  # the previous horizon's unexecuted sweeps
 
     for h in range(config.max_horizons):
         if scenario.goal is not None and _all_at_goal(
@@ -214,7 +230,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
             status = STATUS_CYCLE
             break
         seen.add(state.positions)
-        plan = plan_horizon(state, scenario, config)
+        plan = plan_horizon(state, scenario, config, known)
         horizons = h + 1
         if not energies:
             energies.append(plan.trace.energies[0])
@@ -244,6 +260,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         for r in range(n):
             discrete[r].extend(plan.discrete[r].cells[1 : record.steps + 1])
         state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm)
+        known = plan.tail(record.steps)
 
     if scenario.goal is not None and status == STATUS_MAX_HORIZONS and _all_at_goal(
         state.positions, scenario.goal, config.goal_radius

@@ -96,6 +96,21 @@ def test_blocks_scenario_rejects_a_start_or_goal_off_the_map(tmp_path, capsys, f
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    # an OverflowError traceback, and "cannot convert float NaN to integer"
+    (["--scenario", "corridor", "--goal-x", "inf"], "goal_x must be finite, got inf"),
+    (["--scenario", "corridor", "--goal-x", "nan"], "goal_x must be finite, got nan"),
+    (["--scenario", "blocks", "--start-y", "nan"], "start_y must be finite, got nan"),
+    # failed as "could not sample a feasible start state in 1000 attempts"
+    (["--scenario", "free", "--start-x", "100"], "start position outside the map"),
+    (["--scenario", "corridor", "--start-x", "-5"], "start position outside the map"),
+])
+def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flags, message):
+    code = run_command(["plan", *flags, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sample_start_distinct_free_connected():
     cfg = ScenarioConfig(scenario="free")
     grid, cfg = generate_scenario("free", cfg, seed=2)
@@ -354,6 +369,18 @@ def test_smooth_command_reports_a_failed_solve(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: KKT system singular (Singular matrix)\n"
 
 
+def test_smooth_command_solves_a_fast_piece_of_several_segments(tmp_path, capsys):
+    # coefficients near 5e8 leave an absolute residual of 1.4e-08, well
+    # inside the backward-error bound
+    wp = tmp_path / "wp.csv"
+    wp.write_text("robot,x,y\n0,5,51\n0,1,32\n0,40,3\n0,55,58\n")
+    out = tmp_path / "o"
+    code = run_command(["smooth", "--waypoints", str(wp), "--v-nominal", "3000", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "trajectories.csv").exists()
+
+
 def _plan_on_map(tmp_path, capsys, coords):
     mapfile = tmp_path / "m.txt"
     mapfile.write_text("gridmap 12 12 1.0\n" + ("0 " * 12 + "\n") * 12)
@@ -362,6 +389,16 @@ def _plan_on_map(tmp_path, capsys, coords):
         argv += ["--" + name.replace("_", "-"), str(value)]
     code = run_command(argv)
     return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coords, message", [
+    ({"start_x": 5, "start_y": 5, "goal_x": "inf", "goal_y": 10}, "goal_x must be finite, got inf"),
+    ({"start_x": 12, "start_y": 5, "goal_x": 10, "goal_y": 10}, "start position outside the map"),
+])
+def test_plan_on_a_map_names_a_start_or_goal_off_it(tmp_path, capsys, coords, message):
+    code, err = _plan_on_map(tmp_path, capsys, coords)
+    assert code == EXIT_CONFIG
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("left_out", ["start_x", "start_y", "goal_x", "goal_y"])

@@ -1,8 +1,10 @@
 """Receding-horizon driver tests: horizon planning, partial execution,
 run-loop termination, and metric summaries."""
 
+import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from swarmplan import cli
 
 from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
-from swarmplan import rhp, trajopt
+from swarmplan import mrf, rhp, trajopt
 from swarmplan.mrf import DiscretePath, OptimizeConfig, make_state
 from swarmplan.rhp import (
     HorizonPlan,
@@ -402,3 +404,63 @@ def test_run_golden_digest(scenario, seed):
     for a in (result.t, result.pos, result.vel, result.acc):
         trajectory.update(np.ascontiguousarray(a).tobytes())
     assert trajectory.hexdigest() == TRAJECTORY_DIGESTS[scenario, seed], "trajectories changed"
+
+
+SWARM_N10 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "swarm-n10.txt"
+
+
+def acceptance_run(scenario, seed):
+    """`swarmplan plan` at N=5 on a standard scenario, or on swarm-n10."""
+    what = ["--config", str(SWARM_N10)] if scenario == "swarm-n10" else ["--scenario", scenario, "--robots", "5"]
+    args = cli.make_parser().parse_args(["plan", *what, "--seed", str(seed), "--out", "unused"])
+    sc, cfg = cli.build_scenario(cli._load_cfg(args))
+    return run(sc, cli.rhp_config(cfg))
+
+
+@pytest.mark.parametrize("scenario, seed", [
+    *((kind, seed) for kind in ("corridor", "blocks") for seed in range(10)),
+    ("swarm-n10", 0),
+])
+def test_run_with_carried_sweeps_equals_a_cold_run(scenario, seed, monkeypatch):
+    handed = []
+    real_plan = rhp.plan_horizon
+
+    def recording_plan(state, scenario, config, known=None):
+        handed.append(known)
+        return real_plan(state, scenario, config, known)
+
+    monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
+    carried = acceptance_run(scenario, seed)
+    assert handed[0] is None
+    assert any(known.sweeps for known in handed[1:])
+    # the cold run computes every sweep: no horizon hands on its tail
+    monkeypatch.setattr(rhp.HorizonPlan, "tail", lambda plan, steps: None)
+    handed.clear()
+    cold = acceptance_run(scenario, seed)
+    assert handed == [None] * cold.horizons
+
+    for f in dataclasses.fields(rhp.RunResult):
+        a, b = getattr(carried, f.name), getattr(cold, f.name)
+        if f.name == "sweep_seconds":
+            assert len(a) == len(b)
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_run_computes_only_the_sweeps_no_horizon_carried(monkeypatch):
+    # corridor N=5 seed 0: 12 horizons run 45 sweeps, 22 of them taken from
+    # the previous horizon's unexecuted lookahead; computing every sweep
+    # takes 225 robot updates
+    updates = []
+    real_update = mrf.icm_update
+
+    def counting_update(*args, **kwargs):
+        updates.append(args[1])
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(mrf, "icm_update", counting_update)
+    result = acceptance_run("corridor", 0)
+    assert (result.horizons, len(result.sweep_seconds)) == (12, 45)
+    assert len(updates) == 5 * (45 - 22)

@@ -916,15 +916,29 @@ def test_failed_stack_raises_and_a_non_finite_waypoint_is_rejected(bad, monkeypa
     assert solves == []
 
 
-def test_first_failing_piece_raises_as_when_solved_one_by_one():
-    # 1e12 and 1e14 waypoints miss their constraints by different residuals;
-    # the error is that of the first failing problem in order, and a far
-    # one-segment piece is exact in closed form
+def test_a_solution_that_overflows_its_bound_fails(monkeypatch):
+    # coefficients near 1e308 overflow both the residual and its bound to
+    # inf; one segment's constraint rows have no negative entry, so no NaN
+    # comes up to fail the comparison
+    qp = build_qp(np.array([0.0, 1.0]), TimeAllocation(np.array([1.0])))
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: real_solve(a, b) + 1e308)
+    with np.errstate(over="ignore"):
+        with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual inf\)$"):
+            solve_qp(qp)
+
+
+def test_first_failing_piece_raises_as_when_solved_one_by_one(monkeypatch):
+    # solves scaled by 1 + 1e-6 miss the 1e12 and 1e14 waypoints by
+    # different residuals; the error is that of the first failing problem
+    # in order, and a far one-segment piece is exact in closed form
     ok = SmoothingProblem(0, [(0.0, 0.0), (1.0, 1.0)], [1.0])
     far = SmoothingProblem(1, [(0.0, 0.0), (1e12, 1.0), (2.0, 3.0)], [1.0, 2.0])
     farther = SmoothingProblem(2, [(0.0, 0.0), (1e14, 1.0), (2.0, 3.0), (5.0, 1.0)], [1.0, 2.0, 0.5])
     closed = SmoothingProblem(3, [(0.0, 0.0), (1e14, 1.0)], [1.0])
     assert np.array_equal(closed.solve().eval(1.0), [1e14, 1.0])
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: real_solve(a, b) * (1 + 1e-6))
     alone = []
     for p in (far, farther):
         with pytest.raises(trajopt.TrajectoryError, match=r"^constraints inconsistent \(residual [^)]+\)$") as info:
@@ -937,12 +951,24 @@ def test_first_failing_piece_raises_as_when_solved_one_by_one():
         assert str(info.value) == want
 
 
+def test_large_pieces_meet_the_backward_error_bound():
+    # the bound grows with the constraint terms: these 1e12 and 1e14 pieces
+    # missed an absolute residual bound of 1e-8, and they solve and meet
+    # their waypoints to 1e-12 of the largest
+    for wps, durations in [
+        ([(0.0, 0.0), (1e12, 1.0), (2.0, 3.0)], [1.0, 2.0]),
+        ([(0.0, 0.0), (1e14, 1.0), (2.0, 3.0), (5.0, 1.0)], [1.0, 2.0, 0.5]),
+    ]:
+        traj = SmoothingProblem(1, wps, durations).solve()
+        knots = np.concatenate([[0.0], np.cumsum(durations)])
+        got = np.array([traj.eval(t) for t in knots])
+        assert np.allclose(got, wps, rtol=0, atol=1e-12 * np.abs(wps).max())
+
+
 def pipeline_problems(seed, res, v):
     """Problems as the pipeline makes them: chords between cells of a
     60 x 60 map timed by allocate_times, and the rest-to-rest schedules with
-    holds that repair builds from random steps; arbitrary duration and
-    distance pairs are not such pieces (a long chord in a short time can
-    miss RESIDUAL_TOL)."""
+    holds that repair builds from random steps."""
     rng = np.random.default_rng(seed)
     probs = []
     for r in range(int(rng.integers(1, 7))):
