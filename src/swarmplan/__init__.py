@@ -23,7 +23,6 @@ from .graph import (
     InteractionGraph,
     build_interaction_graph,
     check_connectivity_condition,
-    markov_blanket,
     maximal_cliques,
 )
 from .grid import (
@@ -37,7 +36,6 @@ from .grid import (
 from .mrf import (
     DiscretePath,
     EnergyTrace,
-    KnownSweeps,
     OptimizeConfig,
     Sweep,
     SwarmState,
@@ -49,6 +47,7 @@ from .mrf import (
     optimize,
     paths_noncrossing_check,
     swarm_energy,
+    sweeps,
 )
 from .paths import PrunedPath, line_of_sight, prune, segments_intersect, supercover_cells
 from .rhp import RhpConfig, RunResult, Scenario, execute_fraction, metrics, plan_horizon, run

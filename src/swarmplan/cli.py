@@ -339,7 +339,7 @@ def _trajectory_row(robot: int, t: float, p, v, a) -> str:
 def write_energy_csv(path: Path, energies, moved_counts):
     lines = ["iteration,energy,moved_robots"]
     for i, e in enumerate(energies):
-        moved = moved_counts[i - 1] if i > 0 and i - 1 < len(moved_counts) else 0
+        moved = moved_counts[i - 1] if i > 0 else 0
         lines.append(f"{i},{_fmt(e)},{moved}")
     path.write_text("\n".join(lines) + "\n")
 

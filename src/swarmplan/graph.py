@@ -133,20 +133,9 @@ def build_interaction_graph(positions, k: int, r_comm: float = math.inf) -> Inte
     )
 
 
-def markov_blanket(g: InteractionGraph, i: int) -> set[int]:
-    """Neighbor set of robot i (its conditional-independence blanket)."""
-    if not 0 <= i < g.n_robots:
-        raise ValueError(f"robot id {i} out of range")
-    return set(np.flatnonzero(g.adjacency[i]).tolist())
-
-
 def check_connectivity_condition(g: InteractionGraph) -> bool:
     """True iff every robot has at least one neighbor."""
     if g.n_robots == 0:
         return True
     return bool(np.all(g.adjacency.any(axis=1)))
 
-
-def dump_cliques(g: InteractionGraph) -> str:
-    """Debug dump: one line per clique, ids space-separated."""
-    return "\n".join(" ".join(str(i) for i in c) for c in g.cliques) + "\n"

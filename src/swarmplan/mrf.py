@@ -21,14 +21,12 @@ is cached by robot position, so a sweep costs the same whether or not ICM
 has visited its state before.
 
 A sweep is a function of the positions it starts from (and of the map,
-fields and config), so `optimize` can take sweeps it is handed instead of
-computing them: `KnownSweeps`, the part of the receding horizon's
-lookahead that was not executed, whose first sweep starts at the next
-horizon's initial positions. It takes each known sweep's positions, energy
-and moved count, and then keeps the same books as for a computed sweep, so
-its stop tests and its trace are those of computing every sweep.
-`energies[0]` is still computed: the previous horizon's energy at those
-positions was taken on another sweep's graph.
+fields and config), so the sweeps from one start form one stream:
+`sweeps` yields them in order, each computed once, and ends after the
+first sweep that moves no robot. `optimize` reads at most `max_sweeps` of
+a stream and applies its stop tests; the receding horizon hands it one
+stream per run, so a sweep its lookahead computed and did not execute is
+not computed again.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, count, islice
+from typing import Callable, Iterator, Sequence
 
 from .fields import InteractionParams, ScalarField, interaction_energy
 from .graph import InteractionGraph, build_interaction_graph, check_connectivity_condition
@@ -97,20 +95,14 @@ def make_state(
 @dataclass(frozen=True)
 class Sweep:
     """One ICM sweep: the positions after it, the swarm energy there on the
-    graph the sweep froze, and how many robots it moved. A sweep that moves
-    no robot ends `optimize`, which computes no energy for it (None)."""
+    graph the sweep froze, how many robots it moved, and the seconds its
+    graph build and robot updates took. A sweep that moves no robot ends
+    its stream, and no energy is computed for it (None)."""
 
     positions: tuple[Cell, ...]
     energy: float | None
     moved: int
-
-
-@dataclass(frozen=True)
-class KnownSweeps:
-    """Sweeps already computed, in order, from the positions `start`."""
-
-    start: tuple[Cell, ...]
-    sweeps: tuple[Sweep, ...]
+    seconds: float
 
 
 @dataclass
@@ -120,8 +112,7 @@ class EnergyTrace:
     energies: list[float]
     moved_counts: list[int]
     status: str  # 'converged' | 'max-sweeps'
-    sweep_seconds: list[float] = field(default_factory=list)
-    sweeps: list[Sweep] = field(default_factory=list)  # every sweep run, a zero-move one included
+    sweep_seconds: list[float] = field(default_factory=list)  # a zero-move sweep's too
 
     @property
     def converged(self) -> bool:
@@ -469,10 +460,10 @@ def _sweep(
     iparams: InteractionParams,
     config: OptimizeConfig,
     update_hook: UpdateHook | None,
-) -> tuple[Sweep, float]:
+) -> Sweep:
     """Sweep all robots once from `start` in ascending id, on the graph and
-    candidate spaces of `start`; also return the seconds the robot updates
-    took, which leave out the energy after the sweep."""
+    candidate spaces of `start`. Its seconds leave out the energy after the
+    sweep."""
     tic = time.perf_counter()
     n = len(start)
     positions = list(start)
@@ -499,7 +490,27 @@ def _sweep(
 
     after = tuple(positions)
     energy = swarm_energy(SwarmState(after, graph), static, iparams) if moved else None
-    return Sweep(after, energy, moved), seconds
+    return Sweep(after, energy, moved, seconds)
+
+
+def sweeps(
+    start: Sequence[Cell],
+    grid: OccupancyGrid,
+    static: ScalarField | None,
+    iparams: InteractionParams,
+    config: OptimizeConfig,
+    update_hook: UpdateHook | None = None,
+) -> Iterator[Sweep]:
+    """The ICM sweeps from `start`, each from where the last one ended,
+    until the first sweep that moves no robot (yielded, then the stream
+    ends). `config.max_sweeps` does not apply here: the reader stops."""
+    positions = tuple(start)
+    for sweep in count(1):
+        step = _sweep(sweep, positions, grid, static, iparams, config, update_hook)
+        yield step
+        if step.moved == 0:
+            return
+        positions = step.positions
 
 
 def optimize(
@@ -509,7 +520,7 @@ def optimize(
     iparams: InteractionParams,
     config: OptimizeConfig,
     update_hook: UpdateHook | None = None,
-    known: KnownSweeps | None = None,
+    stream: Iterator[Sweep] | None = None,
 ) -> tuple[list[DiscretePath], EnergyTrace]:
     """ICM loop: rebuild graph, build and filter candidate spaces, sweep all
     robots in ascending id, until a zero-move sweep, energy stagnation, or
@@ -518,43 +529,30 @@ def optimize(
     `update_hook(sweep, robot, state)` is called after every single-robot
     update with the frozen-sweep graph, for instrumentation.
 
-    `known` holds sweeps already computed from `initial.positions` on the
-    same map, fields and config. They are taken in order instead of being
-    computed again; a sweep is a function of the positions it starts from,
-    so the result is the same. A known sweep calls no `update_hook`, and its
-    `sweep_seconds` entry is the time taken to look it up. Raises ValueError
-    when `known` starts elsewhere.
+    `stream` is the sweeps to read, by default `sweeps` from
+    `initial.positions` with this config and `update_hook`. A stream handed
+    in must start there, on the same map, fields and config, and
+    `update_hook` is not passed to it.
     """
     if not check_connectivity_condition(initial.graph):
         raise ConnectivityError("initial interaction graph has an isolated robot")
-    positions = tuple(initial.positions)
-    if known is not None and tuple(known.start) != positions:
-        raise ValueError("known sweeps do not start at the initial positions")
+    if stream is None:
+        stream = sweeps(initial.positions, grid, static, iparams, config, update_hook)
 
-    path_cells: list[list[Cell]] = [[p] for p in positions]
+    path_cells: list[list[Cell]] = [[p] for p in initial.positions]
     energies = [swarm_energy(initial, static, iparams)]
     moved_counts: list[int] = []
     sweep_seconds: list[float] = []
-    sweeps: list[Sweep] = []
     status = "max-sweeps"
     stagnant = 0
-    carried = iter(known.sweeps if known is not None else ())
 
-    for sweep in range(1, config.max_sweeps + 1):
-        tic = time.perf_counter()
-        step = next(carried, None)
-        seconds = time.perf_counter() - tic
-        if step is None:
-            step, seconds = _sweep(sweep, positions, grid, static, iparams, config, update_hook)
-        sweep_seconds.append(seconds)
-        sweeps.append(step)
-
+    for step in islice(stream, config.max_sweeps):
+        sweep_seconds.append(step.seconds)
         if step.moved == 0:
             status = "converged"
             break
 
-        positions = step.positions
-        for cells, c in zip(path_cells, positions):
+        for cells, c in zip(path_cells, step.positions):
             cells.append(c)
         energies.append(step.energy)
         moved_counts.append(step.moved)
@@ -572,7 +570,6 @@ def optimize(
         moved_counts=moved_counts,
         status=status,
         sweep_seconds=sweep_seconds,
-        sweeps=sweeps,
     )
     paths = [DiscretePath(robot=i, cells=tuple(cells)) for i, cells in enumerate(path_cells)]
     return paths, trace

@@ -5,19 +5,22 @@ goal.
 
 Only the executed fraction is ever pruned and smoothed: there is no
 lookahead prune. The next horizon starts where the executed steps end, and
-an ICM sweep is a function of the positions it starts from, so the sweeps
-of the lookahead that were not executed are the next horizon's first
-sweeps. `run` hands them over, and `mrf.optimize` takes them instead of
-computing them again; the plan is the same as when every sweep is
-computed. The handover lives in one `run` only. A horizon depends only on
-the positions it starts from, so a run that returns to an earlier start
-state stops: the rest would replay the same cycle."""
+an ICM sweep is a function of the positions it starts from, so a run's
+sweeps form one stream (`mrf.sweeps`) and each horizon's lookahead is the
+next few sweeps of it: `run` hands each horizon a copy of the stream, then
+moves the stream past the executed steps. Each sweep is computed once, and
+the plan is the same as when every horizon computes its own. The run's
+energies, moved counts and sweep seconds are those of the executed sweeps.
+A horizon depends only on the positions it starts from, so a run that
+returns to an earlier start state stops: the rest would replay the same
+cycle."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import islice, tee
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,11 +29,12 @@ from .grid import Cell, OccupancyGrid
 from .mrf import (
     DiscretePath,
     EnergyTrace,
-    KnownSweeps,
     OptimizeConfig,
+    Sweep,
     SwarmState,
     make_state,
     optimize,
+    sweeps,
 )
 from .paths import PrunedPath, prune
 from .trajopt import (
@@ -83,11 +87,6 @@ class HorizonPlan:
     trace: EnergyTrace
     terminal: bool
 
-    def tail(self, steps: int) -> KnownSweeps:
-        """The sweeps after the first `steps`, from where those steps end."""
-        start = tuple(p.cells[steps] for p in self.discrete)
-        return KnownSweeps(start, tuple(self.trace.sweeps[steps:]))
-
 
 @dataclass
 class ExecutionRecord:
@@ -115,29 +114,37 @@ class RunResult:
     pos: np.ndarray  # (robots, samples, 2)
     vel: np.ndarray
     acc: np.ndarray
-    energies: list[float]
-    moved_counts: list[int]
-    sweep_seconds: list[float]
+    energies: list[float]  # the start's, then after each executed sweep
+    moved_counts: list[int]  # per executed sweep
+    sweep_seconds: list[float]  # per executed sweep, and a final zero-move one
     discrete: list[list[Cell]]  # executed cells per robot, all horizons
     pruned: list[list[PrunedPath]]  # per executed horizon
     reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
+def _mrf_config(scenario: Scenario, config: RhpConfig) -> OptimizeConfig:
+    return replace(config.mrf, max_sweeps=config.planning_horizon, goal=scenario.goal)
+
+
 def plan_horizon(
-    state: SwarmState, scenario: Scenario, config: RhpConfig, known: KnownSweeps | None = None
+    state: SwarmState,
+    scenario: Scenario,
+    config: RhpConfig,
+    stream: Iterator[Sweep] | None = None,
 ) -> HorizonPlan:
-    """Run up to H MRF sweeps, taking the `known` ones (the previous
-    horizon's unexecuted tail) as they are.
+    """Read up to H MRF sweeps from `stream`, the run's sweeps from
+    `state.positions` on (computed here when None).
 
     The plan is lookahead only: `execute_fraction` prunes, smooths,
-    validates and samples the fraction that is executed, and the plan's
-    `tail` hands the sweeps it did not execute to the next horizon.
+    validates and samples the fraction that is executed.
     """
-    mrf_cfg = replace(
-        config.mrf, max_sweeps=config.planning_horizon, goal=scenario.goal
-    )
     paths, trace = optimize(
-        state, scenario.grid, scenario.static, scenario.iparams, mrf_cfg, known=known
+        state,
+        scenario.grid,
+        scenario.static,
+        scenario.iparams,
+        _mrf_config(scenario, config),
+        stream=stream,
     )
     terminal = len(paths[0].cells) == 1  # no robot moved
     return HorizonPlan(discrete=paths, trace=trace, terminal=terminal)
@@ -218,7 +225,8 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     horizons = 0
     reason = None
     seen: set[tuple[Cell, ...]] = set()
-    known = None  # the previous horizon's unexecuted sweeps
+    mrf_cfg = _mrf_config(scenario, config)
+    stream = sweeps(state.positions, grid, scenario.static, scenario.iparams, mrf_cfg)
 
     for h in range(config.max_horizons):
         if scenario.goal is not None and _all_at_goal(
@@ -230,16 +238,15 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
             status = STATUS_CYCLE
             break
         seen.add(state.positions)
-        plan = plan_horizon(state, scenario, config, known)
+        window, stream = tee(stream)
+        plan = plan_horizon(state, scenario, config, window)
         horizons = h + 1
         if not energies:
             energies.append(plan.trace.energies[0])
-        energies.extend(plan.trace.energies[1:])
-        moved_counts.extend(plan.trace.moved_counts)
-        sweep_seconds.extend(plan.trace.sweep_seconds)
 
         if plan.terminal:
             # swarm energy converged with unchanged positions: MRF fixed point
+            sweep_seconds.extend(plan.trace.sweep_seconds)
             status = STATUS_GOAL
             break
 
@@ -249,6 +256,11 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
             status = STATUS_UNREPAIRABLE
             reason = str(exc)
             break
+        e = record.steps
+        energies.extend(plan.trace.energies[1 : e + 1])
+        moved_counts.extend(plan.trace.moved_counts[:e])
+        sweep_seconds.extend(plan.trace.sweep_seconds[:e])
+        next(islice(stream, e, e), None)  # past the executed sweeps
         pruned_log.append(record.pruned)
         if len(record.t):
             all_t.append(record.t + t_offset)
@@ -258,9 +270,8 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
             t_offset += float(record.t[-1]) + config.dt
 
         for r in range(n):
-            discrete[r].extend(plan.discrete[r].cells[1 : record.steps + 1])
+            discrete[r].extend(plan.discrete[r].cells[1 : e + 1])
         state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm)
-        known = plan.tail(record.steps)
 
     if scenario.goal is not None and status == STATUS_MAX_HORIZONS and _all_at_goal(
         state.positions, scenario.goal, config.goal_radius

@@ -250,6 +250,19 @@ def test_plan_command_byte_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_plan_outputs_record_each_executed_sweep_once(tmp_path):
+    # corridor seed 0 executes 22 sweeps over 12 horizons
+    out = tmp_path / "run"
+    run_command(["plan", "--scenario", "corridor", "--seed", "0", "--out", str(out)])
+    energy = (out / "energy.csv").read_text().splitlines()[1:]
+    steps = [r for r in (out / "discrete_paths.csv").read_text().splitlines()[1:] if r.startswith("0,")]
+    timing = (out / "timing.csv").read_text().splitlines()[1:]
+    assert (len(energy), len(steps), len(timing)) == (23, 23, 22)
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[2] == "sweeps: 22"
+    assert summary[3] == f"final_energy: {energy[-1].split(',')[1]}"
+
+
 def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
     def failing_execute(*args, **kwargs):
         raise UnrepairableError([Violation("separation", 0, 3.1, other=8)])
@@ -498,17 +511,17 @@ def test_invalid_config_path_exit_code(tmp_path):
 OUTPUT_DIGESTS = {
     "blocks/config.txt": "0216f234a4dc23c27e4e6f00506c40d46e40de9aedb56604fbb122e9d77e3682",
     "blocks/discrete_paths.csv": "1d5f7d04ff61b207fe14154f4fec974230a32653c7ef3568a858324a6b3fd2a9",
-    "blocks/energy.csv": "3c6c43c127f4aec3925668863b257e7fa8593bfe5ca0ab4aa6d23f4921ad5d92",
+    "blocks/energy.csv": "5bbd047e61e06f56ae6a744a67e6ed55d8be0d837ca4545a53e91088abc860d9",
     "blocks/metrics.csv": "8e0ce086747fb26adc18f89d88b8ec0f6e4729ea7ec3f7dcd7184058089b0ca5",
     "blocks/pruned_paths.csv": "6c524438336a63997e854adb68c59099f93d4d212b6661943ef8b4fca8361266",
-    "blocks/summary.txt": "c41e0f78be5b5bdfe16b9b340d5cdbbd4887b8df9ee43eb8e13fdbcca0f67207",
+    "blocks/summary.txt": "c2953b3051fc7d6eda9b38375823169094e7a10ba44f11758633fde2f9a0335f",
     "blocks/trajectories.csv": "b67e2761618baa08337388e734d0b18cfc543569f547ccb298b0ed4063bdd5db",
     "corridor/config.txt": "022b13af02259baadc1ac71a2591c00274a53954639d19843a04e327a4f833f7",
     "corridor/discrete_paths.csv": "c73eae1a4f7a88b1279ab064951d3dfda07476b73dedc5526bd88194987d5d59",
-    "corridor/energy.csv": "63a7fa8c5860408a2d002105f211e43a68cdfbb2d505de3388c80d69ba1a7fa2",
+    "corridor/energy.csv": "f43f70cd298d76e21021cd71f0f1008e2eda5ccb1c393c00ea5ff7e7898d986e",
     "corridor/metrics.csv": "463b46fffcc947ad44150b12b532e6a503e2db234ea5aa05bd6c934751bd996c",
     "corridor/pruned_paths.csv": "ef3f6846d0534f18d736574866db970551a8708f425305cc6d593de1152b9616",
-    "corridor/summary.txt": "9da809d709fdc43ba7ad59ae0b4048f70fea614306a435efa6e3f4d5cd1bfedb",
+    "corridor/summary.txt": "6d32391a8bcd41a3c210312e6da9da2603a472f0e7b4e08be6a8c096dc3bc06c",
     "corridor/trajectories.csv": "daffb8dd42c2fb4448ccd9f35638e141ed788dda57f19aef78941e12b7b14aaa",
     "formation/config.txt": "152ce39a0cfe8050a0087aff8007f351a200b139c730b6ca3898114d78aafe7f",
     "formation/discrete_paths.csv": "0a2e3377d40617818aa7c6b33491f34366c4bf39b05e1c16bb166d79c51928e6",

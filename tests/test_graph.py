@@ -1,5 +1,5 @@
 """Interaction-graph tests: k-nearest-neighbor construction, Bron-Kerbosch
-maximal cliques against a brute-force oracle, and Markov blankets."""
+maximal cliques against a brute-force oracle, and the connectivity condition."""
 
 import itertools
 import math
@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from swarmplan.graph import (
-    InteractionGraph,
     build_interaction_graph,
     check_connectivity_condition,
-    dump_cliques,
-    markov_blanket,
     maximal_cliques,
 )
 
@@ -213,18 +210,6 @@ def test_cliques_sorted_deterministically():
     assert all(c == tuple(sorted(c)) for c in cliques)
 
 
-def test_markov_blanket_is_neighbor_set():
-    g = build_interaction_graph([(0, 0), (1, 0), (3, 0), (7, 0)], k=1)
-    assert markov_blanket(g, 1) == {0, 2}
-    assert markov_blanket(g, 3) == {2}
-
-
-def test_markov_blanket_rejects_bad_id():
-    g = build_interaction_graph([(0, 0), (1, 0)], k=1)
-    with pytest.raises(ValueError):
-        markov_blanket(g, 2)
-
-
 def test_every_robot_appears_in_some_clique():
     rng = np.random.default_rng(5)
     pos = rng.uniform(0, 40, size=(8, 2))
@@ -234,12 +219,3 @@ def test_every_robot_appears_in_some_clique():
         covered.update(c)
     assert covered == set(range(8))
 
-
-def test_dump_cliques_format():
-    adj = np.zeros((3, 3), dtype=bool)
-    adj[0, 1] = adj[1, 0] = True
-    g = InteractionGraph(
-        n_robots=3, k=1, r_comm=float("inf"), adjacency=adj,
-        cliques=maximal_cliques(adj),
-    )
-    assert dump_cliques(g) == "0 1\n2\n"

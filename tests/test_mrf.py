@@ -31,7 +31,6 @@ from swarmplan.mrf import (
     _conflict_rows,
     _pair_energies,
     DiscretePath,
-    KnownSweeps,
     OptimizeConfig,
     apply_heuristics,
     clique_energy,
@@ -41,6 +40,7 @@ from swarmplan.mrf import (
     optimize,
     paths_noncrossing_check,
     swarm_energy,
+    sweeps,
 )
 from swarmplan.paths import point_segment_distance, segments_intersect
 
@@ -684,21 +684,11 @@ def test_sweep_seconds_include_the_graph_build(monkeypatch):
     assert all(s >= delay for s in trace.sweep_seconds)
 
 
-@pytest.mark.parametrize("size, cells, k, goal, zero_move", [
+def test_sweeps_end_after_the_first_zero_move_sweep(monkeypatch):
     # nine moving sweeps, then one that moves no robot
-    (20, ((2, 8), (4, 9), (9, 7), (10, 6), (11, 10)), 2, (9.0, 9.0), True),
-    # far apart, the swarm energy changes by less than EPS_CONVERGE twice
-    (200, ((5, 5), (6, 5), (5, 180)), 1, None, False),
-])
-def test_optimize_with_known_sweeps_equals_the_cold_trace(size, cells, k, goal, zero_move, monkeypatch):
-    grid = free_grid(size, size)
-    state = make_state(cells, grid, k=k)
-    cfg = OptimizeConfig(k=k, goal=goal, max_sweeps=40)
-    cold_paths, cold = optimize(state, grid, None, IPARAMS, cfg)
-    assert cold.status == "converged"
-    assert (len(cold.sweeps) == len(cold.moved_counts) + 1) == zero_move
-    assert len(cold.sweeps) == len(cold.sweep_seconds)
-
+    grid = free_grid(20, 20)
+    state = make_state([(2, 8), (4, 9), (9, 7), (10, 6), (11, 10)], grid, k=2)
+    cfg = OptimizeConfig(k=2, goal=(9.0, 9.0), max_sweeps=40)
     updates = []
     real_update = mrf.icm_update
 
@@ -707,29 +697,30 @@ def test_optimize_with_known_sweeps_equals_the_cold_trace(size, cells, k, goal, 
         return real_update(*args, **kwargs)
 
     monkeypatch.setattr(mrf, "icm_update", counting_update)
-    for j in range(len(cold.sweeps) + 1):
-        updates.clear()
-        known = KnownSweeps(state.positions, tuple(cold.sweeps[:j]))
-        paths, trace = optimize(state, grid, None, IPARAMS, cfg, known=known)
-        assert paths == cold_paths
-        assert trace.energies == cold.energies
-        assert trace.moved_counts == cold.moved_counts
-        assert trace.status == cold.status
-        assert trace.sweeps == cold.sweeps
-        assert len(trace.sweep_seconds) == len(cold.sweep_seconds)
-        # the known sweeps are taken, not computed again
-        assert len(updates) == len(cells) * (len(cold.sweeps) - j)
+    stream = list(sweeps(state.positions, grid, None, IPARAMS, cfg))
+    assert [s.moved > 0 for s in stream] == [True] * 9 + [False]
+    assert stream[-1].positions == stream[-2].positions and stream[-1].energy is None
+    assert len(updates) == 5 * 10  # nothing is computed past the zero-move sweep
+
+    paths, trace = optimize(state, grid, None, IPARAMS, cfg)
+    assert trace.energies[1:] == [s.energy for s in stream[:-1]]
+    assert trace.moved_counts == [s.moved for s in stream[:-1]]
+    assert len(trace.sweep_seconds) == len(stream)
+    assert all(p.cells[1:] == tuple(s.positions[p.robot] for s in stream[:-1]) for p in paths)
 
 
-def test_optimize_rejects_known_sweeps_from_other_positions():
-    grid = free_grid(20, 20)
-    state = make_state([(2, 8), (4, 9), (9, 7), (10, 6), (11, 10)], grid, k=2)
-    cfg = OptimizeConfig(k=2, goal=(9.0, 9.0), max_sweeps=40)
-    _, cold = optimize(state, grid, None, IPARAMS, cfg)
-    # the tail after the first sweep starts where that sweep ends
-    tail = KnownSweeps(cold.sweeps[0].positions, tuple(cold.sweeps[1:]))
-    for known in (tail, KnownSweeps(cold.sweeps[0].positions, ())):
-        with pytest.raises(ValueError, match="^known sweeps do not start at the initial positions$"):
-            optimize(state, grid, None, IPARAMS, cfg, known=known)
-    moved = make_state(cold.sweeps[0].positions, grid, k=2)
-    assert optimize(moved, grid, None, IPARAMS, cfg, known=tail)[1].sweeps == cold.sweeps[1:]
+@pytest.mark.parametrize("size, cells, k, goal, max_sweeps", [
+    # far apart, the swarm energy changes by less than EPS_CONVERGE twice
+    (200, ((5, 5), (6, 5), (5, 180)), 1, None, 40),
+    # stopped by the sweep cap
+    (20, ((2, 8), (4, 9), (9, 7), (10, 6), (11, 10)), 2, (9.0, 9.0), 3),
+])
+def test_energy_trace_has_one_energy_more_than_moved_counts(size, cells, k, goal, max_sweeps):
+    # a trace that ends on a zero-move sweep: test_sweeps_end_after_the_first_zero_move_sweep
+    grid = free_grid(size, size)
+    cfg = OptimizeConfig(k=k, goal=goal, max_sweeps=max_sweeps)
+    _, trace = optimize(make_state(cells, grid, k=k), grid, None, IPARAMS, cfg)
+    assert trace.status == ("converged" if max_sweeps == 40 else "max-sweeps")
+    assert len(trace.energies) == len(trace.moved_counts) + 1
+    assert len(trace.sweep_seconds) == len(trace.moved_counts)
+    assert len(trace.energies) == len(trace.moved_counts) + 1

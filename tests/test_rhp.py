@@ -4,6 +4,7 @@ run-loop termination, and metric summaries."""
 import dataclasses
 import hashlib
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -422,22 +423,21 @@ def acceptance_run(scenario, seed):
     ("swarm-n10", 0),
 ])
 def test_run_with_carried_sweeps_equals_a_cold_run(scenario, seed, monkeypatch):
+    # the one-stream run against a run in which every horizon computes its
+    # own sweeps from its own start
     handed = []
     real_plan = rhp.plan_horizon
 
-    def recording_plan(state, scenario, config, known=None):
-        handed.append(known)
-        return real_plan(state, scenario, config, known)
+    def recording_plan(state, scenario, config, stream=None):
+        handed.append(stream)
+        return real_plan(state, scenario, config, stream)
 
     monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
     carried = acceptance_run(scenario, seed)
-    assert handed[0] is None
-    assert any(known.sweeps for known in handed[1:])
-    # the cold run computes every sweep: no horizon hands on its tail
-    monkeypatch.setattr(rhp.HorizonPlan, "tail", lambda plan, steps: None)
-    handed.clear()
+    assert len(handed) == carried.horizons and None not in handed
+    monkeypatch.setattr(rhp, "plan_horizon", lambda state, scenario, config, stream=None:
+                        real_plan(state, scenario, config))
     cold = acceptance_run(scenario, seed)
-    assert handed == [None] * cold.horizons
 
     for f in dataclasses.fields(rhp.RunResult):
         a, b = getattr(carried, f.name), getattr(cold, f.name)
@@ -449,10 +449,9 @@ def test_run_with_carried_sweeps_equals_a_cold_run(scenario, seed, monkeypatch):
             assert a == b, f.name
 
 
-def test_run_computes_only_the_sweeps_no_horizon_carried(monkeypatch):
-    # corridor N=5 seed 0: 12 horizons run 45 sweeps, 22 of them taken from
-    # the previous horizon's unexecuted lookahead; computing every sweep
-    # takes 225 robot updates
+def test_run_computes_each_sweep_once_and_records_the_executed_ones(monkeypatch):
+    # corridor N=5 seed 0: 12 horizons execute 22 sweeps; the last horizon's
+    # lookahead computes one more, which is not executed
     updates = []
     real_update = mrf.icm_update
 
@@ -462,5 +461,42 @@ def test_run_computes_only_the_sweeps_no_horizon_carried(monkeypatch):
 
     monkeypatch.setattr(mrf, "icm_update", counting_update)
     result = acceptance_run("corridor", 0)
-    assert (result.horizons, len(result.sweep_seconds)) == (12, 45)
-    assert len(updates) == 5 * (45 - 22)
+    assert result.horizons == 12
+    assert len(result.discrete[0]) - 1 == 22
+    assert (len(result.energies), len(result.moved_counts), len(result.sweep_seconds)) == (23, 22, 22)
+    assert len(updates) == 5 * 23
+
+
+def test_run_has_one_energy_more_than_moved_counts(monkeypatch):
+    # corridor N=5 seed 8 ends at a fixed point: its last horizon's one
+    # sweep moves no robot, and only its time is recorded
+    traces = []
+    real_plan = rhp.plan_horizon
+
+    def recording_plan(*args, **kwargs):
+        plan = real_plan(*args, **kwargs)
+        traces.append(plan.trace)
+        return plan
+
+    monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
+    result = acceptance_run("corridor", 8)
+    assert traces[-1].moved_counts == [] and len(traces[-1].sweep_seconds) == 1
+    assert len(result.energies) == len(result.moved_counts) + 1 == len(result.discrete[0])
+    assert len(result.sweep_seconds) == len(result.moved_counts) + 1
+    assert all(len(t.energies) == len(t.moved_counts) + 1 for t in traces)
+
+
+def test_sweep_seconds_time_computed_sweeps_only(monkeypatch):
+    # every row is the time a computed sweep took, its graph build included,
+    # whichever horizon's lookahead computed it
+    delay = 0.01
+    build = mrf.build_interaction_graph
+
+    def slow_build(*args, **kwargs):
+        time.sleep(delay)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mrf, "build_interaction_graph", slow_build)
+    result = acceptance_run("corridor", 0)
+    assert len(result.sweep_seconds) == 22
+    assert all(s >= delay for s in result.sweep_seconds)
