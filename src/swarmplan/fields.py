@@ -99,7 +99,7 @@ class GoalParams:
     length_scale: float = 20.0
 
     def __post_init__(self):
-        if self.amp <= 0 or self.length_scale <= 0:
+        if not (self.amp > 0 and self.length_scale > 0):
             raise ValueError("goal amplitude and length scale must be positive")
 
 
@@ -117,7 +117,7 @@ class ObstacleParams:
     occupied_value: float = 5.0
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.occupied_value <= 0:
+        if not (self.sigma > 0 and self.occupied_value > 0):
             raise ValueError("sigma and occupied_value must be positive")
 
 

@@ -20,8 +20,6 @@ class InteractionGraph:
     """
 
     n_robots: int
-    k: int
-    r_comm: float
     adjacency: np.ndarray
     cliques: tuple[tuple[int, ...], ...]
 
@@ -128,9 +126,7 @@ def build_interaction_graph(positions, k: int, r_comm: float = math.inf) -> Inte
     adj[rows, nearest] = dist[rows, nearest] <= r_comm
     adj |= adj.T
 
-    return InteractionGraph(
-        n_robots=n, k=k, r_comm=r_comm, adjacency=adj, cliques=maximal_cliques(adj)
-    )
+    return InteractionGraph(n_robots=n, adjacency=adj, cliques=maximal_cliques(adj))
 
 
 def check_connectivity_condition(g: InteractionGraph) -> bool:

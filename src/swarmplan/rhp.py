@@ -76,6 +76,16 @@ class RhpConfig:
     corridor_halfwidth: float = 1.0
     dt: float = 0.05
 
+    def __post_init__(self):
+        # a NaN fails every comparison, so it would switch a check off
+        if not self.planning_horizon >= 1:
+            raise ValueError("planning_horizon must be at least 1")
+        for name in ("d_safe", "corridor_halfwidth", "dt"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.goal_radius < math.inf:
+            raise ValueError("goal_radius must be nonnegative and finite")
+
 
 @dataclass
 class HorizonPlan:

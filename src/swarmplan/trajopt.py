@@ -34,7 +34,8 @@ one `np.linalg.solve` with several right-hand-side columns for one solve
 per column; and `np.hypot` for `math.hypot`. A stacked batch of
 single-column systems, matrices (k, n, n) against right-hand sides
 (k, n, 1), is solved matrix by matrix and matches k separate solves
-exactly.
+exactly. The corridor, precedence and slot tests share one kernel,
+`_point_segment_distances`, in `paths.point_segment_distance`'s order.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import OccupancyGrid
-from .paths import point_segment_distance, segments_intersect
+from .paths import segments_intersect
 
 DEGREE = 7
 SNAP_ORDER = 4
@@ -476,6 +477,22 @@ def solve_problems(problems: Sequence[SmoothingProblem]) -> list[PolynomialTraje
     return trajs
 
 
+def _point_segment_distances(p, a, b) -> np.ndarray:
+    """`paths.point_segment_distance` on arrays (..., 2) that broadcast, in
+    the scalar's operation order with `math.hypot` per entry, so each
+    distance equals the scalar's bit for bit."""
+    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
+    px, py, ax, ay, bx, by = p[..., 0], p[..., 1], a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    vx, vy = bx - ax, by - ay
+    norm2 = vx * vx + vy * vy
+    dot = (px - ax) * vx + (py - ay) * vy  # the broadcast shape of all three
+    proj = np.divide(dot, norm2, out=np.zeros_like(dot), where=norm2 != 0)
+    u = np.maximum(np.minimum(proj, 1.0), 0.0)  # max(0, min(1, proj))
+    dx, dy = px - (ax + u * vx), py - (ay + u * vy)
+    dist = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), float, dx.size)
+    return dist.reshape(dx.shape)
+
+
 def validate(
     samples: TrajectorySamples,
     grid: OccupancyGrid,
@@ -492,30 +509,19 @@ def validate(
     """
     res = grid.resolution
     pos = samples.pos
-    x, y = pos[..., 0], pos[..., 1]  # (robots, samples)
 
     # obstacle: the rounded cell is off the map or occupied (np.rint rounds
     # half to even, as round() does)
-    cx, cy = np.rint(x), np.rint(y)
+    cx, cy = np.rint(pos[..., 0]), np.rint(pos[..., 1])  # (robots, samples)
     hit = ~((cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height))
     inside = ~hit
     hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
 
-    # corridor: distance to the sample's own segment with
-    # point_segment_distance's arithmetic; a zero-length segment gives the
-    # distance to its point
-    ends = np.array([
-        np.array(p.waypoints, dtype=float)[seg[:, None] + [0, 1]]
-        for p, seg in zip(problems, samples.seg)
-    ])  # (robots, samples, 2 ends, 2)
-    ax, ay, bx, by = ends[..., 0, 0], ends[..., 0, 1], ends[..., 1, 0], ends[..., 1, 1]
-    vx, vy = bx - ax, by - ay
-    norm2 = vx * vx + vy * vy
-    proj = np.divide((x - ax) * vx + (y - ay) * vy, norm2, out=np.zeros_like(norm2), where=norm2 != 0)
-    u = np.clip(proj, 0.0, 1.0)
-    dx, dy = x - (ax + u * vx), y - (ay + u * vy)
-    dist = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), float, dx.size)
-    off = ~hit & (dist.reshape(dx.shape) * res > corridor_halfwidth + DIST_TOL)
+    # corridor: distance to the sample's own segment
+    wps = [np.array(p.waypoints, dtype=float) for p in problems]
+    ends = np.array([w[seg[:, None] + [0, 1]] for w, seg in zip(wps, samples.seg)])  # (robots, samples, 2 ends, 2)
+    dist = _point_segment_distances(pos, ends[..., 0, :], ends[..., 1, :])
+    off = ~hit & (dist * res > corridor_halfwidth + DIST_TOL)
 
     # per robot, by sample; an obstacle hit hides a corridor departure
     violations: list[Violation] = []
@@ -539,18 +545,6 @@ def validate(
 DIST_TOL = 1e-9
 
 
-def _segment_gap(a, b, c, d) -> float:
-    """Distance between the closed segments a-b and c-d."""
-    if segments_intersect(a, b, c, d):
-        return 0.0
-    return min(
-        point_segment_distance(a, c, d),
-        point_segment_distance(b, c, d),
-        point_segment_distance(c, a, b),
-        point_segment_distance(d, a, b),
-    )
-
-
 def _step_slots(a, b, d_safe: float, res: float) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """Execution slots for one discrete step, each robot r moving a[r] -> b[r].
 
@@ -562,23 +556,22 @@ def _step_slots(a, b, d_safe: float, res: float) -> tuple[list[list[int]], list[
     timing. A robot that holds its cell takes no slot, but its cell
     constrains the others like any start and end.
 
+    Two segments come within d_safe when one does of an end of the other,
+    or when they intersect.
+
     Returns the slots, or no slots and the pairs of a precedence cycle when
     no order exists (a swap, or a move past a held robot).
     """
     n = len(a)
     limit = d_safe - DIST_TOL
-
-    def near(p, r):  # r's segment comes within d_safe of point p
-        return point_segment_distance(p, a[r], b[r]) * res < limit
-
-    before: list[set[int]] = [set() for _ in range(n)]  # before[r]: robots r waits for
-    for r in range(n):
-        for q in range(n):
-            if q != r:
-                if near(a[q], r):
-                    before[r].add(q)
-                if near(b[q], r):
-                    before[q].add(r)
+    cells = np.array([*a, *b], dtype=float)  # the starts, then the ends
+    near = _point_segment_distances(cells, cells[:n, None], cells[n:, None]) * res < limit
+    # near_start[r, q]: r's segment within d_safe of q's start; near_end, of q's end
+    near_start, near_end = near[:, :n], near[:, n:]
+    waits = near_start | near_end.T  # waits[r, q]: r waits for q
+    np.fill_diagonal(waits, False)
+    before = [{q for q, w in enumerate(row) if w} for row in waits.tolist()]  # before[r]: robots r waits for
+    close = (near_start | near_end | near_start.T | near_end.T).tolist()  # an end of one within d_safe of the other
 
     order: list[int] = []
     left = set(range(n))
@@ -599,7 +592,7 @@ def _step_slots(a, b, d_safe: float, res: float) -> tuple[list[list[int]], list[
     for r in order:
         if a[r] != b[r]:
             slot[r] = 1 + max(
-                (s for q, s in slot.items() if _segment_gap(a[q], b[q], a[r], b[r]) * res < limit),
+                (s for q, s in slot.items() if close[q][r] or segments_intersect(a[q], b[q], a[r], b[r])),
                 default=-1,
             )
     slots: list[list[int]] = [[] for _ in range(max(slot.values(), default=-1) + 1)]

@@ -111,6 +111,30 @@ def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    # exited 0 "goal-converged": a NaN comparison never reports a violation
+    (["--d-safe", "nan"], "d_safe must be positive and finite"),
+    (["--corridor-halfwidth", "nan"], "corridor_halfwidth must be positive and finite"),
+    # exited 0 "goal-converged (1 horizons)" with no sweep planned
+    (["--horizon", "0"], "planning_horizon must be at least 1"),
+    # failed in islice()
+    (["--horizon", "-1"], "planning_horizon must be at least 1"),
+    # failed as "arange: cannot compute length"
+    (["--dt", "nan"], "dt must be positive and finite"),
+    # exited 0 "goal-converged (13 horizons)"
+    (["--goal-radius", "nan"], "goal_radius must be nonnegative and finite"),
+    # failed as "min() arg is an empty sequence"
+    (["--goal-amp", "nan"], "goal amplitude and length scale must be positive"),
+    # failed as "cannot convert float NaN to integer"
+    (["--sigma", "nan"], "sigma and occupied_value must be positive"),
+])
+def test_plan_rejects_a_setting_that_switches_a_check_off(tmp_path, capsys, flags, message):
+    code = run_command(["plan", "--scenario", "corridor", "--robots", "5", "--seed", "0", *flags,
+                        "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sample_start_distinct_free_connected():
     cfg = ScenarioConfig(scenario="free")
     grid, cfg = generate_scenario("free", cfg, seed=2)

@@ -152,7 +152,8 @@ def test_goal_energy_formula():
     assert goal_energy((6.0, 8.0), params) == pytest.approx(2.0 * math.exp(1.0))
 
 
-@pytest.mark.parametrize("kwargs", [{"amp": 0.0}, {"length_scale": -1.0}])
+# NaN fails every comparison, so the checks test `not x > 0`
+@pytest.mark.parametrize("kwargs", [{"amp": 0.0}, {"length_scale": -1.0}, {"amp": math.nan}, {"length_scale": math.nan}])
 def test_goal_params_validation(kwargs):
     with pytest.raises(ValueError):
         GoalParams(goal=(0.0, 0.0), **kwargs)
@@ -227,7 +228,9 @@ def test_obstacle_field_peak_on_occupied_cell():
     assert np.unravel_index(np.argmax(inner), inner.shape) == (3, 3)
 
 
-@pytest.mark.parametrize("kwargs", [{"sigma": 0.0}, {"occupied_value": -1.0}])
+@pytest.mark.parametrize(
+    "kwargs", [{"sigma": 0.0}, {"occupied_value": -1.0}, {"sigma": math.nan}, {"occupied_value": math.nan}]
+)
 def test_obstacle_params_validation(kwargs):
     with pytest.raises(ValueError):
         ObstacleParams(**kwargs)

@@ -55,6 +55,20 @@ def small_config(**kw):
     return RhpConfig(**defaults)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("planning_horizon", 0), ("planning_horizon", -1),
+    *((name, value) for name in ("d_safe", "corridor_halfwidth", "dt") for value in (0.0, -1.0, math.nan, math.inf)),
+    ("goal_radius", -1.0), ("goal_radius", math.nan), ("goal_radius", math.inf),
+])
+def test_rhp_config_rejects_values_that_switch_a_check_off(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        RhpConfig(**{name: value})
+
+
+def test_rhp_config_accepts_a_zero_goal_radius():
+    assert RhpConfig(goal_radius=0.0, planning_horizon=1).goal_radius == 0.0
+
+
 def test_plan_horizon_produces_consistent_plan():
     sc = free_scenario()
     cfg = small_config()
@@ -375,38 +389,6 @@ def test_obstacle_run_avoids_occupied_cells():
             assert grid.is_free((cx, cy)), (r, x, y)
 
 
-# Digests of `plan --scenario <name> --robots 5 --seed <seed>`, recorded on
-# x86-64 with numpy 2.4 and OpenBLAS. PLAN_DIGESTS is SHA-256 over repr of
-# (status, horizons, discrete cells): what ICM planned and executed, which
-# nothing after the MRF stage may change. TRAJECTORY_DIGESTS is SHA-256 over
-# the bytes of t, pos, vel and acc. A faster trajectory path must reproduce
-# both; a change meant to alter trajectories records new trajectory digests
-# and says why.
-PLAN_DIGESTS = {
-    ("corridor", 0): "402c78dc0f8875b8a964d85bcd634331addf265eea79546d2885a4a10b898f5e",
-    ("blocks", 1): "2e1a68b1fbb47d41b7b1d4c28d9cd14a91d8aa46f99a7f044675ab5c2a1e174c",
-}
-TRAJECTORY_DIGESTS = {
-    ("corridor", 0): "aa8c79ee92e77aab993d616c1dc80a075f1b77a3507def73fbf420b8b910d30f",
-    ("blocks", 1): "ac2831aae4f90b59998de2f614ba9617eb6c5f9ef3ff5f1d4634620c81831243",
-}
-
-
-@pytest.mark.parametrize("scenario, seed", sorted(PLAN_DIGESTS))
-def test_run_golden_digest(scenario, seed):
-    args = cli.make_parser().parse_args(
-        ["plan", "--scenario", scenario, "--robots", "5", "--seed", str(seed), "--out", "unused"]
-    )
-    sc, cfg = cli.build_scenario(cli._load_cfg(args))
-    result = run(sc, cli.rhp_config(cfg))
-    plan = hashlib.sha256(repr((result.status, result.horizons, result.discrete)).encode())
-    assert plan.hexdigest() == PLAN_DIGESTS[scenario, seed], "plan changed"
-    trajectory = hashlib.sha256()
-    for a in (result.t, result.pos, result.vel, result.acc):
-        trajectory.update(np.ascontiguousarray(a).tobytes())
-    assert trajectory.hexdigest() == TRAJECTORY_DIGESTS[scenario, seed], "trajectories changed"
-
-
 SWARM_N10 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "swarm-n10.txt"
 
 
@@ -416,6 +398,37 @@ def acceptance_run(scenario, seed):
     args = cli.make_parser().parse_args(["plan", *what, "--seed", str(seed), "--out", "unused"])
     sc, cfg = cli.build_scenario(cli._load_cfg(args))
     return run(sc, cli.rhp_config(cfg))
+
+
+# Digests of `acceptance_run`: `plan --scenario <name> --robots 5 --seed
+# <seed>`, and swarm-n10 seed 0 (N=10, 60 horizons, 19 of them on the
+# execution schedule), recorded on x86-64 with numpy 2.4 and OpenBLAS.
+# PLAN_DIGESTS is SHA-256 over repr of (status, horizons, discrete cells):
+# what ICM planned and executed, which nothing after the MRF stage may
+# change. TRAJECTORY_DIGESTS is SHA-256 over the bytes of t, pos, vel and
+# acc. A faster trajectory path must reproduce both; a change meant to alter
+# trajectories records new trajectory digests and says why.
+PLAN_DIGESTS = {
+    ("corridor", 0): "402c78dc0f8875b8a964d85bcd634331addf265eea79546d2885a4a10b898f5e",
+    ("blocks", 1): "2e1a68b1fbb47d41b7b1d4c28d9cd14a91d8aa46f99a7f044675ab5c2a1e174c",
+    ("swarm-n10", 0): "33d77fcddf7c0795eb138b82c074730dbc7ce474be8df98b50602169958e9527",
+}
+TRAJECTORY_DIGESTS = {
+    ("corridor", 0): "aa8c79ee92e77aab993d616c1dc80a075f1b77a3507def73fbf420b8b910d30f",
+    ("blocks", 1): "ac2831aae4f90b59998de2f614ba9617eb6c5f9ef3ff5f1d4634620c81831243",
+    ("swarm-n10", 0): "3979a10e610da882d24b781cb0c6302c3c3ff37cdb9e13ae789f9d66e3478957",
+}
+
+
+@pytest.mark.parametrize("scenario, seed", sorted(PLAN_DIGESTS))
+def test_run_golden_digest(scenario, seed):
+    result = acceptance_run(scenario, seed)
+    plan = hashlib.sha256(repr((result.status, result.horizons, result.discrete)).encode())
+    assert plan.hexdigest() == PLAN_DIGESTS[scenario, seed], "plan changed"
+    trajectory = hashlib.sha256()
+    for a in (result.t, result.pos, result.vel, result.acc):
+        trajectory.update(np.ascontiguousarray(a).tobytes())
+    assert trajectory.hexdigest() == TRAJECTORY_DIGESTS[scenario, seed], "trajectories changed"
 
 
 @pytest.mark.parametrize("scenario, seed", [

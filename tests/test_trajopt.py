@@ -15,7 +15,7 @@ from swarmplan import trajopt
 from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
 from swarmplan.mrf import OptimizeConfig, make_state, optimize
-from swarmplan.paths import point_segment_distance
+from swarmplan.paths import point_segment_distance, segments_intersect
 from swarmplan.trajopt import (
     DIST_TOL,
     PolynomialTrajectory,
@@ -26,7 +26,9 @@ from swarmplan.trajopt import (
     Violation,
     _PERM,
     _perm,
+    _point_segment_distances,
     _snap_gram,
+    _step_slots,
     allocate_times,
     build_qp,
     min_snap,
@@ -553,6 +555,129 @@ def test_forced_schedule_of_random_steps(seed, robots, res):
     grid, free = random_map(rng, res)
     cells = [free[i] for i in rng.choice(len(free), size=robots, replace=False)]
     check_forced_schedule(random_steps(rng, cells, 2), grid, res)
+
+
+# coordinates on half cells, anywhere in a wide range (subnormals too), and
+# large; a point drawn on its segment, or a segment of zero length
+half_cells = st.integers(-40, 40).map(lambda k: k / 2)
+coordinates = st.one_of(half_cells, st.floats(-1e3, 1e3), st.floats(-1e9, 1e9))
+points = st.tuples(coordinates, coordinates)
+
+
+@st.composite
+def point_and_segment(draw):
+    a = draw(points)
+    b = draw(st.one_of(points, st.just(a)))
+    shape = draw(st.sampled_from(["free", "on segment", "endpoint"]))
+    if shape == "free":
+        p = draw(points)
+    elif shape == "on segment":
+        u = draw(st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.0, 1.0))
+        p = (a[0] + u * (b[0] - a[0]), a[1] + u * (b[1] - a[1]))
+    else:
+        p = draw(st.sampled_from([a, b]))
+    return p, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=st.lists(point_and_segment(), min_size=1, max_size=12))
+def test_point_segment_distances_equal_the_scalar_bit_for_bit(cases):
+    p, a, b = (np.array(v) for v in zip(*cases))
+    got = _point_segment_distances(p, a, b)
+    assert got.shape == (len(cases),)
+    assert got.tolist() == [point_segment_distance(*c) for c in cases]
+    # broadcast: every point against every segment
+    matrix = _point_segment_distances(p, a[:, None], b[:, None])
+    assert matrix.tolist() == [[point_segment_distance(q, s, e) for q in p.tolist()] for s, e in zip(a.tolist(), b.tolist())]
+
+
+def step_slots_reference(a, b, d_safe, res):
+    """`_step_slots` one pair at a time with the scalar distance, the oracle
+    of the array form: the precedence of every ordered pair, a topological
+    sort with ties to the lower id, then first-fit slots by the gap between
+    the two segments."""
+    n = len(a)
+    limit = d_safe - DIST_TOL
+
+    def near(p, r):  # r's segment comes within d_safe of point p
+        return point_segment_distance(p, a[r], b[r]) * res < limit
+
+    def gap(q, r):  # distance between the closed segments of q and r
+        if segments_intersect(a[q], b[q], a[r], b[r]):
+            return 0.0
+        return min(
+            point_segment_distance(a[q], a[r], b[r]),
+            point_segment_distance(b[q], a[r], b[r]),
+            point_segment_distance(a[r], a[q], b[q]),
+            point_segment_distance(b[r], a[q], b[q]),
+        )
+
+    before = [set() for _ in range(n)]  # before[r]: robots r waits for
+    for r in range(n):
+        for q in range(n):
+            if q != r:
+                if near(a[q], r):
+                    before[r].add(q)
+                if near(b[q], r):
+                    before[q].add(r)
+    order, left = [], set(range(n))
+    while left:
+        ready = [r for r in left if not before[r] & left]
+        if not ready:
+            walk = [min(left)]
+            while walk.count(walk[-1]) < 2:
+                walk.append(min(before[walk[-1]] & left))
+            cycle = walk[walk.index(walk[-1]) :]
+            return [], sorted({(min(p), max(p)) for p in zip(cycle, cycle[1:])})
+        order.append(min(ready))
+        left.remove(order[-1])
+    slot = {}
+    for r in order:
+        if a[r] != b[r]:
+            slot[r] = 1 + max((s for q, s in slot.items() if gap(q, r) * res < limit), default=-1)
+    slots = [[] for _ in range(max(slot.values(), default=-1) + 1)]
+    for r, s in slot.items():
+        slots[s].append(r)
+    return slots, []
+
+
+def test_step_slots_equal_the_scalar_reference():
+    # one step of random moves of up to two cells among robots packed on
+    # integer cells, so many pairs sit exactly d_safe = resolution apart
+    rng = np.random.default_rng(18)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 21))
+        side = int(rng.integers(2, 7)) + n // 3
+        cells = rng.choice(side * side, size=n, replace=False)
+        res = float(rng.choice([0.5, 1.0, 2.0]))
+        d_safe = res * float(rng.choice([1.0, 1.0, 0.75, 1.5]))
+        steps = random_steps(rng, [(int(c % side), int(c // side)) for c in cells], 1)
+        a, b = [s[0] for s in steps], [s[1] for s in steps]
+        got = _step_slots(a, b, d_safe, res)
+        assert got == step_slots_reference(a, b, d_safe, res)
+        seen.add("no order" if got[1] else f"{min(len(got[0]), 3)} slots")
+        seen.add(f"n{len(a) // 10}")
+    assert seen >= {"no order", "1 slots", "2 slots", "3 slots", "n0", "n1", "n2"}
+
+
+def test_step_slots_limit_is_strict():
+    # robot 1 holds exactly d_safe - DIST_TOL from robot 0's segment: far
+    # enough, so robot 0 moves; one ulp nearer, neither has an order
+    for y, want in [(1.0 - DIST_TOL, ([[0]], [])), (math.nextafter(1.0 - DIST_TOL, 0.0), ([], [(0, 1)]))]:
+        a, b = [(-1.0, 0.0), (0.0, y)], [(1.0, 0.0), (0.0, y)]
+        assert _step_slots(a, b, 1.0, 1.0) == step_slots_reference(a, b, 1.0, 1.0) == want
+
+
+@pytest.mark.parametrize("move, want", [
+    # robot 0's path passes 1.0 from robot 1's start: robot 1 leaves first
+    (((2.0, 1.0), (2.0, 3.0)), [[1], [0]]),
+    # and from robot 1's end: robot 1 arrives after robot 0 has passed
+    (((2.0, 3.0), (2.0, 1.0)), [[0], [1]]),
+])
+def test_step_slots_order_a_move_past_a_start_and_an_end(move, want):
+    a, b = [(0.0, 0.0), move[0]], [(4.0, 0.0), move[1]]
+    assert _step_slots(a, b, 1.5, 1.0) == step_slots_reference(a, b, 1.5, 1.0) == (want, [])
 
 
 def test_violation_fields():
