@@ -451,7 +451,7 @@ def cmd_mrf_only(args) -> int:
     write_timing_csv(out / "timing.csv", trace.sweep_seconds)
     (out / "config.txt").write_text(cfg.to_text())
     print(f"status: {trace.status} ({trace.iterations} sweeps)")
-    return EXIT_OK if trace.converged else EXIT_MAX_HORIZONS
+    return {"converged": EXIT_OK, "cycle": EXIT_CYCLE}.get(trace.status, EXIT_MAX_HORIZONS)
 
 
 def waypoint_problems(text: str, v_nominal: float) -> list[SmoothingProblem]:

@@ -22,18 +22,19 @@ has visited its state before.
 
 A sweep is a function of the positions it starts from (and of the map,
 fields and config), so the sweeps from one start form one stream:
-`sweeps` yields them in order, each computed once, and ends after the
-first sweep that moves no robot. `optimize` reads at most `max_sweeps` of
-a stream and applies its stop tests; the receding horizon hands it one
-stream per run, so a sweep its lookahead computed and did not execute is
-not computed again.
+`sweeps` yields them in order, each computed once, and is the one place
+that stops ICM: the states are finitely many, so a stream reaches a fixed
+point or returns to an earlier state, and it ends there (Besag, JRSS-B
+1986). `optimize` reads at most `max_sweeps` of a stream and reports how it
+ended; the receding horizon hands it one stream per run, so a sweep its
+lookahead computed and did not execute is not computed again.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, count, islice
 from typing import Callable, Iterator, Sequence
@@ -42,12 +43,6 @@ from .fields import InteractionParams, ScalarField, interaction_energy
 from .graph import InteractionGraph, build_interaction_graph, check_connectivity_condition
 from .grid import Cell, OccupancyGrid, disk_cells
 from .paths import point_segment_distance, segments_intersect
-
-
-# `optimize` stops after PATIENCE consecutive sweeps whose energy changed by
-# less than EPS_CONVERGE.
-EPS_CONVERGE = 1e-6
-PATIENCE = 2
 
 
 class ConnectivityError(ValueError):
@@ -95,14 +90,15 @@ def make_state(
 @dataclass(frozen=True)
 class Sweep:
     """One ICM sweep: the positions after it, the swarm energy there on the
-    graph the sweep froze, how many robots it moved, and the seconds its
-    graph build and robot updates took. A sweep that moves no robot ends
-    its stream, and no energy is computed for it (None)."""
+    graph the sweep froze, how many robots it moved, the seconds its graph
+    build and robot updates took, and whether it ends its stream. No energy
+    is computed for a sweep that moves no robot (None)."""
 
     positions: tuple[Cell, ...]
     energy: float | None
     moved: int
     seconds: float
+    last: bool = False
 
 
 @dataclass
@@ -111,7 +107,7 @@ class EnergyTrace:
 
     energies: list[float]
     moved_counts: list[int]
-    status: str  # 'converged' | 'max-sweeps'
+    status: str  # 'converged' (a fixed point) | 'cycle' | 'max-sweeps' (the cap)
     sweep_seconds: list[float] = field(default_factory=list)  # a zero-move sweep's too
 
     @property
@@ -463,11 +459,13 @@ def _sweep(
 ) -> Sweep:
     """Sweep all robots once from `start` in ascending id, on the graph and
     candidate spaces of `start`. Its seconds leave out the energy after the
-    sweep."""
+    sweep. A stream's first sweep checks that its graph isolates no robot."""
     tic = time.perf_counter()
     n = len(start)
     positions = list(start)
     graph = build_interaction_graph(start, config.k, config.r_comm)
+    if sweep == 1 and not check_connectivity_condition(graph):
+        raise ConnectivityError("initial interaction graph has an isolated robot")
     state = SwarmState(positions=start, graph=graph)
     spaces = [local_search_space(grid, state, i, config.search_order) for i in range(n)]
     spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
@@ -501,16 +499,21 @@ def sweeps(
     config: OptimizeConfig,
     update_hook: UpdateHook | None = None,
 ) -> Iterator[Sweep]:
-    """The ICM sweeps from `start`, each from where the last one ended,
-    until the first sweep that moves no robot (yielded, then the stream
-    ends). `config.max_sweeps` does not apply here: the reader stops."""
+    """The ICM sweeps from `start`, each from where the last one ended, up
+    to the first that ends in a state the stream has been in, its start
+    included: that one is marked `last`. It moved no robot at a fixed point
+    (period 1) and some at a longer cycle. `config.max_sweeps` does not
+    apply here: the reader stops."""
     positions = tuple(start)
+    visited = {positions}
     for sweep in count(1):
         step = _sweep(sweep, positions, grid, static, iparams, config, update_hook)
-        yield step
-        if step.moved == 0:
-            return
         positions = step.positions
+        if positions in visited:
+            yield replace(step, last=True)
+            return
+        visited.add(positions)
+        yield step
 
 
 def optimize(
@@ -523,8 +526,8 @@ def optimize(
     stream: Iterator[Sweep] | None = None,
 ) -> tuple[list[DiscretePath], EnergyTrace]:
     """ICM loop: rebuild graph, build and filter candidate spaces, sweep all
-    robots in ascending id, until a zero-move sweep, energy stagnation, or
-    the sweep cap.
+    robots in ascending id, until the stream ends ('converged' at a fixed
+    point, 'cycle' at a longer one) or the sweep cap ('max-sweeps').
 
     `update_hook(sweep, robot, state)` is called after every single-robot
     update with the frozen-sweep graph, for instrumentation.
@@ -532,10 +535,9 @@ def optimize(
     `stream` is the sweeps to read, by default `sweeps` from
     `initial.positions` with this config and `update_hook`. A stream handed
     in must start there, on the same map, fields and config, and
-    `update_hook` is not passed to it.
+    `update_hook` is not passed to it. Its first sweep raises
+    ConnectivityError if the start isolates a robot.
     """
-    if not check_connectivity_condition(initial.graph):
-        raise ConnectivityError("initial interaction graph has an isolated robot")
     if stream is None:
         stream = sweeps(initial.positions, grid, static, iparams, config, update_hook)
 
@@ -544,26 +546,16 @@ def optimize(
     moved_counts: list[int] = []
     sweep_seconds: list[float] = []
     status = "max-sweeps"
-    stagnant = 0
 
     for step in islice(stream, config.max_sweeps):
         sweep_seconds.append(step.seconds)
-        if step.moved == 0:
-            status = "converged"
-            break
-
-        for cells, c in zip(path_cells, step.positions):
-            cells.append(c)
-        energies.append(step.energy)
-        moved_counts.append(step.moved)
-
-        if abs(energies[-1] - energies[-2]) < EPS_CONVERGE:
-            stagnant += 1
-            if stagnant >= PATIENCE:
-                status = "converged"
-                break
-        else:
-            stagnant = 0
+        if step.moved:
+            for cells, c in zip(path_cells, step.positions):
+                cells.append(c)
+            energies.append(step.energy)
+            moved_counts.append(step.moved)
+        if step.last:
+            status = "cycle" if step.moved else "converged"
 
     trace = EnergyTrace(
         energies=energies,

@@ -9,11 +9,10 @@ an ICM sweep is a function of the positions it starts from, so a run's
 sweeps form one stream (`mrf.sweeps`) and each horizon's lookahead is the
 next few sweeps of it: `run` hands each horizon a copy of the stream, then
 moves the stream past the executed steps. Each sweep is computed once, and
-the plan is the same as when every horizon computes its own. The run's
-energies, moved counts and sweep seconds are those of the executed sweeps.
-A horizon depends only on the positions it starts from, so a run that
-returns to an earlier start state stops: the rest would replay the same
-cycle."""
+the run's executed sweeps are its stream, with their energies, moved counts
+and sweep seconds. The stream ends at its first repeated state, so a run
+that returns to an earlier state stops with `cycle` once it has executed
+the sweep that closes the cycle: the rest would replay it."""
 
 from __future__ import annotations
 
@@ -78,11 +77,14 @@ class RhpConfig:
 
     def __post_init__(self):
         # a NaN fails every comparison, so it would switch a check off
-        if not self.planning_horizon >= 1:
-            raise ValueError("planning_horizon must be at least 1")
-        for name in ("d_safe", "corridor_halfwidth", "dt"):
+        for name in ("planning_horizon", "max_horizons"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("d_safe", "corridor_halfwidth", "dt", "v_nominal"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.execution_fraction <= 1:
+            raise ValueError("execution_fraction must be in (0, 1]")
         if not 0 <= self.goal_radius < math.inf:
             raise ValueError("goal_radius must be nonnegative and finite")
 
@@ -216,7 +218,7 @@ def _all_at_goal(positions: Sequence[Cell], goal, radius: float) -> bool:
 
 def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     """Plan-execute loop until goal convergence, a swarm fixed point, a
-    repeated start state, the horizon cap, or an unrepairable plan."""
+    closed cycle, the horizon cap, or an unrepairable plan."""
     grid = scenario.grid
     state = make_state(scenario.start, grid, config.mrf.k, config.mrf.r_comm)
     n = len(state.positions)
@@ -234,7 +236,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     status = STATUS_MAX_HORIZONS
     horizons = 0
     reason = None
-    seen: set[tuple[Cell, ...]] = set()
+    closed = False  # the executed sweeps end where the stream ended on a cycle
     mrf_cfg = _mrf_config(scenario, config)
     stream = sweeps(state.positions, grid, scenario.static, scenario.iparams, mrf_cfg)
 
@@ -244,10 +246,9 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         ):
             status = STATUS_GOAL
             break
-        if state.positions in seen:
+        if closed:
             status = STATUS_CYCLE
             break
-        seen.add(state.positions)
         window, stream = tee(stream)
         plan = plan_horizon(state, scenario, config, window)
         horizons = h + 1
@@ -271,6 +272,7 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         moved_counts.extend(plan.trace.moved_counts[:e])
         sweep_seconds.extend(plan.trace.sweep_seconds[:e])
         next(islice(stream, e, e), None)  # past the executed sweeps
+        closed = plan.trace.status == "cycle" and e == len(plan.trace.moved_counts)
         pruned_log.append(record.pruned)
         if len(record.t):
             all_t.append(record.t + t_offset)

@@ -120,8 +120,8 @@ def allocate_times(waypoints, v_nominal: float = 1.0, resolution: float = 1.0) -
         raise ValueError("waypoints must be (x, y) pairs")
     if wp.shape[0] < 2:
         raise ValueError("need at least two waypoints")
-    if v_nominal <= 0:
-        raise ValueError("v_nominal must be positive")
+    if not 0 < v_nominal < math.inf:
+        raise ValueError("v_nominal must be positive and finite")
     scale, v = float(resolution), float(v_nominal)
     pts = wp.tolist()
     durations = []
@@ -391,8 +391,8 @@ def _eval_common(
 def sample_common(trajs: Sequence[PolynomialTrajectory], dt: float) -> TrajectorySamples:
     """Sample every trajectory at t = 0, dt, ... and at the latest final
     time; a robot past its own final time holds its final position at rest."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     t_max = max(tr.total_time for tr in trajs)
     ts = np.arange(0.0, t_max, dt)
     if len(ts) == 0 or ts[-1] < t_max:

@@ -127,6 +127,15 @@ def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flag
     (["--goal-amp", "nan"], "goal amplitude and length scale must be positive"),
     # failed as "cannot convert float NaN to integer"
     (["--sigma", "nan"], "sigma and occupied_value must be positive"),
+    # exited 2 "max-horizons (0 horizons)"
+    (["--max-horizons", "0"], "max_horizons must be at least 1"),
+    (["--max-horizons", "-1"], "max_horizons must be at least 1"),
+    # failed as "segment durations must be positive and finite"
+    (["--v-nominal", "nan"], "v_nominal must be positive and finite"),
+    # exited 0 with every segment floored at T_FLOOR
+    (["--v-nominal", "inf"], "v_nominal must be positive and finite"),
+    # failed after the first horizon was planned, as "fraction must lie in (0, 1]"
+    (["--execution-fraction", "0"], "execution_fraction must be in (0, 1]"),
 ])
 def test_plan_rejects_a_setting_that_switches_a_check_off(tmp_path, capsys, flags, message):
     code = run_command(["plan", "--scenario", "corridor", "--robots", "5", "--seed", "0", *flags,
@@ -304,13 +313,13 @@ def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
 
 
 def test_mrf_only_command(tmp_path):
-    # cap sweeps via the horizon-free MRF config through a config file so the
-    # command finishes quickly whether or not it fully converges
+    # the sweep stream ends at a fixed point (0), at its first repeated
+    # state (4) or at the sweep cap (2)
     out = tmp_path / "mrf"
     code = run_command(
         ["mrf-only", "--scenario", "free", "--out", str(out)]
     )
-    assert code in (EXIT_OK, 2)
+    assert code in (EXIT_OK, 2, EXIT_CYCLE)
     energy = (out / "energy.csv").read_text().splitlines()
     assert energy[0] == "iteration,energy,moved_robots"
     assert len(energy) >= 2
@@ -338,7 +347,31 @@ def test_plan_command_exits_4_on_a_cycle(tmp_path):
         ["plan", "--scenario", "corridor", "--robots", "5", "--seed", "5", "--out", str(out)]
     )
     assert code == EXIT_CYCLE == 4
-    assert (out / "summary.txt").read_text().splitlines()[:2] == ["status: cycle", "horizons: 15"]
+    assert (out / "summary.txt").read_text().splitlines()[:3] == [
+        "status: cycle", "horizons: 16", "sweeps: 30"
+    ]
+
+
+def test_mrf_only_command_exits_4_on_a_cycle(tmp_path, capsys):
+    # formation-n20 seed 0 enters a period-6 cycle at sweep 19; the stream
+    # ends at its first repeated state instead of replaying to the cap
+    config = Path(__file__).resolve().parents[1] / "perfbench/configs/formation-n20.txt"
+    out = tmp_path / "mrf"
+    code = run_command(["mrf-only", "--config", str(config), "--seed", "0", "--out", str(out)])
+    assert code == EXIT_CYCLE
+    assert capsys.readouterr().out == "status: cycle (25 sweeps)\n"
+    assert len((out / "energy.csv").read_text().splitlines()) == 1 + 26
+
+
+@pytest.mark.parametrize("r_comm, status", [(5, "goal-converged"), (3, "cycle")])
+def test_plan_with_a_finite_r_comm_runs_past_a_horizon_that_isolates_a_robot(tmp_path, capsys, r_comm, status):
+    # blocks seed 0 starts connected, and at horizon 4 a robot's graph
+    # leaves it isolated: a sweep updates it in its singleton clique, and
+    # only the run's start must be connected
+    code = run_command(["plan", "--scenario", "blocks", "--robots", "5", "--seed", "0",
+                        "--r-comm", str(r_comm), "--out", str(tmp_path / "o")])
+    assert capsys.readouterr().out == f"status: {status} (9 horizons)\n"
+    assert code == (EXIT_OK if status == "goal-converged" else EXIT_CYCLE)
 
 
 # two horizons of a pruned_paths.csv: robot 0 moves on in the second, robot 1
@@ -382,6 +415,20 @@ def test_smooth_command_reads_pruned_paths_columns(tmp_path):
     assert [float(v) for v in first["1"][2:4]] == [2.0, 8.0]
     last = {r[0]: r for r in rows}
     assert np.allclose([float(v) for v in last["0"][2:4]], [5.0, 6.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("flags, message", [
+    # failed as "arange: cannot compute length"
+    (["--dt", "nan"], "dt must be positive and finite"),
+    # failed as "segment durations must be positive and finite"
+    (["--v-nominal", "nan"], "v_nominal must be positive and finite"),
+])
+def test_smooth_command_names_a_bad_setting(tmp_path, capsys, flags, message):
+    wp = tmp_path / "wp.csv"
+    wp.write_text("robot,x,y\n0,2,2\n0,8,2\n")
+    code = run_command(["smooth", "--waypoints", str(wp), *flags, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_smooth_command_missing_file(tmp_path):

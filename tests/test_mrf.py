@@ -631,11 +631,12 @@ def test_lookup_caches_hold_only_the_last_grid_and_field():
 
 # SHA-256 of repr((paths, energies)) for the formation-n20 runs below. Seed 2
 # was computed by the scalar-energy ICM the table-driven one replaced; it
-# converges at 39 sweeps without repeating a state. Seed 0 was computed by
-# the table-driven ICM before its sweep was packed into ints and one-slot
-# caches; it repeats a state from sweep 19 and replays to the 500-sweep cap.
+# converges at 39 sweeps without repeating a state. Seed 0 enters a period-6
+# cycle at sweep 19 and ends at sweep 25, its first repeated state; its
+# paths are the first 25 sweeps of the 500-sweep replay that the stream
+# produced before it stopped at repeats.
 FORMATION_N20_SEED2_DIGEST = "9e23d69ceb1787ea668839cc8172e822a4c33c46b99dcb12e52c8aaaf13e2908"
-FORMATION_N20_SEED0_DIGEST = "3b4672ea6b01cf6240d14aded3f5836036e77c0baac22911dd1a03621d341989"
+FORMATION_N20_SEED0_DIGEST = "6233f687759b8150edd5a3e67d5ddcbd42f0a8cfbe5423d6840464ecbaa52442"
 
 
 def formation_n20_run(seed):
@@ -663,7 +664,7 @@ def test_optimize_formation_n20_golden_digest():
 
 def test_optimize_formation_n20_cycling_golden_digest():
     trace, digest = formation_n20_run(0)
-    assert trace.iterations == 500 and trace.status == "max-sweeps"
+    assert trace.iterations == 25 and trace.status == "cycle"
     assert digest == FORMATION_N20_SEED0_DIGEST
 
 
@@ -699,8 +700,14 @@ def test_sweeps_end_after_the_first_zero_move_sweep(monkeypatch):
     monkeypatch.setattr(mrf, "icm_update", counting_update)
     stream = list(sweeps(state.positions, grid, None, IPARAMS, cfg))
     assert [s.moved > 0 for s in stream] == [True] * 9 + [False]
+    assert [s.last for s in stream] == [False] * 9 + [True]
     assert stream[-1].positions == stream[-2].positions and stream[-1].energy is None
     assert len(updates) == 5 * 10  # nothing is computed past the zero-move sweep
+
+    # from the fixed point itself, the first sweep moves no robot and ends
+    # the stream: the start counts as a state the stream has been in
+    again = list(sweeps(stream[-1].positions, grid, None, IPARAMS, cfg))
+    assert [(s.moved, s.last) for s in again] == [(0, True)]
 
     paths, trace = optimize(state, grid, None, IPARAMS, cfg)
     assert trace.energies[1:] == [s.energy for s in stream[:-1]]
@@ -710,8 +717,8 @@ def test_sweeps_end_after_the_first_zero_move_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize("size, cells, k, goal, max_sweeps", [
-    # far apart, the swarm energy changes by less than EPS_CONVERGE twice
-    (200, ((5, 5), (6, 5), (5, 180)), 1, None, 40),
+    # the eighth sweep moves robots back to an earlier state
+    (20, ((12, 1), (16, 13), (9, 14), (5, 7), (2, 8), (12, 9)), 1, (9.0, 9.0), 40),
     # stopped by the sweep cap
     (20, ((2, 8), (4, 9), (9, 7), (10, 6), (11, 10)), 2, (9.0, 9.0), 3),
 ])
@@ -720,7 +727,66 @@ def test_energy_trace_has_one_energy_more_than_moved_counts(size, cells, k, goal
     grid = free_grid(size, size)
     cfg = OptimizeConfig(k=k, goal=goal, max_sweeps=max_sweeps)
     _, trace = optimize(make_state(cells, grid, k=k), grid, None, IPARAMS, cfg)
-    assert trace.status == ("converged" if max_sweeps == 40 else "max-sweeps")
+    assert trace.status == ("cycle" if max_sweeps == 40 else "max-sweeps")
     assert len(trace.energies) == len(trace.moved_counts) + 1
     assert len(trace.sweep_seconds) == len(trace.moved_counts)
-    assert len(trace.energies) == len(trace.moved_counts) + 1
+
+
+def random_streams(count=40, seed=7):
+    """Seeded small scenarios (3-6 robots on a 14x14 map, with and without a
+    goal field) and the full sweep stream of each."""
+    rng = np.random.default_rng(seed)
+    grid = free_grid(14, 14)
+    cells = [(x, y) for y in range(14) for x in range(14)]
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(3, 7))
+        start = [cells[j] for j in rng.choice(len(cells), n, replace=False)]
+        k = int(rng.integers(1, min(3, n - 1) + 1))
+        goal = (float(rng.integers(3, 11)), float(rng.integers(3, 11)))
+        static = build_goal_field(grid, GoalParams(goal=goal)) if rng.random() < 0.5 else None
+        cfg = OptimizeConfig(k=k, search_order=int(rng.integers(1, 5)), goal=goal)
+        state = make_state(start, grid, k=k)
+        try:
+            stream = list(sweeps(state.positions, grid, static, IPARAMS, cfg))
+        except ConnectivityError:
+            continue
+        out.append((state, grid, static, cfg, stream))
+    return out
+
+
+def test_stream_ends_at_its_first_repeated_state():
+    # [DERIVED] end states are pairwise distinct, the start included, except
+    # the last, which equals an earlier one; only that sweep is marked last
+    endings = set()
+    for state, _, _, _, stream in random_streams():
+        states = [state.positions] + [s.positions for s in stream]
+        assert len(set(states[:-1])) == len(states) - 1
+        assert states[-1] in states[:-1]
+        assert [s.last for s in stream] == [False] * (len(stream) - 1) + [True]
+        # a fixed point repeats the state just before it; only a zero-move
+        # sweep does
+        assert (stream[-1].moved == 0) == (states[-1] == states[-2])
+        endings.add("fixed point" if stream[-1].moved == 0 else "cycle")
+    assert endings == {"fixed point", "cycle"}
+
+
+def test_optimize_reports_converged_only_after_a_zero_move_sweep():
+    # [DERIVED] each stream read whole and cut at every sweep cap: the status
+    # names how the last sweep read ended
+    for state, grid, static, _, stream in random_streams(count=15, seed=11):
+        for cap in range(1, len(stream) + 1):
+            cfg = OptimizeConfig(max_sweeps=cap)
+            _, trace = optimize(state, grid, static, IPARAMS, cfg, stream=iter(stream))
+            last = stream[cap - 1]
+            expected = "max-sweeps" if not last.last else "cycle" if last.moved else "converged"
+            assert trace.status == expected
+            assert len(trace.sweep_seconds) == cap
+            assert trace.iterations == sum(s.moved > 0 for s in stream[:cap])
+    # three robots far apart: the far one walks in one cell a sweep, and its
+    # fourth and fifth sweeps each change the energy by less than 1e-6, where
+    # a stop on stagnant energy called this moving swarm converged
+    grid = free_grid(200, 200)
+    cfg = OptimizeConfig(k=1, max_sweeps=40)
+    _, trace = optimize(make_state(((5, 5), (6, 5), (5, 180)), grid, k=1), grid, None, IPARAMS, cfg)
+    assert trace.status == "max-sweeps" and trace.moved_counts[-1] == 1

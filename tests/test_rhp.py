@@ -56,9 +56,12 @@ def small_config(**kw):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("planning_horizon", 0), ("planning_horizon", -1),
-    *((name, value) for name in ("d_safe", "corridor_halfwidth", "dt") for value in (0.0, -1.0, math.nan, math.inf)),
+    ("planning_horizon", 0), ("planning_horizon", -1), ("max_horizons", 0), ("max_horizons", -1),
+    *((name, value) for name in ("d_safe", "corridor_halfwidth", "dt", "v_nominal")
+      for value in (0.0, -1.0, math.nan, math.inf)),
     ("goal_radius", -1.0), ("goal_radius", math.nan), ("goal_radius", math.inf),
+    ("execution_fraction", 0.0), ("execution_fraction", -0.5), ("execution_fraction", 1.5),
+    ("execution_fraction", math.nan),
 ])
 def test_rhp_config_rejects_values_that_switch_a_check_off(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -67,6 +70,11 @@ def test_rhp_config_rejects_values_that_switch_a_check_off(name, value):
 
 def test_rhp_config_accepts_a_zero_goal_radius():
     assert RhpConfig(goal_radius=0.0, planning_horizon=1).goal_radius == 0.0
+
+
+def test_rhp_config_accepts_one_horizon_and_a_whole_fraction():
+    cfg = RhpConfig(max_horizons=1, execution_fraction=1.0)
+    assert (cfg.max_horizons, cfg.execution_fraction) == (1, 1.0)
 
 
 def test_plan_horizon_produces_consistent_plan():
@@ -262,8 +270,11 @@ def test_run_keeps_unrepairable_reason(monkeypatch):
 
 
 def test_run_stops_at_a_repeated_start_state(monkeypatch):
-    # corridor N=5 seed 5 starts horizon 15 where it started horizon 13 and
-    # would replay that period-2 cycle until the horizon cap
+    # corridor N=5 seed 5: sweep 30 returns to the state of sweep 26, where
+    # horizon 14 started, and the run would replay that period-4 cycle until
+    # the horizon cap. Horizons 1-14 execute two sweeps each; horizon 15's
+    # lookahead ends at the stream's end, sweep 30, so it executes sweep 29
+    # and horizon 16 executes sweep 30.
     starts = []
     real_plan = rhp.plan_horizon
 
@@ -278,10 +289,11 @@ def test_run_stops_at_a_repeated_start_state(monkeypatch):
     sc, cfg = cli.build_scenario(cli._load_cfg(args))
     result = run(sc, cli.rhp_config(cfg))
     assert result.status == rhp.STATUS_CYCLE
-    assert result.horizons == len(starts) == 15
+    assert result.horizons == len(starts) == 16
     assert len(set(starts)) == len(starts)
-    final = tuple(cells[-1] for cells in result.discrete)
-    assert final == starts[13]
+    states = list(zip(*result.discrete))
+    assert len(states) == 31 and len(set(states[:-1])) == 30
+    assert states[-1] == states[26] == starts[13]
     assert result.reason is None
 
 
@@ -403,6 +415,8 @@ def acceptance_run(scenario, seed):
 # Digests of `acceptance_run`: `plan --scenario <name> --robots 5 --seed
 # <seed>`, and swarm-n10 seed 0 (N=10, 60 horizons, 19 of them on the
 # execution schedule), recorded on x86-64 with numpy 2.4 and OpenBLAS.
+# Corridor seed 5 is the one that ends `cycle`, at its stream's first
+# repeated state.
 # PLAN_DIGESTS is SHA-256 over repr of (status, horizons, discrete cells):
 # what ICM planned and executed, which nothing after the MRF stage may
 # change. TRAJECTORY_DIGESTS is SHA-256 over the bytes of t, pos, vel and
@@ -411,11 +425,13 @@ def acceptance_run(scenario, seed):
 PLAN_DIGESTS = {
     ("corridor", 0): "402c78dc0f8875b8a964d85bcd634331addf265eea79546d2885a4a10b898f5e",
     ("blocks", 1): "2e1a68b1fbb47d41b7b1d4c28d9cd14a91d8aa46f99a7f044675ab5c2a1e174c",
+    ("corridor", 5): "48b4cea689d04f6caf8cd0ab340a78034759fc2322824f07b943bd2c3d8e558d",
     ("swarm-n10", 0): "33d77fcddf7c0795eb138b82c074730dbc7ce474be8df98b50602169958e9527",
 }
 TRAJECTORY_DIGESTS = {
     ("corridor", 0): "aa8c79ee92e77aab993d616c1dc80a075f1b77a3507def73fbf420b8b910d30f",
     ("blocks", 1): "ac2831aae4f90b59998de2f614ba9617eb6c5f9ef3ff5f1d4634620c81831243",
+    ("corridor", 5): "bf782caf405bfeb14dee69b686bc9cc04b13206cd70d5d4766877ef9db5efb11",
     ("swarm-n10", 0): "3979a10e610da882d24b781cb0c6302c3c3ff37cdb9e13ae789f9d66e3478957",
 }
 
@@ -452,6 +468,16 @@ def test_run_with_carried_sweeps_equals_a_cold_run(scenario, seed, monkeypatch):
                         real_plan(state, scenario, config))
     cold = acceptance_run(scenario, seed)
 
+    if (scenario, seed) == ("corridor", 5):
+        # a horizon's own stream cannot see a state that an earlier horizon
+        # executed, so the cold run replays the cycle to the horizon cap; the
+        # carried run's executed sweeps are its first ones
+        assert (carried.status, cold.status) == (rhp.STATUS_CYCLE, rhp.STATUS_MAX_HORIZONS)
+        e = len(carried.moved_counts)
+        assert carried.moved_counts == cold.moved_counts[:e]
+        assert carried.energies == cold.energies[: e + 1]
+        assert all(a == b[: e + 1] for a, b in zip(carried.discrete, cold.discrete))
+        return
     for f in dataclasses.fields(rhp.RunResult):
         a, b = getattr(carried, f.name), getattr(cold, f.name)
         if f.name == "sweep_seconds":
