@@ -30,7 +30,8 @@ from .fields import (
     static_field,
     zero_field,
 )
-from .graph import build_interaction_graph, check_connectivity_condition
+# not called here: perfbench's trace patches the name in this module too
+from .graph import build_interaction_graph  # noqa: F401
 from .grid import Cell, OccupancyGrid, load_map, threshold_map
 from .mrf import OptimizeConfig, make_state, optimize
 from .paths import PrunedPath
@@ -219,40 +220,51 @@ def _connected(grid: OccupancyGrid, a, b) -> bool:
 
 
 _START_ATTEMPTS = 1000
+_FIRST_BATCH = 16
 
 
 def sample_start(cfg: ScenarioConfig, grid: OccupancyGrid, seed: int) -> tuple[Cell, ...]:
     """Draw N distinct free start cells from an isotropic Gaussian around the
     start mean, rejecting draws that violate the connectivity condition.
 
-    Attempts are drawn in doubling batches (1, 2, 4, ...) of one
-    `multivariate_normal` call each; the stream yields the same numbers as
-    one attempt per call, so the first attempt that passes is the same.
-    Rounding (half to even, like `round`), bounds and distinctness are
-    checked on the whole batch; the free-cell and connectivity checks then
-    run on the survivors in attempt order.
+    Two guarantees fix which start this returns:
+    - The draws are the ones `multivariate_normal(mean, start_std²·I)`
+      gives. Its factor of that covariance is exactly `start_std·I`, and
+      `standard_normal` yields the same numbers however it is batched.
+    - Any batch schedule returns the first passing attempt, because the
+      attempts of a batch are checked in attempt order. Batches double
+      from 16 attempts up to the cap.
+
+    An attempt passes when its cells (rounded half to even, like `round`)
+    are on the map, pairwise distinct and free, and every robot's nearest
+    peer lies within `r_comm`. For every k >= 1 that is the connectivity
+    condition of the k-nearest-neighbor graph: a robot's nearest peer is
+    among the k it selects, so it has a neighbor when that peer is in
+    range, and a peer can select it only from within `r_comm`, so it has
+    none otherwise.
     """
     rng = stream_rng(seed, "start")
     mean = np.array([cfg.start_x, cfg.start_y], dtype=float)
-    cov = np.eye(2) * cfg.start_std**2
-    height, width = grid.prob.shape
-    tried, batch = 0, 1
+    free = grid.free_mask()
+    height, width = free.shape
+    tried, batch = 0, _FIRST_BATCH
     while tried < _START_ATTEMPTS:
         size = min(batch, _START_ATTEMPTS - tried)
         tried, batch = tried + size, 2 * batch
-        pts = np.rint(rng.multivariate_normal(mean, cov, size=(size, cfg.robots)))
+        pts = np.rint(rng.standard_normal((size, cfg.robots, 2)) * cfg.start_std + mean)
         xs, ys = pts[..., 0], pts[..., 1]
         fit = ((xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)).all(axis=1)
-        keys = np.sort(np.where(fit[:, None], ys * width + xs, 0), axis=1)
-        fit &= (np.diff(keys, axis=1) != 0).all(axis=1)
-        # a non-finite draw fails in int() below, as it did one at a time
-        for a in np.flatnonzero(fit | ~np.isfinite(pts).all(axis=(1, 2))):
-            cells = tuple(Cell(int(x), int(y)) for x, y in pts[a].tolist())
-            if not all(grid.is_free(c) for c in cells):
-                continue
-            g = build_interaction_graph(cells, cfg.k, cfg.r_comm)
-            if check_connectivity_condition(g):
-                return cells
+        xs = np.where(fit[:, None], xs, 0).astype(np.intp)
+        ys = np.where(fit[:, None], ys, 0).astype(np.intp)
+        fit &= (np.diff(np.sort(ys * width + xs, axis=1), axis=1) != 0).all(axis=1)
+        fit &= free[ys, xs].all(axis=1)
+        (survivors,) = np.nonzero(fit)
+        diff = pts[survivors, :, None] - pts[survivors, None, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        dist[:, range(cfg.robots), range(cfg.robots)] = np.inf
+        (passed,) = np.nonzero((dist.min(axis=2) <= cfg.r_comm).all(axis=1))
+        if len(passed):
+            return tuple(Cell(int(x), int(y)) for x, y in pts[survivors[passed[0]]].tolist())
     raise ConfigError(f"could not sample a feasible start state in {_START_ATTEMPTS} attempts")
 
 
@@ -262,6 +274,10 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[rhp.Scenario, ScenarioConfig]:
         raise ConfigError("need at least 2 robots")
     if not 1 <= cfg.k <= cfg.robots - 1:
         raise ConfigError("k must satisfy 1 <= k <= robots-1")
+    if not 0 < cfg.start_std < math.inf:
+        raise ConfigError("start_std must be positive and finite")
+    if not cfg.r_comm > 0:
+        raise ConfigError("r_comm must be positive")
     if cfg.map_path is not None:
         path = Path(cfg.map_path)
         if not path.exists():

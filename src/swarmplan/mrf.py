@@ -369,13 +369,15 @@ def swarm_energy(
     state: SwarmState, static: ScalarField | None, iparams: InteractionParams
 ) -> float:
     """Sum of clique energies over all maximal cliques (shared members count
-    once per clique, by definition)."""
+    once per clique, by definition), added left to right from 0.0: Python
+    3.12's `sum()` of floats compensates and can differ in the last bit."""
     positions = state.positions
     table = _pair_energies(iparams, _span(positions))
     values = None if static is None else _static_values(static)
-    return sum(
-        _clique_sum([positions[m] for m in c], values, table) for c in state.graph.cliques
-    )
+    total = 0.0
+    for c in state.graph.cliques:
+        total += _clique_sum([positions[m] for m in c], values, table)
+    return total
 
 
 def _candidate_energies(
@@ -386,19 +388,18 @@ def _candidate_energies(
     table: list[list[float]],
 ) -> list[float]:
     """Summed energy of the cliques containing robot i for each candidate
-    cell, bit-for-bit `sum(clique_energy(...))` with i moved there. Raises
+    cell, with i moved there: each `clique_energy`, bit for bit, added in
+    clique order from 0.0, as `swarm_energy` adds them. Raises
     `_PastTableEdge` when an offset lies past the edge of `table`."""
     positions = state.positions
-    per_clique = []  # each clique's energy for every candidate
+    totals = [0.0] * len(candidates)
     for cl in state.graph.cliques_of[i]:
         cells = [positions[m] for m in cl]
         k = cl.index(i)
-        energies = []
-        for c in candidates:
+        for n, c in enumerate(candidates):
             cells[k] = c
-            energies.append(_clique_sum(cells, values, table))
-        per_clique.append(energies)
-    return [sum(es) for es in zip(*per_clique)]
+            totals[n] += _clique_sum(cells, values, table)
+    return totals
 
 
 def icm_update(

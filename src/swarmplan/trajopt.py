@@ -21,10 +21,10 @@ it meets all-zero constraints, its first segment has value and derivatives
 each next segment.
 
 `sample_common` evaluates all robots in one pass: one segment lookup per
-trajectory, then the Horner recurrence over every robot's samples for each
-derivative order. `validate` checks those samples for obstacles, corridors
-and pair separation on whole arrays, so a horizon that passes is evaluated
-once and its samples are what the caller records.
+trajectory, then one Horner recurrence over every order, robot and sample.
+`validate` checks those samples for obstacles, corridors and pair
+separation on whole arrays, so a horizon that passes is evaluated once and
+its samples are what the caller records.
 
 Every array path keeps the scalar arithmetic's operation order, so results
 are bit-identical to a per-sample loop. These look equivalent but differ in
@@ -268,19 +268,6 @@ def solve_qp(qp: QuadraticProgram) -> np.ndarray:
     return x[:, 0] if qp.eq_vec.ndim == 1 else x
 
 
-def _horner(coeffs: np.ndarray, tau, order: int) -> np.ndarray:
-    """The `order`-th derivative of polynomials with monomial coefficients
-    `coeffs` (..., DEGREE+1) at local times `tau`, which broadcast against
-    `coeffs[..., 0]`: Horner's recurrence on the derivative coefficients."""
-    # derivative coefficients c_j * j!/(j-order)!, all in one multiplication
-    deriv = coeffs[..., order:] * np.array([_PERM[j][order] for j in range(order, DEGREE + 1)])
-    acc = np.zeros(coeffs.shape[:-1])
-    for j in range(DEGREE - order, -1, -1):
-        acc *= tau
-        acc += deriv[..., j]
-    return acc
-
-
 @dataclass(frozen=True)
 class PolynomialTrajectory:
     """Per-dimension piecewise polynomials in local segment time."""
@@ -372,20 +359,35 @@ def _eval_common(
     trajs: Sequence[PolynomialTrajectory], ts: np.ndarray, orders: Sequence[int]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Every trajectory at every time, in one pass: one segment lookup per
-    trajectory, then the Horner recurrence over all robots for each order.
+    trajectory, then one Horner recurrence over (orders, dims, robots,
+    samples), samples on the contiguous axis.
+
+    Each order's derivative coefficients c_j * j!/(j-order)! are padded with
+    leading zeros, so its accumulator stays exactly 0 until the order's first
+    real coefficient, and each value is bit for bit that order's own
+    recurrence. Coefficients are gathered per sample only when some
+    trajectory has more than one segment; otherwise each robot's single row
+    is broadcast over the samples.
 
     Returns the segment index of each sample, (robots, samples), and per
     requested order the values, (robots, samples, dims).
     """
-    segs, taus, coeffs = [], [], []
-    for tr in trajs:
-        seg, tau = tr.segments(ts)
-        segs.append(seg)
-        taus.append(tau)
-        coeffs.append(tr.coeffs.transpose(1, 0, 2)[seg])  # (samples, dims, DEGREE+1)
-    tau = np.array(taus)[:, :, None]
-    coeffs = np.array(coeffs)
-    return np.array(segs), [_horner(coeffs, tau, order) for order in orders]
+    segs, taus = zip(*(tr.segments(ts) for tr in trajs))
+    seg, tau = np.array(segs), np.array(taus)
+    if any(tr.coeffs.shape[1] > 1 for tr in trajs):
+        rows = np.array([tr.coeffs[:, s] for tr, s in zip(trajs, seg)])  # (robots, dims, samples, DEGREE+1)
+    else:
+        rows = np.array([tr.coeffs[:, :1] for tr in trajs])  # (robots, dims, 1, DEGREE+1)
+    coeffs = rows.transpose(3, 1, 0, 2)  # (DEGREE+1, dims, robots, samples or 1)
+    padded = np.zeros((DEGREE + 1, len(orders), *coeffs.shape[1:]))
+    for n, order in enumerate(orders):
+        factors = np.array([_PERM[j][order] for j in range(order, DEGREE + 1)])
+        padded[: DEGREE + 1 - order, n] = coeffs[order:] * factors[:, None, None, None]
+    acc = np.zeros((len(orders), *coeffs.shape[1:3], tau.shape[1]))
+    for j in range(DEGREE, -1, -1):
+        acc *= tau
+        acc += padded[j]
+    return seg, [a.transpose(1, 2, 0) for a in acc]
 
 
 def sample_common(trajs: Sequence[PolynomialTrajectory], dt: float) -> TrajectorySamples:

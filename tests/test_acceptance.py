@@ -5,8 +5,10 @@ stated tolerance. The heavyweight corridor and blocks runs are shared
 between checks through module-scoped fixtures.
 """
 
+import functools
 import itertools
 import math
+import operator
 import time
 
 import numpy as np
@@ -129,8 +131,9 @@ def test_03_icm_update_equals_exhaustive_argmin_on_200_states():
             for cand in spaces[i]:
                 positions = list(state.positions)
                 positions[i] = cand
-                e = sum(
-                    clique_energy(cl, positions, static, IPARAMS) for cl in cliques_i
+                # added left to right from 0.0, as icm_update adds them
+                e = functools.reduce(
+                    operator.add, (clique_energy(cl, positions, static, IPARAMS) for cl in cliques_i), 0.0
                 )
                 gd = math.hypot(cand[0] - goal[0], cand[1] - goal[1])
                 key = (e, gd, cand[1], cand[0])

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmplan import cli, rhp
+from swarmplan import cli, graph, rhp
 from swarmplan.cli import (
     EXIT_CONFIG,
     EXIT_CYCLE,
@@ -136,6 +138,19 @@ def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flag
     (["--v-nominal", "inf"], "v_nominal must be positive and finite"),
     # failed after the first horizon was planned, as "fraction must lie in (0, 1]"
     (["--execution-fraction", "0"], "execution_fraction must be in (0, 1]"),
+    # failed as "SVD did not converge"
+    (["--start-std", "nan"], "start_std must be positive and finite"),
+    (["--start-std", "inf"], "start_std must be positive and finite"),
+    # ended in an OverflowError traceback
+    (["--start-std", "1e200"], "could not sample a feasible start state in 1000 attempts"),
+    # ran as --start-std 2
+    (["--start-std", "-2"], "start_std must be positive and finite"),
+    # failed only after 1000 attempts
+    (["--start-std", "0"], "start_std must be positive and finite"),
+    # named only by the graph build that start sampling no longer calls
+    (["--r-comm", "0"], "r_comm must be positive"),
+    (["--r-comm", "-1"], "r_comm must be positive"),
+    (["--r-comm", "nan"], "r_comm must be positive"),
 ])
 def test_plan_rejects_a_setting_that_switches_a_check_off(tmp_path, capsys, flags, message):
     code = run_command(["plan", "--scenario", "corridor", "--robots", "5", "--seed", "0", *flags,
@@ -215,6 +230,63 @@ def test_sample_start_equals_per_attempt_reference():
     assert expected is None
 
 
+START_GRIDS = {
+    kind: generate_scenario(kind, ScenarioConfig(scenario=kind), seed=0)
+    for kind in ("free", "corridor", "blocks")
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(START_GRIDS)),
+    robots=st.integers(2, 30),
+    k_share=st.floats(0.0, 1.0),
+    start_std=st.sampled_from([0.1, 0.3, 2.7, 1e-3, 50.0]) | st.floats(1e-3, 50.0),
+    # the exact distances 1, sqrt 2 and 2 test the nearest-peer bound at equality
+    r_comm=st.sampled_from([np.inf, 1.0, 2.0**0.5, 2.0]) | st.floats(0.5, 12.0),
+    offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_start_equals_the_reference_on_any_setting(
+    kind, robots, k_share, start_std, r_comm, offset, seed
+):
+    grid, base = START_GRIDS[kind]
+    cfg = replace(
+        base,
+        robots=robots,
+        k=1 + int(k_share * (robots - 2)),
+        start_std=start_std,
+        r_comm=r_comm,
+        start_x=base.start_x + offset[0],
+        start_y=base.start_y + offset[1],
+    )
+    expected = sample_start_reference(cfg, grid, seed)
+    if expected is None:
+        with pytest.raises(ConfigError, match="in 1000 attempts"):
+            sample_start(cfg, grid, seed)
+    else:
+        assert sample_start(cfg, grid, seed) == expected
+
+
+def test_sample_start_builds_no_graph_and_no_svd(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, graph):
+        monkeypatch.setattr(module, "build_interaction_graph",
+                            counted("graph", module.build_interaction_graph))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    grid, cfg = generate_scenario("free", ScenarioConfig(scenario="free"), seed=0)
+    for robots, r_comm in ((5, np.inf), (20, np.inf), (20, 3.0)):
+        assert len(sample_start(replace(cfg, robots=robots, r_comm=r_comm), grid, 1)) == robots
+    assert calls == []
+
+
 def test_sample_start_draws_doubling_batches_up_to_the_cap(monkeypatch):
     drawn = []
     stream_rng_ = cli.stream_rng
@@ -223,15 +295,16 @@ def test_sample_start_draws_doubling_batches_up_to_the_cap(monkeypatch):
         def __init__(self, rng):
             self.rng = rng
 
-        def multivariate_normal(self, mean, cov, size):
+        def standard_normal(self, size):
             drawn.append(size)
-            return self.rng.multivariate_normal(mean, cov, size=size)
+            return self.rng.standard_normal(size)
 
     monkeypatch.setattr(cli, "stream_rng", lambda seed, stream: Counting(stream_rng_(seed, stream)))
     grid, cfg = generate_scenario("free", ScenarioConfig(scenario="free"), seed=0)
     with pytest.raises(ConfigError, match="in 1000 attempts"):
         sample_start(replace(cfg, robots=20, start_std=0.3), grid, 0)
-    assert drawn == [(b, 20) for b in (1, 2, 4, 8, 16, 32, 64, 128, 256, 489)]
+    assert drawn == [(b, 20, 2) for b in (16, 32, 64, 128, 256, 504)]
+    assert sum(size[0] for size in drawn) == 1000
 
 
 def test_build_scenario_validates():

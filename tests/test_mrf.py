@@ -2,10 +2,13 @@
 heuristics, clique energies, the update rule against an exhaustive-argmin
 oracle, energy monotonicity, and convergence behavior."""
 
+import builtins
+import functools
 import gc
 import hashlib
 import itertools
 import math
+import operator
 import time
 import weakref
 from dataclasses import replace
@@ -46,6 +49,12 @@ from swarmplan.paths import point_segment_distance, segments_intersect
 
 
 IPARAMS = InteractionParams()
+
+
+def fold_sum(values):
+    """[DERIVED] oracle: floats added left to right from 0.0, as the energy
+    sums add them; `sum()` compensates from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def free_grid(w=20, h=20):
@@ -137,7 +146,7 @@ def test_swarm_energy_sums_maximal_cliques():
     state = make_state([(0, 0), (1, 0), (10, 0)], grid, k=1)
     # graph: edges {0,1} and {1,2}? robot 2's nearest is robot 1
     total = swarm_energy(state, None, IPARAMS)
-    expected = sum(
+    expected = fold_sum(
         clique_energy(c, state.positions, None, IPARAMS) for c in state.graph.cliques
     )
     assert total == pytest.approx(expected)
@@ -161,7 +170,7 @@ def exhaustive_argmin(state, i, spaces, static, goal, blocked=(), iparams=IPARAM
             continue
         positions = list(state.positions)
         positions[i] = cand
-        e = sum(clique_energy(cl, positions, static, iparams) for cl in cliques_i)
+        e = fold_sum(clique_energy(cl, positions, static, iparams) for cl in cliques_i)
         gd = math.hypot(cand[0] - goal[0], cand[1] - goal[1]) if goal else 0.0
         kk = (e, gd, cand[1], cand[0])
         if best is None or kk < best[0]:
@@ -305,7 +314,7 @@ def test_candidate_energies_equal_clique_energy_sums():
                 positions = list(state.positions)
                 positions[i] = c
                 expected.append(
-                    sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
+                    fold_sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
                 )
             assert _candidate_energies(i, candidates, state, values, table) == expected
 
@@ -395,7 +404,7 @@ def test_update_of_isolated_robot_matches_exhaustive_argmin():
                 positions = list(state.positions)
                 positions[i] = c
                 expected.append(
-                    sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
+                    fold_sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
                 )
             table = _pair_energies(IPARAMS, 40)
             assert _candidate_energies(i, spaces[i], state, values, table) == expected
@@ -566,10 +575,46 @@ def test_swarm_energy_equals_clique_energy_sum():
             cells.add((int(rng.integers(0, 30)), int(rng.integers(0, 30))))
         state = make_state(sorted(cells, key=lambda _: rng.random()), grid, k=3)
         for fld in (static, None):
-            expected = sum(
+            expected = fold_sum(
                 clique_energy(c, state.positions, fld, IPARAMS) for c in state.graph.cliques
             )
             assert swarm_energy(state, fld, IPARAMS) == expected
+
+
+def compensated_sum(values, start=0):
+    """Python 3.12's `sum()` of floats: Neumaier's compensated sum, whose
+    result can differ in the last bit from adding left to right."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def test_energy_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
+    rng = np.random.default_rng(8)
+    grid = free_grid(30, 30)
+    static = build_goal_field(grid, GoalParams(goal=(21.5, 8.0)))
+    table = _pair_energies(IPARAMS, 30)
+    values = static.value.tolist()
+    cases, differ = [], 0
+    for _ in range(100):
+        cells = set()
+        while len(cells) < 8:
+            cells.add((int(rng.integers(0, 30)), int(rng.integers(0, 30))))
+        state = make_state(sorted(cells, key=lambda _: rng.random()), grid, k=3)
+        i = int(rng.integers(0, 8))
+        candidates = local_search_space(grid, state, i, 4)
+        cases.append((state, i, candidates, swarm_energy(state, static, IPARAMS),
+                      _candidate_energies(i, candidates, state, values, table)))
+        energies = [clique_energy(c, state.positions, static, IPARAMS) for c in state.graph.cliques]
+        differ += compensated_sum(energies) != fold_sum(energies)
+    assert differ > 0  # the two sums tell apart some of these swarms
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    for state, i, candidates, energy, per_candidate in cases:
+        assert swarm_energy(state, static, IPARAMS) == energy
+        assert _candidate_energies(i, candidates, state, values, table) == per_candidate
 
 
 def test_local_search_space_equals_free_cell_comprehension():
@@ -615,7 +660,7 @@ def test_lookup_caches_hold_only_the_last_grid_and_field():
         for i, p in enumerate(state.positions):
             expected = [c for c in disk_cells(p, 4, grid) if grid.is_free(c)]
             assert local_search_space(grid, state, i, 4) == expected
-        expected = sum(clique_energy(c, state.positions, static, IPARAMS) for c in state.graph.cliques)
+        expected = fold_sum(clique_energy(c, state.positions, static, IPARAMS) for c in state.graph.cliques)
         assert swarm_energy(state, static, IPARAMS) == expected
         return weakref.ref(grid), weakref.ref(static)
 

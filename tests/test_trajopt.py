@@ -212,6 +212,24 @@ def test_eval_many_matches_scalar_horner_exactly(order):
         assert np.array_equal(traj.eval(t, order), row)
 
 
+@pytest.mark.parametrize("segments", [(1, 1, 1), (1, 4, 2), (3, 3)])
+def test_sample_common_matches_scalar_horner_exactly(segments):
+    # one-segment robots broadcast their coefficients, and a call with any
+    # longer trajectory gathers them per sample; both equal the scalar path
+    rng = np.random.default_rng(len(segments) + sum(segments))
+    trajs = []
+    for n in segments:
+        wps = rng.uniform(-5.0, 5.0, size=(n + 1, 2))
+        trajs.append(min_snap(wps, allocate_times(wps, v_nominal=float(rng.uniform(0.8, 2.0)))))
+    s = sample_common(trajs, 0.05)
+    for r, traj in enumerate(trajs):
+        for order, got in enumerate((s.pos, s.vel, s.acc)):
+            want = np.array([horner_reference(traj, t, order) for t in s.t])
+            if order:
+                want[s.t > traj.total_time] = 0.0
+            assert got[r].tobytes() == want.tobytes()
+
+
 def test_segments_on_knots_and_outside_domain():
     traj = min_snap(np.array([0.0, 1.0, 3.0]), TimeAllocation(np.array([1.0, 2.0])))
     seg, tau = traj.segments([-1.0, 0.0, 0.5, 1.0, 2.5, 3.0, 7.0])
