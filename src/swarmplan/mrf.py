@@ -25,9 +25,10 @@ fields and config), so the sweeps from one start form one stream:
 `sweeps` yields them in order, each computed once, and is the one place
 that stops ICM: the states are finitely many, so a stream reaches a fixed
 point or returns to an earlier state, and it ends there (Besag, JRSS-B
-1986). `optimize` reads at most `max_sweeps` of a stream and reports how it
-ended; the receding horizon hands it one stream per run, so a sweep its
-lookahead computed and did not execute is not computed again.
+1986). `optimize` reads at most `max_sweeps` of the stream from its start
+and reports how it ended; the receding horizon reads one stream per run and
+carries the sweeps a lookahead computed and did not execute into the next
+one, so no sweep is computed twice.
 """
 
 from __future__ import annotations
@@ -524,24 +525,17 @@ def optimize(
     iparams: InteractionParams,
     config: OptimizeConfig,
     update_hook: UpdateHook | None = None,
-    stream: Iterator[Sweep] | None = None,
 ) -> tuple[list[DiscretePath], EnergyTrace]:
     """ICM loop: rebuild graph, build and filter candidate spaces, sweep all
-    robots in ascending id, until the stream ends ('converged' at a fixed
-    point, 'cycle' at a longer one) or the sweep cap ('max-sweeps').
+    robots in ascending id, until the stream of `sweeps` from
+    `initial.positions` ends ('converged' at a fixed point, 'cycle' at a
+    longer one) or the sweep cap ('max-sweeps').
 
     `update_hook(sweep, robot, state)` is called after every single-robot
-    update with the frozen-sweep graph, for instrumentation.
-
-    `stream` is the sweeps to read, by default `sweeps` from
-    `initial.positions` with this config and `update_hook`. A stream handed
-    in must start there, on the same map, fields and config, and
-    `update_hook` is not passed to it. Its first sweep raises
-    ConnectivityError if the start isolates a robot.
+    update with the frozen-sweep graph, for instrumentation. The first sweep
+    raises ConnectivityError if the start isolates a robot.
     """
-    if stream is None:
-        stream = sweeps(initial.positions, grid, static, iparams, config, update_hook)
-
+    stream = sweeps(initial.positions, grid, static, iparams, config, update_hook)
     path_cells: list[list[Cell]] = [[p] for p in initial.positions]
     energies = [swarm_energy(initial, static, iparams)]
     moved_counts: list[int] = []

@@ -7,10 +7,11 @@ Only the executed fraction is ever pruned and smoothed: there is no
 lookahead prune. The next horizon starts where the executed steps end, and
 an ICM sweep is a function of the positions it starts from, so a run's
 sweeps form one stream (`mrf.sweeps`) and each horizon's lookahead is the
-next few sweeps of it: `run` hands each horizon a copy of the stream, then
-moves the stream past the executed steps. Each sweep is computed once, and
-the run's executed sweeps are its stream, with their energies, moved counts
-and sweep seconds. The stream ends at its first repeated state, so a run
+next few sweeps of it: `run` carries computed, unexecuted sweeps into the
+next lookahead, which reads only the rest from the stream. Each sweep is
+computed once, and the run's executed sweeps are its stream, with their
+energies, moved counts and sweep seconds; the start's state and energy are
+built once per run. The stream ends at its first repeated state, so a run
 that returns to an earlier state stops with `cycle` once it has executed
 the sweep that closes the cycle: the rest would replay it."""
 
@@ -18,23 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice, tee
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .fields import InteractionParams, ScalarField
 from .grid import Cell, OccupancyGrid
-from .mrf import (
-    DiscretePath,
-    EnergyTrace,
-    OptimizeConfig,
-    Sweep,
-    SwarmState,
-    make_state,
-    optimize,
-    sweeps,
-)
+from .mrf import DiscretePath, OptimizeConfig, Sweep, make_state, swarm_energy, sweeps
+# not called here: perfbench's trace patches the name in this module too
+from .mrf import optimize  # noqa: F401
 from .paths import PrunedPath, prune
 from .trajopt import (
     SmoothingProblem,
@@ -91,13 +85,18 @@ class RhpConfig:
 
 @dataclass
 class HorizonPlan:
-    """One horizon's lookahead: the discrete sweep paths only. Nothing here
-    is pruned or smoothed; `execute_fraction` prunes and smooths the part it
-    executes."""
+    """One horizon's lookahead: its sweeps, carried or newly computed, and
+    the discrete paths through the states they end in (a sweep that moves no
+    robot adds no step). Nothing here is pruned or smoothed;
+    `execute_fraction` prunes and smooths the part it executes."""
 
     discrete: list[DiscretePath]
-    trace: EnergyTrace
-    terminal: bool
+    sweeps: list[Sweep]
+
+    @property
+    def terminal(self) -> bool:
+        """No robot moved: the swarm is at a fixed point of ICM."""
+        return len(self.discrete[0].cells) == 1
 
 
 @dataclass
@@ -134,32 +133,20 @@ class RunResult:
     reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
-def _mrf_config(scenario: Scenario, config: RhpConfig) -> OptimizeConfig:
-    return replace(config.mrf, max_sweeps=config.planning_horizon, goal=scenario.goal)
-
-
 def plan_horizon(
-    state: SwarmState,
-    scenario: Scenario,
-    config: RhpConfig,
-    stream: Iterator[Sweep] | None = None,
+    start: Sequence[Cell], carried: list[Sweep], stream: Iterator[Sweep], horizon: int
 ) -> HorizonPlan:
-    """Read up to H MRF sweeps from `stream`, the run's sweeps from
-    `state.positions` on (computed here when None).
+    """The next `horizon` sweeps from `start`: the `carried` ones, which an
+    earlier horizon computed and did not execute, then new ones read from
+    `stream`, the run's sweeps after them (fewer where it ends).
 
     The plan is lookahead only: `execute_fraction` prunes, smooths,
     validates and samples the fraction that is executed.
     """
-    paths, trace = optimize(
-        state,
-        scenario.grid,
-        scenario.static,
-        scenario.iparams,
-        _mrf_config(scenario, config),
-        stream=stream,
-    )
-    terminal = len(paths[0].cells) == 1  # no robot moved
-    return HorizonPlan(discrete=paths, trace=trace, terminal=terminal)
+    read = carried + list(islice(stream, horizon - len(carried)))
+    # only a stream's last sweep can move no robot
+    steps = zip(start, *(s.positions for s in read if s.moved))
+    return HorizonPlan([DiscretePath(i, cells) for i, cells in enumerate(steps)], read)
 
 
 def execute_fraction(
@@ -219,9 +206,9 @@ def _all_at_goal(positions: Sequence[Cell], goal, radius: float) -> bool:
 def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     """Plan-execute loop until goal convergence, a swarm fixed point, a
     closed cycle, the horizon cap, or an unrepairable plan."""
-    grid = scenario.grid
-    state = make_state(scenario.start, grid, config.mrf.k, config.mrf.r_comm)
-    n = len(state.positions)
+    state = make_state(scenario.start, scenario.grid, config.mrf.k, config.mrf.r_comm)
+    positions = state.positions
+    n = len(positions)
 
     all_t: list[np.ndarray] = []
     all_pos: list[np.ndarray] = []
@@ -230,34 +217,32 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     energies: list[float] = []
     moved_counts: list[int] = []
     sweep_seconds: list[float] = []
-    discrete: list[list[Cell]] = [[c] for c in state.positions]
+    discrete: list[list[Cell]] = [[c] for c in positions]
     pruned_log: list[list[PrunedPath]] = []
     t_offset = 0.0
     status = STATUS_MAX_HORIZONS
     horizons = 0
     reason = None
     closed = False  # the executed sweeps end where the stream ended on a cycle
-    mrf_cfg = _mrf_config(scenario, config)
-    stream = sweeps(state.positions, grid, scenario.static, scenario.iparams, mrf_cfg)
+    mrf_cfg = replace(config.mrf, goal=scenario.goal)
+    stream = sweeps(positions, scenario.grid, scenario.static, scenario.iparams, mrf_cfg)
+    carried: list[Sweep] = []  # computed by the last lookahead, not executed
 
     for h in range(config.max_horizons):
-        if scenario.goal is not None and _all_at_goal(
-            state.positions, scenario.goal, config.goal_radius
-        ):
+        if scenario.goal is not None and _all_at_goal(positions, scenario.goal, config.goal_radius):
             status = STATUS_GOAL
             break
         if closed:
             status = STATUS_CYCLE
             break
-        window, stream = tee(stream)
-        plan = plan_horizon(state, scenario, config, window)
+        plan = plan_horizon(positions, carried, stream, config.planning_horizon)
         horizons = h + 1
-        if not energies:
-            energies.append(plan.trace.energies[0])
+        if h == 0:
+            energies.append(swarm_energy(state, scenario.static, scenario.iparams))
 
         if plan.terminal:
             # swarm energy converged with unchanged positions: MRF fixed point
-            sweep_seconds.extend(plan.trace.sweep_seconds)
+            sweep_seconds.extend(s.seconds for s in plan.sweeps)
             status = STATUS_GOAL
             break
 
@@ -268,11 +253,11 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
             reason = str(exc)
             break
         e = record.steps
-        energies.extend(plan.trace.energies[1 : e + 1])
-        moved_counts.extend(plan.trace.moved_counts[:e])
-        sweep_seconds.extend(plan.trace.sweep_seconds[:e])
-        next(islice(stream, e, e), None)  # past the executed sweeps
-        closed = plan.trace.status == "cycle" and e == len(plan.trace.moved_counts)
+        done, carried = plan.sweeps[:e], plan.sweeps[e:]
+        energies.extend(s.energy for s in done)
+        moved_counts.extend(s.moved for s in done)
+        sweep_seconds.extend(s.seconds for s in done)
+        closed = done[-1].last
         pruned_log.append(record.pruned)
         if len(record.t):
             all_t.append(record.t + t_offset)
@@ -283,10 +268,10 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
 
         for r in range(n):
             discrete[r].extend(plan.discrete[r].cells[1 : e + 1])
-        state = make_state(record.end_cells, grid, config.mrf.k, config.mrf.r_comm)
+        positions = record.end_cells
 
     if scenario.goal is not None and status == STATUS_MAX_HORIZONS and _all_at_goal(
-        state.positions, scenario.goal, config.goal_radius
+        positions, scenario.goal, config.goal_radius
     ):
         status = STATUS_GOAL
 

@@ -816,18 +816,20 @@ def test_stream_ends_at_its_first_repeated_state():
     assert endings == {"fixed point", "cycle"}
 
 
-def test_optimize_reports_converged_only_after_a_zero_move_sweep():
+def test_optimize_reports_converged_only_after_a_zero_move_sweep(monkeypatch):
     # [DERIVED] each stream read whole and cut at every sweep cap: the status
     # names how the last sweep read ended
     for state, grid, static, _, stream in random_streams(count=15, seed=11):
-        for cap in range(1, len(stream) + 1):
-            cfg = OptimizeConfig(max_sweeps=cap)
-            _, trace = optimize(state, grid, static, IPARAMS, cfg, stream=iter(stream))
-            last = stream[cap - 1]
-            expected = "max-sweeps" if not last.last else "cycle" if last.moved else "converged"
-            assert trace.status == expected
-            assert len(trace.sweep_seconds) == cap
-            assert trace.iterations == sum(s.moved > 0 for s in stream[:cap])
+        with monkeypatch.context() as m:
+            m.setattr(mrf, "sweeps", lambda *args, stream=stream: iter(stream))
+            for cap in range(1, len(stream) + 1):
+                cfg = OptimizeConfig(max_sweeps=cap)
+                _, trace = optimize(state, grid, static, IPARAMS, cfg)
+                last = stream[cap - 1]
+                expected = "max-sweeps" if not last.last else "cycle" if last.moved else "converged"
+                assert trace.status == expected
+                assert len(trace.sweep_seconds) == cap
+                assert trace.iterations == sum(s.moved > 0 for s in stream[:cap])
     # three robots far apart: the far one walks in one cell a sweep, and its
     # fourth and fifth sweeps each change the energy by less than 1e-6, where
     # a stop on stagnant energy called this moving swarm converged

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,15 @@ def small_config(**kw):
     return RhpConfig(**defaults)
 
 
+def first_plan(sc, cfg):
+    """The plan of a run's first horizon: `planning_horizon` sweeps of a
+    fresh stream from the start, with nothing carried."""
+    start = make_state(sc.start, sc.grid, cfg.mrf.k).positions
+    mrf_cfg = dataclasses.replace(cfg.mrf, goal=sc.goal)
+    stream = mrf.sweeps(start, sc.grid, sc.static, sc.iparams, mrf_cfg)
+    return plan_horizon(start, [], stream, cfg.planning_horizon)
+
+
 @pytest.mark.parametrize("name, value", [
     ("planning_horizon", 0), ("planning_horizon", -1), ("max_horizons", 0), ("max_horizons", -1),
     *((name, value) for name in ("d_safe", "corridor_halfwidth", "dt", "v_nominal")
@@ -80,31 +90,42 @@ def test_rhp_config_accepts_one_horizon_and_a_whole_fraction():
 def test_plan_horizon_produces_consistent_plan():
     sc = free_scenario()
     cfg = small_config()
-    state = make_state(sc.start, sc.grid, cfg.mrf.k)
-    plan = plan_horizon(state, sc, cfg)
+    plan = first_plan(sc, cfg)
     n = len(sc.start)
     assert len(plan.discrete) == n
     steps = len(plan.discrete[0].cells) - 1
     assert 1 <= steps <= cfg.planning_horizon
+    assert len(plan.sweeps) == cfg.planning_horizon
     assert not plan.terminal
 
 
 def test_plan_horizon_terminal_at_fixed_point():
-    # Two robots already at the pair equilibrium and at the goal: no robot
-    # moves, the plan is terminal.
+    # Two robots walk to the pair equilibrium next to the goal, (16, 12) and
+    # (17, 12), where their stream's third sweep moves no robot. From there
+    # no robot moves and the plan is terminal; a zero goal radius keeps the
+    # run from stopping at the goal before it plans.
     sc = free_scenario(goal=(16.0, 12.0), starts=((12, 12), (20, 12)))
-    cfg = small_config(mrf=OptimizeConfig(k=1))
-    state = make_state(sc.start, sc.grid, 1)
-    plan = plan_horizon(state, sc, cfg)
-    if plan.terminal:
-        assert len(plan.discrete[0].cells) == 1
+    cfg = small_config(mrf=OptimizeConfig(k=1), goal_radius=0.0)
+    *_, end = mrf.sweeps(sc.start, sc.grid, sc.static, sc.iparams,
+                         dataclasses.replace(cfg.mrf, goal=sc.goal))
+    assert end.last and end.moved == 0
+    assert end.positions == (Cell(16, 12), Cell(17, 12))
+    fixed = dataclasses.replace(sc, start=end.positions)
+    plan = first_plan(fixed, cfg)
+    assert plan.terminal
+    assert [p.cells for p in plan.discrete] == [(c,) for c in end.positions]
+    assert [(s.moved, s.last) for s in plan.sweeps] == [(0, True)]
+    result = run(fixed, cfg)
+    assert (result.status, result.horizons) == (rhp.STATUS_GOAL, 1)
+    assert len(result.sweep_seconds) == 1 and result.moved_counts == []
+    assert len(result.energies) == 1
+    assert result.pos.shape == (2, 0, 2) and len(result.t) == 0
 
 
 def test_execute_fraction_step_count():
     sc = free_scenario()
     cfg = small_config()
-    state = make_state(sc.start, sc.grid, cfg.mrf.k)
-    plan = plan_horizon(state, sc, cfg)
+    plan = first_plan(sc, cfg)
     steps = len(plan.discrete[0].cells) - 1
     record = execute_fraction(plan, 0.5, sc, cfg)
     e = max(1, math.ceil(0.5 * steps))
@@ -125,8 +146,7 @@ def test_execute_fraction_holds_finished_robot_at_rest():
             DiscretePath(0, [Cell(4, 4), Cell(6, 4), Cell(8, 4), Cell(10, 4)]),
             DiscretePath(1, [Cell(10, 10), Cell(10, 11), Cell(10, 11), Cell(10, 11)]),
         ],
-        trace=None,
-        terminal=False,
+        sweeps=[],
     )
     record = execute_fraction(plan, 1.0, sc, small_config())
     assert record.steps == 3
@@ -166,8 +186,7 @@ def test_execute_fraction_evaluates_each_validated_pass_once(lanes, fallback, mo
     monkeypatch.setattr(trajopt, "repair", counting_repair)
     plan = HorizonPlan(
         discrete=[DiscretePath(r, [Cell(*c) for c in cells]) for r, cells in enumerate(lanes)],
-        trace=None,
-        terminal=False,
+        sweeps=[],
     )
     record = execute_fraction(plan, 1.0, free_scenario(goal=None), small_config())
     assert record.steps == 12
@@ -202,9 +221,7 @@ def test_run_smooths_once_per_executed_horizon(monkeypatch):
 def test_plan_horizon_does_not_prune(monkeypatch):
     calls = []
     monkeypatch.setattr(rhp, "prune", lambda *args, **kwargs: calls.append(args))
-    sc = free_scenario()
-    cfg = small_config()
-    plan = plan_horizon(make_state(sc.start, sc.grid, cfg.mrf.k), sc, cfg)
+    plan = first_plan(free_scenario(), small_config())
     assert not plan.terminal
     assert calls == []
 
@@ -278,9 +295,9 @@ def test_run_stops_at_a_repeated_start_state(monkeypatch):
     starts = []
     real_plan = rhp.plan_horizon
 
-    def recording_plan(state, *args, **kwargs):
-        starts.append(state.positions)
-        return real_plan(state, *args, **kwargs)
+    def recording_plan(start, *args, **kwargs):
+        starts.append(tuple(start))
+        return real_plan(start, *args, **kwargs)
 
     monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
     args = cli.make_parser().parse_args(
@@ -305,8 +322,7 @@ def test_run_without_failure_has_no_reason():
 def test_execute_fraction_rejects_bad_fraction():
     sc = free_scenario()
     cfg = small_config()
-    state = make_state(sc.start, sc.grid, cfg.mrf.k)
-    plan = plan_horizon(state, sc, cfg)
+    plan = first_plan(sc, cfg)
     with pytest.raises(ValueError):
         execute_fraction(plan, 0.0, sc, cfg)
     with pytest.raises(ValueError):
@@ -381,6 +397,15 @@ def test_metrics_requires_samples():
             metrics(result)
 
 
+def test_run_that_starts_at_the_goal_records_nothing():
+    # no horizon is planned, so no energy, not even the start's, is recorded
+    sc = free_scenario(goal=(5.0, 5.0), starts=((4, 4), (6, 6)))
+    result = run(sc, small_config(mrf=OptimizeConfig(k=1), goal_radius=3.0))
+    assert (result.status, result.horizons) == (rhp.STATUS_GOAL, 0)
+    assert result.energies == result.moved_counts == result.sweep_seconds == []
+    assert result.discrete == [[Cell(4, 4)], [Cell(6, 6)]]
+
+
 def test_obstacle_run_avoids_occupied_cells():
     prob = np.zeros((32, 32))
     prob[:20, 15] = 1.0  # wall with a gap at the top
@@ -404,12 +429,21 @@ def test_obstacle_run_avoids_occupied_cells():
 SWARM_N10 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "swarm-n10.txt"
 
 
-def acceptance_run(scenario, seed):
-    """`swarmplan plan` at N=5 on a standard scenario, or on swarm-n10."""
-    what = ["--config", str(SWARM_N10)] if scenario == "swarm-n10" else ["--scenario", scenario, "--robots", "5"]
+def plan_setup(*what, seed):
+    """The scenario and config of `swarmplan plan <what> --seed <seed>`."""
     args = cli.make_parser().parse_args(["plan", *what, "--seed", str(seed), "--out", "unused"])
     sc, cfg = cli.build_scenario(cli._load_cfg(args))
-    return run(sc, cli.rhp_config(cfg))
+    return sc, cli.rhp_config(cfg)
+
+
+def acceptance_setup(scenario, seed):
+    """`plan_setup` at N=5 on a standard scenario, or on swarm-n10."""
+    what = ["--config", str(SWARM_N10)] if scenario == "swarm-n10" else ["--scenario", scenario, "--robots", "5"]
+    return plan_setup(*what, seed=seed)
+
+
+def acceptance_run(scenario, seed):
+    return run(*acceptance_setup(scenario, seed))
 
 
 # Digests of `acceptance_run`: `plan --scenario <name> --robots 5 --seed
@@ -452,21 +486,27 @@ def test_run_golden_digest(scenario, seed):
     ("swarm-n10", 0),
 ])
 def test_run_with_carried_sweeps_equals_a_cold_run(scenario, seed, monkeypatch):
-    # the one-stream run against a run in which every horizon computes its
-    # own sweeps from its own start
+    # the one-stream run against a run in which every horizon reads a fresh
+    # stream from its own start and carries no sweeps
+    sc, cfg = acceptance_setup(scenario, seed)
     handed = []
     real_plan = rhp.plan_horizon
 
-    def recording_plan(state, scenario, config, stream=None):
+    def recording_plan(start, carried, stream, horizon):
         handed.append(stream)
-        return real_plan(state, scenario, config, stream)
+        return real_plan(start, carried, stream, horizon)
 
     monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
-    carried = acceptance_run(scenario, seed)
-    assert len(handed) == carried.horizons and None not in handed
-    monkeypatch.setattr(rhp, "plan_horizon", lambda state, scenario, config, stream=None:
-                        real_plan(state, scenario, config))
-    cold = acceptance_run(scenario, seed)
+    carried = run(sc, cfg)
+    assert len(handed) == carried.horizons and all(s is handed[0] for s in handed)
+    mrf_cfg = dataclasses.replace(cfg.mrf, goal=sc.goal)
+
+    def cold_plan(start, carried, stream, horizon):
+        fresh = mrf.sweeps(start, sc.grid, sc.static, sc.iparams, mrf_cfg)
+        return real_plan(start, [], fresh, horizon)
+
+    monkeypatch.setattr(rhp, "plan_horizon", cold_plan)
+    cold = run(sc, cfg)
 
     if (scenario, seed) == ("corridor", 5):
         # a horizon's own stream cannot see a state that an earlier horizon
@@ -509,20 +549,21 @@ def test_run_computes_each_sweep_once_and_records_the_executed_ones(monkeypatch)
 def test_run_has_one_energy_more_than_moved_counts(monkeypatch):
     # corridor N=5 seed 8 ends at a fixed point: its last horizon's one
     # sweep moves no robot, and only its time is recorded
-    traces = []
+    plans = []
     real_plan = rhp.plan_horizon
 
     def recording_plan(*args, **kwargs):
         plan = real_plan(*args, **kwargs)
-        traces.append(plan.trace)
+        plans.append(plan)
         return plan
 
     monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
     result = acceptance_run("corridor", 8)
-    assert traces[-1].moved_counts == [] and len(traces[-1].sweep_seconds) == 1
+    assert plans[-1].terminal
+    assert [(s.moved, s.last) for s in plans[-1].sweeps] == [(0, True)]
     assert len(result.energies) == len(result.moved_counts) + 1 == len(result.discrete[0])
     assert len(result.sweep_seconds) == len(result.moved_counts) + 1
-    assert all(len(t.energies) == len(t.moved_counts) + 1 for t in traces)
+    assert all(len(p.discrete[0].cells) == sum(s.moved > 0 for s in p.sweeps) + 1 for p in plans)
 
 
 def test_sweep_seconds_time_computed_sweeps_only(monkeypatch):
@@ -539,3 +580,72 @@ def test_sweep_seconds_time_computed_sweeps_only(monkeypatch):
     result = acceptance_run("corridor", 0)
     assert len(result.sweep_seconds) == 22
     assert all(s >= delay for s in result.sweep_seconds)
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+def test_run_builds_its_start_once_and_sweeps_inside_plan_horizon(seed, monkeypatch):
+    # corridor N=5 seeds 0 and 8 each compute 23 sweeps, 22 of which move:
+    # one start state (one graph) and one start energy per run, then one
+    # graph per sweep and one energy per moving sweep, every sweep inside
+    # the plan_horizon call that reads it, where the benchmark's clock times
+    # it
+    calls = Counter()
+    for owner, name in ((rhp, "make_state"), (mrf, "build_interaction_graph"),
+                        (rhp, "swarm_energy"), (mrf, "swarm_energy")):
+        def counting(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    planning = [0]  # plan_horizon calls running
+    inside = []  # whether each sweep ran inside one
+    real_plan, real_sweep = rhp.plan_horizon, mrf._sweep
+
+    def recording_plan(*args, **kwargs):
+        planning[0] += 1
+        try:
+            return real_plan(*args, **kwargs)
+        finally:
+            planning[0] -= 1
+
+    def recording_sweep(*args, **kwargs):
+        inside.append(planning[0] == 1)
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(rhp, "plan_horizon", recording_plan)
+    monkeypatch.setattr(mrf, "_sweep", recording_sweep)
+    acceptance_run("corridor", seed)
+    assert calls["make_state"] == 1
+    assert calls["build_interaction_graph"] == 24
+    assert calls["swarm_energy"] == 23
+    assert len(inside) == 23 and all(inside)
+
+
+# The 29-run matrix that ROADMAP measures: corridor and blocks at N=5 seeds
+# 0-9, corridor at N=10 seeds 0-2, and swarm-n10 at 10 and 20 robots seeds
+# 0-2.
+MATRIX = [
+    *((("--scenario", kind, "--robots", "5"), seed) for kind in ("corridor", "blocks")
+      for seed in range(10)),
+    *((("--scenario", "corridor", "--robots", "10"), seed) for seed in range(3)),
+    *((("--config", str(SWARM_N10), "--robots", str(n)), seed) for n in (10, 20)
+      for seed in range(3)),
+]
+# SHA-256 over every matrix run in order: repr of (status, horizons,
+# discrete cells, reason, energies, moved counts, number of sweep-seconds
+# rows, pruned chords), then the bytes of t, pos, vel and acc. Recorded on
+# x86-64 with numpy 2.4 and OpenBLAS. A change that alters a plan, a record
+# or a trajectory anywhere in the matrix re-records it and says why.
+MATRIX_DIGEST = "b79cb11e85023097affbdf11a876a33d64ebc051223ba12c1d67fd43462d92a3"
+
+
+def test_matrix_digest():
+    digest = hashlib.sha256()
+    for what, seed in MATRIX:
+        r = run(*plan_setup(*what, seed=seed))
+        digest.update(repr((r.status, r.horizons, r.discrete, r.reason, r.energies,
+                            r.moved_counts, len(r.sweep_seconds), r.pruned)).encode())
+        for a in (r.t, r.pos, r.vel, r.acc):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    assert len(MATRIX) == 29
+    assert digest.hexdigest() == MATRIX_DIGEST
