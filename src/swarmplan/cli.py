@@ -78,7 +78,6 @@ class ScenarioConfig:
     max_horizons: int = rhp.RhpConfig.max_horizons
     v_nominal: float = rhp.RhpConfig.v_nominal
     d_safe: float = rhp.RhpConfig.d_safe
-    corridor_halfwidth: float = rhp.RhpConfig.corridor_halfwidth
     dt: float = rhp.RhpConfig.dt
     trim_backward: bool | None = None  # None: True for corridor, else False
     use_goal: bool = True
@@ -335,7 +334,6 @@ def rhp_config(cfg: ScenarioConfig) -> rhp.RhpConfig:
         max_horizons=cfg.max_horizons,
         v_nominal=cfg.v_nominal,
         d_safe=cfg.d_safe,
-        corridor_halfwidth=cfg.corridor_halfwidth,
         dt=cfg.dt,
     )
 

@@ -116,11 +116,7 @@ class PrunedPath:
     source_steps: tuple[int, ...]
 
 
-def prune(
-    paths: Sequence["DiscretePath"],
-    grid: OccupancyGrid,
-    source_steps: Sequence[Sequence[int]] | None = None,
-) -> list[PrunedPath]:
+def prune(paths: Sequence["DiscretePath"], grid: OccupancyGrid) -> list[PrunedPath]:
     """Greedy line-of-sight pruning, each robot's path on its own.
 
     From each anchor, extend the chord to the farthest later waypoint with
@@ -131,17 +127,11 @@ def prune(
     A robot's chords do not depend on any other robot: separation is the
     job of `trajopt.validate`, and of the execution schedule
     (`trajopt.repair`) that replaces smoothed paths which fail it.
-
-    `source_steps` lets an already pruned path be re-pruned against the
-    original step numbering (defaults to 0..T).
     """
-    if source_steps is None:
-        source_steps = [list(range(len(p.cells))) for p in paths]
-
     results: list[PrunedPath] = []
-    for p, steps in zip(paths, source_steps):
+    for p in paths:
         keep = [0]  # retained indices
-        last = len(steps) - 1
+        last = len(p.cells) - 1
         while keep[-1] != last:
             a = keep[-1]
             chosen = a + 1  # the single step, with or without line of sight
@@ -157,7 +147,7 @@ def prune(
             PrunedPath(
                 robot=p.robot,
                 waypoints=tuple(p.cells[k] for k in keep),
-                source_steps=tuple(steps[k] for k in keep),
+                source_steps=tuple(keep),
             )
         )
     return results

@@ -66,7 +66,6 @@ class RhpConfig:
     max_horizons: int = 200
     v_nominal: float = 1.0
     d_safe: float = 1.0
-    corridor_halfwidth: float = 1.0
     dt: float = 0.05
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ class RhpConfig:
         for name in ("planning_horizon", "max_horizons"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("d_safe", "corridor_halfwidth", "dt", "v_nominal"):
+        for name in ("d_safe", "dt", "v_nominal"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0 < self.execution_fraction <= 1:
@@ -154,12 +153,13 @@ def execute_fraction(
 ) -> ExecutionRecord:
     """Advance each robot ceil(fraction * steps) discrete steps.
 
-    The executed sub-path is pruned and smoothed rest-to-rest so the horizon
-    joint is a genuine stop point, then sampled on a common grid; a robot
-    that finishes early holds its final position at rest. The record holds
-    the samples that passed validation. If the smoothed paths fail it, the
-    discrete steps run one by one in the execution schedule of
-    `trajopt.repair` instead.
+    The executed sub-path is pruned and smoothed rest-to-rest, at rest at
+    every waypoint pruning keeps, so every piece is one chord and the
+    horizon joint is a genuine stop point; it is then sampled on a common
+    grid, and a robot that finishes early holds its final position at rest.
+    The record holds the samples that passed validation. If the smoothed
+    paths fail it, the discrete steps run one by one in the execution
+    schedule of `trajopt.repair` instead.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
@@ -175,20 +175,18 @@ def execute_fraction(
 
     truncated = [DiscretePath(p.robot, p.cells[: e + 1]) for p in plan.discrete]
     pruned = prune(truncated, scenario.grid)
-    res = scenario.grid.resolution
-    problems = [
-        SmoothingProblem.from_waypoints(
-            p.robot, p.waypoints, allocate_times(p.waypoints, config.v_nominal, resolution=res)
-        )
-        for p in pruned
-    ]
+    problems = []
+    for p in pruned:
+        times = allocate_times(p.waypoints, config.v_nominal, resolution=scenario.grid.resolution)
+        problem = SmoothingProblem.from_waypoints(p.robot, p.waypoints, times)
+        problem.rest_indices = set(range(1, len(p.waypoints) - 1))
+        problems.append(problem)
     steps = [p.cells for p in truncated]
     s, scheduled = smooth_and_validate(
         problems,
         scenario.grid,
         steps,
         d_safe=config.d_safe,
-        corridor_halfwidth=config.corridor_halfwidth,
         dt=config.dt,
         v_nominal=config.v_nominal,
     )

@@ -9,9 +9,9 @@ and the cost is the integral of the squared `SNAP_ORDER`-th (4th)
 derivative, snap (Mellinger & Kumar, ICRA 2011).
 
 `solve_problems` splits every robot's problem at its rests into
-rest-to-rest pieces and `min_snap` solves each one. A piece of one segment,
-most of the pipeline's, is the septic smoothstep, written in closed form. A
-piece of more segments is a QP whose KKT matrix
+rest-to-rest pieces and `min_snap` solves each one. A piece of one segment
+is the septic smoothstep, written in closed form. A piece of more segments
+is a QP whose KKT matrix
 [[2 cost, eq_mat^T], [eq_mat, 0]] is nonsingular for any positive segment
 durations, so it is solved as it is, with no ridge and no least-squares
 fallback. The constraint rows have full rank. The cost is positive definite
@@ -20,11 +20,19 @@ it meets all-zero constraints, its first segment has value and derivatives
 1-3 zero at t = 0, so it vanishes, and C^3 continuity carries that into
 each next segment.
 
+The chord guarantee: `rhp.execute_fraction` rests at every waypoint that
+pruning keeps, and the execution schedule (`repair`) at every step, so
+every piece the planner executes is one segment, p0 + Δ σ(t / T) with one
+monotone smoothstep σ for both coordinates. Each robot is then always on
+the straight chord between two of its own waypoints, or at rest on one,
+and the planner solves no QP. Multi-segment pieces, and the QP, serve the
+`smooth` subcommand, which smooths through the waypoints of a piece.
+
 `sample_common` evaluates all robots in one pass: one segment lookup per
 trajectory, then one Horner recurrence over every order, robot and sample.
-`validate` checks those samples for obstacles, corridors and pair
-separation on whole arrays, so a horizon that passes is evaluated once and
-its samples are what the caller records.
+`validate` checks those samples for obstacles and pair separation on whole
+arrays, so a horizon that passes is evaluated once and its samples are
+what the caller records.
 
 Every array path keeps the scalar arithmetic's operation order, so results
 are bit-identical to a per-sample loop. These look equivalent but differ in
@@ -34,7 +42,7 @@ one `np.linalg.solve` with several right-hand-side columns for one solve
 per column; and `np.hypot` for `math.hypot`. A stacked batch of
 single-column systems, matrices (k, n, n) against right-hand sides
 (k, n, 1), is solved matrix by matrix and matches k separate solves
-exactly. The corridor, precedence and slot tests share one kernel,
+exactly. The precedence and slot tests share one kernel,
 `_point_segment_distances`, in `paths.point_segment_distance`'s order.
 """
 
@@ -296,7 +304,7 @@ class PolynomialTrajectory:
     def eval_many(self, ts, order: int = 0) -> np.ndarray:
         """Values of the `order`-th derivative at each time, (len(ts), dims);
         times are clamped to [0, T]."""
-        return _eval_common([self], ts, (order,))[1][0][0]
+        return _eval_common([self], ts, (order,))[0][0]
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
         """Value of the `order`-th derivative at time t (clamped to [0, T])."""
@@ -345,19 +353,17 @@ def qp_objective(traj: PolynomialTrajectory) -> float:
 
 @dataclass(frozen=True)
 class TrajectorySamples:
-    """Equally spaced samples of position, velocity and acceleration, and
-    the segment each sample lies in."""
+    """Equally spaced samples of position, velocity and acceleration."""
 
     t: np.ndarray
     pos: np.ndarray  # (n, dims), or (robots, n, dims) from sample_common
     vel: np.ndarray
     acc: np.ndarray
-    seg: np.ndarray  # (n,), or (robots, n) from sample_common
 
 
 def _eval_common(
     trajs: Sequence[PolynomialTrajectory], ts: np.ndarray, orders: Sequence[int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> list[np.ndarray]:
     """Every trajectory at every time, in one pass: one segment lookup per
     trajectory, then one Horner recurrence over (orders, dims, robots,
     samples), samples on the contiguous axis.
@@ -369,8 +375,7 @@ def _eval_common(
     trajectory has more than one segment; otherwise each robot's single row
     is broadcast over the samples.
 
-    Returns the segment index of each sample, (robots, samples), and per
-    requested order the values, (robots, samples, dims).
+    Returns per requested order the values, (robots, samples, dims).
     """
     segs, taus = zip(*(tr.segments(ts) for tr in trajs))
     seg, tau = np.array(segs), np.array(taus)
@@ -387,7 +392,7 @@ def _eval_common(
     for j in range(DEGREE, -1, -1):
         acc *= tau
         acc += padded[j]
-    return seg, [a.transpose(1, 2, 0) for a in acc]
+    return [a.transpose(1, 2, 0) for a in acc]
 
 
 def sample_common(trajs: Sequence[PolynomialTrajectory], dt: float) -> TrajectorySamples:
@@ -399,24 +404,24 @@ def sample_common(trajs: Sequence[PolynomialTrajectory], dt: float) -> Trajector
     ts = np.arange(0.0, t_max, dt)
     if len(ts) == 0 or ts[-1] < t_max:
         ts = np.append(ts, t_max)
-    seg, (pos, vel, acc) = _eval_common(trajs, ts, (0, 1, 2))
+    pos, vel, acc = _eval_common(trajs, ts, (0, 1, 2))
     done = ts > np.array([tr.total_time for tr in trajs])[:, None]
     vel[done] = 0.0
     acc[done] = 0.0
-    return TrajectorySamples(t=ts, pos=pos, vel=vel, acc=acc, seg=seg)
+    return TrajectorySamples(t=ts, pos=pos, vel=vel, acc=acc)
 
 
 def sample(traj: PolynomialTrajectory, dt: float) -> TrajectorySamples:
     """Sample at t = 0, dt, ..., including the final time."""
     s = sample_common([traj], dt)
-    return TrajectorySamples(t=s.t, pos=s.pos[0], vel=s.vel[0], acc=s.acc[0], seg=s.seg[0])
+    return TrajectorySamples(t=s.t, pos=s.pos[0], vel=s.vel[0], acc=s.acc[0])
 
 
 @dataclass(frozen=True)
 class Violation:
     """One feasibility failure found while sampling planned trajectories."""
 
-    kind: str  # 'obstacle' | 'separation' | 'corridor'
+    kind: str  # 'obstacle' | 'separation'
     robot: int
     time: float
     other: int | None = None
@@ -428,9 +433,10 @@ class Violation:
 
 @dataclass
 class SmoothingProblem:
-    """One robot's smoothing input; `repair` rewrites it into the execution
-    schedule. Each segment's straight chord between its two waypoints is
-    the reference for the corridor check."""
+    """One robot's smoothing input: waypoints, segment durations, and the
+    interior waypoints at which it rests, each of which splits it into
+    independent rest-to-rest pieces. `repair` rewrites it into the execution
+    schedule."""
 
     robot: int
     waypoints: list[tuple[float, float]]
@@ -495,17 +501,12 @@ def _point_segment_distances(p, a, b) -> np.ndarray:
     return dist.reshape(dx.shape)
 
 
-def validate(
-    samples: TrajectorySamples,
-    grid: OccupancyGrid,
-    problems: Sequence[SmoothingProblem],
-    d_safe: float = 1.0,
-    corridor_halfwidth: float = 1.0,
-) -> list[Violation]:
-    """Report the obstacle hits, separation losses and corridor departures
-    of the problems' trajectories, sampled on a common grid by
-    `sample_common`. Empty report = feasible.
+def validate(samples: TrajectorySamples, grid: OccupancyGrid, d_safe: float = 1.0) -> list[Violation]:
+    """Report the obstacle hits and separation losses of trajectories
+    sampled on a common grid by `sample_common`. Empty report = feasible.
 
+    Samples are not checked against their chords: every piece the planner
+    executes is one chord, which it cannot leave (module docstring).
     Distances are in meters (cell units times grid resolution); robots past
     their final time hold their final position.
     """
@@ -519,17 +520,9 @@ def validate(
     inside = ~hit
     hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
 
-    # corridor: distance to the sample's own segment
-    wps = [np.array(p.waypoints, dtype=float) for p in problems]
-    ends = np.array([w[seg[:, None] + [0, 1]] for w, seg in zip(wps, samples.seg)])  # (robots, samples, 2 ends, 2)
-    dist = _point_segment_distances(pos, ends[..., 0, :], ends[..., 1, :])
-    off = ~hit & (dist * res > corridor_halfwidth + DIST_TOL)
-
-    # per robot, by sample; an obstacle hit hides a corridor departure
-    violations: list[Violation] = []
+    # per robot, by sample
     times = samples.t.tolist()
-    for r, n in zip(*(idx.tolist() for idx in np.nonzero(hit | off))):
-        violations.append(Violation("obstacle" if hit[r, n] else "corridor", r, times[n]))
+    violations = [Violation("obstacle", r, times[n]) for r, n in np.argwhere(hit).tolist()]
 
     # then each pair i < j at its deepest encroachment, not the first
     # crossing
@@ -669,7 +662,6 @@ def smooth_and_validate(
     grid: OccupancyGrid,
     steps: Sequence[Sequence[tuple[float, float]]],
     d_safe: float = 1.0,
-    corridor_halfwidth: float = 1.0,
     dt: float = 0.05,
     v_nominal: float = 1.0,
 ) -> tuple[TrajectorySamples, bool]:
@@ -680,11 +672,11 @@ def smooth_and_validate(
     replaced the smoothed paths; violations that remain raise
     UnrepairableError."""
     samples = sample_common(solve_problems(problems), dt)
-    if not validate(samples, grid, problems, d_safe, corridor_halfwidth):
+    if not validate(samples, grid, d_safe):
         return samples, False
     repair(problems, steps, d_safe, v_nominal, grid.resolution)
     samples = sample_common(solve_problems(problems), dt)
-    report = validate(samples, grid, problems, d_safe, corridor_halfwidth)
+    report = validate(samples, grid, d_safe)
     if report:
         raise UnrepairableError(report)
     return samples, True

@@ -285,13 +285,9 @@ def test_10_pruning_collapses_idempotent_and_clear():
     paths = [DiscretePath(robot=0, cells=cells), path]
     for p, g in ((paths[0], grid), (path, grid_free)):
         first = prune([p], g)[0]
-        again = prune(
-            [DiscretePath(robot=p.robot, cells=first.waypoints)],
-            g,
-            source_steps=[first.source_steps],
-        )[0]
+        again = prune([DiscretePath(robot=p.robot, cells=first.waypoints)], g)[0]
         assert again.waypoints == first.waypoints
-        assert again.source_steps == first.source_steps
+        assert again.source_steps == tuple(range(len(first.waypoints)))
         # supercover occupancy sampling at 0.1-cell steps along every chord
         for a, b in zip(first.waypoints, first.waypoints[1:]):
             length = math.hypot(b[0] - a[0], b[1] - a[1])

@@ -41,6 +41,14 @@ def test_config_rejects_unknown_key():
         ScenarioConfig.from_text("not_a_real_key = 3\n")
 
 
+def test_config_naming_the_corridor_halfwidth_is_a_config_error(tmp_path, capsys):
+    # every executed piece is one chord, so there is no corridor to size
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("corridor_halfwidth = 1.0\n")
+    assert run_command(["plan", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "unknown key 'corridor_halfwidth'" in capsys.readouterr().err
+
+
 def test_stream_rng_deterministic_per_stream():
     a = stream_rng(5, "start").random(4)
     b = stream_rng(5, "start").random(4)
@@ -116,7 +124,8 @@ def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flag
 @pytest.mark.parametrize("flags, message", [
     # exited 0 "goal-converged": a NaN comparison never reports a violation
     (["--d-safe", "nan"], "d_safe must be positive and finite"),
-    (["--corridor-halfwidth", "nan"], "corridor_halfwidth must be positive and finite"),
+    # a separation test that no pair of robots can fail
+    (["--d-safe", "0"], "d_safe must be positive and finite"),
     # exited 0 "goal-converged (1 horizons)" with no sweep planned
     (["--horizon", "0"], "planning_horizon must be at least 1"),
     # failed in islice()
@@ -651,23 +660,25 @@ def test_invalid_config_path_exit_code(tmp_path):
 # SHA-256 of each output file except timing.csv (wall times), recorded on
 # x86-64 with numpy 2.4 and OpenBLAS. The tests above compare one run with
 # another; these pin the bytes themselves, so a refactor of the writers or
-# the planner that changes any output byte fails here.
+# the planner that changes any output byte fails here. The config.txt
+# digests were re-recorded when the `corridor_halfwidth = 1.0` line, the
+# only change to those files, left with the key.
 OUTPUT_DIGESTS = {
-    "blocks/config.txt": "0216f234a4dc23c27e4e6f00506c40d46e40de9aedb56604fbb122e9d77e3682",
+    "blocks/config.txt": "674d4d7ca39e028005ddb3524e6ea0dccb8b3bc7800e5f2eeda3814f71bec2cd",
     "blocks/discrete_paths.csv": "1d5f7d04ff61b207fe14154f4fec974230a32653c7ef3568a858324a6b3fd2a9",
     "blocks/energy.csv": "5bbd047e61e06f56ae6a744a67e6ed55d8be0d837ca4545a53e91088abc860d9",
     "blocks/metrics.csv": "8e0ce086747fb26adc18f89d88b8ec0f6e4729ea7ec3f7dcd7184058089b0ca5",
     "blocks/pruned_paths.csv": "6c524438336a63997e854adb68c59099f93d4d212b6661943ef8b4fca8361266",
     "blocks/summary.txt": "c2953b3051fc7d6eda9b38375823169094e7a10ba44f11758633fde2f9a0335f",
     "blocks/trajectories.csv": "b67e2761618baa08337388e734d0b18cfc543569f547ccb298b0ed4063bdd5db",
-    "corridor/config.txt": "022b13af02259baadc1ac71a2591c00274a53954639d19843a04e327a4f833f7",
+    "corridor/config.txt": "a0b361a17486f099e81e49eaa62a1376ff43bc2a4387750c894f47ae18d788b3",
     "corridor/discrete_paths.csv": "c73eae1a4f7a88b1279ab064951d3dfda07476b73dedc5526bd88194987d5d59",
     "corridor/energy.csv": "f43f70cd298d76e21021cd71f0f1008e2eda5ccb1c393c00ea5ff7e7898d986e",
     "corridor/metrics.csv": "463b46fffcc947ad44150b12b532e6a503e2db234ea5aa05bd6c934751bd996c",
     "corridor/pruned_paths.csv": "ef3f6846d0534f18d736574866db970551a8708f425305cc6d593de1152b9616",
     "corridor/summary.txt": "6d32391a8bcd41a3c210312e6da9da2603a472f0e7b4e08be6a8c096dc3bc06c",
     "corridor/trajectories.csv": "daffb8dd42c2fb4448ccd9f35638e141ed788dda57f19aef78941e12b7b14aaa",
-    "formation/config.txt": "152ce39a0cfe8050a0087aff8007f351a200b139c730b6ca3898114d78aafe7f",
+    "formation/config.txt": "40eba13e66a8e6ee534d60d02b63504d62a34284501d17babf63bf8a6991740d",
     "formation/discrete_paths.csv": "0a2e3377d40617818aa7c6b33491f34366c4bf39b05e1c16bb166d79c51928e6",
     "formation/energy.csv": "894ba845b4af39667016ae24aeacb733e8ed0d759c334a70f615416edc8dcd57",
     "smooth/trajectories.csv": "f11a6cf3550574bf1bd49bcf281fec31990898e120ec6f587d3f7dc3f91efe26",

@@ -45,7 +45,6 @@ NON_DEFAULT = {
     "max_horizons": 40,
     "v_nominal": 1.5,
     "d_safe": 1.25,
-    "corridor_halfwidth": 1.5,
     "dt": 0.1,
     "trim_backward": True,
     "use_goal": False,

@@ -182,13 +182,9 @@ def test_prune_idempotent():
         robot=0, cells=(Cell(0, 0), Cell(1, 1), Cell(2, 2), Cell(3, 2), Cell(4, 2))
     )
     first = prune([path], free_grid())
-    again = prune(
-        [DiscretePath(robot=0, cells=first[0].waypoints)],
-        free_grid(),
-        source_steps=[first[0].source_steps],
-    )
+    again = prune([DiscretePath(robot=0, cells=first[0].waypoints)], free_grid())
     assert again[0].waypoints == first[0].waypoints
-    assert again[0].source_steps == first[0].source_steps
+    assert again[0].source_steps == tuple(range(len(first[0].waypoints)))
 
 
 def test_prune_respects_obstacles():

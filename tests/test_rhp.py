@@ -17,6 +17,7 @@ from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
 from swarmplan import mrf, rhp, trajopt
 from swarmplan.mrf import DiscretePath, OptimizeConfig, make_state
+from swarmplan.paths import point_segment_distance
 from swarmplan.rhp import (
     HorizonPlan,
     RhpConfig,
@@ -67,7 +68,7 @@ def first_plan(sc, cfg):
 
 @pytest.mark.parametrize("name, value", [
     ("planning_horizon", 0), ("planning_horizon", -1), ("max_horizons", 0), ("max_horizons", -1),
-    *((name, value) for name in ("d_safe", "corridor_halfwidth", "dt", "v_nominal")
+    *((name, value) for name in ("d_safe", "dt", "v_nominal")
       for value in (0.0, -1.0, math.nan, math.inf)),
     ("goal_radius", -1.0), ("goal_radius", math.nan), ("goal_radius", math.inf),
     ("execution_fraction", 0.0), ("execution_fraction", -0.5), ("execution_fraction", 1.5),
@@ -623,29 +624,97 @@ def test_run_builds_its_start_once_and_sweeps_inside_plan_horizon(seed, monkeypa
 
 # The 29-run matrix that ROADMAP measures: corridor and blocks at N=5 seeds
 # 0-9, corridor at N=10 seeds 0-2, and swarm-n10 at 10 and 20 robots seeds
-# 0-2.
-MATRIX = [
-    *((("--scenario", kind, "--robots", "5"), seed) for kind in ("corridor", "blocks")
-      for seed in range(10)),
-    *((("--scenario", "corridor", "--robots", "10"), seed) for seed in range(3)),
-    *((("--config", str(SWARM_N10), "--robots", str(n)), seed) for n in (10, 20)
-      for seed in range(3)),
-]
-# SHA-256 over every matrix run in order: repr of (status, horizons,
-# discrete cells, reason, energies, moved counts, number of sweep-seconds
-# rows, pruned chords), then the bytes of t, pos, vel and acc. Recorded on
-# x86-64 with numpy 2.4 and OpenBLAS. A change that alters a plan, a record
-# or a trajectory anywhere in the matrix re-records it and says why.
-MATRIX_DIGEST = "b79cb11e85023097affbdf11a876a33d64ebc051223ba12c1d67fd43462d92a3"
+# 0-2, each keyed (scenario, robots, seed).
+def matrix_setup(name, robots, seed):
+    what = ("--config", str(SWARM_N10)) if name == "swarm-n10" else ("--scenario", name)
+    return plan_setup(*what, "--robots", str(robots), seed=seed)
+
+
+# SHA-256 of each matrix run: repr of (status, horizons, discrete cells,
+# reason, energies, moved counts, number of sweep-seconds rows, pruned
+# chords), then the bytes of t, pos, vel and acc. Recorded on x86-64 with
+# numpy 2.4 and OpenBLAS. A change that alters a plan, a record or a
+# trajectory re-records the runs it changes and says why.
+MATRIX_DIGESTS = {
+    ("corridor", 5, 0): "5e55d824af662ab0b8b27143dfe624b3df437d67616b9617c9a68251985c8bd0",
+    ("corridor", 5, 1): "0c14fa80d92c74040bea4a16c204e12e5fc4d95663ef72db7242cd85e5ef92cf",
+    ("corridor", 5, 2): "7b7d98c97ad66613c415bb10a509f4d5ef90bf2ee90d3e44bb66008d143e7567",
+    ("corridor", 5, 3): "87703a5a81a5bfa3a9f0d078c15dd2cbc5ab7399bdc882c138b38512e6d931a5",
+    ("corridor", 5, 4): "c82e17bb55a05230c1883f636002b5399c245c4f222d4eba1068b6421703b39a",
+    ("corridor", 5, 5): "425e59e2097ac546532b753410f56bb5402fae1d41aff38ed500eb193783049c",
+    ("corridor", 5, 6): "026dd47d73c8f1ec262f3fc5fc4148ff610388a161dbade9beb1ebf14ff69de6",
+    ("corridor", 5, 7): "32f4505e102001771c847b63f3571fa9425c719a20bcdd1d588a76fdf366b960",
+    ("corridor", 5, 8): "0872532464b7fd34d8af1d6a6ae6207e20a148b14ec4f462e1308e9eeef3fb8a",
+    ("corridor", 5, 9): "7c28cf5bfae354ac0d8580e3b36e7196d14dbba26a3af26c6036b1b71e3317a0",
+    ("blocks", 5, 0): "abf1824682ff4a251972b67fb407c4d9a37115e716afb571778d81916e106d45",
+    ("blocks", 5, 1): "523ed76a026029d359b323b99077985f830c1440aef936ccc651d9ae803fe04e",
+    ("blocks", 5, 2): "7e90d8171920a0b184ed772721b51953da8bd4ef4dd24ee1767392a8b08a8bef",
+    ("blocks", 5, 3): "4970c5fb6f95b2609eecf10fcd6c7e643e06e8330f31f4899487f438f3327211",
+    ("blocks", 5, 4): "081f776646f182e6fa070977a31d3f5a815429947c7528b4915372910e613c8f",
+    ("blocks", 5, 5): "f128b60b878b2c51af434b558a1ce4626b3e986665eaf3ee308950e3a441545b",
+    ("blocks", 5, 6): "b716635685c02a36702c6f3a07c477893c3150c78f5b7eb0370962fbdbde5e7e",
+    ("blocks", 5, 7): "2fb6008e4c750b702b21903f1f2d8995657138b9ced7055074a26d3fa6ef882a",
+    ("blocks", 5, 8): "f29e200573358696aefb79b2b2fc5f9b80e001f91e70322cce6fe101152de9c2",
+    # re-recorded when robots came to rest at every kept waypoint: each of
+    # the next two has one horizon whose pruned path keeps a corner, and the
+    # corridor run's horizon then passes validation instead of falling back
+    ("blocks", 5, 9): "b3b02855f15d04402ef9434afd352d4179b4dbec7fef1e881822079008c6dc45",
+    ("corridor", 10, 0): "ad41c7a66ede47c768e79b71ab648122d1d101d06e5c5611b15498425fd7b528",
+    ("corridor", 10, 1): "f6c7aecea1dcf341c55e610b1003bc9ec5598bc1d7a3e78d36dc7b253940e4d2",
+    ("corridor", 10, 2): "e3bb51b827526a4ead86e887176580a103617ab625459f5be116c78f37314a88",
+    ("swarm-n10", 10, 0): "e78aa35548aedbb66862d7f57eb95837932871f7fda411058f892ad0d8e7ea7d",
+    ("swarm-n10", 10, 1): "e4a6323f70ec543c25168df45a8483159714ac5d1f9a11f9d8837184cdf8d8ee",
+    ("swarm-n10", 10, 2): "81a829b7c7a4bb6ee2190e8ebc2ea413c6061d77440b20afe4d6cc6835209309",
+    ("swarm-n10", 20, 0): "53fe37c55db4e2853ad27d461cecaf1372d53172134bc755963e9b8177b388ef",
+    ("swarm-n10", 20, 1): "f0752a6fb4696946b5848c91e3fac962fb8ea01d5ebc71d737412f6d32a85f8f",
+    ("swarm-n10", 20, 2): "d089b1e6d74f130b46f76018d2e5e053511d6a9dcd1b02f1a7e4b348fbdbf245",
+}
 
 
 def test_matrix_digest():
-    digest = hashlib.sha256()
-    for what, seed in MATRIX:
-        r = run(*plan_setup(*what, seed=seed))
+    got = {}
+    for key in MATRIX_DIGESTS:
+        r = run(*matrix_setup(*key))
+        digest = hashlib.sha256()
         digest.update(repr((r.status, r.horizons, r.discrete, r.reason, r.energies,
                             r.moved_counts, len(r.sweep_seconds), r.pruned)).encode())
         for a in (r.t, r.pos, r.vel, r.acc):
             digest.update(np.ascontiguousarray(a).tobytes())
-    assert len(MATRIX) == 29
-    assert digest.hexdigest() == MATRIX_DIGEST
+        got[key] = digest.hexdigest()
+    assert len(got) == 29
+    assert got == MATRIX_DIGESTS
+
+
+@pytest.mark.parametrize("name, robots, seed", [("blocks", 5, 9), ("corridor", 10, 0)])
+def test_run_solves_no_qp(name, robots, seed, monkeypatch):
+    # the matrix's two runs that keep a corner: the robot rests there, so
+    # every executed piece is one chord in closed form
+    def no_qp(*args):
+        raise AssertionError("a QP was solved")
+
+    monkeypatch.setattr(trajopt, "build_qp", no_qp)
+    monkeypatch.setattr(trajopt, "solve_qp", no_qp)
+    result = run(*matrix_setup(name, robots, seed))
+    assert any(len(p.waypoints) > 2 for horizon in result.pruned for p in horizon)
+    assert result.horizons > 1 and result.status != rhp.STATUS_UNREPAIRABLE
+
+
+def test_execute_fraction_rests_at_a_kept_corner():
+    # the occupied cell (3, 3) blocks the chord (2, 2)-(4, 4): pruning keeps
+    # the corner (4, 2), and the robot runs each chord rest-to-rest
+    prob = np.zeros((12, 12))
+    prob[3, 3] = 1.0
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    sc = Scenario(grid=grid, static=None, iparams=IPARAMS, goal=None, start=(Cell(2, 2), Cell(9, 9)))
+    cells = [Cell(2, 2), Cell(3, 2), Cell(4, 2), Cell(4, 3), Cell(4, 4)]
+    plan = HorizonPlan(discrete=[DiscretePath(0, cells), DiscretePath(1, [Cell(9, 9)] * 5)], sweeps=[])
+    record = execute_fraction(plan, 1.0, sc, small_config())
+    wps = record.pruned[0].waypoints
+    assert wps == (Cell(2, 2), Cell(4, 2), Cell(4, 4))
+    knots = trajopt.allocate_times(wps).knots
+    chord = np.minimum(knots.searchsorted(record.t, side="right") - 1, len(wps) - 2)
+    for p, k in zip(record.pos[0].tolist(), chord.tolist()):
+        assert point_segment_distance(p, wps[k], wps[k + 1]) <= 1e-9
+    corner = np.flatnonzero(record.t == knots[1])
+    assert len(corner) == 1
+    assert np.all(record.vel[0, corner] == 0.0)

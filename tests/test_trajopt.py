@@ -265,7 +265,7 @@ def test_validate_clean_plan_is_empty():
         make_problem(1, [(2.0, 8.0), (10.0, 8.0)]),
     ]
     trajs = [p.solve() for p in probs]
-    assert validate(sample_common(trajs, 0.05), free_grid(), probs) == []
+    assert validate(sample_common(trajs, 0.05), free_grid()) == []
 
 
 def test_validate_detects_obstacle_hit():
@@ -273,7 +273,7 @@ def test_validate_detects_obstacle_hit():
     prob[5, 10] = 1.0  # cell (10, 5)
     grid = OccupancyGrid(prob=prob, resolution=1.0)
     p = make_problem(0, [(5.0, 5.0), (15.0, 5.0)])
-    report = validate(sample_common([p.solve()], 0.05), grid, [p])
+    report = validate(sample_common([p.solve()], 0.05), grid)
     assert any(v.kind == "obstacle" and v.robot == 0 for v in report)
 
 
@@ -283,7 +283,7 @@ def test_validate_detects_separation_loss():
         make_problem(1, [(12.0, 5.2), (0.0, 5.2)]),
     ]
     trajs = [p.solve() for p in probs]
-    report = validate(sample_common(trajs, 0.05), free_grid(), probs, d_safe=1.0)
+    report = validate(sample_common(trajs, 0.05), free_grid(), d_safe=1.0)
     seps = [v for v in report if v.kind == "separation"]
     assert seps and seps[0].robot == 0 and seps[0].other == 1
 
@@ -294,20 +294,11 @@ def test_validate_reports_separation_at_deepest_point():
         make_problem(1, [(12.0, 5.0), (0.0, 5.0)]),
     ]
     trajs = [p.solve() for p in probs]
-    report = validate(sample_common(trajs, 0.05), free_grid(), probs, d_safe=1.0)
+    report = validate(sample_common(trajs, 0.05), free_grid(), d_safe=1.0)
     v = next(v for v in report if v.kind == "separation")
     # head-on symmetric pass: the deepest point is mid-crossing
     d_at = np.linalg.norm(trajs[0].eval(v.time) - trajs[1].eval(v.time))
     assert d_at < 0.5
-
-
-def test_validate_detects_corridor_departure():
-    # An aggressive corner at speed overshoots the corridor around its chords.
-    wps = [(2.0, 2.0), (12.0, 2.0), (12.0, 12.0)]
-    ta = TimeAllocation(np.array([1.0, 1.0]))
-    p = SmoothingProblem.from_waypoints(0, wps, ta)
-    report = validate(sample_common([p.solve()], 0.05), free_grid(), [p], corridor_halfwidth=1.0)
-    assert any(v.kind == "corridor" for v in report)
 
 
 def test_validate_holds_final_position_for_finished_robot():
@@ -316,7 +307,7 @@ def test_validate_holds_final_position_for_finished_robot():
         make_problem(1, [(2.0, 8.0), (30.0, 8.0)], v=1.0),
     ]
     trajs = [p.solve() for p in probs]
-    assert validate(sample_common(trajs, 0.05), free_grid(), probs) == []
+    assert validate(sample_common(trajs, 0.05), free_grid()) == []
 
 
 def test_smooth_and_validate_resolves_crossing():
@@ -327,7 +318,7 @@ def test_smooth_and_validate_resolves_crossing():
     ]
     samples, scheduled = smooth_and_validate(probs, free_grid(), [p.waypoints for p in probs])
     assert scheduled
-    assert validate(samples, free_grid(), probs) == []
+    assert validate(samples, free_grid()) == []
 
 
 def test_smooth_and_validate_raises_for_parked_overlap():
@@ -376,7 +367,7 @@ def test_repair_orders_a_step_that_sweep_order_breaks():
     # then crosses no moved segment but passes 0.45 from robot 0's new cell
     steps = [[(1.0, 2.0), (1.0, 1.0)], [(0.0, 0.0), (2.0, 1.0)]]
     swept = sweep_order_schedule(steps)
-    report = validate(sample_common([p.solve() for p in swept], 0.05), free_grid(), swept)
+    report = validate(sample_common([p.solve() for p in swept], 0.05), free_grid())
     assert [(v.kind, v.robot, v.other) for v in report] == [("separation", 0, 1)]
 
     probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
@@ -384,7 +375,7 @@ def test_repair_orders_a_step_that_sweep_order_breaks():
     # robot 1 goes first while robot 0 holds its start, then robot 0 moves
     assert probs[0].waypoints == [(1.0, 2.0), (1.0, 2.0), (1.0, 1.0)]
     assert probs[1].waypoints == [(0.0, 0.0), (2.0, 1.0)]
-    assert validate(sample_common([p.solve() for p in probs], 0.05), free_grid(), probs) == []
+    assert validate(sample_common([p.solve() for p in probs], 0.05), free_grid()) == []
 
 
 def test_repair_moves_apart_robots_in_one_slot():
@@ -417,7 +408,7 @@ def test_schedule_pieces_stay_on_their_segments():
         for seg, pos in zip(segs.tolist(), traj.eval_many(ts)):
             a, b = prob.waypoints[seg], prob.waypoints[seg + 1]
             assert point_segment_distance(tuple(pos), a, b) <= 1e-9
-    assert validate(sample_common(trajs, 0.05), free_grid(), probs) == []
+    assert validate(sample_common(trajs, 0.05), free_grid()) == []
 
 
 @pytest.mark.parametrize("steps, repaired", [
@@ -455,7 +446,7 @@ def test_smooth_and_validate_repairs_at_most_once(steps, repaired, monkeypatch):
         after = [(p.robot, p.waypoints, p.durations) for p in probs]
         assert solved[len(probs):] == after
     assert len(solved) == len(probs) * (1 + repaired)
-    assert validate(samples, free_grid(), probs) == []
+    assert validate(samples, free_grid()) == []
 
 
 def precedence(a, b, d_safe, res):
@@ -492,8 +483,8 @@ def has_cycle(edges):
 def check_forced_schedule(steps, grid, d_safe):
     """Repair on `steps` either raises naming pairs whose precedences close
     a cycle at the first step without an order, or gives trajectories with
-    no separation or corridor violation (obstacle hits belong to the
-    steps' straight moves, not to the schedule)."""
+    no separation violation (obstacle hits belong to the steps' straight
+    moves, not to the schedule)."""
     res = grid.resolution
     probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
     try:
@@ -510,7 +501,7 @@ def check_forced_schedule(steps, grid, d_safe):
         named = {frozenset((v.robot, v.other)) for v in exc.violations}
         assert has_cycle({e for e in edges if frozenset(e) in named})
         return "no order"
-    report = validate(sample_common([p.solve() for p in probs], 0.05), grid, probs, d_safe=d_safe)
+    report = validate(sample_common([p.solve() for p in probs], 0.05), grid, d_safe=d_safe)
     assert not [v for v in report if v.kind != "obstacle"]
     return "scheduled"
 
@@ -703,10 +694,10 @@ def test_violation_fields():
     assert (v.kind, v.robot, v.time, v.other) == ("separation", 0, 1.5, 2)
 
 
-def validate_reference(trajs, grid, problems, d_safe=1.0, corridor_halfwidth=1.0, dt=0.05):
+def validate_reference(trajs, grid, d_safe=1.0, dt=0.05):
     """One sample at a time: per robot and sample, an obstacle hit (rounded
-    cell off the map or occupied) hides a corridor check against the
-    sample's own chord; then each pair i < j at its deepest encroachment."""
+    cell off the map or occupied); then each pair i < j at its deepest
+    encroachment."""
     res = grid.resolution
     t_max = max(tr.total_time for tr in trajs)
     ts = np.arange(0.0, t_max, dt)
@@ -714,18 +705,11 @@ def validate_reference(trajs, grid, problems, d_safe=1.0, corridor_halfwidth=1.0
         ts = np.append(ts, t_max)
     pos = np.array([tr.eval_many(ts, 0) for tr in trajs])
     violations = []
-    for r, tr in enumerate(trajs):
-        segs = tr.segments(ts)[0].tolist()
+    for r in range(len(trajs)):
         for n, t in enumerate(ts):
-            x, y = pos[r, n]
-            cx, cy = round(x), round(y)
-            seg_idx = segs[n]
+            cx, cy = round(pos[r, n, 0]), round(pos[r, n, 1])
             if not grid.in_bounds((cx, cy)) or not grid.is_free((cx, cy)):
                 violations.append(Violation("obstacle", r, float(t)))
-                continue
-            a, b = problems[r].waypoints[seg_idx], problems[r].waypoints[seg_idx + 1]
-            if point_segment_distance((x, y), a, b) * res > corridor_halfwidth + DIST_TOL:
-                violations.append(Violation("corridor", r, float(t)))
     for i in range(len(trajs)):
         for j in range(i + 1, len(trajs)):
             d = np.linalg.norm(pos[i] - pos[j], axis=1) * res
@@ -767,21 +751,18 @@ def random_validate_case(rng):
         if rng.random() < 0.3:
             prob.rest_indices.add(int(rng.integers(1, len(prob.waypoints))))
         problems.append(prob)
-    return grid, problems, [p.solve() for p in problems], shapes
+    return grid, [p.solve() for p in problems], shapes
 
 
 def test_validate_equals_per_sample_reference():
     rng = np.random.default_rng(2024)
     seen = set()
     for _ in range(80):
-        grid, problems, trajs, shapes = random_validate_case(rng)
-        kwargs = dict(
-            d_safe=float(rng.uniform(0.5, 3.0)),
-            corridor_halfwidth=float(rng.uniform(0.05, 1.0)),
-        )
+        grid, trajs, shapes = random_validate_case(rng)
+        d_safe = float(rng.uniform(0.5, 3.0))
         dt = float(rng.choice([0.05, 0.1, 0.13]))
-        got = validate(sample_common(trajs, dt), grid, problems, **kwargs)
-        assert got == validate_reference(trajs, grid, problems, dt=dt, **kwargs)
+        got = validate(sample_common(trajs, dt), grid, d_safe)
+        assert got == validate_reference(trajs, grid, d_safe, dt)
         assert all(type(v.time) is float for v in got)
         seen |= {v.kind for v in got}
         for v in got:
@@ -792,9 +773,7 @@ def test_validate_equals_per_sample_reference():
         seen |= {"finished" for tr in trajs if tr.total_time < max(t.total_time for t in trajs)}
         if len(trajs) == 10:
             seen.add("n10")
-    assert seen >= {
-        "obstacle", "corridor", "separation", "off-map", "occupied", "hold", "split", "finished", "n10"
-    }
+    assert seen >= {"obstacle", "separation", "off-map", "occupied", "hold", "split", "finished", "n10"}
 
 
 @pytest.mark.parametrize("x, y, cell", [(2.5, 3.5, (2, 4)), (3.5, 2.5, (4, 2)), (0.5, 4.5, (0, 4))])
@@ -805,10 +784,9 @@ def test_validate_rounds_half_to_even_like_round(x, y, cell):
     coeffs = np.zeros((2, 1, 8))
     coeffs[:, 0, 0] = [x, y]  # parked exactly on a half-cell coordinate
     traj = PolynomialTrajectory(coeffs, TimeAllocation(np.array([1.0])))
-    problem = SmoothingProblem.from_waypoints(0, [(x, y), (x, y)], TimeAllocation(np.array([1.0])))
-    got = validate(sample_common([traj], 0.05), grid, [problem])
+    got = validate(sample_common([traj], 0.05), grid)
     assert got and all(v.kind == "obstacle" for v in got)
-    assert got == validate_reference([traj], grid, [problem])
+    assert got == validate_reference([traj], grid)
 
 
 def snap_gram_reference(duration, degree, q):
@@ -1218,23 +1196,3 @@ def test_perm_table_and_snap_gram_equal_loop_definitions():
         assert _snap_gram(duration) is g
     assert _snap_gram.cache_info().maxsize is not None
 
-
-def test_validate_corridor_limit_is_exact_on_the_boundary():
-    # a robot whose distance to its chord, as point_segment_distance computes
-    # it, equals the corridor limit is inside the corridor; np.hypot rounds
-    # differently from math.hypot on some of these points
-    pts = np.random.default_rng(1).uniform(0.6, 3.0, (20000, 2))
-    exact = np.array([math.hypot(x, y) for x, y in pts.tolist()])
-    on_limit = (exact - DIST_TOL) + DIST_TOL == exact
-    rounds_apart = np.hypot(pts[:, 0], pts[:, 1]) != exact
-    picked = np.flatnonzero(on_limit & rounds_apart).tolist() + np.flatnonzero(on_limit)[:40].tolist()
-    grid = free_grid(8, 8)
-    ta = TimeAllocation(np.array([1.0]))
-    # a zero-length chord at the origin: the distance is hypot(x, y)
-    problem = SmoothingProblem.from_waypoints(0, [(0.0, 0.0), (0.0, 0.0)], ta)
-    for k in picked:
-        coeffs = np.zeros((2, 1, 8))
-        coeffs[:, 0, 0] = pts[k]
-        traj = PolynomialTrajectory(coeffs, ta)
-        assert validate(sample_common([traj], 0.05), grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL) == []
-        assert validate(sample_common([traj], 0.05), grid, [problem], corridor_halfwidth=exact[k] - DIST_TOL - 1e-6)
