@@ -171,11 +171,18 @@ def generate_scenario(kind: str, cfg: ScenarioConfig, seed: int) -> tuple[Occupa
     if kind == "free":
         return OccupancyGrid(prob=prob), cfg
     if kind == "corridor":
+        for name in ("corridor_width", "wall_thickness"):
+            if not 1 <= getattr(cfg, name) <= s:
+                raise ConfigError(f"{name} must be in [1, {s}]")
         y0 = s // 2 - cfg.wall_thickness // 2
         gap_lo = s // 2 - cfg.corridor_width // 2
         prob[y0 : y0 + cfg.wall_thickness, :] = 1.0
         prob[y0 : y0 + cfg.wall_thickness, gap_lo : gap_lo + cfg.corridor_width] = 0.0
         return OccupancyGrid(prob=prob), cfg
+    if cfg.n_blocks < 0:
+        raise ConfigError("n_blocks must be at least 0")
+    if not 2 <= cfg.block_max < s:  # a block's corner is drawn from [0, s - size)
+        raise ConfigError(f"block_max must be in [2, {s - 1}]")
     start, goal = (cfg.start_x, cfg.start_y), (cfg.goal_x, cfg.goal_y)
     # `_connected` reads the cells they round to
     _check_on_map("start", start, (s, s))

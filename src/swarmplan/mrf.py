@@ -12,6 +12,17 @@ update ORs the rows of the blocks near it and tests one bit per candidate.
 helper, `_clique_sum`, in `clique_energy`'s order, so results are
 bit-for-bit those of the scalar functions, which stay the reference.
 
+A sweep does its per-robot work once. One pass over the start positions
+gives every robot's candidate cells: the free cells of its disk, less the
+other robots' cells, each contested cell given to the nearest robot (by
+the exact square of the offset, then the lowest id), less the backward
+moves when trimming. A per-robot block table then stands in for the list
+of blocked moves: each robot blocks from its start, as a point until its
+update and as its move after it. The per-robot and per-update functions
+`local_search_space`, `apply_heuristics`, `_blocked_moves` and
+`icm_update` compute the same one robot at a time, and are the reference
+the sweep is tested against.
+
 Two one-slot caches serve the sweep: the static field's values as Python
 floats, and the map's free mask as Python bools. Each is keyed by the
 identity of the last field or grid it saw and holds only that one, so a
@@ -42,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 
 from .fields import InteractionParams, ScalarField, interaction_energy
 from .graph import InteractionGraph, build_interaction_graph, check_connectivity_condition
-from .grid import Cell, OccupancyGrid, disk_cells
+from .grid import Cell, OccupancyGrid, _disk, disk_cells
 from .paths import point_segment_distance, segments_intersect
 
 
@@ -384,23 +395,51 @@ def swarm_energy(
 def _candidate_energies(
     i: int,
     candidates: Sequence[Cell],
-    state: SwarmState,
+    positions: Sequence[Cell],
+    cliques: Sequence[tuple[int, ...]],
     values: list[list[float]] | None,
     table: list[list[float]],
 ) -> list[float]:
-    """Summed energy of the cliques containing robot i for each candidate
-    cell, with i moved there: each `clique_energy`, bit for bit, added in
-    clique order from 0.0, as `swarm_energy` adds them. Raises
+    """Summed energy of `cliques`, the cliques containing robot i, for each
+    candidate cell, with i moved there: each `clique_energy`, bit for bit,
+    added in clique order from 0.0, as `swarm_energy` adds them. Raises
     `_PastTableEdge` when an offset lies past the edge of `table`."""
-    positions = state.positions
     totals = [0.0] * len(candidates)
-    for cl in state.graph.cliques_of[i]:
+    for cl in cliques:
         cells = [positions[m] for m in cl]
         k = cl.index(i)
         for n, c in enumerate(candidates):
             cells[k] = c
             totals[n] += _clique_sum(cells, values, table)
     return totals
+
+
+def _best_cell(
+    i: int,
+    candidates: Sequence[Cell],
+    positions: Sequence[Cell],
+    cliques: Sequence[tuple[int, ...]],
+    values: list[list[float]] | None,
+    iparams: InteractionParams,
+    goal: tuple[float, float] | None,
+) -> Cell:
+    """The candidate of lowest (energy, goal distance, y, x) for robot i,
+    the energy summed over `cliques`, the cliques containing i, with the
+    other robots on `positions`; without a goal, of lowest (energy, y, x)."""
+    try:
+        table = _pair_energies(iparams)
+        energies = _candidate_energies(i, candidates, positions, cliques, values, table)
+    except _PastTableEdge:  # grow the table to cover this update
+        members = {m for cl in cliques for m in cl}
+        table = _pair_energies(iparams, _span([*candidates, *(positions[m] for m in members)]))
+        energies = _candidate_energies(i, candidates, positions, cliques, values, table)
+
+    low = min(energies)
+    ties = [c for c, e in zip(candidates, energies) if e == low]
+    if goal is None:
+        return min(ties, key=lambda c: (c[1], c[0]))
+    gx, gy = goal
+    return min(ties, key=lambda c: (math.hypot(c[0] - gx, c[1] - gy), c[1], c[0]))
 
 
 def icm_update(
@@ -431,23 +470,68 @@ def icm_update(
         hit = _blocked_moves(own, candidates, blocked_segments)
         candidates = [c for c, h in zip(candidates, hit) if c == own or not h]
     values = None if static is None else _static_values(static)
-    try:
-        energies = _candidate_energies(i, candidates, state, values, _pair_energies(iparams))
-    except _PastTableEdge:  # grow the table to cover this update
-        members = {m for cl in state.graph.cliques_of[i] for m in cl}
-        span = _span([*candidates, *(state.positions[m] for m in members)])
-        energies = _candidate_energies(i, candidates, state, values, _pair_energies(iparams, span))
-
-    # the lowest (energy, goal distance, y, x)
-    low = min(energies)
-    ties = [c for c, e in zip(candidates, energies) if e == low]
-    if goal is None:
-        return min(ties, key=lambda c: (c[1], c[0]))
-    gx, gy = goal
-    return min(ties, key=lambda c: (math.hypot(c[0] - gx, c[1] - gy), c[1], c[0]))
+    cliques = state.graph.cliques_of[i]
+    return _best_cell(i, candidates, state.positions, cliques, values, iparams, goal)
 
 
 UpdateHook = Callable[[int, int, SwarmState], None]
+
+
+@lru_cache(maxsize=None)
+def _disk_moves(order: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The order-n disk's offsets (dx, dy) in row-major order, each with
+    dx^2 + dy^2 and its bit (dy + r) * (2r + 1) + dx + r in the
+    `_conflict_rows(r)` rows, r the disk's Chebyshev radius."""
+    offsets, r = _disk(order)
+    side = 2 * r + 1
+    return tuple((dx, dy, dx * dx + dy * dy, (dy + r) * side + dx + r) for dx, dy in offsets)
+
+
+def _candidate_spaces(
+    start: Sequence[Cell], grid: OccupancyGrid, config: OptimizeConfig
+) -> list[list[tuple[tuple[int, int], int]]]:
+    """Each robot's candidate cells from `start`, as (x, y) tuples, each
+    with its `_disk_moves` bit: `apply_heuristics` over the
+    `local_search_space`s, in one pass.
+
+    A free cell in several robots' disks goes to the lowest (dx^2 + dy^2,
+    id): the exact square orders robots as `math.hypot` does. A robot's own
+    cell is at 0, so the robot keeps it and no other robot gets it.
+    """
+    n = len(start)
+    height, width = grid.prob.shape
+    free = _free_mask(grid)
+    moves = _disk_moves(config.search_order)
+    disks = []
+    owner: dict[tuple[int, int], int] = {}  # cell -> the lowest d2 * n + id that claims it
+    for i, (cx, cy) in enumerate(start):
+        if not (0 <= cx < width and 0 <= cy < height):
+            raise ValueError(f"cell {(cx, cy)} outside grid")
+        disk = []
+        for dx, dy, d2, bit in moves:
+            x, y = cx + dx, cy + dy
+            if 0 <= x < width and 0 <= y < height and free[y][x]:
+                c = (x, y)
+                claim = d2 * n + i
+                if claim < owner.setdefault(c, claim):
+                    owner[c] = claim
+                disk.append((c, bit, claim))
+        disks.append(disk)
+
+    spaces = []
+    goal = config.goal if config.trim_backward else None
+    for own, disk in zip(start, disks):
+        space = [(c, bit) for c, bit, claim in disk if owner[c] == claim]
+        if goal is not None:
+            gx, gy = goal[0] - own[0], goal[1] - own[1]
+            if math.hypot(gx, gy) > 0:
+                space = [
+                    (c, bit)
+                    for c, bit in space
+                    if c == own or (c[0] - own[0]) * gx + (c[1] - own[1]) * gy >= 0
+                ]
+        spaces.append(space)
+    return spaces
 
 
 def _sweep(
@@ -460,30 +544,55 @@ def _sweep(
     update_hook: UpdateHook | None,
 ) -> Sweep:
     """Sweep all robots once from `start` in ascending id, on the graph and
-    candidate spaces of `start`. Its seconds leave out the energy after the
-    sweep. A stream's first sweep checks that its graph isolates no robot."""
+    candidate spaces of `start`: each update is `icm_update` with the
+    blocks of the other robots. Its seconds leave out the energy after the
+    sweep. A stream's first sweep checks that its graph isolates no robot.
+
+    Every robot blocks from its start: as a point until its update, then
+    as its move. Up to `_MAX_CONFLICT_RADIUS`, a block is its start and the
+    row offset of its move, and an update ORs the `_conflict_rows` rows of
+    the blocks that start within twice the disk's radius of the robot;
+    beyond it, each candidate is tested against each block by `_conflicts`."""
     tic = time.perf_counter()
     n = len(start)
     positions = list(start)
     graph = build_interaction_graph(start, config.k, config.r_comm)
     if sweep == 1 and not check_connectivity_condition(graph):
         raise ConnectivityError("initial interaction graph has an isolated robot")
-    state = SwarmState(positions=start, graph=graph)
-    spaces = [local_search_space(grid, state, i, config.search_order) for i in range(n)]
-    spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
+    spaces = _candidate_spaces(start, grid, config)
+    values = None if static is None else _static_values(static)
+    cliques_of = graph.cliques_of
+
+    r = _disk(config.search_order)[1]
+    side, m = 2 * r + 1, 4 * r + 1
+    stride = side * side
+    still = r * side + r  # the row offset, and the bit, of a point block or a stay
+    rows = _conflict_rows(r) if r <= _MAX_CONFLICT_RADIUS else None
+    blocks = [still] * n  # each robot's row offset
 
     moved = 0
-    sweep_segments: list[tuple[Cell, Cell]] = []
-    for i in range(n):
-        # robots not yet updated this sweep block their current cell as a
-        # point; already updated robots block their whole move segment
-        blocked = sweep_segments + [(positions[j], positions[j]) for j in range(i + 1, n)]
-        state = SwarmState(positions=tuple(positions), graph=graph)
-        new = icm_update(state, i, spaces, static, iparams, config.goal, blocked)
-        sweep_segments.append((positions[i], new))
-        if new != positions[i]:
+    for i, (own, space) in enumerate(zip(start, spaces)):
+        if rows is None:
+            held = [(start[j], positions[j]) for j in range(n) if j != i]
+            candidates = [
+                c
+                for c, _ in space
+                if c == own or not any(_conflicts(own, c, s0, s1) for s0, s1 in held)
+            ]
+        else:
+            x0, y0 = own[0] - 2 * r, own[1] - 2 * r
+            mask = 0  # bit b: the move to bit b's offset conflicts with a block
+            for j, (sx, sy) in enumerate(start):
+                wx, wy = sx - x0, sy - y0
+                if 0 <= wx < m and 0 <= wy < m and j != i:
+                    mask |= rows[(wy * m + wx) * stride + blocks[j]]
+            mask &= ~(1 << still)  # staying put is always allowed
+            candidates = [c for c, bit in space if not mask >> bit & 1]
+        new = _best_cell(i, candidates, positions, cliques_of[i], values, iparams, config.goal)
+        if new != own:
             moved += 1
-            positions[i] = new
+            positions[i] = new = Cell._make(new)  # candidates are plain tuples
+            blocks[i] = (new[1] - own[1] + r) * side + new[0] - own[0] + r
         if update_hook is not None:
             update_hook(sweep, i, SwarmState(positions=tuple(positions), graph=graph))
     seconds = time.perf_counter() - tic

@@ -89,6 +89,30 @@ def test_generate_blocks_scenario_connected_and_seeded():
     assert np.any(g1.prob >= 0.5)
 
 
+@pytest.mark.parametrize("kind, shape", [
+    ("free", {"corridor_width": 0, "wall_thickness": 50, "n_blocks": -1, "block_max": 1}),
+    ("corridor", {"n_blocks": -1, "block_max": 40}),
+    ("blocks", {"corridor_width": -4, "wall_thickness": 0}),
+])
+def test_scenario_shape_is_checked_only_by_the_kind_that_reads_it(kind, shape):
+    grid, _ = generate_scenario(kind, replace(ScenarioConfig(scenario=kind), **shape), seed=0)
+    default, _ = generate_scenario(kind, ScenarioConfig(scenario=kind), seed=0)
+    assert np.array_equal(grid.prob, default.prob)
+
+
+@pytest.mark.parametrize("kind, field, bounds", [
+    ("corridor", "corridor_width", (1, 40)),
+    ("corridor", "wall_thickness", (1, 40)),
+    ("blocks", "block_max", (2, 29)),
+])
+def test_scenario_shape_bounds_are_inclusive(kind, field, bounds):
+    for v in bounds:
+        generate_scenario(kind, replace(ScenarioConfig(scenario=kind), **{field: v}), seed=0)
+    for v in (bounds[0] - 1, bounds[1] + 1):
+        with pytest.raises(ConfigError, match=f"^{field} must be in \\[{bounds[0]}, {bounds[1]}\\]$"):
+            generate_scenario(kind, replace(ScenarioConfig(scenario=kind), **{field: v}), seed=0)
+
+
 def test_generate_unknown_scenario_rejected():
     with pytest.raises(ConfigError):
         generate_scenario("maze", ScenarioConfig(), seed=0)
@@ -160,6 +184,18 @@ def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flag
     (["--r-comm", "0"], "r_comm must be positive"),
     (["--r-comm", "-1"], "r_comm must be positive"),
     (["--r-comm", "nan"], "r_comm must be positive"),
+    # a wall with no gap, yet exited 0 "goal-converged"
+    (["--corridor-width", "0"], "corridor_width must be in [1, 40]"),
+    (["--corridor-width", "-4"], "corridor_width must be in [1, 40]"),
+    # built no wall
+    (["--wall-thickness", "0"], "wall_thickness must be in [1, 40]"),
+    # put the wall on rows 35-39: the negative slice start wrapped
+    (["--wall-thickness", "50"], "wall_thickness must be in [1, 40]"),
+    # ran as 0 blocks
+    (["--scenario", "blocks", "--n-blocks", "-1"], "n_blocks must be at least 0"),
+    # failed in numpy as "low >= high" and "high <= 0"
+    (["--scenario", "blocks", "--block-max", "1"], "block_max must be in [2, 29]"),
+    (["--scenario", "blocks", "--block-max", "40"], "block_max must be in [2, 29]"),
 ])
 def test_plan_rejects_a_setting_that_switches_a_check_off(tmp_path, capsys, flags, message):
     code = run_command(["plan", "--scenario", "corridor", "--robots", "5", "--seed", "0", *flags,

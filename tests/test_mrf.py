@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarmplan.cli import ScenarioConfig, build_scenario
 from swarmplan.fields import (
@@ -27,12 +29,15 @@ from swarmplan.fields import (
 )
 from swarmplan.grid import Cell, OccupancyGrid, disk_cells
 from swarmplan import mrf
+from swarmplan.graph import build_interaction_graph, check_connectivity_condition
 from swarmplan.mrf import (
     ConnectivityError,
+    SwarmState,
     _blocked_moves,
     _candidate_energies,
     _conflict_rows,
     _pair_energies,
+    _sweep,
     DiscretePath,
     OptimizeConfig,
     apply_heuristics,
@@ -316,7 +321,8 @@ def test_candidate_energies_equal_clique_energy_sums():
                 expected.append(
                     fold_sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
                 )
-            assert _candidate_energies(i, candidates, state, values, table) == expected
+            cliques = state.graph.cliques_of[i]
+            assert _candidate_energies(i, candidates, state.positions, cliques, values, table) == expected
 
 
 def test_icm_update_grows_the_pair_table():
@@ -407,7 +413,8 @@ def test_update_of_isolated_robot_matches_exhaustive_argmin():
                     fold_sum(clique_energy(cl, positions, fld, IPARAMS) for cl in state.graph.cliques if i in cl)
                 )
             table = _pair_energies(IPARAMS, 40)
-            assert _candidate_energies(i, spaces[i], state, values, table) == expected
+            cliques = state.graph.cliques_of[i]
+            assert _candidate_energies(i, spaces[i], state.positions, cliques, values, table) == expected
             for goal in (None, (25.0, 33.0)):
                 got = icm_update(state, i, spaces, fld, IPARAMS, goal)
                 assert got == exhaustive_argmin(state, i, spaces, fld, goal)
@@ -606,15 +613,17 @@ def test_energy_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
         state = make_state(sorted(cells, key=lambda _: rng.random()), grid, k=3)
         i = int(rng.integers(0, 8))
         candidates = local_search_space(grid, state, i, 4)
+        cliques = state.graph.cliques_of[i]
         cases.append((state, i, candidates, swarm_energy(state, static, IPARAMS),
-                      _candidate_energies(i, candidates, state, values, table)))
+                      _candidate_energies(i, candidates, state.positions, cliques, values, table)))
         energies = [clique_energy(c, state.positions, static, IPARAMS) for c in state.graph.cliques]
         differ += compensated_sum(energies) != fold_sum(energies)
     assert differ > 0  # the two sums tell apart some of these swarms
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     for state, i, candidates, energy, per_candidate in cases:
         assert swarm_energy(state, static, IPARAMS) == energy
-        assert _candidate_energies(i, candidates, state, values, table) == per_candidate
+        cliques = state.graph.cliques_of[i]
+        assert _candidate_energies(i, candidates, state.positions, cliques, values, table) == per_candidate
 
 
 def test_local_search_space_equals_free_cell_comprehension():
@@ -735,19 +744,19 @@ def test_sweeps_end_after_the_first_zero_move_sweep(monkeypatch):
     grid = free_grid(20, 20)
     state = make_state([(2, 8), (4, 9), (9, 7), (10, 6), (11, 10)], grid, k=2)
     cfg = OptimizeConfig(k=2, goal=(9.0, 9.0), max_sweeps=40)
-    updates = []
-    real_update = mrf.icm_update
+    computed = []  # the number of each computed sweep
+    real_sweep = mrf._sweep
 
-    def counting_update(*args, **kwargs):
-        updates.append(args[1])
-        return real_update(*args, **kwargs)
+    def counting_sweep(*args, **kwargs):
+        computed.append(args[0])
+        return real_sweep(*args, **kwargs)
 
-    monkeypatch.setattr(mrf, "icm_update", counting_update)
+    monkeypatch.setattr(mrf, "_sweep", counting_sweep)
     stream = list(sweeps(state.positions, grid, None, IPARAMS, cfg))
     assert [s.moved > 0 for s in stream] == [True] * 9 + [False]
     assert [s.last for s in stream] == [False] * 9 + [True]
     assert stream[-1].positions == stream[-2].positions and stream[-1].energy is None
-    assert len(updates) == 5 * 10  # nothing is computed past the zero-move sweep
+    assert len(computed) == 10  # nothing is computed past the zero-move sweep
 
     # from the fixed point itself, the first sweep moves no robot and ends
     # the stream: the start counts as a state the stream has been in
@@ -837,3 +846,117 @@ def test_optimize_reports_converged_only_after_a_zero_move_sweep(monkeypatch):
     cfg = OptimizeConfig(k=1, max_sweeps=40)
     _, trace = optimize(make_state(((5, 5), (6, 5), (5, 180)), grid, k=1), grid, None, IPARAMS, cfg)
     assert trace.status == "max-sweeps" and trace.moved_counts[-1] == 1
+
+
+def reference_sweep(sweep, start, grid, static, iparams, config, update_hook, heuristics=True):
+    """[DERIVED] oracle: one sweep as the scalar functions give it: the
+    graph, `local_search_space` per robot, `apply_heuristics` (unless
+    `heuristics` is off), and one `icm_update` per robot against the blocks
+    of the others, a point for a robot not yet updated and the move segment
+    of one already updated."""
+    n = len(start)
+    positions = list(start)
+    graph = build_interaction_graph(start, config.k, config.r_comm)
+    if sweep == 1 and not check_connectivity_condition(graph):
+        raise ConnectivityError("initial interaction graph has an isolated robot")
+    state = SwarmState(positions=start, graph=graph)
+    spaces = [local_search_space(grid, state, i, config.search_order) for i in range(n)]
+    if heuristics:
+        spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
+    moved = 0
+    segments = []
+    for i in range(n):
+        blocked = segments + [(positions[j], positions[j]) for j in range(i + 1, n)]
+        state = SwarmState(positions=tuple(positions), graph=graph)
+        new = icm_update(state, i, spaces, static, iparams, config.goal, blocked)
+        segments.append((positions[i], new))
+        if new != positions[i]:
+            moved += 1
+            positions[i] = new
+        update_hook(sweep, i, SwarmState(positions=tuple(positions), graph=graph))
+    after = tuple(positions)
+    energy = swarm_energy(SwarmState(after, graph), static, iparams) if moved else None
+    return after, energy, moved
+
+
+def run_sweeps(sweep_fn, start, grid, static, config, count=5):
+    """Each of `count` sweeps from `start`, each from where the last ended,
+    as (positions, energy, moved, hook calls), or the error that ends them
+    as (type, message)."""
+    out = []
+    positions = start
+    for sweep in range(1, count + 1):
+        calls = []
+
+        def hook(sweep_no, i, state):
+            calls.append((sweep_no, i, state.positions, state.graph.cliques))
+
+        try:
+            step = sweep_fn(sweep, positions, grid, static, IPARAMS, config, hook)
+        except ValueError as exc:  # ConnectivityError among them
+            out.append((type(exc), str(exc)))
+            break
+        if not isinstance(step, tuple):
+            step = (step.positions, step.energy, step.moved)
+        positions = step[0]
+        assert all(type(c) is Cell for c in positions)
+        out.append((*step, calls))
+    return out
+
+
+def disk_spaces(start, grid, config):
+    """[DERIVED] each robot's free disk cells with their conflict-row bits
+    and no heuristics, so robots contest cells and moves meet blocks."""
+    order = config.search_order
+    r = math.isqrt(order)
+    state = SwarmState(positions=start, graph=None)
+    spaces = []
+    for i, (x, y) in enumerate(start):
+        cells = local_search_space(grid, state, i, order)
+        spaces.append([(c, (c[1] - y + r) * (2 * r + 1) + c[0] - x + r) for c in cells])
+    return spaces
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from([1, 2, 4, 5, 9, 16, 25]),
+    size=st.integers(4, 14),
+    robots=st.integers(2, 9),
+    obstacles=st.sampled_from([0.0, 0.1, 0.3]),
+    r_comm=st.sampled_from([math.inf, 3.0, 6.0]),
+    with_static=st.booleans(),
+    with_goal=st.booleans(),
+    trim_backward=st.booleans(),
+    heuristics=st.booleans(),
+)
+def test_sweep_equals_the_reference_sweep(
+    seed, order, size, robots, obstacles, r_comm, with_static, with_goal, trim_backward, heuristics
+):
+    # [DERIVED] five sweeps from a random start on a small map, so disks are
+    # clipped at the edges and robots contest cells; orders 16 and 25 (disk
+    # radius 4 and 5) take the scalar conflict test. Under the heuristics
+    # every candidate is nearer its robot than any other robot, so no block
+    # ever removes one; without them robots meet each other's blocks.
+    rng = np.random.default_rng(seed)
+    prob = np.where(rng.random((size, size)) < obstacles, 1.0, 0.0)
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    free = [Cell(x, y) for y in range(size) for x in range(size) if prob[y, x] == 0.0]
+    assume(len(free) >= 2)
+    n = min(robots, len(free))
+    start = tuple(free[j] for j in rng.choice(len(free), n, replace=False))
+    goal = (float(rng.uniform(0, size)), float(rng.uniform(0, size))) if with_goal else None
+    static = build_goal_field(grid, GoalParams(goal=goal or (size / 2, size / 2))) if with_static else None
+    config = OptimizeConfig(
+        k=int(rng.integers(1, min(3, n - 1) + 1)),
+        search_order=order,
+        r_comm=r_comm,
+        goal=goal,
+        trim_backward=trim_backward,
+    )
+    reference = functools.partial(reference_sweep, heuristics=heuristics)
+    expected = run_sweeps(reference, start, grid, static, config)
+    with pytest.MonkeyPatch.context() as m:
+        if not heuristics:
+            m.setattr(mrf, "_candidate_spaces", disk_spaces)
+        assert run_sweeps(_sweep, start, grid, static, config) == expected

@@ -532,19 +532,19 @@ def test_run_with_carried_sweeps_equals_a_cold_run(scenario, seed, monkeypatch):
 def test_run_computes_each_sweep_once_and_records_the_executed_ones(monkeypatch):
     # corridor N=5 seed 0: 12 horizons execute 22 sweeps; the last horizon's
     # lookahead computes one more, which is not executed
-    updates = []
-    real_update = mrf.icm_update
+    computed = []  # the number of each computed sweep
+    real_sweep = mrf._sweep
 
-    def counting_update(*args, **kwargs):
-        updates.append(args[1])
-        return real_update(*args, **kwargs)
+    def counting_sweep(*args, **kwargs):
+        computed.append(args[0])
+        return real_sweep(*args, **kwargs)
 
-    monkeypatch.setattr(mrf, "icm_update", counting_update)
+    monkeypatch.setattr(mrf, "_sweep", counting_sweep)
     result = acceptance_run("corridor", 0)
     assert result.horizons == 12
     assert len(result.discrete[0]) - 1 == 22
     assert (len(result.energies), len(result.moved_counts), len(result.sweep_seconds)) == (23, 22, 22)
-    assert len(updates) == 5 * 23
+    assert len(computed) == 23
 
 
 def test_run_has_one_energy_more_than_moved_counts(monkeypatch):
