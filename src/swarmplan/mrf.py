@@ -1,13 +1,9 @@
 """Swarm energy model over the interaction graph's maximal cliques and its
 coordinate-descent (ICM) minimization into discrete multi-robot paths.
 
-Robots sit on integer cells, so the ICM sweep reads exact lookup tables
-instead of calling the scalar geometry: pair energies by cell offset (one
-growable table per `InteractionParams`, each entry filled by
-`interaction_energy`) and blocked-move conflicts by block and candidate
-offset (one tuple of ints per disk radius, one bit per conflicting move set
-by the point-clearance and crossing predicate `_conflicts`), so a robot
-update ORs the rows of the blocks near it and tests one bit per candidate.
+Robots sit on integer cells, so the ICM sweep reads pair energies from an
+exact lookup table by cell offset: one growable table per
+`InteractionParams`, each entry filled by `interaction_energy`.
 `swarm_energy` and each robot update add clique energies through one
 helper, `_clique_sum`, in `clique_energy`'s order, so results are
 bit-for-bit those of the scalar functions, which stay the reference.
@@ -16,12 +12,43 @@ A sweep does its per-robot work once. One pass over the start positions
 gives every robot's candidate cells: the free cells of its disk, less the
 other robots' cells, each contested cell given to the nearest robot (by
 the exact square of the offset, then the lowest id), less the backward
-moves when trimming. A per-robot block table then stands in for the list
-of blocked moves: each robot blocks from its start, as a point until its
-update and as its move after it. The per-robot and per-update functions
-`local_search_space`, `apply_heuristics`, `_blocked_moves` and
-`icm_update` compute the same one robot at a time, and are the reference
-the sweep is tested against.
+moves when trimming. The per-robot and per-update functions
+`local_search_space`, `apply_heuristics` and `icm_update` compute the same
+one robot at a time, and are the reference the sweep is tested against.
+
+Separation lemma. Let robot i start a sweep at s_i and take a candidate a.
+Heuristics (a) and (b) give, for every other robot j at its start s_j,
+
+    |a - s_i|^2 <= |a - s_j|^2, strictly when j < i.                 (P)
+
+A cell outside j's disk is farther from s_j than the disk's order allows,
+so farther than a is from s_i; map edges, obstacles and trimming only
+remove candidates. Then for the moves s_i -> a and s_j -> b of robots
+i != j:
+
+(S1) the move s_i -> a keeps a distance of at least 1.0 from s_j;
+(S2) when j < i, the moves s_i -> a and s_j -> b do not meet.
+
+Proof. Put s_i at the origin and write s = s_j, an integer vector with
+|s| >= 1; (P) reads 2 a.s <= |s|^2, so a != s. (S1) with a = 0 is
+|s| >= 1. Otherwise: if a.s <= 0, the nearest point of the move to s is
+the origin, at |s| >= 1. If a.s >= |a|^2, it is a, at |s - a| >= 1, both
+being distinct integer points. In between, 0 < a.s < |a|^2 and
+a.s <= |s|^2 / 2, so (a.s)^2 < |a|^2 |s|^2 / 2, and the squared distance
+is (a x s)^2 / |a|^2 = (|a|^2 |s|^2 - (a.s)^2) / |a|^2 > |s|^2 / 2 >= 1;
+|s|^2 = 1 cannot occur here, as a.s would be an integer in (0, 1/2].
+(S2): f(p) = |p - s_j|^2 - |p - s_i|^2 is affine in p. f(s_i) > 0, and
+f(a) > 0 by (P) for robot i, so f > 0 all along s_i -> a. f(s_j) < 0, and
+f(b) <= 0 by (P) for robot j, so f <= 0 all along s_j -> b.
+
+In a sweep, robot i moves while the robots after it hold their starts and
+those before it have moved, so by (S1) and (S2), at any disk order, no
+move passes within 1.0 of a held robot or crosses an earlier move: the
+sweep checks no move against the others. The middle case of (S1) has
+margin, so float geometry on cells agrees. `tests/test_mrf.py` pins (S1),
+(S2) and the synchronous bound (two robots moving at once, on one timing,
+stay 1.0 apart; checked, not proven) exhaustively in integer arithmetic.
+`trajopt.repair` relies on (S1).
 
 Two one-slot caches serve the sweep: the static field's values as Python
 floats, and the map's free mask as Python bools. Each is keyed by the
@@ -54,7 +81,7 @@ from typing import Callable, Iterator, Sequence
 from .fields import InteractionParams, ScalarField, interaction_energy
 from .graph import InteractionGraph, build_interaction_graph, check_connectivity_condition
 from .grid import Cell, OccupancyGrid, _disk, disk_cells
-from .paths import point_segment_distance, segments_intersect
+from .paths import segments_intersect
 
 
 class ConnectivityError(ValueError):
@@ -88,6 +115,13 @@ def make_state(
     r_comm: float = math.inf,
 ) -> SwarmState:
     """Validate positions (free, distinct, in bounds) and build the state."""
+    cells = _checked_cells(positions, grid)
+    return SwarmState(positions=cells, graph=build_interaction_graph(cells, k, r_comm))
+
+
+def _checked_cells(positions: Sequence[Cell], grid: OccupancyGrid) -> tuple[Cell, ...]:
+    """`positions` as Cells, or ValueError naming the first one that is
+    outside the grid or occupied, or that two robots share."""
     cells = tuple(Cell(int(p[0]), int(p[1])) for p in positions)
     if len(set(cells)) != len(cells):
         raise ValueError("robot positions must be pairwise distinct")
@@ -96,7 +130,7 @@ def make_state(
             raise ValueError(f"robot position {tuple(c)} outside grid")
         if not grid.is_free(c):
             raise ValueError(f"robot position {tuple(c)} is occupied")
-    return SwarmState(positions=cells, graph=build_interaction_graph(cells, k, r_comm))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -240,9 +274,8 @@ def clique_energy(
 
 
 # Robots sit on integer cells, so a pair energy depends only on the offset
-# between the two cells and a blocked-move test only on the offsets of the
-# block and the candidate from the mover. The tables below hold exactly the
-# floats and booleans the scalar functions return for those offsets.
+# between the two cells. The table below holds exactly the floats the
+# scalar function returns for those offsets.
 
 _PAIR_TABLES: dict[InteractionParams, list[list[float]]] = {}
 
@@ -297,84 +330,6 @@ def _clique_sum(
     except IndexError:
         raise _PastTableEdge from None
     return e
-
-
-def _conflicts(own: Cell, c: Cell, s0: Cell, s1: Cell) -> bool:
-    """Whether the move own -> c conflicts with the block s0 -> s1: a point
-    block (a held robot) needs clearance 1.0 along the whole move, a segment
-    must not be crossed."""
-    if s0 == s1:
-        return point_segment_distance(s0, own, c) < 1.0
-    return segments_intersect(own, c, s0, s1)
-
-
-# Beyond this Chebyshev radius a candidate disk holds Pythagorean moves such
-# as (3, 4); a held robot can sit at exactly distance 1 from them, and the
-# float clearance test then depends on the absolute coordinates.
-_MAX_CONFLICT_RADIUS = 3
-
-
-@lru_cache(maxsize=None)
-def _conflict_rows(r: int) -> tuple[int, ...]:
-    """Blocked-move conflicts for candidate moves of Chebyshev radius <= r.
-
-    Row ((wy + 2r) * m + wx + 2r) * n^2 + (uy + r) * n + ux + r stands for
-    the block from w to w + u, with n = 2r + 1 and m = 4r + 1. Its bit
-    (vy + r) * n + vx + r is set iff the move from (0, 0) to v conflicts
-    with that block by `_conflicts`: clearance below 1.0 from a point block
-    (u = (0, 0)), crossing for a segment. w spans [-2r, 2r]^2, u and v span
-    [-r, r]^2. Only blocks whose bounding box meets the move's are
-    evaluated: any other block is at least 1 away along one axis, so it
-    neither crosses the move nor comes closer than 1.0 (rounding in the
-    projection is monotonic and keeps the computed gap at 1 or more).
-    """
-    n, m = 2 * r + 1, 4 * r + 1
-    rows = [0] * (m * m * n * n)
-    span = range(-r, r + 1)
-    for vy in span:
-        for vx in span:
-            bit = 1 << (vy + r) * n + vx + r
-            for uy in span:
-                for ux in span:
-                    u_idx = (uy + r) * n + ux + r
-                    for wy in range(min(0, vy) - max(0, uy), max(0, vy) - min(0, uy) + 1):
-                        for wx in range(min(0, vx) - max(0, ux), max(0, vx) - min(0, ux) + 1):
-                            if _conflicts((0, 0), (vx, vy), (wx, wy), (wx + ux, wy + uy)):
-                                rows[((wy + 2 * r) * m + wx + 2 * r) * n * n + u_idx] |= bit
-    return tuple(rows)
-
-
-def _blocked_moves(
-    own: Cell, candidates: Sequence[Cell], blocked_segments: Sequence[tuple[Cell, Cell]]
-) -> list[bool]:
-    """For each candidate, whether the move from `own` to it conflicts with
-    any blocked segment, by `_conflicts`."""
-    ox, oy = own
-    offsets = [(c[0] - ox, c[1] - oy) for c in candidates]
-    r = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
-    if r > _MAX_CONFLICT_RADIUS:
-        return [
-            any(_conflicts(own, c, s0, s1) for s0, s1 in blocked_segments) for c in candidates
-        ]
-    hit = [False] * len(candidates)
-    if r == 0:
-        return hit
-    n, m = 2 * r + 1, 4 * r + 1
-    rows = _conflict_rows(r)
-    mask = 0  # bit v: the move to offset v conflicts with a windowed block
-    for s0, s1 in blocked_segments:
-        ux, uy = s1[0] - s0[0], s1[1] - s0[1]
-        if -r <= ux <= r and -r <= uy <= r:
-            wx, wy = s0[0] - ox + 2 * r, s0[1] - oy + 2 * r
-            # a block starting outside the window lies more than r from
-            # every point of the move
-            if 0 <= wx < m and 0 <= wy < m:
-                mask |= rows[(wy * m + wx) * n * n + (uy + r) * n + ux + r]
-        else:
-            hit = [h or _conflicts(own, c, s0, s1) for h, c in zip(hit, candidates)]
-    if mask:
-        hit = [h or mask >> (dy + r) * n + dx + r & 1 == 1 for h, (dx, dy) in zip(hit, offsets)]
-    return hit
 
 
 def swarm_energy(
@@ -449,50 +404,39 @@ def icm_update(
     static: ScalarField | None,
     iparams: InteractionParams,
     goal: tuple[float, float] | None = None,
-    blocked_segments: Sequence[tuple[Cell, Cell]] | None = None,
 ) -> Cell:
     """Best candidate cell for robot i with all other robots held fixed.
 
     Minimizes the summed energy of the cliques containing i over the robot's
     candidate space; ties go to the candidate nearest the goal, then
-    row-major order. Candidates whose move segment would cross a blocked
-    segment are skipped (the current cell is exempt), so the result never
-    increases the frozen-graph swarm energy. Held robots (point blocks) need
-    full clearance along the whole move, not just non-crossing:
-    `trajopt.repair` needs an execution order for every step, and a move
-    that passes within 1.0 of a held robot has none. The held cell is that
-    robot's start, so it would go before the move, and its end, so it would
-    go after it.
+    row-major order. The robot's own cell is a candidate, so the result
+    never increases the frozen-graph swarm energy. On the spaces that
+    `apply_heuristics` gives at a sweep's start, no candidate needs a check
+    against the other robots: by the separation lemma (module docstring),
+    the move keeps 1.0 from every robot still at its start and does not
+    cross the move of any robot updated before it.
     """
-    own = state.positions[i]
-    candidates = spaces[i]
-    if blocked_segments:
-        hit = _blocked_moves(own, candidates, blocked_segments)
-        candidates = [c for c, h in zip(candidates, hit) if c == own or not h]
     values = None if static is None else _static_values(static)
     cliques = state.graph.cliques_of[i]
-    return _best_cell(i, candidates, state.positions, cliques, values, iparams, goal)
+    return _best_cell(i, spaces[i], state.positions, cliques, values, iparams, goal)
 
 
 UpdateHook = Callable[[int, int, SwarmState], None]
 
 
 @lru_cache(maxsize=None)
-def _disk_moves(order: int) -> tuple[tuple[int, int, int, int], ...]:
+def _disk_moves(order: int) -> tuple[tuple[int, int, int], ...]:
     """The order-n disk's offsets (dx, dy) in row-major order, each with
-    dx^2 + dy^2 and its bit (dy + r) * (2r + 1) + dx + r in the
-    `_conflict_rows(r)` rows, r the disk's Chebyshev radius."""
-    offsets, r = _disk(order)
-    side = 2 * r + 1
-    return tuple((dx, dy, dx * dx + dy * dy, (dy + r) * side + dx + r) for dx, dy in offsets)
+    dx^2 + dy^2."""
+    return tuple((dx, dy, dx * dx + dy * dy) for dx, dy in _disk(order)[0])
 
 
 def _candidate_spaces(
     start: Sequence[Cell], grid: OccupancyGrid, config: OptimizeConfig
-) -> list[list[tuple[tuple[int, int], int]]]:
-    """Each robot's candidate cells from `start`, as (x, y) tuples, each
-    with its `_disk_moves` bit: `apply_heuristics` over the
-    `local_search_space`s, in one pass.
+) -> list[list[tuple[int, int]]]:
+    """Each robot's candidate cells from `start`, as (x, y) tuples:
+    `apply_heuristics` over the `local_search_space`s, in one pass. The
+    start cells are in bounds, free and distinct (`sweeps` checks them).
 
     A free cell in several robots' disks goes to the lowest (dx^2 + dy^2,
     id): the exact square orders robots as `math.hypot` does. A robot's own
@@ -505,29 +449,27 @@ def _candidate_spaces(
     disks = []
     owner: dict[tuple[int, int], int] = {}  # cell -> the lowest d2 * n + id that claims it
     for i, (cx, cy) in enumerate(start):
-        if not (0 <= cx < width and 0 <= cy < height):
-            raise ValueError(f"cell {(cx, cy)} outside grid")
         disk = []
-        for dx, dy, d2, bit in moves:
+        for dx, dy, d2 in moves:
             x, y = cx + dx, cy + dy
             if 0 <= x < width and 0 <= y < height and free[y][x]:
                 c = (x, y)
                 claim = d2 * n + i
                 if claim < owner.setdefault(c, claim):
                     owner[c] = claim
-                disk.append((c, bit, claim))
+                disk.append((c, claim))
         disks.append(disk)
 
     spaces = []
     goal = config.goal if config.trim_backward else None
     for own, disk in zip(start, disks):
-        space = [(c, bit) for c, bit, claim in disk if owner[c] == claim]
+        space = [c for c, claim in disk if owner[c] == claim]
         if goal is not None:
             gx, gy = goal[0] - own[0], goal[1] - own[1]
             if math.hypot(gx, gy) > 0:
                 space = [
-                    (c, bit)
-                    for c, bit in space
+                    c
+                    for c in space
                     if c == own or (c[0] - own[0]) * gx + (c[1] - own[1]) * gy >= 0
                 ]
         spaces.append(space)
@@ -544,17 +486,13 @@ def _sweep(
     update_hook: UpdateHook | None,
 ) -> Sweep:
     """Sweep all robots once from `start` in ascending id, on the graph and
-    candidate spaces of `start`: each update is `icm_update` with the
-    blocks of the other robots. Its seconds leave out the energy after the
-    sweep. A stream's first sweep checks that its graph isolates no robot.
-
-    Every robot blocks from its start: as a point until its update, then
-    as its move. Up to `_MAX_CONFLICT_RADIUS`, a block is its start and the
-    row offset of its move, and an update ORs the `_conflict_rows` rows of
-    the blocks that start within twice the disk's radius of the robot;
-    beyond it, each candidate is tested against each block by `_conflicts`."""
+    candidate spaces of `start`: each update is `icm_update` with the robots
+    before it moved and the robots after it at their starts. By the
+    separation lemma (module docstring) no move comes within 1.0 of a robot
+    at its start or crosses an earlier move, so no candidate is tested
+    against the others. Its seconds leave out the energy after the sweep. A
+    stream's first sweep checks that its graph isolates no robot."""
     tic = time.perf_counter()
-    n = len(start)
     positions = list(start)
     graph = build_interaction_graph(start, config.k, config.r_comm)
     if sweep == 1 and not check_connectivity_condition(graph):
@@ -563,36 +501,12 @@ def _sweep(
     values = None if static is None else _static_values(static)
     cliques_of = graph.cliques_of
 
-    r = _disk(config.search_order)[1]
-    side, m = 2 * r + 1, 4 * r + 1
-    stride = side * side
-    still = r * side + r  # the row offset, and the bit, of a point block or a stay
-    rows = _conflict_rows(r) if r <= _MAX_CONFLICT_RADIUS else None
-    blocks = [still] * n  # each robot's row offset
-
     moved = 0
     for i, (own, space) in enumerate(zip(start, spaces)):
-        if rows is None:
-            held = [(start[j], positions[j]) for j in range(n) if j != i]
-            candidates = [
-                c
-                for c, _ in space
-                if c == own or not any(_conflicts(own, c, s0, s1) for s0, s1 in held)
-            ]
-        else:
-            x0, y0 = own[0] - 2 * r, own[1] - 2 * r
-            mask = 0  # bit b: the move to bit b's offset conflicts with a block
-            for j, (sx, sy) in enumerate(start):
-                wx, wy = sx - x0, sy - y0
-                if 0 <= wx < m and 0 <= wy < m and j != i:
-                    mask |= rows[(wy * m + wx) * stride + blocks[j]]
-            mask &= ~(1 << still)  # staying put is always allowed
-            candidates = [c for c, bit in space if not mask >> bit & 1]
-        new = _best_cell(i, candidates, positions, cliques_of[i], values, iparams, config.goal)
+        new = _best_cell(i, space, positions, cliques_of[i], values, iparams, config.goal)
         if new != own:
             moved += 1
-            positions[i] = new = Cell._make(new)  # candidates are plain tuples
-            blocks[i] = (new[1] - own[1] + r) * side + new[0] - own[0] + r
+            positions[i] = Cell._make(new)  # candidates are plain tuples
         if update_hook is not None:
             update_hook(sweep, i, SwarmState(positions=tuple(positions), graph=graph))
     seconds = time.perf_counter() - tic
@@ -614,8 +528,10 @@ def sweeps(
     to the first that ends in a state the stream has been in, its start
     included: that one is marked `last`. It moved no robot at a fixed point
     (period 1) and some at a longer cycle. `config.max_sweeps` does not
-    apply here: the reader stops."""
-    positions = tuple(start)
+    apply here: the reader stops. The first read raises ValueError when
+    `start` is not in bounds, free and distinct, as `make_state` does: the
+    separation lemma needs every robot's own cell to be a candidate."""
+    positions = _checked_cells(start, grid)
     visited = {positions}
     for sweep in count(1):
         step = _sweep(sweep, positions, grid, static, iparams, config, update_hook)

@@ -618,10 +618,10 @@ def repair(
     Guarantee: whenever every step has an order, each moving robot keeps
     d_safe from every other robot's position, and robots at rest sit on
     distinct cells. Precondition: d_safe <= resolution, so that distinct
-    cells are d_safe apart. ICM keeps every move 1.0 cell from the robots it
-    holds, so its steps satisfy it. When a step has no order, raises
-    UnrepairableError naming the pairs that have none, at the time the step
-    would start.
+    cells are d_safe apart. By the separation lemma in `mrf`, no move of an
+    ICM step passes within 1.0 cell of another robot's start, so none waits
+    on a start. When a step has no order, raises UnrepairableError naming
+    the pairs that have none, at the time the step would start.
     """
     cells = [[tuple(map(float, c)) for c in s] for s in steps]
     waypoints = [s[:1] for s in cells]

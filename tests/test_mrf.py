@@ -12,6 +12,7 @@ import operator
 import time
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,13 @@ from swarmplan.fields import (
     build_goal_field,
     interaction_energy,
 )
-from swarmplan.grid import Cell, OccupancyGrid, disk_cells
+from swarmplan.grid import Cell, OccupancyGrid, disk_cells, disk_offsets
 from swarmplan import mrf
 from swarmplan.graph import build_interaction_graph, check_connectivity_condition
 from swarmplan.mrf import (
     ConnectivityError,
     SwarmState,
-    _blocked_moves,
     _candidate_energies,
-    _conflict_rows,
     _pair_energies,
     _sweep,
     DiscretePath,
@@ -77,6 +76,25 @@ def test_make_state_validates_positions():
     occ = OccupancyGrid(prob=prob, resolution=1.0)
     with pytest.raises(ValueError):
         make_state([(0, 0), (2, 2)], occ, k=1)
+
+
+def test_sweeps_check_their_start():
+    # a start on an occupied cell, walled in or not, outside the map, or
+    # shared by two robots is refused on the first read, naming the cell
+    prob = np.zeros((8, 8))
+    prob[3, 3] = 1.0
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    walled = prob.copy()
+    walled[1:6, 1:6] = 1.0  # no free cell in (3, 3)'s order-4 disk
+    cases = [
+        (grid, [(3, 3), (5, 3)], r"\(3, 3\) is occupied"),
+        (OccupancyGrid(prob=walled, resolution=1.0), [(3, 3), (7, 3)], r"\(3, 3\) is occupied"),
+        (grid, [(5, 3), (9, 3)], r"\(9, 3\) outside grid"),
+        (grid, [(5, 3), (5, 3)], "pairwise distinct"),
+    ]
+    for g, start, message in cases:
+        with pytest.raises(ValueError, match=message):
+            next(sweeps(start, g, None, IPARAMS, OptimizeConfig(k=1)))
 
 
 def test_local_search_space_excludes_occupied_and_oob():
@@ -157,22 +175,12 @@ def test_swarm_energy_sums_maximal_cliques():
     assert total == pytest.approx(expected)
 
 
-def exhaustive_argmin(state, i, spaces, static, goal, blocked=(), iparams=IPARAMS):
-    """[DERIVED] oracle: skip candidates whose move conflicts with a block
-    (a point block needs clearance 1.0, a segment must not be crossed; the
-    own cell is exempt), evaluate every other candidate's clique-sum energy
+def exhaustive_argmin(state, i, spaces, static, goal, iparams=IPARAMS):
+    """[DERIVED] oracle: evaluate every candidate's clique-sum energy
     directly and apply the same deterministic tie-breaks."""
     cliques_i = [c for c in state.graph.cliques if i in c]
-    own = state.positions[i]
     best = None
     for cand in spaces[i]:
-        if cand != own and any(
-            point_segment_distance(s0, own, cand) < 1.0
-            if s0 == s1
-            else segments_intersect(own, cand, s0, s1)
-            for s0, s1 in blocked
-        ):
-            continue
         positions = list(state.positions)
         positions[i] = cand
         e = fold_sum(clique_energy(cl, positions, static, iparams) for cl in cliques_i)
@@ -199,103 +207,6 @@ def test_icm_update_matches_exhaustive_argmin_on_random_states():
         i = int(rng.integers(0, 4))
         got = icm_update(state, i, spaces, static, IPARAMS, goal_params.goal)
         assert got == exhaustive_argmin(state, i, spaces, static, goal_params.goal)
-
-
-def random_blocks(rng, state, i, n_blocks):
-    """Point blocks at other robots' cells and segments near robot i, some
-    longer than any disk radius used here."""
-    own = state.positions[i]
-    blocks = []
-    for _ in range(n_blocks):
-        if rng.random() < 0.4:
-            j = int(rng.integers(0, len(state.positions)))
-            if j != i:
-                blocks.append((state.positions[j], state.positions[j]))
-            continue
-        s0 = Cell(own[0] + int(rng.integers(-6, 7)), own[1] + int(rng.integers(-6, 7)))
-        reach = int(rng.choice([1, 2, 3, 6]))
-        s1 = Cell(s0[0] + int(rng.integers(-reach, reach + 1)), s0[1] + int(rng.integers(-reach, reach + 1)))
-        blocks.append((s0, s1))
-    return blocks
-
-
-def test_icm_update_matches_exhaustive_argmin_with_blocked_moves():
-    # [DERIVED] 200 random 4-robot states on 12x12 maps; orders 2, 4, 9 and
-    # 16 give disk radii 1 to 4 (radius 4 is checked without the table).
-    rng = np.random.default_rng(7)
-    goal_params = GoalParams(goal=(6.0, 6.0))
-    grid = free_grid(12, 12)
-    static = build_goal_field(grid, goal_params)
-    n_blocked = 0
-    for _ in range(200):
-        cells = set()
-        while len(cells) < 4:
-            cells.add((int(rng.integers(0, 12)), int(rng.integers(0, 12))))
-        state = make_state(sorted(cells), grid, k=2)
-        order = int(rng.choice([2, 4, 9, 16]))
-        spaces = apply_heuristics(
-            [local_search_space(grid, state, i, order) for i in range(4)], state
-        )
-        i = int(rng.integers(0, 4))
-        blocks = random_blocks(rng, state, i, int(rng.integers(1, 8)))
-        got = icm_update(state, i, spaces, static, IPARAMS, goal_params.goal, blocks)
-        assert got == exhaustive_argmin(state, i, spaces, static, goal_params.goal, blocks)
-        n_blocked += got != exhaustive_argmin(state, i, spaces, static, goal_params.goal)
-    assert n_blocked > 20  # the blocks decide a good share of the updates
-
-
-def scalar_conflict(own, c, s0, s1):
-    """[DERIVED] the move own -> c against the block s0 -> s1: a point
-    block needs clearance 1.0, a segment must not be crossed."""
-    if s0 == s1:
-        return point_segment_distance(s0, own, c) < 1.0
-    return segments_intersect(own, c, s0, s1)
-
-
-def test_blocked_moves_equal_scalar_predicates():
-    # [DERIVED] the packed conflict rows (disk radius <= 3) and the scalar
-    # fallback (radius 4) against the predicates, at the map's coordinates
-    # and shifted by 1000 along either axis.
-    rng = np.random.default_rng(17)
-    grid = free_grid(12, 12)
-    n_hit = 0
-    for _ in range(300):
-        cells = set()
-        while len(cells) < 5:
-            cells.add((int(rng.integers(0, 12)), int(rng.integers(0, 12))))
-        state = make_state(sorted(cells), grid, k=2)
-        i = int(rng.integers(0, 5))
-        order = int(rng.choice([1, 2, 4, 5, 9, 16]))
-        shift = Cell(*(int(v) for v in rng.choice([0, 1000], size=2)))
-        own = Cell(state.positions[i][0] + shift[0], state.positions[i][1] + shift[1])
-        candidates = [Cell(c[0] + shift[0], c[1] + shift[1]) for c in disk_cells(state.positions[i], order, grid)]
-        blocks = [
-            (Cell(a[0] + shift[0], a[1] + shift[1]), Cell(b[0] + shift[0], b[1] + shift[1]))
-            for a, b in random_blocks(rng, state, i, int(rng.integers(1, 8)))
-        ]
-        expected = [any(scalar_conflict(own, c, s0, s1) for s0, s1 in blocks) for c in candidates]
-        assert _blocked_moves(own, candidates, blocks) == expected
-        n_hit += sum(expected)
-    assert n_hit > 300
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_blocked_moves_at_the_window_edge(r):
-    # [DERIVED] one block at a time, starting on the two outer rings of the
-    # 4r + 1 window or on the ring just outside it, with every extent up to
-    # r, against every move of Chebyshev radius <= r.
-    own = Cell(40, 50)
-    span = range(-r, r + 1)
-    candidates = [Cell(own[0] + vx, own[1] + vy) for vy in span for vx in span]
-    ring = range(-2 * r - 1, 2 * r + 2)
-    starts = [(wx, wy) for wy in ring for wx in ring if max(abs(wx), abs(wy)) >= 2 * r - 1]
-    for wx, wy in starts:
-        s0 = Cell(own[0] + wx, own[1] + wy)
-        for uy in span:
-            for ux in span:
-                s1 = Cell(s0[0] + ux, s0[1] + uy)
-                expected = [scalar_conflict(own, c, s0, s1) for c in candidates]
-                assert _blocked_moves(own, candidates, [(s0, s1)]) == expected
 
 
 def test_candidate_energies_equal_clique_energy_sums():
@@ -365,25 +276,113 @@ def test_icm_update_never_increases_frozen_graph_energy():
         assert after <= before + 1e-9
 
 
-def test_icm_update_respects_blocked_segments():
-    grid = free_grid()
-    state = make_state([(5, 5), (9, 5)], grid, k=1)
-    spaces = [[Cell(5, 5), Cell(6, 5), Cell(5, 6)], [Cell(9, 5)]]
-    blocked = [(Cell(6, 4), Cell(6, 6))]  # wall crossing the move to (6, 5)
-    got = icm_update(state, 0, spaces, None, IPARAMS, goal=(10.0, 5.0), blocked_segments=blocked)
-    assert got != Cell(6, 5)
+def closer_than_one(p, u, v):
+    """[DERIVED] whether integer point p lies closer than 1 to the closed
+    segment [u, v], in integer arithmetic: the nearest point is u, v, or
+    the foot of the perpendicular at squared distance cross^2 / |v - u|^2.
+    Arrays broadcast over the leading axes; coordinates are the last."""
+    d, w, e = v - u, p - u, p - v
+    t = (w * d).sum(-1)
+    dd = (d * d).sum(-1)
+    cross = w[..., 0] * d[..., 1] - w[..., 1] * d[..., 0]
+    return np.where(
+        t <= 0, (w * w).sum(-1) < 1, np.where(t >= dd, (e * e).sum(-1) < 1, cross * cross < dd)
+    )
 
 
-def test_icm_update_point_block_requires_clearance():
-    # A held robot diagonal to the mover blocks the adjacent slide even
-    # though the segments would not cross.
-    grid = free_grid()
-    state = make_state([(5, 5), (6, 6)], grid, k=1)
-    spaces = [[Cell(5, 5), Cell(6, 5)], [Cell(6, 6)]]
-    blocked = [(Cell(6, 6), Cell(6, 6))]
-    got = icm_update(state, 0, spaces, None, IPARAMS, goal=(10.0, 5.0), blocked_segments=blocked)
-    # moving to (6,5) passes within 1.0 of the held robot at (6,6)
-    assert got == Cell(5, 5)
+def orient(p, q, r):
+    pq, pr = q - p, r - p
+    return np.sign(pq[..., 0] * pr[..., 1] - pq[..., 1] * pr[..., 0])
+
+
+def segments_meet(p1, p2, q1, q2):
+    """[DERIVED] whether the closed integer segments [p1, p2] and [q1, q2]
+    share a point: each one's ends on both sides of (or on) the other's
+    line, or, all four ends on one line, overlapping boxes."""
+    o1, o2, o3, o4 = orient(p1, p2, q1), orient(p1, p2, q2), orient(q1, q2, p1), orient(q1, q2, p2)
+    collinear = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+    lo_p, hi_p = np.minimum(p1, p2), np.maximum(p1, p2)
+    lo_q, hi_q = np.minimum(q1, q2), np.maximum(q1, q2)
+    overlap = ((lo_p <= hi_q) & (lo_q <= hi_p)).all(-1)
+    return np.where(collinear, overlap, (o1 * o2 <= 0) & (o3 * o4 <= 0))
+
+
+def test_integer_predicates_equal_exact_geometry():
+    # [DERIVED] the two predicates above against `segments_intersect` (exact
+    # on small integers) and the squared distance to the clamped projection
+    # in rational arithmetic, on random segments, points and zero-length
+    # segments; distances of exactly 1 occur among them.
+    rng = np.random.default_rng(5)
+    pts = rng.integers(-3, 4, size=(4000, 4, 2))
+    pts[::7, 1] = pts[::7, 0]  # a zero-length first segment
+    pts[::11, 3] = pts[::11, 2]  # and second
+    meets = segments_meet(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+    closer = closer_than_one(pts[:, 2], pts[:, 0], pts[:, 1])
+    n_at_one = 0
+    for (a, b, c, d), m, near in zip(pts.tolist(), meets.tolist(), closer.tolist()):
+        assert m == segments_intersect(a, b, c, d)
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        dd = dx * dx + dy * dy
+        t = 0 if dd == 0 else min(max(Fraction((c[0] - a[0]) * dx + (c[1] - a[1]) * dy, dd), 0), 1)
+        dist2 = (a[0] + t * dx - c[0]) ** 2 + (a[1] + t * dy - c[1]) ** 2
+        assert near == (dist2 < 1)
+        n_at_one += dist2 == 1
+    assert meets.any() and not meets.all() and n_at_one > 100
+
+
+def separation_violations(order, ties_to_both=False):
+    """[DERIVED] the separation lemma at one disk order, by exhaustion.
+
+    Robot i starts at the origin and robot j at every offset s != 0 within
+    2r + 1 (r the disk's radius; farther away, two moves stay more than 1
+    apart). Each takes every disk offset that heuristics (a) and (b) leave
+    it, in both id orders: a target no farther from its own start than from
+    the other's, strictly when the other robot has the lower id (or never
+    strictly, with `ties_to_both`). Returns the counts of targets that pass
+    within 1 of the other's start, of pairs of moves that meet, of pairs
+    that come within 1 when both move at once on one timing (the relative
+    position runs from -s to a - b), and of pairs where each move passes
+    within 1 of the other's end, so that neither can go first in
+    `trajopt.repair`'s schedule."""
+    d = np.array(disk_offsets(order), dtype=np.int64)
+    reach = 2 * math.isqrt(order) + 1
+    origin = np.zeros(2, dtype=np.int64)
+    counts = {"clearance": 0, "crossing": 0, "synchronous": 0, "cycle": 0}
+    for sx, sy in itertools.product(range(-reach, reach + 1), repeat=2):
+        if sx == sy == 0:
+            continue
+        s = np.array([sx, sy], dtype=np.int64)
+        a, b = d, s + d  # the targets of i and of j
+        near_i = ((a - s) ** 2).sum(1) - (a * a).sum(1)  # |a - s|^2 - |a|^2
+        near_j = (b * b).sum(1) - ((b - s) ** 2).sum(1)  # |b|^2 - |b - s|^2
+        for i_first in (True, False):
+            ai = a[near_i > 0 if not i_first and not ties_to_both else near_i >= 0]
+            bj = b[near_j > 0 if i_first and not ties_to_both else near_j >= 0]
+            counts["clearance"] += int(closer_than_one(s, origin, ai).sum())
+            counts["clearance"] += int(closer_than_one(origin, s, bj).sum())
+            A, B = ai[:, None], bj[None, :]
+            counts["crossing"] += int(segments_meet(origin, A, s, B).sum())
+            counts["synchronous"] += int(closer_than_one(origin, -s, A - B).sum())
+            counts["cycle"] += int((closer_than_one(B, origin, A) & closer_than_one(A, s, B)).sum())
+    return counts
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 5, 9, 16, 25])
+def test_separation_lemma_holds_at_every_offset(order):
+    # [DERIVED] the lemma in the `mrf` docstring, (S1) clearance and (S2) no
+    # crossing; and two bounds that are checked, not proven: the synchronous
+    # one, and no pair of moves that must each go before the other.
+    assert separation_violations(order) == {"clearance": 0, "crossing": 0, "synchronous": 0, "cycle": 0}
+
+
+@pytest.mark.parametrize("order", [4, 25])
+def test_separation_check_sees_a_tie_kept_by_both(order):
+    # [DERIVED] mutant premise: a cell at equal distance from two starts stays
+    # a candidate of both robots, so both can take it. Clearance still holds
+    # (it uses only the non-strict inequality); moves meet.
+    counts = separation_violations(order, ties_to_both=True)
+    assert counts["clearance"] == 0
+    assert counts["crossing"] > 0 and counts["synchronous"] > 0 and counts["cycle"] > 0
 
 
 def test_optimize_rejects_isolated_robot():
@@ -539,37 +538,6 @@ def test_pair_table_equals_interaction_energy(iparams):
             for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
                 other = (origin[0] + sx * dx, origin[1] + sy * dy)
                 assert entry == interaction_energy(origin, other, iparams)
-
-
-@pytest.mark.parametrize("r", sorted({math.isqrt(order) for order in range(1, 13)}))
-def test_conflict_table_equals_scalar_predicates(r):
-    # [DERIVED] bit v of row (w, u): does the move origin -> origin + v
-    # conflict with the block origin + w -> origin + w + u, at translated
-    # origins.
-    rows = _conflict_rows(r)
-    n, m = 2 * r + 1, 4 * r + 1
-    assert len(rows) == m * m * n * n
-    assert all(row >> n * n == 0 for row in rows)  # no bit past the n * n moves
-    span = range(-r, r + 1)
-    for ox, oy in ((37, 53), (1000, 999)):
-        got, expected = [], []
-        for wy in range(-2 * r, 2 * r + 1):
-            for wx in range(-2 * r, 2 * r + 1):
-                s0 = (ox + wx, oy + wy)
-                for uy in span:
-                    for ux in span:
-                        s1 = (s0[0] + ux, s0[1] + uy)
-                        row = rows[((wy + 2 * r) * m + wx + 2 * r) * n * n + (uy + r) * n + ux + r]
-                        for vy in span:
-                            for vx in span:
-                                c = (ox + vx, oy + vy)
-                                got.append(row >> (vy + r) * n + vx + r & 1 == 1)
-                                expected.append(
-                                    point_segment_distance(s0, (ox, oy), c) < 1.0
-                                    if s0 == s1
-                                    else segments_intersect((ox, oy), c, s0, s1)
-                                )
-        assert got == expected
 
 
 def test_swarm_energy_equals_clique_energy_sum():
@@ -851,9 +819,8 @@ def test_optimize_reports_converged_only_after_a_zero_move_sweep(monkeypatch):
 def reference_sweep(sweep, start, grid, static, iparams, config, update_hook, heuristics=True):
     """[DERIVED] oracle: one sweep as the scalar functions give it: the
     graph, `local_search_space` per robot, `apply_heuristics` (unless
-    `heuristics` is off), and one `icm_update` per robot against the blocks
-    of the others, a point for a robot not yet updated and the move segment
-    of one already updated."""
+    `heuristics` is off), and one `icm_update` per robot with the robots
+    before it moved."""
     n = len(start)
     positions = list(start)
     graph = build_interaction_graph(start, config.k, config.r_comm)
@@ -864,12 +831,9 @@ def reference_sweep(sweep, start, grid, static, iparams, config, update_hook, he
     if heuristics:
         spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
     moved = 0
-    segments = []
     for i in range(n):
-        blocked = segments + [(positions[j], positions[j]) for j in range(i + 1, n)]
         state = SwarmState(positions=tuple(positions), graph=graph)
-        new = icm_update(state, i, spaces, static, iparams, config.goal, blocked)
-        segments.append((positions[i], new))
+        new = icm_update(state, i, spaces, static, iparams, config.goal)
         if new != positions[i]:
             moved += 1
             positions[i] = new
@@ -905,16 +869,10 @@ def run_sweeps(sweep_fn, start, grid, static, config, count=5):
 
 
 def disk_spaces(start, grid, config):
-    """[DERIVED] each robot's free disk cells with their conflict-row bits
-    and no heuristics, so robots contest cells and moves meet blocks."""
-    order = config.search_order
-    r = math.isqrt(order)
+    """[DERIVED] each robot's free disk cells, with no heuristics, so
+    robots contest cells."""
     state = SwarmState(positions=start, graph=None)
-    spaces = []
-    for i, (x, y) in enumerate(start):
-        cells = local_search_space(grid, state, i, order)
-        spaces.append([(c, (c[1] - y + r) * (2 * r + 1) + c[0] - x + r) for c in cells])
-    return spaces
+    return [local_search_space(grid, state, i, config.search_order) for i in range(len(start))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -934,10 +892,9 @@ def test_sweep_equals_the_reference_sweep(
     seed, order, size, robots, obstacles, r_comm, with_static, with_goal, trim_backward, heuristics
 ):
     # [DERIVED] five sweeps from a random start on a small map, so disks are
-    # clipped at the edges and robots contest cells; orders 16 and 25 (disk
-    # radius 4 and 5) take the scalar conflict test. Under the heuristics
-    # every candidate is nearer its robot than any other robot, so no block
-    # ever removes one; without them robots meet each other's blocks.
+    # clipped at the edges and robots contest cells; half the examples switch
+    # the heuristics off on both sides, so every free disk cell is a
+    # candidate, contested ones too.
     rng = np.random.default_rng(seed)
     prob = np.where(rng.random((size, size)) < obstacles, 1.0, 0.0)
     grid = OccupancyGrid(prob=prob, resolution=1.0)
