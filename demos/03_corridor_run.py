@@ -4,8 +4,9 @@ Full receding-horizon run through a narrow corridor
 
 Five robots start in a tight cluster below a wall with a narrow gap and
 must regroup on the far side. Each horizon: a few coordinate-descent
-sweeps over the swarm energy, waypoint pruning, minimum-snap smoothing
-with validation and repair, then partial execution.
+sweeps over the swarm energy, then partial execution as transitions of the
+whole swarm between its formation shapes, each checked exactly for
+separation and run on one smoothstep timing.
 """
 
 import numpy as np

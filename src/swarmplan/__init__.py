@@ -1,9 +1,10 @@
 """Multi-robot swarm path planning.
 
 Potential-field swarm energies minimized over a k-nearest interaction
-graph's maximal cliques (coordinate descent), pruned into waypoints and
-smoothed into minimum-snap polynomial trajectories under a receding-horizon
-loop.
+graph's maximal cliques (coordinate descent), executed under a
+receding-horizon loop as synchronized straight-line transitions of the
+whole swarm; waypoint paths can be smoothed into minimum-snap polynomial
+trajectories.
 """
 
 from .fields import (

@@ -124,9 +124,9 @@ def prune(paths: Sequence["DiscretePath"], grid: OccupancyGrid) -> list[PrunedPa
     line of sight (ICM's candidate disk does not require it), so the result
     never gains waypoints. A robot that never moves keeps a two-point path.
 
-    A robot's chords do not depend on any other robot: separation is the
-    job of `trajopt.validate`, and of the execution schedule
-    (`trajopt.repair`) that replaces smoothed paths which fail it.
+    A robot's chords do not depend on any other robot, so `plan` does not
+    prune: it merges steps into transitions of the whole swarm, which take
+    the other robots into account (`rhp.execute_fraction`).
     """
     results: list[PrunedPath] = []
     for p in paths:

@@ -1,10 +1,20 @@
 """Receding-horizon driver: plan a few MRF sweeps ahead, then execute a
-fraction of that plan (prune, minimum-snap smoothing, validation, the
-execution-schedule fallback, sampling), looped until the swarm reaches the
-goal.
+fraction of that plan as transitions of the whole swarm between formation
+shapes, looped until the swarm reaches the goal.
 
-Only the executed fraction is ever pruned and smoothed: there is no
-lookahead prune. The next horizon starts where the executed steps end, and
+A horizon's executed steps run shape to shape: each transition moves every
+robot along its straight chord from one anchor step to a later one, all on
+one smoothstep timing, so every robot is at rest at every anchor (the
+synchronized straight-line motion of CAPT, Turpin, Michael & Kumar, RSS
+2013). A transition is merged over several steps only where every chord has
+line of sight and every pair's exact least separation is at least `d_safe`.
+A single ICM step keeps every pair 1.0 cell apart by lemma (Y), the
+synchronous bound beside the separation lemma in `mrf` (checked
+exhaustively, not proven), and is still checked (`execute_fraction`).
+Nothing is pruned per robot, smoothed, validated on samples for
+separation, or scheduled.
+
+The next horizon starts where the executed steps end, and
 an ICM sweep is a function of the positions it starts from, so a run's
 sweeps form one stream (`mrf.sweeps`) and each horizon's lookahead is the
 next few sweeps of it: `run` carries computed, unexecuted sweeps into the
@@ -27,14 +37,19 @@ import numpy as np
 from .fields import InteractionParams, ScalarField
 from .grid import Cell, OccupancyGrid
 from .mrf import DiscretePath, OptimizeConfig, Sweep, make_state, swarm_energy, sweeps
-# not called here: perfbench's trace patches the name in this module too
+# not called here: perfbench's trace patches these names in this module too
 from .mrf import optimize  # noqa: F401
-from .paths import PrunedPath, prune
+from .paths import PrunedPath, line_of_sight
+from .paths import prune  # noqa: F401
+from .trajopt import smooth_and_validate  # noqa: F401
 from .trajopt import (
-    SmoothingProblem,
+    DIST_TOL,
+    T_FLOOR,
     UnrepairableError,
-    allocate_times,
-    smooth_and_validate,
+    Violation,
+    obstacle_hits,
+    sample_transitions,
+    transition_separations,
 )
 
 STATUS_GOAL = "goal-converged"
@@ -86,8 +101,8 @@ class RhpConfig:
 class HorizonPlan:
     """One horizon's lookahead: its sweeps, carried or newly computed, and
     the discrete paths through the states they end in (a sweep that moves no
-    robot adds no step). Nothing here is pruned or smoothed;
-    `execute_fraction` prunes and smooths the part it executes."""
+    robot adds no step). `execute_fraction` turns the part it executes into
+    swarm transitions."""
 
     discrete: list[DiscretePath]
     sweeps: list[Sweep]
@@ -100,10 +115,11 @@ class HorizonPlan:
 
 @dataclass
 class ExecutionRecord:
-    """Executed portion of a horizon, sampled on a common time grid.
+    """Executed portion of a horizon, sampled on one time grid.
     `steps` is the number of discrete steps each robot advanced; `pruned`
-    holds the chords that were smoothed, or every step cell (`source_steps`
-    0..steps) when the execution schedule ran instead."""
+    holds, per robot, its cell at every transition anchor, with the anchors'
+    steps (0 first, `steps` last) as `source_steps`, the same for every
+    robot."""
 
     t: np.ndarray
     pos: np.ndarray  # (robots, samples, 2)
@@ -128,7 +144,7 @@ class RunResult:
     moved_counts: list[int]  # per executed sweep
     sweep_seconds: list[float]  # per executed sweep, and a final zero-move one
     discrete: list[list[Cell]]  # executed cells per robot, all horizons
-    pruned: list[list[PrunedPath]]  # per executed horizon
+    pruned: list[list[PrunedPath]]  # transition anchors, per executed horizon
     reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
@@ -139,8 +155,8 @@ def plan_horizon(
     earlier horizon computed and did not execute, then new ones read from
     `stream`, the run's sweeps after them (fewer where it ends).
 
-    The plan is lookahead only: `execute_fraction` prunes, smooths,
-    validates and samples the fraction that is executed.
+    The plan is lookahead only: `execute_fraction` runs the fraction that
+    is executed.
     """
     read = carried + list(islice(stream, horizon - len(carried)))
     # only a stream's last sweep can move no robot
@@ -151,15 +167,25 @@ def plan_horizon(
 def execute_fraction(
     plan: HorizonPlan, fraction: float, scenario: Scenario, config: RhpConfig
 ) -> ExecutionRecord:
-    """Advance each robot ceil(fraction * steps) discrete steps.
+    """Advance each robot ceil(fraction * steps) discrete steps, as
+    transitions of the whole swarm from one anchor step to a later one.
 
-    The executed sub-path is pruned and smoothed rest-to-rest, at rest at
-    every waypoint pruning keeps, so every piece is one chord and the
-    horizon joint is a genuine stop point; it is then sampled on a common
-    grid, and a robot that finishes early holds its final position at rest.
-    The record holds the samples that passed validation. If the smoothed
-    paths fail it, the discrete steps run one by one in the execution
-    schedule of `trajopt.repair` instead.
+    From each anchor, the next is the farthest later executed step to which
+    every robot's chord has line of sight and every pair keeps `d_safe` at
+    its exact least separation (`trajopt.transition_separations`). The next
+    step is taken whatever its chords, since by lemma (Y) (module
+    docstring) a single ICM step keeps every pair 1.0 cell apart, which is
+    at least `d_safe` when `d_safe` is at most the grid resolution. It is
+    still checked: a pair closer than `d_safe` raises UnrepairableError
+    naming it, at the time the step starts, and a chord without line of
+    sight has its samples checked for obstacles on their `np.rint` cells,
+    as `trajopt.validate` does, which raises UnrepairableError naming each
+    hit. Merged chords have line of sight, so their samples cannot hit.
+
+    A transition lasts T = max(longest chord * resolution / v_nominal,
+    `T_FLOOR`), and every robot runs its chord on one smoothstep timing
+    (`trajopt.sample_transitions`), at rest at every anchor. The horizon is
+    sampled in closed form on one grid.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
@@ -173,25 +199,47 @@ def execute_fraction(
             end_cells=end_cells, steps=0, pruned=[],
         )
 
-    truncated = [DiscretePath(p.robot, p.cells[: e + 1]) for p in plan.discrete]
-    pruned = prune(truncated, scenario.grid)
-    problems = []
-    for p in pruned:
-        times = allocate_times(p.waypoints, config.v_nominal, resolution=scenario.grid.resolution)
-        problem = SmoothingProblem.from_waypoints(p.robot, p.waypoints, times)
-        problem.rest_indices = set(range(1, len(p.waypoints) - 1))
-        problems.append(problem)
-    steps = [p.cells for p in truncated]
-    s, scheduled = smooth_and_validate(
-        problems,
-        scenario.grid,
-        steps,
-        d_safe=config.d_safe,
-        dt=config.dt,
-        v_nominal=config.v_nominal,
-    )
-    if scheduled:
-        pruned = [PrunedPath(p.robot, p.cells, tuple(range(e + 1))) for p in truncated]
+    grid, res = scenario.grid, scenario.grid.resolution
+    cells = [p.cells[: e + 1] for p in plan.discrete]
+    at = np.array(cells, dtype=float).transpose(1, 0, 2)  # (steps + 1, robots, 2)
+
+    def unseen(a: int, j: int) -> list[int]:
+        """The robots whose chord from step a to step j lacks line of sight."""
+        return [r for r, c in enumerate(cells) if c[a] != c[j] and not line_of_sight(grid, c[a], c[j])]
+
+    def close(a: int, j: int) -> list[tuple[int, int]]:
+        """The pairs that come closer than d_safe from step a to step j."""
+        first, second, dist = transition_separations(at[a], at[j])
+        k = np.flatnonzero(dist * res < config.d_safe - DIST_TOL)
+        return list(zip(first[k].tolist(), second[k].tolist()))
+
+    anchors, durations = [0], []
+    blind: set[int] = set()  # robots with a single step that lacks line of sight
+    while anchors[-1] < e:
+        a = anchors[-1]
+        j = next((j for j in range(e, a + 1, -1) if not unseen(a, j) and not close(a, j)), a + 1)
+        if j == a + 1:
+            pairs = close(a, j)
+            if pairs:
+                t = math.fsum(durations)
+                raise UnrepairableError(
+                    [Violation("separation", i, t, other=k) for i, k in pairs], "on a single step"
+                )
+            blind.update(unseen(a, j))
+        longest = math.sqrt(float(((at[j] - at[a]) ** 2).sum(axis=1).max()))
+        durations.append(max(longest * res / config.v_nominal, T_FLOOR))
+        anchors.append(j)
+
+    s = sample_transitions(at[anchors], durations, config.dt)
+    if blind:
+        robots = sorted(blind)
+        times = s.t.tolist()
+        hits = np.argwhere(obstacle_hits(s.pos[robots], grid)).tolist()
+        if hits:
+            raise UnrepairableError(
+                [Violation("obstacle", robots[r], times[n]) for r, n in hits], "on a single step"
+            )
+    pruned = [PrunedPath(r, tuple(c[k] for k in anchors), tuple(anchors)) for r, c in enumerate(cells)]
     return ExecutionRecord(
         t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e, pruned=pruned
     )
@@ -203,7 +251,16 @@ def _all_at_goal(positions: Sequence[Cell], goal, radius: float) -> bool:
 
 def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     """Plan-execute loop until goal convergence, a swarm fixed point, a
-    closed cycle, the horizon cap, or an unrepairable plan."""
+    closed cycle, the horizon cap, or an unrepairable plan.
+
+    Raises ValueError when `d_safe` exceeds the grid resolution: distinct
+    cells, and by lemma (Y) a single ICM step, keep 1.0 cell between robots
+    and no more.
+    """
+    if not config.d_safe <= scenario.grid.resolution:
+        raise ValueError(
+            f"d_safe must not exceed the grid resolution ({scenario.grid.resolution:g} m)"
+        )
     state = make_state(scenario.start, scenario.grid, config.mrf.k, config.mrf.r_comm)
     positions = state.positions
     n = len(positions)

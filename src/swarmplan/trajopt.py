@@ -1,8 +1,9 @@
-"""Minimum-snap piecewise polynomial smoothing of pruned waypoint paths:
-the closed-form rest-to-rest segment, equality-constrained QP assembly and
-KKT solve, time allocation, sampling, validation, and the execution
-schedule that replaces a horizon's smoothed paths when they fail
-validation.
+"""Trajectories: the swarm transitions that `plan` executes, with their
+exact separation and closed-form sampling; and minimum-snap piecewise
+polynomial smoothing of waypoint paths, which serves `smooth`: the
+closed-form rest-to-rest segment, equality-constrained QP assembly and KKT
+solve, time allocation, sampling, validation, and the execution schedule
+that replaces smoothed paths when they fail validation.
 
 The problem is fixed: every segment is a polynomial of degree `DEGREE` (7)
 and the cost is the integral of the squared `SNAP_ORDER`-th (4th)
@@ -20,19 +21,24 @@ it meets all-zero constraints, its first segment has value and derivatives
 1-3 zero at t = 0, so it vanishes, and C^3 continuity carries that into
 each next segment.
 
-The chord guarantee: `rhp.execute_fraction` rests at every waypoint that
-pruning keeps, and the execution schedule (`repair`) at every step, so
-every piece the planner executes is one segment, p0 + Δ σ(t / T) with one
-monotone smoothstep σ for both coordinates. Each robot is then always on
-the straight chord between two of its own waypoints, or at rest on one,
-and the planner solves no QP. Multi-segment pieces, and the QP, serve the
-`smooth` subcommand, which smooths through the waypoints of a piece.
+The chord guarantee: `rhp.execute_fraction` runs each horizon as swarm
+transitions, and a transition moves every robot r from a_r to b_r as
+a_r + (b_r - a_r) σ(t / T), the one-segment piece with one monotone
+smoothstep σ for every robot and both coordinates
+(`sample_transitions`). Each robot is then always on the straight chord
+between two of its anchor cells, and at rest at each anchor, and the
+planner solves no QP and evaluates no polynomial. Since every pair moves
+on one σ, its least separation over a transition is a point-segment
+distance, exact whatever the sampling step (`transition_separations`).
+The execution schedule (`repair`) rests at every step, so its pieces are
+chords too. Multi-segment pieces, and the QP, serve the `smooth`
+subcommand, which smooths through the waypoints of a piece.
 
 `sample_common` evaluates all robots in one pass: one segment lookup per
 trajectory, then one Horner recurrence over every order, robot and sample.
 `validate` checks those samples for obstacles and pair separation on whole
-arrays, so a horizon that passes is evaluated once and its samples are
-what the caller records.
+arrays, so a set of paths that passes is evaluated once and its samples
+are what the caller records.
 
 Every array path keeps the scalar arithmetic's operation order, so results
 are bit-identical to a per-sample loop. These look equivalent but differ in
@@ -42,8 +48,9 @@ one `np.linalg.solve` with several right-hand-side columns for one solve
 per column; and `np.hypot` for `math.hypot`. A stacked batch of
 single-column systems, matrices (k, n, n) against right-hand sides
 (k, n, 1), is solved matrix by matrix and matches k separate solves
-exactly. The precedence and slot tests share one kernel,
-`_point_segment_distances`, in `paths.point_segment_distance`'s order.
+exactly. The precedence and slot tests and the transitions' exact
+separation share one kernel, `_point_segment_distances`, in
+`paths.point_segment_distance`'s order.
 """
 
 from __future__ import annotations
@@ -75,8 +82,10 @@ class TrajectoryError(RuntimeError):
 
 
 class UnrepairableError(TrajectoryError):
-    """A horizon has no feasible trajectories: a step of the execution
-    schedule has no order, or the schedule still fails validation.
+    """A horizon has no feasible trajectories: a single step of a swarm
+    transition comes closer than d_safe or puts a sample in an occupied
+    cell, a step of the execution schedule has no order, or the schedule
+    still fails validation.
 
     `violations` is the final report; the message names each one.
     """
@@ -356,7 +365,7 @@ class TrajectorySamples:
     """Equally spaced samples of position, velocity and acceleration."""
 
     t: np.ndarray
-    pos: np.ndarray  # (n, dims), or (robots, n, dims) from sample_common
+    pos: np.ndarray  # (n, dims), or (robots, n, dims) from sample_common and sample_transitions
     vel: np.ndarray
     acc: np.ndarray
 
@@ -415,6 +424,46 @@ def sample(traj: PolynomialTrajectory, dt: float) -> TrajectorySamples:
     """Sample at t = 0, dt, ..., including the final time."""
     s = sample_common([traj], dt)
     return TrajectorySamples(t=s.t, pos=s.pos[0], vel=s.vel[0], acc=s.acc[0])
+
+
+def sample_transitions(anchors, durations: Sequence[float], dt: float) -> TrajectorySamples:
+    """Sample swarm transitions at t = 0, dt, ... and at their total time.
+
+    `anchors` is (transitions + 1, robots, 2): transition k moves every
+    robot r from anchors[k, r] to anchors[k + 1, r] in `durations[k]`, along
+    p + Δ σ(s) with s = (t - t_k) / T_k and the septic smoothstep
+    σ(s) = 35 s^4 - 84 s^5 + 70 s^6 - 20 s^7 that `min_snap` writes for one
+    segment. Position, velocity Δ σ'(s) / T and acceleration Δ σ''(s) / T²
+    are closed forms of s, so every robot is on its chord and at rest at
+    every anchor, and a robot that holds its cell is exactly still.
+    """
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    d = np.asarray(durations, dtype=float)
+    knots = np.concatenate([[0.0], np.cumsum(d)])
+    total = knots[-1]
+    ts = np.arange(0.0, total, dt)
+    if len(ts) == 0 or ts[-1] < total:
+        ts = np.append(ts, total)
+    k = knots[1:-1].searchsorted(ts, side="right")  # the transition of each sample
+    duration = d[k]
+    inv = 1.0 / duration
+    s = np.minimum((ts - knots[k]) / duration, 1.0)
+    s[-1] = 1.0  # the last sample is the end, which rounding can miss
+    s2 = s * s
+    sigma = s2 * s2 * (35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
+    dsigma = s2 * s * (140.0 + s * (-420.0 + s * (420.0 - 140.0 * s))) * inv
+    ddsigma = s2 * (420.0 + s * (-1680.0 + s * (2100.0 - 840.0 * s))) * inv * inv
+    paths = np.asarray(anchors, dtype=float).transpose(1, 0, 2)  # (robots, anchors, 2)
+    start = paths[:, k]
+    delta = paths[:, k + 1] - start
+    # + 0.0 turns the -0.0 of a zero delta times a negative factor into 0.0
+    return TrajectorySamples(
+        t=ts,
+        pos=start + delta * sigma[:, None],
+        vel=delta * dsigma[:, None] + 0.0,
+        acc=delta * ddsigma[:, None] + 0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -501,28 +550,58 @@ def _point_segment_distances(p, a, b) -> np.ndarray:
     return dist.reshape(dx.shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.triu_indices(n, 1), shared by every caller with n robots
+    first, second = np.triu_indices(n, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
+def transition_separations(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact least distance, in cells, between every two robots while
+    the swarm moves from cells `a` to cells `b` on one timing, each robot r
+    along a[r] + (b[r] - a[r]) σ with one monotone σ from 0 to 1.
+
+    Robots i and j are then (a_i - a_j) + ((b_i - b_j) - (a_i - a_j)) σ
+    apart, which runs the segment [a_i - a_j, b_i - b_j] from end to end,
+    so their least distance is the origin's distance to that segment,
+    whatever the sampling step. Returns (first, second, distance) for the
+    pairs first < second, in `np.triu_indices` order.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    first, second = _pairs(len(a))
+    dist = _point_segment_distances(np.zeros(2), a[first] - a[second], b[first] - b[second])
+    return first, second, dist
+
+
+def obstacle_hits(pos: np.ndarray, grid: OccupancyGrid) -> np.ndarray:
+    """Whether each sample of `pos` (..., 2) is in an occupied cell or off
+    the map: its rounded cell, with np.rint rounding half to even, as
+    round() does."""
+    cx, cy = np.rint(pos[..., 0]), np.rint(pos[..., 1])
+    hit = ~((cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height))
+    inside = ~hit
+    hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
+    return hit
+
+
 def validate(samples: TrajectorySamples, grid: OccupancyGrid, d_safe: float = 1.0) -> list[Violation]:
     """Report the obstacle hits and separation losses of trajectories
     sampled on a common grid by `sample_common`. Empty report = feasible.
 
-    Samples are not checked against their chords: every piece the planner
-    executes is one chord, which it cannot leave (module docstring).
-    Distances are in meters (cell units times grid resolution); robots past
-    their final time hold their final position.
+    Samples are checked for obstacles and separation only, not against
+    chords or corridors. Distances are in meters (cell units times grid
+    resolution); robots past their final time hold their final position.
     """
     res = grid.resolution
     pos = samples.pos
 
-    # obstacle: the rounded cell is off the map or occupied (np.rint rounds
-    # half to even, as round() does)
-    cx, cy = np.rint(pos[..., 0]), np.rint(pos[..., 1])  # (robots, samples)
-    hit = ~((cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height))
-    inside = ~hit
-    hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
-
     # per robot, by sample
     times = samples.t.tolist()
-    violations = [Violation("obstacle", r, times[n]) for r, n in np.argwhere(hit).tolist()]
+    hits = np.argwhere(obstacle_hits(pos, grid)).tolist()
+    violations = [Violation("obstacle", r, times[n]) for r, n in hits]
 
     # then each pair i < j at its deepest encroachment, not the first
     # crossing
@@ -618,10 +697,11 @@ def repair(
     Guarantee: whenever every step has an order, each moving robot keeps
     d_safe from every other robot's position, and robots at rest sit on
     distinct cells. Precondition: d_safe <= resolution, so that distinct
-    cells are d_safe apart. By the separation lemma in `mrf`, no move of an
-    ICM step passes within 1.0 cell of another robot's start, so none waits
-    on a start. When a step has no order, raises UnrepairableError naming
-    the pairs that have none, at the time the step would start.
+    cells are d_safe apart (`rhp.run` rejects a larger d_safe). By the
+    separation lemma in `mrf`, no move of an ICM step passes within 1.0
+    cell of another robot's start, so none waits on a start. When a step
+    has no order, raises UnrepairableError naming the pairs that have
+    none, at the time the step would start.
     """
     cells = [[tuple(map(float, c)) for c in s] for s in steps]
     waypoints = [s[:1] for s in cells]

@@ -196,6 +196,9 @@ def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flag
     # failed in numpy as "low >= high" and "high <= 0"
     (["--scenario", "blocks", "--block-max", "1"], "block_max must be in [2, 29]"),
     (["--scenario", "blocks", "--block-max", "40"], "block_max must be in [2, 29]"),
+    # exited 3, blaming the plan: "1 violation(s) have no execution order:
+    # separation robots 0-1 at t=0.000"; distinct cells are 1 m apart
+    (["--d-safe", "1.5"], "d_safe must not exceed the grid resolution (1 m)"),
 ])
 def test_plan_rejects_a_setting_that_switches_a_check_off(tmp_path, capsys, flags, message):
     code = run_command(["plan", "--scenario", "corridor", "--robots", "5", "--seed", "0", *flags,
@@ -428,6 +431,23 @@ def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
         "reason: 1 violation(s) remain after repair: "
         "separation robots 0-8 at t=3.100"
     )
+
+
+def test_plan_command_names_the_obstacle_hits_of_a_step_without_line_of_sight(tmp_path):
+    # an ICM candidate needs no line of sight from the robot's cell, so
+    # robots 0 and 1 each take a single step through an occupied cell, and
+    # its sampled obstacle check ends the run; a candidate filter that
+    # keeps line of sight changes this run on purpose
+    out = tmp_path / "run"
+    code = run_command(["plan", "--scenario", "blocks", "--robots", "5", "--seed", "2",
+                        "--k", "4", "--goal-amp", "16", "--out", str(out)])
+    assert code == EXIT_UNREPAIRABLE == 3
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[:2] == ["status: unrepairable", "horizons: 5"]
+    reason = summary[-1]
+    assert reason.startswith("reason: 18 violation(s) on a single step: obstacle robot 0 at t=0.800; ")
+    named = {v.split(" at ")[0] for v in reason.split(": ", 2)[2].split("; ")}
+    assert named == {"obstacle robot 0", "obstacle robot 1"}
 
 
 def test_mrf_only_command(tmp_path):
@@ -703,21 +723,21 @@ OUTPUT_DIGESTS = {
     "blocks/config.txt": "674d4d7ca39e028005ddb3524e6ea0dccb8b3bc7800e5f2eeda3814f71bec2cd",
     "blocks/discrete_paths.csv": "1d5f7d04ff61b207fe14154f4fec974230a32653c7ef3568a858324a6b3fd2a9",
     "blocks/energy.csv": "5bbd047e61e06f56ae6a744a67e6ed55d8be0d837ca4545a53e91088abc860d9",
-    "blocks/metrics.csv": "8e0ce086747fb26adc18f89d88b8ec0f6e4729ea7ec3f7dcd7184058089b0ca5",
-    "blocks/pruned_paths.csv": "6c524438336a63997e854adb68c59099f93d4d212b6661943ef8b4fca8361266",
-    "blocks/summary.txt": "c2953b3051fc7d6eda9b38375823169094e7a10ba44f11758633fde2f9a0335f",
-    "blocks/trajectories.csv": "b67e2761618baa08337388e734d0b18cfc543569f547ccb298b0ed4063bdd5db",
+    "blocks/metrics.csv": "1b484b1849ffd971316740b10874dd75f93ca15cb7a23e76b189e61154a8ea19",
+    "blocks/pruned_paths.csv": "aa89cd57f6fb5bf31cd5fee26f86204d70a7388e7eb99a79e350d3950d171e18",
+    "blocks/summary.txt": "58a0a8c5a1395f42bb4bbe119f1e745bf31f8522bbde2937a80fb06bfd3b3162",
+    "blocks/trajectories.csv": "e580fa5ced9cced42d0e2f46234cda9eeade8a7de16e314a57ce0896c71b186b",
     "corridor/config.txt": "a0b361a17486f099e81e49eaa62a1376ff43bc2a4387750c894f47ae18d788b3",
     "corridor/discrete_paths.csv": "c73eae1a4f7a88b1279ab064951d3dfda07476b73dedc5526bd88194987d5d59",
     "corridor/energy.csv": "f43f70cd298d76e21021cd71f0f1008e2eda5ccb1c393c00ea5ff7e7898d986e",
-    "corridor/metrics.csv": "463b46fffcc947ad44150b12b532e6a503e2db234ea5aa05bd6c934751bd996c",
-    "corridor/pruned_paths.csv": "ef3f6846d0534f18d736574866db970551a8708f425305cc6d593de1152b9616",
-    "corridor/summary.txt": "6d32391a8bcd41a3c210312e6da9da2603a472f0e7b4e08be6a8c096dc3bc06c",
-    "corridor/trajectories.csv": "daffb8dd42c2fb4448ccd9f35638e141ed788dda57f19aef78941e12b7b14aaa",
+    "corridor/metrics.csv": "c492a657c236c223d5894955b5af2240bd235aa6a5562dac2f1b2e0a936c1057",
+    "corridor/pruned_paths.csv": "86ba65a6961b5704909e2662abc56d05eafbbf9237c1ed4778e9efd969e2d0eb",
+    "corridor/summary.txt": "c1b4c9daabf281496f977e426f445541be45d155f585f921c9c37c8a1c7b211d",
+    "corridor/trajectories.csv": "59c7126f2cf1f4538a1e339cd26298da5166a5764b6746ae400e6b62025a6118",
     "formation/config.txt": "40eba13e66a8e6ee534d60d02b63504d62a34284501d17babf63bf8a6991740d",
     "formation/discrete_paths.csv": "0a2e3377d40617818aa7c6b33491f34366c4bf39b05e1c16bb166d79c51928e6",
     "formation/energy.csv": "894ba845b4af39667016ae24aeacb733e8ed0d759c334a70f615416edc8dcd57",
-    "smooth/trajectories.csv": "f11a6cf3550574bf1bd49bcf281fec31990898e120ec6f587d3f7dc3f91efe26",
+    "smooth/trajectories.csv": "ff735f2dc9b66ecaa5fd2cc0c2f220d2337433c8d6bbbb92cc2dd972dcc41ef5",
 }
 
 

@@ -17,7 +17,7 @@ from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
 from swarmplan import mrf, rhp, trajopt
 from swarmplan.mrf import DiscretePath, OptimizeConfig, make_state
-from swarmplan.paths import point_segment_distance
+from swarmplan.paths import line_of_sight, point_segment_distance
 from swarmplan.rhp import (
     HorizonPlan,
     RhpConfig,
@@ -27,7 +27,7 @@ from swarmplan.rhp import (
     plan_horizon,
     run,
 )
-from swarmplan.trajopt import SmoothingProblem, UnrepairableError, Violation
+from swarmplan.trajopt import UnrepairableError, Violation
 
 
 IPARAMS = InteractionParams()
@@ -138,85 +138,87 @@ def test_execute_fraction_step_count():
     assert np.allclose(record.pos[:, -1, :], [tuple(c) for c in record.end_cells], atol=1e-6)
 
 
+def corner_scenario(starts=((2, 2), (9, 9))):
+    """A free 12x12 map but for the occupied cell (3, 3), which blocks the
+    chord (2, 2)-(4, 4)."""
+    prob = np.zeros((12, 12))
+    prob[3, 3] = 1.0
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    return Scenario(grid=grid, static=None, iparams=IPARAMS, goal=None, start=tuple(Cell(*c) for c in starts))
+
+
 def test_execute_fraction_holds_finished_robot_at_rest():
-    # Robot 1 is one cell from its goal and robot 0 has far to go: robot 1's
-    # trajectory ends first and must then hold its final cell at rest.
-    sc = free_scenario(goal=None, starts=((4, 4), (10, 10)))
+    # Robot 0 turns the corner (4, 2), so the horizon runs as two
+    # transitions; robot 1 makes its one move in the first and must then
+    # hold its cell at rest through the second.
+    sc = corner_scenario()
     plan = HorizonPlan(
         discrete=[
-            DiscretePath(0, [Cell(4, 4), Cell(6, 4), Cell(8, 4), Cell(10, 4)]),
-            DiscretePath(1, [Cell(10, 10), Cell(10, 11), Cell(10, 11), Cell(10, 11)]),
+            DiscretePath(0, [Cell(2, 2), Cell(3, 2), Cell(4, 2), Cell(4, 3), Cell(4, 4)]),
+            DiscretePath(1, [Cell(9, 9), Cell(9, 10), Cell(9, 10), Cell(9, 10), Cell(9, 10)]),
         ],
         sweeps=[],
     )
     record = execute_fraction(plan, 1.0, sc, small_config())
-    assert record.steps == 3
-    assert record.end_cells == (Cell(10, 4), Cell(10, 11))
-    done = record.t > record.t[-1] / 2
+    assert record.steps == 4
+    assert record.end_cells == (Cell(4, 4), Cell(9, 10))
+    assert [p.source_steps for p in record.pruned] == [(0, 2, 4)] * 2
+    done = record.t > 2.0  # the first transition's longest chord is 2 cells
     assert done.any() and not done.all()
     held = record.pos[1, done]
-    assert np.allclose(held, [10.0, 11.0], atol=1e-9)
-    assert np.array_equal(held, np.broadcast_to(record.pos[1, -1], held.shape))
+    assert np.array_equal(held, np.broadcast_to([9.0, 10.0], held.shape))
     assert np.all(record.vel[1, done] == 0.0)
     assert np.all(record.acc[1, done] == 0.0)
     # robot 0 is still moving over the same stretch
     assert np.any(record.vel[0, done] != 0.0)
 
 
-@pytest.mark.parametrize("lanes, fallback", [
-    # parallel lanes far apart: the smoothed paths pass validation
+@pytest.mark.parametrize("lanes, split", [
+    # parallel lanes far apart: the whole horizon is one transition
     ([[(x, 5) for x in range(13)], [(x, 20) for x in range(13)]], False),
-    # perpendicular routes whose midpoints meet: the schedule replaces them
-    ([[(x, 5) for x in range(13)], [(6, y) for y in range(13)]], True),
+    # a lane that dips under a parked robot: the whole chord runs through
+    # it, so the exact separation test splits the horizon
+    ([[(x, 6) for x in range(5)] + [(5, 5), (6, 5), (7, 5)] + [(x, 6) for x in range(8, 13)],
+      [(6, 6)] * 13], True),
 ])
-def test_execute_fraction_evaluates_each_validated_pass_once(lanes, fallback, monkeypatch):
-    # the record holds the samples validate checked: one evaluation of the
-    # trajectories per validated pass, not a second one for the record
-    evals, repairs = [], []
-    real_eval, real_repair = trajopt._eval_common, trajopt.repair
+def test_execute_fraction_evaluates_each_validated_pass_once(lanes, split, monkeypatch):
+    # the record is one closed-form sampling of the checked transitions: no
+    # polynomial is evaluated, no schedule is built, nothing is sampled twice
+    calls = Counter()
+    for owner, name in ((trajopt, "_eval_common"), (trajopt, "repair"), (rhp, "sample_transitions")):
+        def counting(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    def counting_eval(*args, **kwargs):
-        evals.append(1)
-        return real_eval(*args, **kwargs)
-
-    def counting_repair(*args, **kwargs):
-        repairs.append(1)
-        return real_repair(*args, **kwargs)
-
-    monkeypatch.setattr(trajopt, "_eval_common", counting_eval)
-    monkeypatch.setattr(trajopt, "repair", counting_repair)
+        monkeypatch.setattr(owner, name, counting)
     plan = HorizonPlan(
         discrete=[DiscretePath(r, [Cell(*c) for c in cells]) for r, cells in enumerate(lanes)],
         sweeps=[],
     )
     record = execute_fraction(plan, 1.0, free_scenario(goal=None), small_config())
     assert record.steps == 12
-    assert len(repairs) == int(fallback)
-    assert len(evals) == 1 + fallback
+    assert calls == Counter(sample_transitions=1)
+    anchors = record.pruned[0].source_steps
+    assert (anchors[0], anchors[-1]) == (0, 12)
+    assert (len(anchors) > 2) == split
+    # every transition keeps the pair d_safe apart, in the samples too
+    assert np.linalg.norm(record.pos[0] - record.pos[1], axis=1).min() >= 1.0 - 1e-9
 
 
-def test_run_smooths_once_per_executed_horizon(monkeypatch):
-    calls = []
-    real = rhp.smooth_and_validate
+def test_run_samples_once_per_executed_horizon(monkeypatch):
+    # `plan` prunes, smooths, solves and repairs nothing: each executed
+    # horizon is sampled once, as transitions
+    calls = Counter()
+    for owner, name in ((rhp, "prune"), (rhp, "smooth_and_validate"), (trajopt, "solve_problems"),
+                        (trajopt, "repair"), (trajopt, "validate"), (rhp, "sample_transitions")):
+        def counting(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    executed = []
-    real_execute = rhp.execute_fraction
-
-    def counting_execute(*args, **kwargs):
-        record = real_execute(*args, **kwargs)
-        executed.append(record)
-        return record
-
-    monkeypatch.setattr(rhp, "smooth_and_validate", counting)
-    monkeypatch.setattr(rhp, "execute_fraction", counting_execute)
+        monkeypatch.setattr(owner, name, counting)
     result = run(free_scenario(), small_config())
     assert result.horizons > 1
-    assert len(executed) >= 1
-    assert len(calls) == len(executed)
+    assert calls == Counter(sample_transitions=len(result.pruned))
 
 
 def test_plan_horizon_does_not_prune(monkeypatch):
@@ -227,49 +229,43 @@ def test_plan_horizon_does_not_prune(monkeypatch):
     assert calls == []
 
 
-def test_run_logs_the_chords_each_executed_horizon_smoothed(monkeypatch):
-    prunes = []
-    real_prune = rhp.prune
-
-    def counting_prune(*args, **kwargs):
-        prunes.append(1)
-        return real_prune(*args, **kwargs)
-
-    handed = []  # (robot, waypoints) given to the smoother, per horizon
-    real_from_waypoints = SmoothingProblem.from_waypoints
-
-    def recording_from_waypoints(robot, waypoints, times):
-        handed[-1].append((robot, tuple(waypoints)))
-        return real_from_waypoints(robot, waypoints, times)
-
+def test_run_logs_the_anchors_of_each_executed_horizon(monkeypatch):
+    # each executed horizon logs, per robot, its cell at every transition
+    # anchor, with the anchor's step counted from the horizon's start
+    records = []
     real_execute = rhp.execute_fraction
 
     def recording_execute(*args, **kwargs):
-        handed.append([])
-        return real_execute(*args, **kwargs)
+        records.append(real_execute(*args, **kwargs))
+        return records[-1]
 
-    monkeypatch.setattr(rhp, "prune", counting_prune)
     monkeypatch.setattr(rhp, "execute_fraction", recording_execute)
-    monkeypatch.setattr(SmoothingProblem, "from_waypoints", staticmethod(recording_from_waypoints))
     result = run(free_scenario(), small_config())
     assert result.horizons > 1
-    assert len(prunes) == len(handed) == len(result.pruned)
-    for horizon, smoothed in zip(result.pruned, handed):
-        assert [(p.robot, p.waypoints) for p in horizon] == smoothed
-        assert all(p.source_steps[0] == 0 for p in horizon)
+    assert result.pruned == [r.pruned for r in records]
+    first = 0  # each horizon's first step in the run's discrete log
+    for horizon, record in zip(result.pruned, records):
+        anchors = horizon[0].source_steps
+        assert (anchors[0], anchors[-1]) == (0, record.steps)
+        assert list(anchors) == sorted(set(anchors))
+        for r, p in enumerate(horizon):
+            assert (p.robot, p.source_steps) == (r, anchors)
+            assert p.waypoints == tuple(result.discrete[r][first + k] for k in anchors)
+        first += record.steps
 
 
 def test_unrepairable_horizon_logs_no_chords(monkeypatch):
-    error = UnrepairableError([Violation("separation", 0, 1.0, other=1)])
+    # every pair reported at distance 0: the first single step fails
+    def touching(a, b):
+        first, second, dist = trajopt.transition_separations(a, b)
+        return first, second, np.zeros_like(dist)
 
-    def failing_smooth(*args, **kwargs):
-        raise error
-
-    monkeypatch.setattr(rhp, "smooth_and_validate", failing_smooth)
+    monkeypatch.setattr(rhp, "transition_separations", touching)
     result = run(free_scenario(), small_config())
     assert result.status == rhp.STATUS_UNREPAIRABLE
     assert result.horizons == 1
     assert result.pruned == []
+    assert result.reason.startswith("6 violation(s) on a single step: separation robots 0-1 at t=0.000")
 
 
 def test_run_keeps_unrepairable_reason(monkeypatch):
@@ -448,15 +444,16 @@ def acceptance_run(scenario, seed):
 
 
 # Digests of `acceptance_run`: `plan --scenario <name> --robots 5 --seed
-# <seed>`, and swarm-n10 seed 0 (N=10, 60 horizons, 19 of them on the
-# execution schedule), recorded on x86-64 with numpy 2.4 and OpenBLAS.
+# <seed>`, and swarm-n10 seed 0 (N=10, 60 horizons), recorded on x86-64
+# with numpy 2.4 and OpenBLAS.
 # Corridor seed 5 is the one that ends `cycle`, at its stream's first
 # repeated state.
 # PLAN_DIGESTS is SHA-256 over repr of (status, horizons, discrete cells):
 # what ICM planned and executed, which nothing after the MRF stage may
 # change. TRAJECTORY_DIGESTS is SHA-256 over the bytes of t, pos, vel and
 # acc. A faster trajectory path must reproduce both; a change meant to alter
-# trajectories records new trajectory digests and says why.
+# trajectories records new trajectory digests and says why. They were last
+# re-recorded when each horizon became swarm transitions.
 PLAN_DIGESTS = {
     ("corridor", 0): "402c78dc0f8875b8a964d85bcd634331addf265eea79546d2885a4a10b898f5e",
     ("blocks", 1): "2e1a68b1fbb47d41b7b1d4c28d9cd14a91d8aa46f99a7f044675ab5c2a1e174c",
@@ -464,10 +461,10 @@ PLAN_DIGESTS = {
     ("swarm-n10", 0): "33d77fcddf7c0795eb138b82c074730dbc7ce474be8df98b50602169958e9527",
 }
 TRAJECTORY_DIGESTS = {
-    ("corridor", 0): "aa8c79ee92e77aab993d616c1dc80a075f1b77a3507def73fbf420b8b910d30f",
-    ("blocks", 1): "ac2831aae4f90b59998de2f614ba9617eb6c5f9ef3ff5f1d4634620c81831243",
-    ("corridor", 5): "bf782caf405bfeb14dee69b686bc9cc04b13206cd70d5d4766877ef9db5efb11",
-    ("swarm-n10", 0): "3979a10e610da882d24b781cb0c6302c3c3ff37cdb9e13ae789f9d66e3478957",
+    ("corridor", 0): "c0a513adc65aa5b0765ccba099d44dac38261f055758ef754f733dee2cac5fd4",
+    ("blocks", 1): "cd7813b36ebc7dbbd101775697c18df40ad06e8e5b80e027792c13fc07bf1eee",
+    ("corridor", 5): "559e06869988cff68b36863918ed4426fe47a6e649304f5196e81ae40a427a4d",
+    ("swarm-n10", 0): "1eb715cfacaba95cfce37a46eb45ffe63d75b57c883f2b0e5b11ed4ce9c41269",
 }
 
 
@@ -631,43 +628,41 @@ def matrix_setup(name, robots, seed):
 
 
 # SHA-256 of each matrix run: repr of (status, horizons, discrete cells,
-# reason, energies, moved counts, number of sweep-seconds rows, pruned
-# chords), then the bytes of t, pos, vel and acc. Recorded on x86-64 with
+# reason, energies, moved counts, number of sweep-seconds rows, transition
+# anchors), then the bytes of t, pos, vel and acc. Recorded on x86-64 with
 # numpy 2.4 and OpenBLAS. A change that alters a plan, a record or a
-# trajectory re-records the runs it changes and says why.
+# trajectory re-records the runs it changes and says why; all 29 were
+# re-recorded when each horizon became swarm transitions.
 MATRIX_DIGESTS = {
-    ("corridor", 5, 0): "5e55d824af662ab0b8b27143dfe624b3df437d67616b9617c9a68251985c8bd0",
-    ("corridor", 5, 1): "0c14fa80d92c74040bea4a16c204e12e5fc4d95663ef72db7242cd85e5ef92cf",
-    ("corridor", 5, 2): "7b7d98c97ad66613c415bb10a509f4d5ef90bf2ee90d3e44bb66008d143e7567",
-    ("corridor", 5, 3): "87703a5a81a5bfa3a9f0d078c15dd2cbc5ab7399bdc882c138b38512e6d931a5",
-    ("corridor", 5, 4): "c82e17bb55a05230c1883f636002b5399c245c4f222d4eba1068b6421703b39a",
-    ("corridor", 5, 5): "425e59e2097ac546532b753410f56bb5402fae1d41aff38ed500eb193783049c",
-    ("corridor", 5, 6): "026dd47d73c8f1ec262f3fc5fc4148ff610388a161dbade9beb1ebf14ff69de6",
-    ("corridor", 5, 7): "32f4505e102001771c847b63f3571fa9425c719a20bcdd1d588a76fdf366b960",
-    ("corridor", 5, 8): "0872532464b7fd34d8af1d6a6ae6207e20a148b14ec4f462e1308e9eeef3fb8a",
-    ("corridor", 5, 9): "7c28cf5bfae354ac0d8580e3b36e7196d14dbba26a3af26c6036b1b71e3317a0",
-    ("blocks", 5, 0): "abf1824682ff4a251972b67fb407c4d9a37115e716afb571778d81916e106d45",
-    ("blocks", 5, 1): "523ed76a026029d359b323b99077985f830c1440aef936ccc651d9ae803fe04e",
-    ("blocks", 5, 2): "7e90d8171920a0b184ed772721b51953da8bd4ef4dd24ee1767392a8b08a8bef",
-    ("blocks", 5, 3): "4970c5fb6f95b2609eecf10fcd6c7e643e06e8330f31f4899487f438f3327211",
-    ("blocks", 5, 4): "081f776646f182e6fa070977a31d3f5a815429947c7528b4915372910e613c8f",
-    ("blocks", 5, 5): "f128b60b878b2c51af434b558a1ce4626b3e986665eaf3ee308950e3a441545b",
-    ("blocks", 5, 6): "b716635685c02a36702c6f3a07c477893c3150c78f5b7eb0370962fbdbde5e7e",
-    ("blocks", 5, 7): "2fb6008e4c750b702b21903f1f2d8995657138b9ced7055074a26d3fa6ef882a",
-    ("blocks", 5, 8): "f29e200573358696aefb79b2b2fc5f9b80e001f91e70322cce6fe101152de9c2",
-    # re-recorded when robots came to rest at every kept waypoint: each of
-    # the next two has one horizon whose pruned path keeps a corner, and the
-    # corridor run's horizon then passes validation instead of falling back
-    ("blocks", 5, 9): "b3b02855f15d04402ef9434afd352d4179b4dbec7fef1e881822079008c6dc45",
-    ("corridor", 10, 0): "ad41c7a66ede47c768e79b71ab648122d1d101d06e5c5611b15498425fd7b528",
-    ("corridor", 10, 1): "f6c7aecea1dcf341c55e610b1003bc9ec5598bc1d7a3e78d36dc7b253940e4d2",
-    ("corridor", 10, 2): "e3bb51b827526a4ead86e887176580a103617ab625459f5be116c78f37314a88",
-    ("swarm-n10", 10, 0): "e78aa35548aedbb66862d7f57eb95837932871f7fda411058f892ad0d8e7ea7d",
-    ("swarm-n10", 10, 1): "e4a6323f70ec543c25168df45a8483159714ac5d1f9a11f9d8837184cdf8d8ee",
-    ("swarm-n10", 10, 2): "81a829b7c7a4bb6ee2190e8ebc2ea413c6061d77440b20afe4d6cc6835209309",
-    ("swarm-n10", 20, 0): "53fe37c55db4e2853ad27d461cecaf1372d53172134bc755963e9b8177b388ef",
-    ("swarm-n10", 20, 1): "f0752a6fb4696946b5848c91e3fac962fb8ea01d5ebc71d737412f6d32a85f8f",
-    ("swarm-n10", 20, 2): "d089b1e6d74f130b46f76018d2e5e053511d6a9dcd1b02f1a7e4b348fbdbf245",
+    ("corridor", 5, 0): "7cede9adb70247700410b8be0e9b6728349d78b651edfb5ed39a812ae356103d",
+    ("corridor", 5, 1): "7d7d709a77d61bc01b48a8abdf7290f7b80dc730bebd2317c305128c22ff5211",
+    ("corridor", 5, 2): "699e3e089e2aa03e6546fcdad8538c013719a5448e517239da56b93302db70d5",
+    ("corridor", 5, 3): "db15a7c4ad9d237f5c2c73a2109351b2fd746226049feebc6a764f2d5d26684b",
+    ("corridor", 5, 4): "3906f6057905383454de40be0469777f70528d7e5f90d3d4c6c1437100ec7ddf",
+    ("corridor", 5, 5): "3b87869304718ade01e72c1b886f3aafeb4c16d72ae76d64689d5598384fd399",
+    ("corridor", 5, 6): "92daf0a0e5d1763a515d554114df72bc3a75803373796f52170a0c2a30ff2d24",
+    ("corridor", 5, 7): "22af86ec8e1be1aa6ea72c8a4de7bcfa4c082fdd1fc3cbd13ccba4291029fe32",
+    ("corridor", 5, 8): "e938c47b482b830132482517ab53e5eb08da7095970bd275b0d816e73660241f",
+    ("corridor", 5, 9): "ab44641225d5dc3e8b2c50e1ee8e7c14dcde82a75c900008248b81316a5027db",
+    ("blocks", 5, 0): "27a903a2a2ae00f3114dcd78dce5b2435fe543839e8ed8f091079cc5eb45e1a4",
+    ("blocks", 5, 1): "83d2b5639f54d2f80e50219aa69b4b4e9fa4644cabd353dc45c5667b15655b45",
+    ("blocks", 5, 2): "40925d2e7c781bebbbb132ef00f7adf33c4eaacffb6438ed177b808702ebb26a",
+    ("blocks", 5, 3): "9c629cf8f54dfebc548c13287a067f1da97335d00bdf9d7ab916c1cb07f44252",
+    ("blocks", 5, 4): "f6c9a2b647d9b38a0aab97a123a32f0fb64f2cf0b529b1163a7a8057a03b5e89",
+    ("blocks", 5, 5): "28af68c7c88c1e1f2e296e320aeba897c9f64e5e892db8ea673bad8ef987d6d0",
+    ("blocks", 5, 6): "fa05ff21cf9ab451511819d7813ffce65fe70de8ca19129fb8f36513b7f2f89b",
+    ("blocks", 5, 7): "57cef871f07c1585aa680eef8aad0e1c21f793aed81b5e4cd910d938fe68f658",
+    ("blocks", 5, 8): "85244e8a26afcce93a4c60cd89f7143df41128d91c0d2c7afede986d5f912aa9",
+    ("blocks", 5, 9): "c4e5f7889d4f4deb7180e57c0e81bfa4972420b1e46f4299dc764c220e44a724",
+    ("corridor", 10, 0): "01ae5503cb058880362a1919103decf533a0bf3c5205c99292be0a9ab3bb3608",
+    ("corridor", 10, 1): "4a93707dd6df56457abe99a412c4c291e30aa9827b3e4393645d74006ce8db15",
+    ("corridor", 10, 2): "7b29d596a01b53c9d0d11ada1401dbe369d0179124677beee948625c2f01d1f7",
+    ("swarm-n10", 10, 0): "143ca233edb5f1bebd4c1e67649db758ccb13b01ef14b81a7a917ead6626f7de",
+    ("swarm-n10", 10, 1): "b1eb2b5684e7d036ba359c8b025374c81ddf7d3031347ae813ff5ebe9cc57719",
+    ("swarm-n10", 10, 2): "cd4c3ae415bde760bb2365ce412a6ad6e07f88f57e55e119c9c9f0a5e9e5c378",
+    ("swarm-n10", 20, 0): "e00ba470f073836f22d3cf5051de9c5b8a3efdc5bb9b24e7e75ba3d355625aa9",
+    ("swarm-n10", 20, 1): "a77f9d0f87e1865a278f76f1b53bf598b6bacb5d24c4828e1e4f17794f45399a",
+    ("swarm-n10", 20, 2): "300c2a9964b61222b029bbd90e402936b2027e9ead0b3d883053d9fa0c94bfef",
 }
 
 
@@ -687,8 +682,9 @@ def test_matrix_digest():
 
 @pytest.mark.parametrize("name, robots, seed", [("blocks", 5, 9), ("corridor", 10, 0)])
 def test_run_solves_no_qp(name, robots, seed, monkeypatch):
-    # the matrix's two runs that keep a corner: the robot rests there, so
-    # every executed piece is one chord in closed form
+    # two matrix runs with a horizon of several transitions: every robot
+    # rests at each anchor, so every executed piece is one chord in closed
+    # form
     def no_qp(*args):
         raise AssertionError("a QP was solved")
 
@@ -700,21 +696,87 @@ def test_run_solves_no_qp(name, robots, seed, monkeypatch):
 
 
 def test_execute_fraction_rests_at_a_kept_corner():
-    # the occupied cell (3, 3) blocks the chord (2, 2)-(4, 4): pruning keeps
-    # the corner (4, 2), and the robot runs each chord rest-to-rest
-    prob = np.zeros((12, 12))
-    prob[3, 3] = 1.0
-    grid = OccupancyGrid(prob=prob, resolution=1.0)
-    sc = Scenario(grid=grid, static=None, iparams=IPARAMS, goal=None, start=(Cell(2, 2), Cell(9, 9)))
+    # the occupied cell (3, 3) blocks the chord (2, 2)-(4, 4): the corner
+    # (4, 2) is an anchor, and the robot runs each chord rest-to-rest
+    sc = corner_scenario()
     cells = [Cell(2, 2), Cell(3, 2), Cell(4, 2), Cell(4, 3), Cell(4, 4)]
     plan = HorizonPlan(discrete=[DiscretePath(0, cells), DiscretePath(1, [Cell(9, 9)] * 5)], sweeps=[])
     record = execute_fraction(plan, 1.0, sc, small_config())
     wps = record.pruned[0].waypoints
     assert wps == (Cell(2, 2), Cell(4, 2), Cell(4, 4))
-    knots = trajopt.allocate_times(wps).knots
+    assert record.pruned[1].waypoints == (Cell(9, 9),) * 3
+    knots = np.array([0.0, 2.0, 4.0])  # each transition's longest chord is 2 cells
     chord = np.minimum(knots.searchsorted(record.t, side="right") - 1, len(wps) - 2)
     for p, k in zip(record.pos[0].tolist(), chord.tolist()):
         assert point_segment_distance(p, wps[k], wps[k + 1]) <= 1e-9
     corner = np.flatnonzero(record.t == knots[1])
     assert len(corner) == 1
     assert np.all(record.vel[0, corner] == 0.0)
+    assert np.array_equal(record.pos[0, corner[0]], [4.0, 2.0])
+
+
+def test_execute_fraction_splits_a_merge_that_passes_too_close():
+    # robot 0 turns around the held robot 1: each single step keeps 1.0
+    # from it, but the merged diagonal chord passes 0.71 away
+    sc = free_scenario(goal=None, starts=((5, 5), (5, 6)))
+    plan = HorizonPlan(
+        discrete=[DiscretePath(0, [Cell(5, 5), Cell(6, 5), Cell(6, 6)]), DiscretePath(1, [Cell(5, 6)] * 3)],
+        sweeps=[],
+    )
+    record = execute_fraction(plan, 1.0, sc, small_config())
+    assert record.pruned[0].source_steps == (0, 1, 2)
+    assert np.linalg.norm(record.pos[0] - record.pos[1], axis=1).min() >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("d_safe, passes", [(1.0, True), (1.0 + 1e-6, False)])
+def test_execute_fraction_separation_limit_is_exact(d_safe, passes):
+    # two robots one cell apart, moving side by side: exactly d_safe apart
+    # passes, 1e-6 closer fails, and a single step that fails raises
+    sc = free_scenario(goal=None, starts=((5, 5), (5, 6)))
+    plan = HorizonPlan(
+        discrete=[DiscretePath(0, [Cell(5, 5), Cell(7, 5)]), DiscretePath(1, [Cell(5, 6), Cell(7, 6)])],
+        sweeps=[],
+    )
+    config = small_config(d_safe=d_safe)
+    if passes:
+        assert execute_fraction(plan, 1.0, sc, config).end_cells == (Cell(7, 5), Cell(7, 6))
+        return
+    with pytest.raises(UnrepairableError) as exc:
+        execute_fraction(plan, 1.0, sc, config)
+    assert str(exc.value) == "1 violation(s) on a single step: separation robots 0-1 at t=0.000"
+
+
+@pytest.mark.parametrize("occupied, hits", [((3, 3), True), ((3, 2), False)])
+def test_execute_fraction_checks_a_single_step_without_line_of_sight(occupied, hits):
+    # a single step from (2, 2) to (4, 4) or (3, 3), through or past an
+    # occupied cell: taken without line of sight, its samples are checked
+    # for obstacles, and only a sample in an occupied cell fails it
+    prob = np.zeros((12, 12))
+    prob[occupied[1], occupied[0]] = 1.0
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    sc = Scenario(grid=grid, static=None, iparams=IPARAMS, goal=None, start=(Cell(2, 2), Cell(9, 9)))
+    end = Cell(4, 4) if hits else Cell(3, 3)
+    plan = HorizonPlan(
+        discrete=[DiscretePath(0, [Cell(2, 2), end]), DiscretePath(1, [Cell(9, 9)] * 2)], sweeps=[]
+    )
+    assert not line_of_sight(grid, Cell(2, 2), end)
+    if not hits:
+        # the chord touches (3, 2) at a corner; no sample rounds into it
+        record = execute_fraction(plan, 1.0, sc, small_config())
+        assert not trajopt.obstacle_hits(record.pos, grid).any()
+        return
+    with pytest.raises(UnrepairableError) as exc:
+        execute_fraction(plan, 1.0, sc, small_config())
+    assert {(v.kind, v.robot) for v in exc.value.violations} == {("obstacle", 0)}
+    message = f"{len(exc.value.violations)} violation(s) on a single step: obstacle robot 0"
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("resolution, d_safe", [(1.0, 1.5), (0.5, 0.75)])
+def test_run_rejects_a_d_safe_above_the_resolution(resolution, d_safe):
+    # distinct cells and single ICM steps keep robots one cell apart
+    sc = free_scenario()
+    sc = dataclasses.replace(sc, grid=OccupancyGrid(prob=sc.grid.prob, resolution=resolution))
+    with pytest.raises(ValueError, match=r"^d_safe must not exceed the grid resolution"):
+        run(sc, small_config(d_safe=d_safe))
+    assert run(sc, small_config(d_safe=resolution, max_horizons=1)).horizons == 1

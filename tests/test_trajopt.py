@@ -513,20 +513,9 @@ def random_map(rng, res):
     return OccupancyGrid(prob=prob, resolution=res), free
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    robots=st.integers(2, 6),
-    sweeps=st.integers(1, 4),
-    res=st.sampled_from([0.5, 1.0, 2.0]),
-    d_safe_share=st.floats(0.5, 1.0),
-    order=st.sampled_from([1, 2, 4, 5, 9, 16, 25]),
-)
-def test_forced_schedule_of_icm_steps(seed, robots, sweeps, res, d_safe_share, order):
-    # random small maps and start sets, a few ICM sweeps, and the schedule
-    # forced on them whether or not smoothing would have passed. By the
-    # separation lemma (`mrf`) no move waits on another robot's start; that
-    # the remaining waits never close a cycle is pinned here, not proven.
+def icm_steps(seed, robots, sweeps, res, order):
+    """Per robot, its cell after each of a few ICM sweeps at disk `order`,
+    from random starts on a random small map."""
     rng = np.random.default_rng(seed)
     grid, free = random_map(rng, res)
     starts = [free[i] for i in rng.choice(len(free), size=robots, replace=False)]
@@ -536,9 +525,99 @@ def test_forced_schedule_of_icm_steps(seed, robots, sweeps, res, d_safe_share, o
     state = make_state(starts, grid, k=k)
     cfg = OptimizeConfig(k=k, search_order=order, max_sweeps=sweeps, goal=goal)
     paths, _ = optimize(state, grid, static, InteractionParams(), cfg)
-    steps = [[tuple(map(float, c)) for c in p.cells] for p in paths]
+    return grid, [[tuple(map(float, c)) for c in p.cells] for p in paths]
+
+
+icm_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    robots=st.integers(2, 6),
+    sweeps=st.integers(1, 4),
+    res=st.sampled_from([0.5, 1.0, 2.0]),
+    d_safe_share=st.floats(0.5, 1.0),
+    order=st.sampled_from([1, 2, 4, 5, 9, 16, 25]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**icm_args)
+def test_forced_schedule_of_icm_steps(seed, robots, sweeps, res, d_safe_share, order):
+    # random small maps and start sets, a few ICM sweeps, and the schedule
+    # forced on them whether or not smoothing would have passed. By the
+    # separation lemma (`mrf`) no move waits on another robot's start; that
+    # the remaining waits never close a cycle is pinned here, not proven.
+    grid, steps = icm_steps(seed, robots, sweeps, res, order)
     if len(steps[0]) > 1:
         assert check_forced_schedule(steps, grid, d_safe_share * res) == "scheduled"
+
+
+@settings(max_examples=60, deadline=None)
+@given(**icm_args)
+def test_single_icm_steps_pass_the_exact_separation_test(seed, robots, sweeps, res, d_safe_share, order):
+    # lemma (Y) in `mrf`, checked, not proven: the whole swarm making one
+    # ICM step on one timing keeps every pair 1.0 cell apart, so the single
+    # step that `rhp.execute_fraction` always takes never fails its exact
+    # test at any d_safe up to the grid resolution
+    grid, steps = icm_steps(seed, robots, sweeps, res, order)
+    at = np.array(steps).transpose(1, 0, 2)  # (steps, robots, 2)
+    for a, b in zip(at, at[1:]):
+        _, _, dist = trajopt.transition_separations(a, b)
+        assert dist.min() >= 1.0
+        assert dist.min() * res >= d_safe_share * res - DIST_TOL
+
+
+def random_transition(rng, robots):
+    """Random start and end cells of a few robots on a small lattice, the
+    starts distinct; a robot may hold its cell."""
+    cells = [(int(x), int(y)) for x in range(8) for y in range(8)]
+    a = np.array([cells[i] for i in rng.choice(len(cells), size=robots, replace=False)], dtype=float)
+    b = a + rng.integers(-3, 4, size=a.shape) * (rng.random((robots, 1)) < 0.8)
+    return a, b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_transition_separation_is_the_sampled_minimum(seed):
+    # the exact least separation against the pairwise minimum over the
+    # samples of the executed motion: the samples never come closer, and
+    # they miss the closest point by at most what one sampling step moves
+    # the pair, half of peak speed 2.1875 |Δ| / T times dt
+    rng = np.random.default_rng(seed)
+    a, b = random_transition(rng, int(rng.integers(2, 7)))
+    duration, dt = float(rng.uniform(0.5, 4.0)), 0.01
+    samples = trajopt.sample_transitions(np.stack([a, b]), [duration], dt)
+    first, second, dist = trajopt.transition_separations(a, b)
+    assert np.array_equal(samples.pos[:, 0], a) and np.array_equal(samples.pos[:, -1], b)
+    sampled = np.linalg.norm(samples.pos[first] - samples.pos[second], axis=2).min(axis=1)
+    moved = np.linalg.norm((b[first] - b[second]) - (a[first] - a[second]), axis=1)
+    assert np.all(sampled >= dist - 1e-12)
+    assert np.all(sampled - dist <= 0.5 * 2.1875 * moved / duration * dt + 1e-12)
+
+
+def test_transition_separation_limit_is_exact():
+    # a pair that passes exactly 1 apart, and one that passes 1e-6 closer:
+    # robot 1 holds (0, 0) while robot 0 runs a lane at height 1 or 1 - 1e-6
+    for height, want in ((1.0, 1.0), (1.0 - 1e-6, 1.0 - 1e-6)):
+        a, b = [(-3.0, height), (0.0, 0.0)], [(3.0, height), (0.0, 0.0)]
+        _, _, dist = trajopt.transition_separations(a, b)
+        assert dist.tolist() == [want]
+
+
+def test_sample_transitions_rest_at_every_anchor():
+    # two transitions: every robot leaves and reaches each anchor at rest,
+    # peaks at 2.1875 |Δ| / T, and a robot that holds its cell is still
+    anchors = np.array([[(0.0, 0.0), (5.0, 5.0)], [(2.0, 0.0), (5.0, 5.0)], [(2.0, 3.0), (5.0, 5.0)]])
+    s = trajopt.sample_transitions(anchors, [2.0, 3.0], 0.25)
+    assert s.t.tolist() == [0.25 * i for i in range(21)]
+    for t in (0.0, 2.0, 5.0):
+        m = s.t.tolist().index(t)
+        assert np.array_equal(s.pos[:, m], anchors[[0.0, 2.0, 5.0].index(t)])
+        assert np.all(s.vel[:, m] == 0.0) and np.all(s.acc[:, m] == 0.0)
+    assert np.all(s.pos[1] == (5.0, 5.0)) and np.all(s.vel[1] == 0.0) and np.all(s.acc[1] == 0.0)
+    # no negative zeros, which the CSV writer would print as "-0"
+    assert not np.signbit(s.vel[s.vel == 0.0]).any() and not np.signbit(s.acc[s.acc == 0.0]).any()
+    mid = s.t.tolist().index(1.0)
+    assert s.vel[0, mid].tolist() == [2.1875 * 2.0 / 2.0, 0.0]
+    # robot 0 stays on the chord of each transition
+    assert np.all(s.pos[0, : mid * 2 + 1, 1] == 0.0) and np.all(s.pos[0, mid * 2 :, 0] == 2.0)
 
 
 def random_steps(rng, cells, count):
