@@ -11,10 +11,12 @@ bit-for-bit those of the scalar functions, which stay the reference.
 A sweep does its per-robot work once. One pass over the start positions
 gives every robot's candidate cells: the free cells of its disk, less the
 other robots' cells, each contested cell given to the nearest robot (by
-the exact square of the offset, then the lowest id), less the backward
-moves when trimming. The per-robot and per-update functions
-`local_search_space`, `apply_heuristics` and `icm_update` compute the same
-one robot at a time, and are the reference the sweep is tested against.
+the exact square of the offset, then the lowest id), less the cells it has
+no line of sight to (`paths.line_of_sight`), less the backward moves when
+trimming. The per-robot and per-update functions `local_search_space`,
+`apply_heuristics` (then `line_of_sight`) and `icm_update` compute the
+same one robot at a time, and are the reference the sweep is tested
+against.
 
 Separation lemma. Let robot i start a sweep at s_i and take a candidate a.
 Heuristics (a) and (b) give, for every other robot j at its start s_j,
@@ -22,9 +24,9 @@ Heuristics (a) and (b) give, for every other robot j at its start s_j,
     |a - s_i|^2 <= |a - s_j|^2, strictly when j < i.                 (P)
 
 A cell outside j's disk is farther from s_j than the disk's order allows,
-so farther than a is from s_i; map edges, obstacles and trimming only
-remove candidates. Then for the moves s_i -> a and s_j -> b of robots
-i != j:
+so farther than a is from s_i; map edges, obstacles, line of sight and
+trimming only remove candidates. A cell hidden from i still claims, so it
+is kept from j. Then for the moves s_i -> a and s_j -> b of robots i != j:
 
 (S1) the move s_i -> a keeps a distance of at least 1.0 from s_j;
 (S2) when j < i, the moves s_i -> a and s_j -> b do not meet.
@@ -81,7 +83,7 @@ from typing import Callable, Iterator, Sequence
 from .fields import InteractionParams, ScalarField, interaction_energy
 from .graph import InteractionGraph, build_interaction_graph, check_connectivity_condition
 from .grid import Cell, OccupancyGrid, _disk, disk_cells
-from .paths import segments_intersect
+from .paths import segments_intersect, supercover_cells
 
 
 class ConnectivityError(ValueError):
@@ -280,10 +282,6 @@ def clique_energy(
 _PAIR_TABLES: dict[InteractionParams, list[list[float]]] = {}
 
 
-class _PastTableEdge(Exception):
-    """A pair offset fell past the edge of the pair-energy table."""
-
-
 def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[float]]:
     """Square table with table[|dy|][|dx|] ==
     interaction_energy((0, 0), (dx, dy), iparams) for |dx|, |dy| < extent.
@@ -291,7 +289,7 @@ def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[flo
     `math.hypot` ignores signs, so the entry serves all four quadrants. The
     table grows to the largest extent asked for (existing rows are copied),
     and an offset past its edge raises IndexError instead of reading another
-    entry; `_clique_sum` turns that into `_PastTableEdge`.
+    entry. Callers size it for every offset they read.
     """
     table = _PAIR_TABLES.get(iparams, [])
     if extent <= len(table):
@@ -318,17 +316,13 @@ def _clique_sum(
     """`clique_energy` of a clique whose members sit on `cells`, from the
     lookup tables and added in its order: the members' static values
     (`_static_values`, or None without a static field), then the pair
-    energies for a < b. Raises `_PastTableEdge` when a pair offset lies
-    past the edge of `table`."""
+    energies for a < b."""
     e = 0.0
     if values is not None:
         for x, y in cells:
             e += values[y][x]
-    try:
-        for (ax, ay), (bx, by) in combinations(cells, 2):
-            e += table[abs(ay - by)][abs(ax - bx)]
-    except IndexError:
-        raise _PastTableEdge from None
+    for (ax, ay), (bx, by) in combinations(cells, 2):
+        e += table[abs(ay - by)][abs(ax - bx)]
     return e
 
 
@@ -357,8 +351,7 @@ def _candidate_energies(
 ) -> list[float]:
     """Summed energy of `cliques`, the cliques containing robot i, for each
     candidate cell, with i moved there: each `clique_energy`, bit for bit,
-    added in clique order from 0.0, as `swarm_energy` adds them. Raises
-    `_PastTableEdge` when an offset lies past the edge of `table`."""
+    added in clique order from 0.0, as `swarm_energy` adds them."""
     totals = [0.0] * len(candidates)
     for cl in cliques:
         cells = [positions[m] for m in cl]
@@ -375,20 +368,14 @@ def _best_cell(
     positions: Sequence[Cell],
     cliques: Sequence[tuple[int, ...]],
     values: list[list[float]] | None,
-    iparams: InteractionParams,
+    table: list[list[float]],
     goal: tuple[float, float] | None,
 ) -> Cell:
     """The candidate of lowest (energy, goal distance, y, x) for robot i,
     the energy summed over `cliques`, the cliques containing i, with the
-    other robots on `positions`; without a goal, of lowest (energy, y, x)."""
-    try:
-        table = _pair_energies(iparams)
-        energies = _candidate_energies(i, candidates, positions, cliques, values, table)
-    except _PastTableEdge:  # grow the table to cover this update
-        members = {m for cl in cliques for m in cl}
-        table = _pair_energies(iparams, _span([*candidates, *(positions[m] for m in members)]))
-        energies = _candidate_energies(i, candidates, positions, cliques, values, table)
-
+    other robots on `positions`; without a goal, of lowest (energy, y, x).
+    `table` is a pair table that covers every offset of the update."""
+    energies = _candidate_energies(i, candidates, positions, cliques, values, table)
     low = min(energies)
     ties = [c for c, e in zip(candidates, energies) if e == low]
     if goal is None:
@@ -418,29 +405,41 @@ def icm_update(
     """
     values = None if static is None else _static_values(static)
     cliques = state.graph.cliques_of[i]
-    return _best_cell(i, spaces[i], state.positions, cliques, values, iparams, goal)
+    table = _pair_energies(iparams, _span([*spaces[i], *state.positions]))
+    return _best_cell(i, spaces[i], state.positions, cliques, values, table, goal)
 
 
 UpdateHook = Callable[[int, int, SwarmState], None]
 
 
 @lru_cache(maxsize=None)
-def _disk_moves(order: int) -> tuple[tuple[int, int, int], ...]:
+def _disk_moves(order: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """The order-n disk's offsets (dx, dy) in row-major order, each with
-    dx^2 + dy^2."""
-    return tuple((dx, dy, dx * dx + dy * dy) for dx, dy in _disk(order)[0])
+    dx^2 + dy^2, its bit in a mask over the offsets, and its occlusion row:
+    the mask of the offsets whose supercover from the origin passes through
+    it (a supercover lies in its ends' bounding box, so in the disk)."""
+    offsets = _disk(order)[0]
+    rows = dict.fromkeys(offsets, 0)
+    for k, o in enumerate(offsets):
+        for c in supercover_cells(Cell(0, 0), Cell(*o)):
+            rows[c] |= 1 << k
+    return tuple((dx, dy, dx * dx + dy * dy, 1 << k, rows[dx, dy]) for k, (dx, dy) in enumerate(offsets))
 
 
 def _candidate_spaces(
     start: Sequence[Cell], grid: OccupancyGrid, config: OptimizeConfig
 ) -> list[list[tuple[int, int]]]:
     """Each robot's candidate cells from `start`, as (x, y) tuples:
-    `apply_heuristics` over the `local_search_space`s, in one pass. The
-    start cells are in bounds, free and distinct (`sweeps` checks them).
+    `apply_heuristics` over the `local_search_space`s, less the cells with
+    no line of sight, in one pass. The start cells are in bounds, free and
+    distinct (`sweeps` checks them).
 
     A free cell in several robots' disks goes to the lowest (dx^2 + dy^2,
     id): the exact square orders robots as `math.hypot` does. A robot's own
-    cell is at 0, so the robot keeps it and no other robot gets it.
+    cell is at 0, so the robot keeps it and no other robot gets it. An
+    occupied disk cell ORs its occlusion row into its robot's blocked mask
+    (what an out-of-bounds one occludes is out of bounds), and a blocked
+    cell leaves only its own robot's space, after the claims.
     """
     n = len(start)
     height, width = grid.prob.shape
@@ -450,20 +449,24 @@ def _candidate_spaces(
     owner: dict[tuple[int, int], int] = {}  # cell -> the lowest d2 * n + id that claims it
     for i, (cx, cy) in enumerate(start):
         disk = []
-        for dx, dy, d2 in moves:
+        blocked = 0
+        for dx, dy, d2, bit, row in moves:
             x, y = cx + dx, cy + dy
-            if 0 <= x < width and 0 <= y < height and free[y][x]:
-                c = (x, y)
-                claim = d2 * n + i
-                if claim < owner.setdefault(c, claim):
-                    owner[c] = claim
-                disk.append((c, claim))
-        disks.append(disk)
+            if 0 <= x < width and 0 <= y < height:
+                if free[y][x]:
+                    c = (x, y)
+                    claim = d2 * n + i
+                    if claim < owner.setdefault(c, claim):
+                        owner[c] = claim
+                    disk.append((c, claim, bit))
+                else:
+                    blocked |= row
+        disks.append((disk, blocked))
 
     spaces = []
     goal = config.goal if config.trim_backward else None
-    for own, disk in zip(start, disks):
-        space = [c for c, claim in disk if owner[c] == claim]
+    for own, (disk, blocked) in zip(start, disks):
+        space = [c for c, claim, bit in disk if owner[c] == claim and not blocked & bit]
         if goal is not None:
             gx, gy = goal[0] - own[0], goal[1] - own[1]
             if math.hypot(gx, gy) > 0:
@@ -500,10 +503,12 @@ def _sweep(
     spaces = _candidate_spaces(start, grid, config)
     values = None if static is None else _static_values(static)
     cliques_of = graph.cliques_of
+    # every cell of an update lies within the disk's radius of its robot's start
+    table = _pair_energies(iparams, _span(start) + 2 * math.isqrt(config.search_order))
 
     moved = 0
     for i, (own, space) in enumerate(zip(start, spaces)):
-        new = _best_cell(i, space, positions, cliques_of[i], values, iparams, config.goal)
+        new = _best_cell(i, space, positions, cliques_of[i], values, table, config.goal)
         if new != own:
             moved += 1
             positions[i] = Cell._make(new)  # candidates are plain tuples

@@ -121,8 +121,9 @@ def prune(paths: Sequence["DiscretePath"], grid: OccupancyGrid) -> list[PrunedPa
 
     From each anchor, extend the chord to the farthest later waypoint with
     line of sight. The single step to the next waypoint is kept even without
-    line of sight (ICM's candidate disk does not require it), so the result
-    never gains waypoints. A robot that never moves keeps a two-point path.
+    line of sight, so the result never gains waypoints; an ICM step always
+    has it, as ICM's candidates do. A robot that never moves keeps a
+    two-point path.
 
     A robot's chords do not depend on any other robot, so `plan` does not
     prune: it merges steps into transitions of the whole swarm, which take

@@ -6,13 +6,16 @@ A horizon's executed steps run shape to shape: each transition moves every
 robot along its straight chord from one anchor step to a later one, all on
 one smoothstep timing, so every robot is at rest at every anchor (the
 synchronized straight-line motion of CAPT, Turpin, Michael & Kumar, RSS
-2013). A transition is merged over several steps only where every chord has
-line of sight and every pair's exact least separation is at least `d_safe`.
-A single ICM step keeps every pair 1.0 cell apart by lemma (Y), the
-synchronous bound beside the separation lemma in `mrf` (checked
-exhaustively, not proven), and is still checked (`execute_fraction`).
-Nothing is pruned per robot, smoothed, validated on samples for
-separation, or scheduled.
+2013). Every transition, a single step included, passes the same two exact
+tests: every chord has line of sight, and every pair's exact least
+separation is at least `d_safe`. A single ICM step passes both: ICM's
+candidates have line of sight from their robot's cell (`mrf`), and lemma
+(Y), the synchronous bound beside the separation lemma in `mrf` (checked
+exhaustively, not proven), keeps every pair 1.0 cell apart. The tests
+still run on it (`execute_fraction`). A chord with line of sight puts no
+sample in an occupied cell, since every sample rounds into the chord's
+supercover. Nothing is pruned per robot, smoothed, validated on samples,
+or scheduled.
 
 The next horizon starts where the executed steps end, and
 an ICM sweep is a function of the positions it starts from, so a run's
@@ -47,7 +50,6 @@ from .trajopt import (
     T_FLOOR,
     UnrepairableError,
     Violation,
-    obstacle_hits,
     sample_transitions,
     transition_separations,
 )
@@ -173,14 +175,14 @@ def execute_fraction(
     From each anchor, the next is the farthest later executed step to which
     every robot's chord has line of sight and every pair keeps `d_safe` at
     its exact least separation (`trajopt.transition_separations`). The next
-    step is taken whatever its chords, since by lemma (Y) (module
-    docstring) a single ICM step keeps every pair 1.0 cell apart, which is
-    at least `d_safe` when `d_safe` is at most the grid resolution. It is
-    still checked: a pair closer than `d_safe` raises UnrepairableError
-    naming it, at the time the step starts, and a chord without line of
-    sight has its samples checked for obstacles on their `np.rint` cells,
-    as `trajopt.validate` does, which raises UnrepairableError naming each
-    hit. Merged chords have line of sight, so their samples cannot hit.
+    step passes both tests on ICM's steps (module docstring): its chords
+    have line of sight, and by lemma (Y) every pair keeps 1.0 cell, which is
+    at least `d_safe` when `d_safe` is at most the grid resolution. Lemma
+    (Y) is checked, not proven, so when no later step passes,
+    UnrepairableError names the next step's robots without line of sight
+    and its pairs closer than `d_safe`, at the time the step starts. Every
+    sample of a chord with line of sight rounds (`np.rint`, as
+    `trajopt.validate` does) into a free cell of its supercover.
 
     A transition lasts T = max(longest chord * resolution / v_nominal,
     `T_FLOOR`), and every robot runs its chord on one smoothstep timing
@@ -214,31 +216,21 @@ def execute_fraction(
         return list(zip(first[k].tolist(), second[k].tolist()))
 
     anchors, durations = [0], []
-    blind: set[int] = set()  # robots with a single step that lacks line of sight
     while anchors[-1] < e:
         a = anchors[-1]
-        j = next((j for j in range(e, a + 1, -1) if not unseen(a, j) and not close(a, j)), a + 1)
-        if j == a + 1:
-            pairs = close(a, j)
-            if pairs:
-                t = math.fsum(durations)
-                raise UnrepairableError(
-                    [Violation("separation", i, t, other=k) for i, k in pairs], "on a single step"
-                )
-            blind.update(unseen(a, j))
+        j = next((j for j in range(e, a, -1) if not unseen(a, j) and not close(a, j)), None)
+        if j is None:
+            t = math.fsum(durations)
+            raise UnrepairableError(
+                [Violation("obstacle", r, t) for r in unseen(a, a + 1)]
+                + [Violation("separation", i, t, other=k) for i, k in close(a, a + 1)],
+                "on a single step",
+            )
         longest = math.sqrt(float(((at[j] - at[a]) ** 2).sum(axis=1).max()))
         durations.append(max(longest * res / config.v_nominal, T_FLOOR))
         anchors.append(j)
 
     s = sample_transitions(at[anchors], durations, config.dt)
-    if blind:
-        robots = sorted(blind)
-        times = s.t.tolist()
-        hits = np.argwhere(obstacle_hits(s.pos[robots], grid)).tolist()
-        if hits:
-            raise UnrepairableError(
-                [Violation("obstacle", robots[r], times[n]) for r, n in hits], "on a single step"
-            )
     pruned = [PrunedPath(r, tuple(c[k] for k in anchors), tuple(anchors)) for r, c in enumerate(cells)]
     return ExecutionRecord(
         t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e, pruned=pruned

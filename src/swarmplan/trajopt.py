@@ -83,8 +83,8 @@ class TrajectoryError(RuntimeError):
 
 class UnrepairableError(TrajectoryError):
     """A horizon has no feasible trajectories: a single step of a swarm
-    transition comes closer than d_safe or puts a sample in an occupied
-    cell, a step of the execution schedule has no order, or the schedule
+    transition has a chord without line of sight or a pair closer than
+    d_safe, a step of the execution schedule has no order, or the schedule
     still fails validation.
 
     `violations` is the final report; the message names each one.
@@ -576,31 +576,26 @@ def transition_separations(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, dist
 
 
-def obstacle_hits(pos: np.ndarray, grid: OccupancyGrid) -> np.ndarray:
-    """Whether each sample of `pos` (..., 2) is in an occupied cell or off
-    the map: its rounded cell, with np.rint rounding half to even, as
-    round() does."""
-    cx, cy = np.rint(pos[..., 0]), np.rint(pos[..., 1])
-    hit = ~((cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height))
-    inside = ~hit
-    hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
-    return hit
-
-
 def validate(samples: TrajectorySamples, grid: OccupancyGrid, d_safe: float = 1.0) -> list[Violation]:
     """Report the obstacle hits and separation losses of trajectories
     sampled on a common grid by `sample_common`. Empty report = feasible.
 
     Samples are checked for obstacles and separation only, not against
-    chords or corridors. Distances are in meters (cell units times grid
-    resolution); robots past their final time hold their final position.
+    chords or corridors. A sample hits an obstacle when its rounded cell,
+    with np.rint rounding half to even as round() does, is occupied or off
+    the map. Distances are in meters (cell units times grid resolution);
+    robots past their final time hold their final position.
     """
     res = grid.resolution
     pos = samples.pos
 
     # per robot, by sample
     times = samples.t.tolist()
-    hits = np.argwhere(obstacle_hits(pos, grid)).tolist()
+    cx, cy = np.rint(pos[..., 0]), np.rint(pos[..., 1])
+    hit = ~((cx >= 0) & (cx < grid.width) & (cy >= 0) & (cy < grid.height))
+    inside = ~hit
+    hit[inside] = ~grid.free_mask()[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
+    hits = np.argwhere(hit).tolist()
     violations = [Violation("obstacle", r, times[n]) for r, n in hits]
 
     # then each pair i < j at its deepest encroachment, not the first

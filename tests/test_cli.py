@@ -2,6 +2,7 @@
 scenario generation, subcommand exit codes, and output-file determinism."""
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -433,21 +434,25 @@ def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
     )
 
 
-def test_plan_command_names_the_obstacle_hits_of_a_step_without_line_of_sight(tmp_path):
-    # an ICM candidate needs no line of sight from the robot's cell, so
-    # robots 0 and 1 each take a single step through an occupied cell, and
-    # its sampled obstacle check ends the run; a candidate filter that
-    # keeps line of sight changes this run on purpose
+def test_plan_command_reaches_the_goal_where_a_step_once_crossed_an_obstacle(tmp_path):
+    # every ICM candidate has line of sight from its robot's cell; before
+    # candidates were filtered for it, robots 0 and 1 each took a single
+    # step through an occupied cell here, and the run ended unrepairable
+    # after 5 horizons
     out = tmp_path / "run"
     code = run_command(["plan", "--scenario", "blocks", "--robots", "5", "--seed", "2",
                         "--k", "4", "--goal-amp", "16", "--out", str(out)])
-    assert code == EXIT_UNREPAIRABLE == 3
+    assert code == EXIT_OK
     summary = (out / "summary.txt").read_text().splitlines()
-    assert summary[:2] == ["status: unrepairable", "horizons: 5"]
-    reason = summary[-1]
-    assert reason.startswith("reason: 18 violation(s) on a single step: obstacle robot 0 at t=0.800; ")
-    named = {v.split(" at ")[0] for v in reason.split(": ", 2)[2].split("; ")}
-    assert named == {"obstacle robot 0", "obstacle robot 1"}
+    assert summary[:2] == ["status: goal-converged", "horizons: 12"]
+    config = dict(line.split(" = ") for line in (out / "config.txt").read_text().splitlines())
+    goal = float(config["goal_x"]), float(config["goal_y"])
+    last = {}
+    for row in (out / "discrete_paths.csv").read_text().splitlines()[1:]:
+        robot, _, x, y = row.split(",")
+        last[robot] = int(x), int(y)
+    farthest = max(math.hypot(x - goal[0], y - goal[1]) for x, y in last.values())
+    assert farthest == 2.0
 
 
 def test_mrf_only_command(tmp_path):

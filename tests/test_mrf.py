@@ -49,7 +49,7 @@ from swarmplan.mrf import (
     swarm_energy,
     sweeps,
 )
-from swarmplan.paths import point_segment_distance, segments_intersect
+from swarmplan.paths import line_of_sight, point_segment_distance, segments_intersect
 
 
 IPARAMS = InteractionParams()
@@ -383,6 +383,39 @@ def test_separation_check_sees_a_tie_kept_by_both(order):
     counts = separation_violations(order, ties_to_both=True)
     assert counts["clearance"] == 0
     assert counts["crossing"] > 0 and counts["synchronous"] > 0 and counts["cycle"] > 0
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 5, 9, 16, 25])
+def test_candidates_have_line_of_sight_and_keep_the_premise(order):
+    # [DERIVED] on random maps with 10-30% of cells occupied, every cell of
+    # `_candidate_spaces` has line of sight from its robot's start, and
+    # premise (P) of the separation lemma holds against every other start:
+    # no nearer that start than its own, and strictly nearer its own when
+    # the other robot has the lower id. A cell its robot cannot see still
+    # claims; were it dropped before the claims, (P) would fail here.
+    rng = np.random.default_rng(order)
+    blind = 0
+    for _ in range(40):
+        size = int(rng.integers(5, 15))
+        prob = np.where(rng.random((size, size)) < rng.uniform(0.1, 0.3), 1.0, 0.0)
+        grid = OccupancyGrid(prob=prob, resolution=1.0)
+        free = [Cell(x, y) for y in range(size) for x in range(size) if prob[y, x] == 0.0]
+        n = min(int(rng.integers(2, 10)), len(free))
+        start = [free[j] for j in rng.choice(len(free), n, replace=False)]
+        spaces = mrf._candidate_spaces(start, grid, OptimizeConfig(search_order=order))
+        state = SwarmState(positions=tuple(start), graph=None)
+        heuristics = apply_heuristics([local_search_space(grid, state, i, order) for i in range(n)], state)
+        for i, (s, space) in enumerate(zip(start, spaces)):
+            assert s in space
+            blind += len(heuristics[i]) - len(space)
+            for a in space:
+                assert line_of_sight(grid, s, a)
+                d2 = (a[0] - s[0]) ** 2 + (a[1] - s[1]) ** 2
+                for other in start[:i]:
+                    assert d2 < (a[0] - other[0]) ** 2 + (a[1] - other[1]) ** 2
+                for other in start[i + 1 :]:
+                    assert d2 <= (a[0] - other[0]) ** 2 + (a[1] - other[1]) ** 2
+    assert blind > 0 or order == 1  # the filter removed candidates
 
 
 def test_optimize_rejects_isolated_robot():
@@ -818,9 +851,9 @@ def test_optimize_reports_converged_only_after_a_zero_move_sweep(monkeypatch):
 
 def reference_sweep(sweep, start, grid, static, iparams, config, update_hook, heuristics=True):
     """[DERIVED] oracle: one sweep as the scalar functions give it: the
-    graph, `local_search_space` per robot, `apply_heuristics` (unless
-    `heuristics` is off), and one `icm_update` per robot with the robots
-    before it moved."""
+    graph, `local_search_space` per robot, `apply_heuristics` and then
+    `line_of_sight` from the robot's start (unless `heuristics` is off), and
+    one `icm_update` per robot with the robots before it moved."""
     n = len(start)
     positions = list(start)
     graph = build_interaction_graph(start, config.k, config.r_comm)
@@ -830,6 +863,7 @@ def reference_sweep(sweep, start, grid, static, iparams, config, update_hook, he
     spaces = [local_search_space(grid, state, i, config.search_order) for i in range(n)]
     if heuristics:
         spaces = apply_heuristics(spaces, state, config.goal, config.trim_backward)
+        spaces = [[c for c in space if line_of_sight(grid, s, c)] for s, space in zip(start, spaces)]
     moved = 0
     for i in range(n):
         state = SwarmState(positions=tuple(positions), graph=graph)

@@ -4,6 +4,7 @@ validation of crafted infeasible plans, and the execution schedule that
 repair builds from discrete steps."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ from scipy.integrate import simpson
 
 from swarmplan import trajopt
 from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
-from swarmplan.grid import Cell, OccupancyGrid
+from swarmplan.grid import Cell, OccupancyGrid, disk_offsets
 from swarmplan.mrf import OptimizeConfig, make_state, optimize
-from swarmplan.paths import point_segment_distance, segments_intersect
+from swarmplan.paths import line_of_sight, point_segment_distance, segments_intersect, supercover_cells
 from swarmplan.trajopt import (
     DIST_TOL,
     PolynomialTrajectory,
     QuadraticProgram,
     SmoothingProblem,
     TimeAllocation,
+    TrajectorySamples,
     UnrepairableError,
     Violation,
     _PERM,
@@ -480,11 +482,10 @@ def has_cycle(edges):
     return bool(nodes)
 
 
-def check_forced_schedule(steps, grid, d_safe):
-    """Repair on `steps` either raises naming pairs whose precedences close
-    a cycle at the first step without an order, or gives trajectories with
-    no separation violation (obstacle hits belong to the steps' straight
-    moves, not to the schedule)."""
+def forced_schedule_report(steps, grid, d_safe):
+    """Repair on `steps`: None when it raises naming pairs whose
+    precedences close a cycle at the first step without an order, or else
+    the `validate` report of the schedule's trajectories."""
     res = grid.resolution
     probs = [make_problem(r, cells) for r, cells in enumerate(steps)]
     try:
@@ -500,10 +501,8 @@ def check_forced_schedule(steps, grid, d_safe):
         edges = next(g for g in graphs if has_cycle(g))
         named = {frozenset((v.robot, v.other)) for v in exc.violations}
         assert has_cycle({e for e in edges if frozenset(e) in named})
-        return "no order"
-    report = validate(sample_common([p.solve() for p in probs], 0.05), grid, d_safe=d_safe)
-    assert not [v for v in report if v.kind != "obstacle"]
-    return "scheduled"
+        return None
+    return validate(sample_common([p.solve() for p in probs], 0.05), grid, d_safe=d_safe)
 
 
 def random_map(rng, res):
@@ -545,24 +544,61 @@ def test_forced_schedule_of_icm_steps(seed, robots, sweeps, res, d_safe_share, o
     # forced on them whether or not smoothing would have passed. By the
     # separation lemma (`mrf`) no move waits on another robot's start; that
     # the remaining waits never close a cycle is pinned here, not proven.
+    # ICM moves have line of sight, so the schedule hits no obstacle either.
     grid, steps = icm_steps(seed, robots, sweeps, res, order)
     if len(steps[0]) > 1:
-        assert check_forced_schedule(steps, grid, d_safe_share * res) == "scheduled"
+        assert forced_schedule_report(steps, grid, d_safe_share * res) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(**icm_args)
 def test_single_icm_steps_pass_the_exact_separation_test(seed, robots, sweeps, res, d_safe_share, order):
     # lemma (Y) in `mrf`, checked, not proven: the whole swarm making one
-    # ICM step on one timing keeps every pair 1.0 cell apart, so the single
-    # step that `rhp.execute_fraction` always takes never fails its exact
-    # test at any d_safe up to the grid resolution
+    # ICM step on one timing keeps every pair 1.0 cell apart, and every
+    # chord has line of sight, so a single step never fails the exact tests
+    # of `rhp.execute_fraction` at any d_safe up to the grid resolution
     grid, steps = icm_steps(seed, robots, sweeps, res, order)
     at = np.array(steps).transpose(1, 0, 2)  # (steps, robots, 2)
     for a, b in zip(at, at[1:]):
         _, _, dist = trajopt.transition_separations(a, b)
         assert dist.min() >= 1.0
         assert dist.min() * res >= d_safe_share * res - DIST_TOL
+    for path in steps:
+        cells = [Cell(int(x), int(y)) for x, y in path]
+        assert all(line_of_sight(grid, c, d) for c, d in zip(cells, cells[1:]))
+
+
+def half_cell_crossings(a, b):
+    """[DERIVED] the points where the chord a -> b crosses a line x = k + 1/2
+    or y = k + 1/2, in exact arithmetic, so the ties of rounding on it."""
+    (ax, ay), (bx, by) = a, b
+    points = []
+    for u0, v0, du, dv, swap in ((ax, ay, bx - ax, by - ay, False), (ay, ax, by - ay, bx - ax, True)):
+        for k in range(min(0, du), max(0, du)):
+            u = Fraction(2 * k + 1, 2)  # the crossing at u0 + u
+            p = (u0 + u, v0 + dv * u / du)
+            points.append(tuple(map(float, p[::-1] if swap else p)))
+    return points
+
+
+def test_chord_samples_round_into_its_supercover():
+    # every disk offset up to order 25, from a cell in the middle of a map
+    # where only the chord's supercover is free: `sample_transitions`
+    # samples of the chord and its half-cell ties all round (np.rint, half
+    # to even) into free cells, so a chord with line of sight never hits
+    start = Cell(5, 5)
+    for dx, dy in disk_offsets(25):
+        end = Cell(start.x + dx, start.y + dy)
+        prob = np.ones((11, 11))
+        for c in supercover_cells(start, end):
+            prob[c.y, c.x] = 0.0
+        grid = OccupancyGrid(prob=prob, resolution=1.0)
+        s = trajopt.sample_transitions(np.array([[start], [end]], dtype=float), [1.0], 0.001)
+        ties = half_cell_crossings(start, end)
+        pos = np.concatenate([s.pos[0], np.reshape(ties, (-1, 2))])[None]
+        samples = TrajectorySamples(t=np.arange(pos.shape[1], dtype=float), pos=pos, vel=pos, acc=pos)
+        assert validate(samples, grid) == []
+        assert len(ties) == abs(dx) + abs(dy)
 
 
 def random_transition(rng, robots):
@@ -641,11 +677,13 @@ def random_steps(rng, cells, count):
 @given(seed=st.integers(0, 2**32 - 1), robots=st.integers(2, 6), res=st.sampled_from([0.5, 1.0, 2.0]))
 def test_forced_schedule_of_random_steps(seed, robots, res):
     # two steps of random moves of up to two cells between distinct cells,
-    # so some steps have no order
+    # so some steps have no order; obstacle hits belong to the steps'
+    # straight moves, which need no line of sight here, not to the schedule
     rng = np.random.default_rng(seed)
     grid, free = random_map(rng, res)
     cells = [free[i] for i in rng.choice(len(free), size=robots, replace=False)]
-    check_forced_schedule(random_steps(rng, cells, 2), grid, res)
+    report = forced_schedule_report(random_steps(rng, cells, 2), grid, res)
+    assert report is None or not [v for v in report if v.kind != "obstacle"]
 
 
 # coordinates on half cells, anywhere in a wide range (subnormals too), and
