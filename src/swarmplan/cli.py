@@ -34,7 +34,6 @@ from .fields import (
 from .graph import build_interaction_graph  # noqa: F401
 from .grid import Cell, OccupancyGrid, load_map, threshold_map
 from .mrf import OptimizeConfig, make_state, optimize
-from .paths import PrunedPath
 from .trajopt import SmoothingProblem, TrajectoryError, allocate_times, sample, solve_problems
 
 EXIT_OK = 0
@@ -373,12 +372,15 @@ def write_discrete_csv(path: Path, discrete):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_pruned_csv(path: Path, pruned_log):
+def write_pruned_csv(path: Path, discrete, anchors):
     lines = ["robot,waypoint_index,x,y,source_step"]
-    for horizon in pruned_log:
-        for p in horizon:
-            for w, (c, s) in enumerate(zip(p.waypoints, p.source_steps)):
-                lines.append(f"{p.robot},{w},{c[0]},{c[1]},{s}")
+    first = 0  # the horizon's first step in `discrete`
+    for steps in anchors:
+        for r, cells in enumerate(discrete):
+            for w, s in enumerate(steps):
+                c = cells[first + s]
+                lines.append(f"{r},{w},{c[0]},{c[1]},{s}")
+        first += steps[-1]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -409,7 +411,7 @@ def write_run_outputs(out: Path, result: rhp.RunResult, cfg: ScenarioConfig, res
     out.mkdir(parents=True, exist_ok=True)
     write_energy_csv(out / "energy.csv", result.energies, result.moved_counts)
     write_discrete_csv(out / "discrete_paths.csv", result.discrete)
-    write_pruned_csv(out / "pruned_paths.csv", result.pruned)
+    write_pruned_csv(out / "pruned_paths.csv", result.discrete, result.anchors)
     write_trajectories_csv(out / "trajectories.csv", result)
     if result.pos.shape[1] > 0:
         m = rhp.metrics(result, resolution)
@@ -616,7 +618,7 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, TrajectoryError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError, TrajectoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,6 +75,27 @@ class OccupancyGrid:
     def free_mask(self) -> np.ndarray:
         """Boolean [y, x] mask of free cells."""
         return self.prob < OCCUPIED_THRESHOLD
+
+
+class _LastSeen:
+    """Cache of `build(obj)` for the last object it was asked about, matched
+    by identity. It keeps that one object alive, so its id cannot be reused,
+    and lets it go as soon as another object is asked about."""
+
+    def __init__(self, build: Callable):
+        self._build = build
+        self._slot: tuple = (self, None)  # a key no caller passes
+
+    def __call__(self, obj):
+        key, value = self._slot
+        if key is not obj:
+            value = self._build(obj)
+            self._slot = (obj, value)
+        return value
+
+
+# The grid's free mask as nested lists of bools ([y][x]).
+_free_mask = _LastSeen(lambda grid: grid.free_mask().tolist())
 
 
 @dataclass(frozen=True)

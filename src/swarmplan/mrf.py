@@ -53,12 +53,13 @@ stay 1.0 apart; checked, not proven) exhaustively in integer arithmetic.
 `trajopt.repair` relies on (S1).
 
 Two one-slot caches serve the sweep: the static field's values as Python
-floats, and the map's free mask as Python bools. Each is keyed by the
-identity of the last field or grid it saw and holds only that one, so a
-process that plans on many scenarios keeps one map's worth, not one per
-scenario; holding the object also keeps its id from being reused. Nothing
-is cached by robot position, so a sweep costs the same whether or not ICM
-has visited its state before.
+floats, here, and the map's free mask as Python bools, in `grid`, where
+`paths.line_of_sight` reads it too. Each is keyed by the identity of the
+last field or grid it saw and holds only that one, so a process that plans
+on many scenarios keeps one map's worth, not one per scenario; holding the
+object also keeps its id from being reused. Nothing is cached by robot
+position, so a sweep costs the same whether or not ICM has visited its
+state before.
 
 A sweep is a function of the positions it starts from (and of the map,
 fields and config), so the sweeps from one start form one stream:
@@ -82,7 +83,7 @@ from typing import Callable, Iterator, Sequence
 
 from .fields import InteractionParams, ScalarField, interaction_energy
 from .graph import InteractionGraph, build_interaction_graph, check_connectivity_condition
-from .grid import Cell, OccupancyGrid, _disk, disk_cells
+from .grid import Cell, OccupancyGrid, _disk, _free_mask, _LastSeen, disk_cells
 from .paths import segments_intersect, supercover_cells
 
 
@@ -176,28 +177,9 @@ class DiscretePath:
     cells: tuple[Cell, ...]
 
 
-class _LastSeen:
-    """Cache of `build(obj)` for the last object it was asked about, matched
-    by identity. It keeps that one object alive, so its id cannot be reused,
-    and lets it go as soon as another object is asked about."""
-
-    def __init__(self, build: Callable):
-        self._build = build
-        self._slot: tuple = (self, None)  # a key no caller passes
-
-    def __call__(self, obj):
-        key, value = self._slot
-        if key is not obj:
-            value = self._build(obj)
-            self._slot = (obj, value)
-        return value
-
-
 # Static-field values as nested lists of Python floats ([y][x]): the same
 # floats `ScalarField.at` returns, without a numpy scalar per read.
 _static_values = _LastSeen(lambda static: static.value.tolist())
-# The grid's free mask as nested lists of bools ([y][x]).
-_free_mask = _LastSeen(lambda grid: grid.free_mask().tolist())
 
 
 def local_search_space(

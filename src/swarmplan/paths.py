@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .grid import Cell, OccupancyGrid
+from .grid import Cell, OccupancyGrid, _free_mask
 
 if TYPE_CHECKING:
     from .mrf import DiscretePath
@@ -54,8 +54,10 @@ def supercover_cells(a: Cell, b: Cell) -> list[Cell]:
 
 def line_of_sight(grid: OccupancyGrid, a: Cell, b: Cell) -> bool:
     """True iff every supercover cell of the segment a->b is in bounds and free."""
-    for c in supercover_cells(a, b):
-        if not grid.in_bounds(c) or not grid.is_free(c):
+    free = _free_mask(grid)
+    height, width = grid.prob.shape
+    for x, y in supercover_cells(a, b):
+        if not (0 <= x < width and 0 <= y < height and free[y][x]):
             return False
     return True
 

@@ -1,6 +1,8 @@
 """Receding-horizon driver: plan a few MRF sweeps ahead, then execute a
 fraction of that plan as transitions of the whole swarm between formation
-shapes, looped until the swarm reaches the goal.
+shapes, looped until the swarm reaches the goal. A horizon is a list of
+swarm states, each the tuple of every robot's cell after a sweep; only the
+outputs list cells robot by robot (`RunResult.discrete`).
 
 A horizon's executed steps run shape to shape: each transition moves every
 robot along its straight chord from one anchor step to a later one, all on
@@ -39,10 +41,10 @@ import numpy as np
 
 from .fields import InteractionParams, ScalarField
 from .grid import Cell, OccupancyGrid
-from .mrf import DiscretePath, OptimizeConfig, Sweep, make_state, swarm_energy, sweeps
+from .mrf import OptimizeConfig, Sweep, make_state, swarm_energy, sweeps
 # not called here: perfbench's trace patches these names in this module too
 from .mrf import optimize  # noqa: F401
-from .paths import PrunedPath, line_of_sight
+from .paths import line_of_sight
 from .paths import prune  # noqa: F401
 from .trajopt import smooth_and_validate  # noqa: F401
 from .trajopt import (
@@ -102,39 +104,36 @@ class RhpConfig:
 @dataclass
 class HorizonPlan:
     """One horizon's lookahead: its sweeps, carried or newly computed, and
-    the discrete paths through the states they end in (a sweep that moves no
-    robot adds no step). `execute_fraction` turns the part it executes into
-    swarm transitions."""
+    the swarm states it steps through, the start first and then the state
+    each moving sweep ends in (a sweep that moves no robot adds no step).
+    `execute_fraction` runs the first steps as swarm transitions."""
 
-    discrete: list[DiscretePath]
+    states: list[tuple[Cell, ...]]
     sweeps: list[Sweep]
 
     @property
     def terminal(self) -> bool:
         """No robot moved: the swarm is at a fixed point of ICM."""
-        return len(self.discrete[0].cells) == 1
+        return len(self.states) == 1
 
 
 @dataclass
 class ExecutionRecord:
-    """Executed portion of a horizon, sampled on one time grid.
-    `steps` is the number of discrete steps each robot advanced; `pruned`
-    holds, per robot, its cell at every transition anchor, with the anchors'
-    steps (0 first, `steps` last) as `source_steps`, the same for every
-    robot."""
+    """Executed portion of a horizon, sampled on one time grid. `anchors`
+    are the steps its transitions run between, 0 first and the last
+    executed step last: every robot is at rest at each of them."""
 
     t: np.ndarray
     pos: np.ndarray  # (robots, samples, 2)
     vel: np.ndarray
     acc: np.ndarray
-    end_cells: tuple[Cell, ...]
-    steps: int
-    pruned: list[PrunedPath]
+    anchors: tuple[int, ...]
 
 
 @dataclass
 class RunResult:
-    """Concatenated executed run."""
+    """Concatenated executed run: its executed swarm states, listed robot by
+    robot, and each executed horizon's anchor steps."""
 
     status: str
     horizons: int
@@ -146,7 +145,7 @@ class RunResult:
     moved_counts: list[int]  # per executed sweep
     sweep_seconds: list[float]  # per executed sweep, and a final zero-move one
     discrete: list[list[Cell]]  # executed cells per robot, all horizons
-    pruned: list[list[PrunedPath]]  # transition anchors, per executed horizon
+    anchors: list[tuple[int, ...]]  # per executed horizon, steps from its start
     reason: str | None = None  # the UnrepairableError message of an unrepairable run
 
 
@@ -162,15 +161,13 @@ def plan_horizon(
     """
     read = carried + list(islice(stream, horizon - len(carried)))
     # only a stream's last sweep can move no robot
-    steps = zip(start, *(s.positions for s in read if s.moved))
-    return HorizonPlan([DiscretePath(i, cells) for i, cells in enumerate(steps)], read)
+    return HorizonPlan([tuple(start), *(s.positions for s in read if s.moved)], read)
 
 
-def execute_fraction(
-    plan: HorizonPlan, fraction: float, scenario: Scenario, config: RhpConfig
-) -> ExecutionRecord:
-    """Advance each robot ceil(fraction * steps) discrete steps, as
-    transitions of the whole swarm from one anchor step to a later one.
+def execute_fraction(plan: HorizonPlan, scenario: Scenario, config: RhpConfig) -> ExecutionRecord:
+    """Advance the swarm ceil(`config.execution_fraction` * steps) of the
+    plan's steps, as transitions of the whole swarm from one anchor step to
+    a later one. A terminal plan has no step to execute: ValueError.
 
     From each anchor, the next is the farthest later executed step to which
     every robot's chord has line of sight and every pair keeps `d_safe` at
@@ -189,25 +186,17 @@ def execute_fraction(
     (`trajopt.sample_transitions`), at rest at every anchor. The horizon is
     sampled in closed form on one grid.
     """
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must lie in (0, 1]")
-    steps = len(plan.discrete[0].cells) - 1
-    e = max(1, math.ceil(fraction * steps)) if steps > 0 else 0
-    end_cells = tuple(p.cells[min(e, steps)] for p in plan.discrete)
-    if e == 0:
-        empty = np.zeros((len(plan.discrete), 0, 2))
-        return ExecutionRecord(
-            t=np.zeros(0), pos=empty, vel=empty.copy(), acc=empty.copy(),
-            end_cells=end_cells, steps=0, pruned=[],
-        )
-
-    grid, res = scenario.grid, scenario.grid.resolution
-    cells = [p.cells[: e + 1] for p in plan.discrete]
-    at = np.array(cells, dtype=float).transpose(1, 0, 2)  # (steps + 1, robots, 2)
+    if plan.terminal:
+        raise ValueError("a terminal plan has no step to execute")
+    # a fraction in (0, 1] of at least one step: 1 <= e <= steps
+    e = math.ceil(config.execution_fraction * (len(plan.states) - 1))
+    grid, res, states = scenario.grid, scenario.grid.resolution, plan.states
+    at = np.array(states[: e + 1], dtype=float)  # (steps + 1, robots, 2)
 
     def unseen(a: int, j: int) -> list[int]:
         """The robots whose chord from step a to step j lacks line of sight."""
-        return [r for r, c in enumerate(cells) if c[a] != c[j] and not line_of_sight(grid, c[a], c[j])]
+        pairs = enumerate(zip(states[a], states[j]))
+        return [r for r, (p, q) in pairs if p != q and not line_of_sight(grid, p, q)]
 
     def close(a: int, j: int) -> list[tuple[int, int]]:
         """The pairs that come closer than d_safe from step a to step j."""
@@ -231,10 +220,7 @@ def execute_fraction(
         anchors.append(j)
 
     s = sample_transitions(at[anchors], durations, config.dt)
-    pruned = [PrunedPath(r, tuple(c[k] for k in anchors), tuple(anchors)) for r, c in enumerate(cells)]
-    return ExecutionRecord(
-        t=s.t, pos=s.pos, vel=s.vel, acc=s.acc, end_cells=end_cells, steps=e, pruned=pruned
-    )
+    return ExecutionRecord(s.t, s.pos, s.vel, s.acc, tuple(anchors))
 
 
 def _all_at_goal(positions: Sequence[Cell], goal, radius: float) -> bool:
@@ -243,7 +229,8 @@ def _all_at_goal(positions: Sequence[Cell], goal, radius: float) -> bool:
 
 def run(scenario: Scenario, config: RhpConfig) -> RunResult:
     """Plan-execute loop until goal convergence, a swarm fixed point, a
-    closed cycle, the horizon cap, or an unrepairable plan.
+    closed cycle, the horizon cap, or an unrepairable plan. It keeps the
+    executed swarm states and lists them robot by robot at the end.
 
     Raises ValueError when `d_safe` exceeds the grid resolution: distinct
     cells, and by lemma (Y) a single ICM step, keep 1.0 cell between robots
@@ -255,17 +242,12 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
         )
     state = make_state(scenario.start, scenario.grid, config.mrf.k, config.mrf.r_comm)
     positions = state.positions
-    n = len(positions)
+    states = [positions]  # executed swarm states, all horizons
 
-    all_t: list[np.ndarray] = []
-    all_pos: list[np.ndarray] = []
-    all_vel: list[np.ndarray] = []
-    all_acc: list[np.ndarray] = []
+    executed: list[ExecutionRecord] = []  # each horizon's, on the run's clock
     energies: list[float] = []
     moved_counts: list[int] = []
     sweep_seconds: list[float] = []
-    discrete: list[list[Cell]] = [[c] for c in positions]
-    pruned_log: list[list[PrunedPath]] = []
     t_offset = 0.0
     status = STATUS_MAX_HORIZONS
     horizons = 0
@@ -294,57 +276,40 @@ def run(scenario: Scenario, config: RhpConfig) -> RunResult:
             break
 
         try:
-            record = execute_fraction(plan, config.execution_fraction, scenario, config)
+            record = execute_fraction(plan, scenario, config)
         except UnrepairableError as exc:
             status = STATUS_UNREPAIRABLE
             reason = str(exc)
             break
-        e = record.steps
+        e = record.anchors[-1]
         done, carried = plan.sweeps[:e], plan.sweeps[e:]
         energies.extend(s.energy for s in done)
         moved_counts.extend(s.moved for s in done)
         sweep_seconds.extend(s.seconds for s in done)
         closed = done[-1].last
-        pruned_log.append(record.pruned)
-        if len(record.t):
-            all_t.append(record.t + t_offset)
-            all_pos.append(record.pos)
-            all_vel.append(record.vel)
-            all_acc.append(record.acc)
-            t_offset += float(record.t[-1]) + config.dt
-
-        for r in range(n):
-            discrete[r].extend(plan.discrete[r].cells[1 : e + 1])
-        positions = record.end_cells
+        executed.append(replace(record, t=record.t + t_offset))
+        t_offset += float(record.t[-1]) + config.dt
+        states.extend(plan.states[1 : e + 1])
+        positions = states[-1]
 
     if scenario.goal is not None and status == STATUS_MAX_HORIZONS and _all_at_goal(
         positions, scenario.goal, config.goal_radius
     ):
         status = STATUS_GOAL
 
-    if all_t:
-        t = np.concatenate(all_t)
-        pos = np.concatenate(all_pos, axis=1)
-        vel = np.concatenate(all_vel, axis=1)
-        acc = np.concatenate(all_acc, axis=1)
-    else:
-        t = np.zeros(0)
-        pos = np.zeros((n, 0, 2))
-        vel = np.zeros((n, 0, 2))
-        acc = np.zeros((n, 0, 2))
-
+    empty = np.zeros((len(states[0]), 0, 2))
     return RunResult(
         status=status,
         horizons=horizons,
-        t=t,
-        pos=pos,
-        vel=vel,
-        acc=acc,
+        t=np.concatenate([np.zeros(0), *(r.t for r in executed)]),
+        pos=np.concatenate([empty, *(r.pos for r in executed)], axis=1),
+        vel=np.concatenate([empty, *(r.vel for r in executed)], axis=1),
+        acc=np.concatenate([empty, *(r.acc for r in executed)], axis=1),
         energies=energies,
         moved_counts=moved_counts,
         sweep_seconds=sweep_seconds,
-        discrete=discrete,
-        pruned=pruned_log,
+        discrete=[list(cells) for cells in zip(*states)],
+        anchors=[r.anchors for r in executed],
         reason=reason,
     )
 

@@ -418,6 +418,57 @@ def test_plan_outputs_record_each_executed_sweep_once(tmp_path):
     assert summary[3] == f"final_energy: {energy[-1].split(',')[1]}"
 
 
+def test_pruned_paths_list_each_horizons_anchors_in_the_discrete_cells(tmp_path):
+    # corridor N=5 seed 0 runs 12 horizons: in each, every robot lists the
+    # same anchor steps from 0, at its own cell that many steps into the
+    # horizon, and the last anchor of the last horizon is the last step
+    out = tmp_path / "run"
+    assert run_command(["plan", "--scenario", "corridor", "--robots", "5", "--seed", "0",
+                        "--out", str(out)]) == EXIT_OK
+    cells: dict[int, list[tuple[int, int]]] = {}
+    for row in (out / "discrete_paths.csv").read_text().splitlines()[1:]:
+        r, _, x, y = map(int, row.split(","))
+        cells.setdefault(r, []).append((x, y))
+    horizons: list[dict[int, list[tuple[int, int, int]]]] = []
+    for row in (out / "pruned_paths.csv").read_text().splitlines()[1:]:
+        r, w, x, y, s = map(int, row.split(","))
+        if r == 0 and w == 0:
+            horizons.append({})
+        horizons[-1].setdefault(r, []).append((x, y, s))
+    assert len(horizons) == 12
+    first = 0  # the horizon's first step
+    for horizon in horizons:
+        assert sorted(horizon) == sorted(cells)
+        steps = [s for _, _, s in horizon[0]]
+        assert steps[0] == 0
+        for r, rows in horizon.items():
+            assert [s for _, _, s in rows] == steps
+            assert [(x, y) for x, y, _ in rows] == [cells[r][first + s] for s in steps]
+        first += steps[-1]
+    assert first == len(cells[0]) - 1
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["plan", "--scenario", "corridor", "--max-horizons", "1"], rhp, "run"),
+    (["smooth", "--waypoints", "{wp}"], cli, "sample"),
+])
+def test_a_sample_grid_too_large_to_allocate_is_an_error_line(argv, owner, name, tmp_path, capsys, monkeypatch):
+    # a tiny --dt asks numpy for more memory than there is; the stand-in
+    # raises numpy's message without allocating anything
+    wp = tmp_path / "wp.csv"
+    wp.write_text("robot,x,y\n0,2,2\n0,8,2\n")
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (4000000001,)")
+
+    monkeypatch.setattr(owner, name, too_large)
+    argv = [a.format(wp=wp) for a in argv] + ["--dt", "1e-9", "--out", str(tmp_path / "o")]
+    assert run_command(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 29.8 GiB for an array with shape (4000000001,)\n"
+    )
+
+
 def test_plan_command_writes_unrepairable_reason(tmp_path, monkeypatch):
     def failing_execute(*args, **kwargs):
         raise UnrepairableError([Violation("separation", 0, 3.1, other=8)])

@@ -126,6 +126,25 @@ def test_line_of_sight_free_and_blocked():
 def test_line_of_sight_out_of_bounds_is_false():
     grid = OccupancyGrid(prob=np.zeros((3, 3)), resolution=1.0)
     assert not line_of_sight(grid, Cell(0, 0), Cell(4, 0))
+    # a negative index is off the map, not a row from its other end
+    assert not line_of_sight(grid, Cell(0, 0), Cell(-1, 0))
+    assert not line_of_sight(grid, Cell(1, 1), Cell(1, -2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    a=st.tuples(st.integers(-2, 7), st.integers(-2, 6)),
+    b=st.tuples(st.integers(-2, 7), st.integers(-2, 6)),
+)
+def test_line_of_sight_reads_the_grid_as_is_free_does(seed, a, b):
+    # probabilities on both sides of the 0.5 threshold and on it, and a
+    # fresh grid each example, so the cached free mask must follow the grid
+    values, weights = [0.0, 0.49, 0.5, 0.51, 1.0], [0.6, 0.1, 0.1, 0.1, 0.1]
+    prob = np.random.default_rng(seed).choice(values, size=(5, 6), p=weights)
+    grid = OccupancyGrid(prob=prob, resolution=1.0)
+    expected = all(grid.in_bounds(c) and grid.is_free(c) for c in supercover_cells(a, b))
+    assert line_of_sight(grid, Cell(*a), Cell(*b)) == expected
 
 
 def test_segments_intersect_proper_crossing():

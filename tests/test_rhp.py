@@ -16,8 +16,8 @@ from swarmplan import cli
 from swarmplan.fields import GoalParams, InteractionParams, build_goal_field
 from swarmplan.grid import Cell, OccupancyGrid
 from swarmplan import mrf, rhp, trajopt
-from swarmplan.mrf import DiscretePath, OptimizeConfig, make_state
-from swarmplan.paths import line_of_sight, point_segment_distance
+from swarmplan.mrf import OptimizeConfig, make_state
+from swarmplan.paths import PrunedPath, line_of_sight, point_segment_distance
 from swarmplan.rhp import (
     HorizonPlan,
     RhpConfig,
@@ -57,6 +57,15 @@ def small_config(**kw):
     return RhpConfig(**defaults)
 
 
+# executes every step of a plan
+WHOLE = small_config(execution_fraction=1.0)
+
+
+def paths_plan(*paths):
+    """A plan, with no sweeps, through the given per-robot cell lists."""
+    return HorizonPlan(states=[tuple(Cell(*c) for c in step) for step in zip(*paths)], sweeps=[])
+
+
 def first_plan(sc, cfg):
     """The plan of a run's first horizon: `planning_horizon` sweeps of a
     fresh stream from the start, with nothing carried."""
@@ -92,9 +101,9 @@ def test_plan_horizon_produces_consistent_plan():
     sc = free_scenario()
     cfg = small_config()
     plan = first_plan(sc, cfg)
-    n = len(sc.start)
-    assert len(plan.discrete) == n
-    steps = len(plan.discrete[0].cells) - 1
+    assert plan.states[0] == sc.start
+    assert all(len(state) == len(sc.start) for state in plan.states)
+    steps = len(plan.states) - 1
     assert 1 <= steps <= cfg.planning_horizon
     assert len(plan.sweeps) == cfg.planning_horizon
     assert not plan.terminal
@@ -114,7 +123,7 @@ def test_plan_horizon_terminal_at_fixed_point():
     fixed = dataclasses.replace(sc, start=end.positions)
     plan = first_plan(fixed, cfg)
     assert plan.terminal
-    assert [p.cells for p in plan.discrete] == [(c,) for c in end.positions]
+    assert plan.states == [end.positions]
     assert [(s.moved, s.last) for s in plan.sweeps] == [(0, True)]
     result = run(fixed, cfg)
     assert (result.status, result.horizons) == (rhp.STATUS_GOAL, 1)
@@ -127,15 +136,13 @@ def test_execute_fraction_step_count():
     sc = free_scenario()
     cfg = small_config()
     plan = first_plan(sc, cfg)
-    steps = len(plan.discrete[0].cells) - 1
-    record = execute_fraction(plan, 0.5, sc, cfg)
+    steps = len(plan.states) - 1
+    record = execute_fraction(plan, sc, cfg)
     e = max(1, math.ceil(0.5 * steps))
-    assert record.steps == e
-    for r, p in enumerate(plan.discrete):
-        assert record.end_cells[r] == p.cells[e]
-    # samples start at the current positions and end at the end cells
+    assert record.anchors[-1] == e
+    # samples start at the current positions and end at the executed state
     assert np.allclose(record.pos[:, 0, :], [tuple(c) for c in sc.start], atol=1e-6)
-    assert np.allclose(record.pos[:, -1, :], [tuple(c) for c in record.end_cells], atol=1e-6)
+    assert np.allclose(record.pos[:, -1, :], [tuple(c) for c in plan.states[e]], atol=1e-6)
 
 
 def corner_scenario(starts=((2, 2), (9, 9))):
@@ -152,17 +159,10 @@ def test_execute_fraction_holds_finished_robot_at_rest():
     # transitions; robot 1 makes its one move in the first and must then
     # hold its cell at rest through the second.
     sc = corner_scenario()
-    plan = HorizonPlan(
-        discrete=[
-            DiscretePath(0, [Cell(2, 2), Cell(3, 2), Cell(4, 2), Cell(4, 3), Cell(4, 4)]),
-            DiscretePath(1, [Cell(9, 9), Cell(9, 10), Cell(9, 10), Cell(9, 10), Cell(9, 10)]),
-        ],
-        sweeps=[],
-    )
-    record = execute_fraction(plan, 1.0, sc, small_config())
-    assert record.steps == 4
-    assert record.end_cells == (Cell(4, 4), Cell(9, 10))
-    assert [p.source_steps for p in record.pruned] == [(0, 2, 4)] * 2
+    plan = paths_plan([(2, 2), (3, 2), (4, 2), (4, 3), (4, 4)], [(9, 9), (9, 10), (9, 10), (9, 10), (9, 10)])
+    record = execute_fraction(plan, sc, WHOLE)
+    assert record.anchors == (0, 2, 4)
+    assert plan.states[record.anchors[-1]] == (Cell(4, 4), Cell(9, 10))
     done = record.t > 2.0  # the first transition's longest chord is 2 cells
     assert done.any() and not done.all()
     held = record.pos[1, done]
@@ -191,14 +191,9 @@ def test_execute_fraction_evaluates_each_validated_pass_once(lanes, split, monke
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
-    plan = HorizonPlan(
-        discrete=[DiscretePath(r, [Cell(*c) for c in cells]) for r, cells in enumerate(lanes)],
-        sweeps=[],
-    )
-    record = execute_fraction(plan, 1.0, free_scenario(goal=None), small_config())
-    assert record.steps == 12
+    record = execute_fraction(paths_plan(*lanes), free_scenario(goal=None), WHOLE)
     assert calls == Counter(sample_transitions=1)
-    anchors = record.pruned[0].source_steps
+    anchors = record.anchors
     assert (anchors[0], anchors[-1]) == (0, 12)
     assert (len(anchors) > 2) == split
     # every transition keeps the pair d_safe apart, in the samples too
@@ -218,7 +213,7 @@ def test_run_samples_once_per_executed_horizon(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     result = run(free_scenario(), small_config())
     assert result.horizons > 1
-    assert calls == Counter(sample_transitions=len(result.pruned))
+    assert calls == Counter(sample_transitions=len(result.anchors))
 
 
 def test_plan_horizon_does_not_prune(monkeypatch):
@@ -230,8 +225,8 @@ def test_plan_horizon_does_not_prune(monkeypatch):
 
 
 def test_run_logs_the_anchors_of_each_executed_horizon(monkeypatch):
-    # each executed horizon logs, per robot, its cell at every transition
-    # anchor, with the anchor's step counted from the horizon's start
+    # each executed horizon logs its transition anchors, steps counted from
+    # the horizon's start, and the swarm rests at its last executed state
     records = []
     real_execute = rhp.execute_fraction
 
@@ -242,16 +237,15 @@ def test_run_logs_the_anchors_of_each_executed_horizon(monkeypatch):
     monkeypatch.setattr(rhp, "execute_fraction", recording_execute)
     result = run(free_scenario(), small_config())
     assert result.horizons > 1
-    assert result.pruned == [r.pruned for r in records]
+    assert result.anchors == [r.anchors for r in records]
     first = 0  # each horizon's first step in the run's discrete log
-    for horizon, record in zip(result.pruned, records):
-        anchors = horizon[0].source_steps
-        assert (anchors[0], anchors[-1]) == (0, record.steps)
+    for anchors, record in zip(result.anchors, records):
+        assert anchors[0] == 0
         assert list(anchors) == sorted(set(anchors))
-        for r, p in enumerate(horizon):
-            assert (p.robot, p.source_steps) == (r, anchors)
-            assert p.waypoints == tuple(result.discrete[r][first + k] for k in anchors)
-        first += record.steps
+        first += anchors[-1]
+        end = [result.discrete[r][first] for r in range(len(result.discrete))]
+        assert np.array_equal(record.pos[:, -1], np.array(end, dtype=float))
+    assert first == len(result.discrete[0]) - 1
 
 
 def test_unrepairable_horizon_logs_no_chords(monkeypatch):
@@ -264,7 +258,7 @@ def test_unrepairable_horizon_logs_no_chords(monkeypatch):
     result = run(free_scenario(), small_config())
     assert result.status == rhp.STATUS_UNREPAIRABLE
     assert result.horizons == 1
-    assert result.pruned == []
+    assert result.anchors == []
     assert result.reason.startswith("6 violation(s) on a single step: separation robots 0-1 at t=0.000")
 
 
@@ -316,14 +310,13 @@ def test_run_without_failure_has_no_reason():
     assert result.reason is None
 
 
-def test_execute_fraction_rejects_bad_fraction():
-    sc = free_scenario()
-    cfg = small_config()
-    plan = first_plan(sc, cfg)
-    with pytest.raises(ValueError):
-        execute_fraction(plan, 0.0, sc, cfg)
-    with pytest.raises(ValueError):
-        execute_fraction(plan, 1.1, sc, cfg)
+def test_execute_fraction_rejects_a_terminal_plan():
+    # a plan of one state has no step to execute; `run` ends on it instead
+    sc = free_scenario(goal=None)
+    plan = HorizonPlan(states=[sc.start], sweeps=[])
+    assert plan.terminal
+    with pytest.raises(ValueError, match="^a terminal plan has no step to execute$"):
+        execute_fraction(plan, sc, WHOLE)
 
 
 def test_run_reaches_goal_in_free_space():
@@ -561,7 +554,7 @@ def test_run_has_one_energy_more_than_moved_counts(monkeypatch):
     assert [(s.moved, s.last) for s in plans[-1].sweeps] == [(0, True)]
     assert len(result.energies) == len(result.moved_counts) + 1 == len(result.discrete[0])
     assert len(result.sweep_seconds) == len(result.moved_counts) + 1
-    assert all(len(p.discrete[0].cells) == sum(s.moved > 0 for s in p.sweeps) + 1 for p in plans)
+    assert all(len(p.states) == sum(s.moved > 0 for s in p.sweeps) + 1 for p in plans)
 
 
 def test_sweep_seconds_time_computed_sweeps_only(monkeypatch):
@@ -629,7 +622,7 @@ def matrix_setup(name, robots, seed):
 
 # SHA-256 of each matrix run: repr of (status, horizons, discrete cells,
 # reason, energies, moved counts, number of sweep-seconds rows, transition
-# anchors), then the bytes of t, pos, vel and acc. Recorded on x86-64 with
+# anchors as per-robot `PrunedPath`s), then the bytes of t, pos, vel and acc. Recorded on x86-64 with
 # numpy 2.4 and OpenBLAS. A change that alters a plan, a record or a
 # trajectory re-records the runs it changes and says why; all 29 were
 # re-recorded when each horizon became swarm transitions.
@@ -666,13 +659,24 @@ MATRIX_DIGESTS = {
 }
 
 
+def anchor_paths(result):
+    """Each executed horizon's anchors as one `PrunedPath` per robot: its
+    cells at the anchors, with the anchors as `source_steps`."""
+    log, first = [], 0
+    for anchors in result.anchors:
+        log.append([PrunedPath(r, tuple(cells[first + k] for k in anchors), anchors)
+                    for r, cells in enumerate(result.discrete)])
+        first += anchors[-1]
+    return log
+
+
 def test_matrix_digest():
     got = {}
     for key in MATRIX_DIGESTS:
         r = run(*matrix_setup(*key))
         digest = hashlib.sha256()
         digest.update(repr((r.status, r.horizons, r.discrete, r.reason, r.energies,
-                            r.moved_counts, len(r.sweep_seconds), r.pruned)).encode())
+                            r.moved_counts, len(r.sweep_seconds), anchor_paths(r))).encode())
         for a in (r.t, r.pos, r.vel, r.acc):
             digest.update(np.ascontiguousarray(a).tobytes())
         got[key] = digest.hexdigest()
@@ -691,7 +695,7 @@ def test_run_solves_no_qp(name, robots, seed, monkeypatch):
     monkeypatch.setattr(trajopt, "build_qp", no_qp)
     monkeypatch.setattr(trajopt, "solve_qp", no_qp)
     result = run(*matrix_setup(name, robots, seed))
-    assert any(len(p.waypoints) > 2 for horizon in result.pruned for p in horizon)
+    assert any(len(anchors) > 2 for anchors in result.anchors)
     assert result.horizons > 1 and result.status != rhp.STATUS_UNREPAIRABLE
 
 
@@ -699,12 +703,11 @@ def test_execute_fraction_rests_at_a_kept_corner():
     # the occupied cell (3, 3) blocks the chord (2, 2)-(4, 4): the corner
     # (4, 2) is an anchor, and the robot runs each chord rest-to-rest
     sc = corner_scenario()
-    cells = [Cell(2, 2), Cell(3, 2), Cell(4, 2), Cell(4, 3), Cell(4, 4)]
-    plan = HorizonPlan(discrete=[DiscretePath(0, cells), DiscretePath(1, [Cell(9, 9)] * 5)], sweeps=[])
-    record = execute_fraction(plan, 1.0, sc, small_config())
-    wps = record.pruned[0].waypoints
+    plan = paths_plan([(2, 2), (3, 2), (4, 2), (4, 3), (4, 4)], [(9, 9)] * 5)
+    record = execute_fraction(plan, sc, WHOLE)
+    wps, held = zip(*(plan.states[k] for k in record.anchors))
     assert wps == (Cell(2, 2), Cell(4, 2), Cell(4, 4))
-    assert record.pruned[1].waypoints == (Cell(9, 9),) * 3
+    assert held == (Cell(9, 9),) * 3
     knots = np.array([0.0, 2.0, 4.0])  # each transition's longest chord is 2 cells
     chord = np.minimum(knots.searchsorted(record.t, side="right") - 1, len(wps) - 2)
     for p, k in zip(record.pos[0].tolist(), chord.tolist()):
@@ -719,12 +722,8 @@ def test_execute_fraction_splits_a_merge_that_passes_too_close():
     # robot 0 turns around the held robot 1: each single step keeps 1.0
     # from it, but the merged diagonal chord passes 0.71 away
     sc = free_scenario(goal=None, starts=((5, 5), (5, 6)))
-    plan = HorizonPlan(
-        discrete=[DiscretePath(0, [Cell(5, 5), Cell(6, 5), Cell(6, 6)]), DiscretePath(1, [Cell(5, 6)] * 3)],
-        sweeps=[],
-    )
-    record = execute_fraction(plan, 1.0, sc, small_config())
-    assert record.pruned[0].source_steps == (0, 1, 2)
+    record = execute_fraction(paths_plan([(5, 5), (6, 5), (6, 6)], [(5, 6)] * 3), sc, WHOLE)
+    assert record.anchors == (0, 1, 2)
     assert np.linalg.norm(record.pos[0] - record.pos[1], axis=1).min() >= 1.0 - 1e-12
 
 
@@ -733,16 +732,13 @@ def test_execute_fraction_separation_limit_is_exact(d_safe, passes):
     # two robots one cell apart, moving side by side: exactly d_safe apart
     # passes, 1e-6 closer fails, and a single step that fails raises
     sc = free_scenario(goal=None, starts=((5, 5), (5, 6)))
-    plan = HorizonPlan(
-        discrete=[DiscretePath(0, [Cell(5, 5), Cell(7, 5)]), DiscretePath(1, [Cell(5, 6), Cell(7, 6)])],
-        sweeps=[],
-    )
-    config = small_config(d_safe=d_safe)
+    plan = paths_plan([(5, 5), (7, 5)], [(5, 6), (7, 6)])
+    config = dataclasses.replace(WHOLE, d_safe=d_safe)
     if passes:
-        assert execute_fraction(plan, 1.0, sc, config).end_cells == (Cell(7, 5), Cell(7, 6))
+        assert plan.states[execute_fraction(plan, sc, config).anchors[-1]] == (Cell(7, 5), Cell(7, 6))
         return
     with pytest.raises(UnrepairableError) as exc:
-        execute_fraction(plan, 1.0, sc, config)
+        execute_fraction(plan, sc, config)
     assert str(exc.value) == "1 violation(s) on a single step: separation robots 0-1 at t=0.000"
 
 
@@ -757,12 +753,10 @@ def test_execute_fraction_checks_a_single_step_without_line_of_sight(occupied, t
     grid = OccupancyGrid(prob=prob, resolution=1.0)
     sc = Scenario(grid=grid, static=None, iparams=IPARAMS, goal=None, start=(Cell(2, 2), Cell(9, 9)))
     end = Cell(4, 4) if through else Cell(3, 3)
-    plan = HorizonPlan(
-        discrete=[DiscretePath(0, [Cell(2, 2), end]), DiscretePath(1, [Cell(9, 9)] * 2)], sweeps=[]
-    )
+    plan = paths_plan([(2, 2), end], [(9, 9)] * 2)
     assert not line_of_sight(grid, Cell(2, 2), end)
     with pytest.raises(UnrepairableError) as exc:
-        execute_fraction(plan, 1.0, sc, small_config())
+        execute_fraction(plan, sc, WHOLE)
     assert str(exc.value) == "1 violation(s) on a single step: obstacle robot 0 at t=0.000"
 
 
@@ -774,12 +768,9 @@ def test_execute_fraction_names_a_failing_step_at_its_start_time():
     prob[3, 4] = 1.0
     grid = OccupancyGrid(prob=prob, resolution=1.0)
     sc = Scenario(grid=grid, static=None, iparams=IPARAMS, goal=None, start=(Cell(2, 2), Cell(9, 9)))
-    plan = HorizonPlan(
-        discrete=[DiscretePath(0, [Cell(2, 2), Cell(3, 2), Cell(5, 4)]), DiscretePath(1, [Cell(9, 9)] * 3)],
-        sweeps=[],
-    )
+    plan = paths_plan([(2, 2), (3, 2), (5, 4)], [(9, 9)] * 3)
     with pytest.raises(UnrepairableError) as exc:
-        execute_fraction(plan, 1.0, sc, small_config())
+        execute_fraction(plan, sc, WHOLE)
     assert str(exc.value) == "1 violation(s) on a single step: obstacle robot 0 at t=1.000"
 
 
