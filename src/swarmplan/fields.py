@@ -58,6 +58,8 @@ class InteractionParams:
     def __post_init__(self):
         a, b = self.attract_amp, self.repulse_amp
         la, lr = self.attract_len, self.repulse_len
+        if not all(math.isfinite(v) for v in (a, b, la, lr)):
+            raise ValueError("interaction amplitudes and length scales must be finite")
         if min(a, b, la, lr) <= 0:
             raise ValueError("interaction amplitudes and length scales must be positive")
         if b < a:
@@ -71,6 +73,8 @@ class InteractionParams:
             object.__setattr__(self, "offset", 1.1 * depth)
         elif not self.offset > depth:
             raise ValueError(f"offset must exceed the well depth {depth:.6g}")
+        elif not math.isfinite(self.offset):
+            raise ValueError("interaction offset must be finite")
 
 
 def interaction_energy(p_i, p_j, params: InteractionParams) -> float:
@@ -101,6 +105,8 @@ class GoalParams:
     def __post_init__(self):
         if not (self.amp > 0 and self.length_scale > 0):
             raise ValueError("goal amplitude and length scale must be positive")
+        if not all(math.isfinite(v) for v in (self.amp, self.length_scale, *self.goal)):
+            raise ValueError("goal position, amplitude and length scale must be finite")
 
 
 def goal_energy(p, params: GoalParams) -> float:
@@ -123,16 +129,16 @@ class ObstacleParams:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Per-cell nonnegative energy values, indexed [y, x]."""
+    """Per-cell finite, nonnegative energy values, indexed [y, x]."""
 
     value: np.ndarray
 
     def __post_init__(self):
         value = np.asarray(self.value, dtype=float)
-        if value.ndim != 2:
-            raise ValueError("scalar field must be 2D")
-        if np.any(value < 0):
-            raise ValueError("scalar field values must be nonnegative")
+        if value.ndim != 2 or not value.size:
+            raise ValueError("scalar field must be a 2D array with at least one cell")
+        if not (value.min() >= 0 and value.max() < math.inf):  # NaN fails both
+            raise ValueError("scalar field values must be finite and nonnegative")
         value.setflags(write=False)
         object.__setattr__(self, "value", value)
 
@@ -172,10 +178,19 @@ def build_obstacle_field(m_hat: BinaryObstacleMap, params: ObstacleParams) -> Sc
 
 
 def build_goal_field(grid: OccupancyGrid, params: GoalParams) -> ScalarField:
-    """Rasterize the goal energy at cell centers."""
+    """Rasterize the goal energy at cell centers; ValueError if a cell's
+    energy overflows the float range."""
     ys, xs = np.mgrid[0 : grid.height, 0 : grid.width]
     d = np.hypot(xs - params.goal[0], ys - params.goal[1])
-    return ScalarField(value=params.amp * np.exp(d / params.length_scale))
+    try:
+        with np.errstate(over="raise"):
+            value = params.amp * np.exp(d / params.length_scale)
+    except FloatingPointError:
+        raise ValueError(
+            f"goal field overflows: amplitude {params.amp:g} with length scale "
+            f"{params.length_scale:g} on a {grid.width}x{grid.height} map"
+        ) from None
+    return ScalarField(value=value)
 
 
 def static_field(goal: ScalarField, obstacle: ScalarField) -> ScalarField:

@@ -4,9 +4,13 @@ coordinate-descent (ICM) minimization into discrete multi-robot paths.
 Robots sit on integer cells, so the ICM sweep reads pair energies from an
 exact lookup table by cell offset: one growable table per
 `InteractionParams`, each entry filled by `interaction_energy`.
-`swarm_energy` and each robot update add clique energies through one
-helper, `_clique_sum`, in `clique_energy`'s order, so results are
-bit-for-bit those of the scalar functions, which stay the reference.
+`swarm_energy` and the reference update `icm_update` add clique energies
+through one helper, `_clique_sum`, in `clique_energy`'s order, so results
+are bit-for-bit those of the scalar functions, which stay the reference.
+The sweep picks each robot's cell from a one-pass estimate of every
+candidate's energy with a proven float error bound (filter lemma, below),
+and adds the clique sums in that order only for the candidates the bound
+cannot tell apart, so it picks the cell the reference picks.
 
 A sweep does its per-robot work once. One pass over the start positions
 gives every robot's candidate cells: the free cells of its disk, less the
@@ -51,6 +55,42 @@ margin, so float geometry on cells agrees. `tests/test_mrf.py` pins (S1),
 (S2) and the synchronous bound (two robots moving at once, on one timing,
 stay 1.0 apart; checked, not proven) exhaustively in integer arithmetic.
 `trajopt.repair` relies on (S1).
+
+Filter lemma. Every energy term is a finite float >= 0: `ScalarField`
+holds only such values, and `_pair_energies` refuses an entry that is not
+one. Let u = 2^-53 and g(n) = n u / (1 - n u). Terms >= 0 added in any
+order, each passing through at most n - 1 rounded additions, give a float
+within g(n) of their real sum, relative (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sec. 4.2); an integer times a float is rounded
+once, and is exact where it underflows. For robot i and candidate c, the
+reference `_candidate_energies` adds L terms, clique by clique: each
+member's static value and each member pair's energy. Their real sum is
+S(c) = K + T(c), where K, the terms without i, does not depend on c, and
+
+    T(c) = n_i s(c) + sum_j w_ij p(c, j)
+
+over the M robots j that share one of i's n_i cliques, w_ij of them; s is
+the static value and p the pair energy. `_estimates` adds K^, the terms
+without i, once, and t(c), T(c)'s M + 1 products, per candidate. So the
+reference's float E(c) is within g(L) S(c) of S(c), t(c) is within
+g(M+1) T(c) of T(c), K <= K^ / (1 - g(L)), and every T(c) <= t_max /
+(1 - g(M+1)), t_max the largest estimate. For c* of least estimate t*:
+
+    E(c) - E(c*) >= T(c) - T(c*) - g(L) (2K + T(c) + T(c*))
+                 >= t(c) - t* - 2 (g(L) + g(M+1)) (K + max T)
+                 >= t(c) - t* - 2 (L + M + 1) u (1 + 2^-30) (K^ + t_max)
+
+while L + M + 1 <= 2^20. The cut drops c when t(c) > fl(t* + tol), with
+tol = fl((L + M + 2) 2^-51 fl(K^ + t_max)) + 2^-1074 (the last term covers
+the product's rounding where it underflows), so tol >= 4 (L + M + 2) u
+(K^ + t_max) (1 - u)^2 and t(c) - t* > tol (1 - u) - u t_max. These make
+E(c) > E(c*): a dropped candidate is not among the reference's lowest.
+While K^ + t_max < 2^1000 no sum overflows; past either limit tol is
+infinite and no candidate is dropped. If one candidate is left, it is the
+reference's unique lowest and its choice; otherwise `_best_cell` on those
+left finds the same lowest energy and the same ties, so the same cell.
+Exact ties, such as mirror-image cells about one neighbour, are always
+left to it.
 
 Two one-slot caches serve the sweep: the static field's values as Python
 floats, here, and the map's free mask as Python bools, in `grid`, where
@@ -271,7 +311,9 @@ def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[flo
     `math.hypot` ignores signs, so the entry serves all four quadrants. The
     table grows to the largest extent asked for (existing rows are copied),
     and an offset past its edge raises IndexError instead of reading another
-    entry. Callers size it for every offset they read.
+    entry. Callers size it for every offset they read. An entry that is not
+    a finite float >= 0 raises ValueError: the filter lemma (module
+    docstring) needs every energy term to be one.
     """
     table = _PAIR_TABLES.get(iparams, [])
     if extent <= len(table):
@@ -279,7 +321,11 @@ def _pair_energies(iparams: InteractionParams, extent: int = 0) -> list[list[flo
     grown = []
     for dy in range(extent):
         row = list(table[dy]) if dy < len(table) else []
-        row.extend(interaction_energy((0, 0), (dx, dy), iparams) for dx in range(len(row), extent))
+        new = [interaction_energy((0, 0), (dx, dy), iparams) for dx in range(len(row), extent)]
+        for e in new:
+            if not 0.0 <= e < math.inf:
+                raise ValueError(f"pair energies must be finite and nonnegative; {iparams} gives {e}")
+        row.extend(new)
         grown.append(row)
     _PAIR_TABLES[iparams] = grown
     return grown
@@ -364,6 +410,75 @@ def _best_cell(
         return min(ties, key=lambda c: (c[1], c[0]))
     gx, gy = goal
     return min(ties, key=lambda c: (math.hypot(c[0] - gx, c[1] - gy), c[1], c[0]))
+
+
+def _estimates(
+    i: int,
+    candidates: Sequence[Cell],
+    positions: Sequence[Cell],
+    cliques: Sequence[tuple[int, ...]],
+    values: list[list[float]] | None,
+    table: list[list[float]],
+) -> tuple[list[float], float]:
+    """Each candidate's estimate t(c) = n_i s(c) + sum_j w_ij p(c, j) of the
+    energy that `_candidate_energies` adds exactly, and the tolerance past
+    which an estimate above the least one proves its candidate loses
+    (module docstring, "Filter lemma"). One pass over `cliques` counts the
+    reference terms L and robot i's clique count n_i, weighs each other
+    member j by w_ij, the cliques it shares with i, and adds K^, the terms
+    without i, in any order."""
+    terms = 0
+    rest = 0.0  # K^
+    weights: dict[int, int] = {}
+    for cl in cliques:
+        m = len(cl)
+        cells = []
+        for j in cl:
+            if j != i:
+                weights[j] = weights.get(j, 0) + 1
+                cells.append(positions[j])
+        if values is not None:
+            terms += m
+            for x, y in cells:
+                rest += values[y][x]
+        terms += m * (m - 1) // 2
+        for (ax, ay), (bx, by) in combinations(cells, 2):
+            rest += table[abs(ay - by)][abs(ax - bx)]
+    n = len(cliques)
+    others = [(*positions[j], w) for j, w in weights.items()]
+    estimates = []
+    for x, y in candidates:
+        t = 0.0 if values is None else n * values[y][x]
+        for jx, jy, w in others:
+            t += w * table[abs(y - jy)][abs(x - jx)]
+        estimates.append(t)
+    scale = rest + max(estimates)
+    if scale < 2.0**1000 and terms < 2**20:
+        return estimates, (terms + len(others) + 2) * 2.0**-51 * scale + 2.0**-1074
+    return estimates, math.inf
+
+
+def _filtered_best_cell(
+    i: int,
+    candidates: Sequence[Cell],
+    positions: Sequence[Cell],
+    cliques: Sequence[tuple[int, ...]],
+    values: list[list[float]] | None,
+    table: list[list[float]],
+    goal: tuple[float, float] | None,
+) -> Cell:
+    """`_best_cell`'s choice, from the estimates where they decide it: a
+    candidate whose estimate exceeds the least by more than the tolerance
+    is not among the reference's lowest (filter lemma), so `_best_cell`
+    runs only when several candidates are left, and only on them."""
+    if len(candidates) == 1:
+        return candidates[0]
+    estimates, tol = _estimates(i, candidates, positions, cliques, values, table)
+    cut = min(estimates) + tol
+    left = [c for c, t in zip(candidates, estimates) if t <= cut]
+    if len(left) == 1:
+        return left[0]
+    return _best_cell(i, left, positions, cliques, values, table, goal)
 
 
 def icm_update(
@@ -471,8 +586,10 @@ def _sweep(
     update_hook: UpdateHook | None,
 ) -> Sweep:
     """Sweep all robots once from `start` in ascending id, on the graph and
-    candidate spaces of `start`: each update is `icm_update` with the robots
-    before it moved and the robots after it at their starts. By the
+    candidate spaces of `start`: each update picks `icm_update`'s cell, with
+    the robots before it moved and the robots after it at their starts,
+    through the filter (`_filtered_best_cell`, filter lemma in the module
+    docstring), which runs the clique-order sums only on near-ties. By the
     separation lemma (module docstring) no move comes within 1.0 of a robot
     at its start or crosses an earlier move, so no candidate is tested
     against the others. Its seconds leave out the energy after the sweep. A
@@ -490,7 +607,7 @@ def _sweep(
 
     moved = 0
     for i, (own, space) in enumerate(zip(start, spaces)):
-        new = _best_cell(i, space, positions, cliques_of[i], values, table, config.goal)
+        new = _filtered_best_cell(i, space, positions, cliques_of[i], values, table, config.goal)
         if new != own:
             moved += 1
             positions[i] = Cell._make(new)  # candidates are plain tuples

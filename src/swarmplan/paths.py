@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .grid import Cell, OccupancyGrid, _free_mask
@@ -52,11 +53,20 @@ def supercover_cells(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
+@lru_cache(maxsize=4096)
+def _supercover_offsets(dx: int, dy: int) -> tuple[tuple[int, int], ...]:
+    """`supercover_cells` from the origin to (dx, dy): the walk depends only
+    on the offset, so the cells from `a` are these moved by `a`."""
+    return tuple(supercover_cells(Cell(0, 0), Cell(dx, dy)))
+
+
 def line_of_sight(grid: OccupancyGrid, a: Cell, b: Cell) -> bool:
     """True iff every supercover cell of the segment a->b is in bounds and free."""
     free = _free_mask(grid)
     height, width = grid.prob.shape
-    for x, y in supercover_cells(a, b):
+    ax, ay = int(a[0]), int(a[1])
+    for dx, dy in _supercover_offsets(int(b[0]) - ax, int(b[1]) - ay):
+        x, y = ax + dx, ay + dy
         if not (0 <= x < width and 0 <= y < height and free[y][x]):
             return False
     return True

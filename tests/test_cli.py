@@ -200,6 +200,12 @@ def test_every_scenario_names_a_start_or_goal_off_the_map(tmp_path, capsys, flag
     # exited 3, blaming the plan: "1 violation(s) have no execution order:
     # separation robots 0-1 at t=0.000"; distinct cells are 1 m apart
     (["--d-safe", "1.5"], "d_safe must not exceed the grid resolution (1 m)"),
+    # exited 0 "goal-converged" with inf on every row of energy.csv
+    (["--goal-amp", "inf"], "goal position, amplitude and length scale must be finite"),
+    # the same, after a RuntimeWarning from the goal field's exp
+    (["--goal-len", "0.01"], "goal field overflows: amplitude 3 with length scale 0.01 on a 40x40 map"),
+    # made the interaction offset NaN; failed as "min() arg is an empty sequence"
+    (["--attract-len", "inf"], "interaction amplitudes and length scales must be finite"),
 ])
 def test_plan_rejects_a_setting_that_switches_a_check_off(tmp_path, capsys, flags, message):
     code = run_command(["plan", "--scenario", "corridor", "--robots", "5", "--seed", "0", *flags,

@@ -134,6 +134,10 @@ def test_equilibrium_distance_of_params():
         {"attract_len": 4.0, "repulse_len": 4.0},  # lengths not ordered
         {"attract_amp": 0.7, "repulse_amp": 0.9, "attract_len": 5.0, "repulse_len": 4.0},
         {"offset": 0.0},  # below the well depth
+        # an infinite length scale made the offset NaN
+        {"attract_len": math.inf},
+        {"attract_amp": math.inf, "repulse_amp": math.inf},
+        {"offset": math.inf},
     ],
 )
 def test_interaction_params_validation(kwargs):
@@ -152,11 +156,15 @@ def test_goal_energy_formula():
     assert goal_energy((6.0, 8.0), params) == pytest.approx(2.0 * math.exp(1.0))
 
 
-# NaN fails every comparison, so the checks test `not x > 0`
-@pytest.mark.parametrize("kwargs", [{"amp": 0.0}, {"length_scale": -1.0}, {"amp": math.nan}, {"length_scale": math.nan}])
+# NaN fails every comparison, so the checks test `not x > 0`; an infinite
+# amplitude or length scale made every goal energy inf or 3.0
+@pytest.mark.parametrize("kwargs", [
+    {"amp": 0.0}, {"length_scale": -1.0}, {"amp": math.nan}, {"length_scale": math.nan},
+    {"amp": math.inf}, {"length_scale": math.inf}, {"goal": (math.inf, 0.0)}, {"goal": (0.0, math.nan)},
+])
 def test_goal_params_validation(kwargs):
     with pytest.raises(ValueError):
-        GoalParams(goal=(0.0, 0.0), **kwargs)
+        GoalParams(**{"goal": (0.0, 0.0), **kwargs})
 
 
 def test_gaussian_kernel_normalized_and_symmetric():
@@ -246,6 +254,15 @@ def test_build_goal_field_samples_goal_energy_at_cells():
             assert f.at((x, y)) == pytest.approx(goal_energy((x, y), params))
 
 
+def test_build_goal_field_names_an_overflow():
+    # exp(d / 0.01) overflowed with a RuntimeWarning and left inf cells
+    grid = OccupancyGrid(prob=np.zeros((40, 40)), resolution=1.0)
+    with pytest.raises(ValueError, match="goal field overflows"):
+        build_goal_field(grid, GoalParams(goal=(20.0, 20.0), length_scale=0.01))
+    with pytest.raises(ValueError, match="goal field overflows"):
+        build_goal_field(grid, GoalParams(goal=(20.0, 20.0), amp=1e308))
+
+
 def test_static_field_is_cellwise_sum():
     a = ScalarField(value=np.ones((3, 3)))
     b = ScalarField(value=np.full((3, 3), 2.0))
@@ -271,6 +288,9 @@ def test_scalar_field_validation():
         ScalarField(value=np.array([1.0, 2.0]))  # not 2D
     with pytest.raises(ValueError):
         ScalarField(value=np.array([[-0.1]]))  # negative
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField(value=np.array([[1.0, bad]]))
 
 
 def test_render_combined_field_adds_pair_terms():

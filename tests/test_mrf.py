@@ -24,11 +24,14 @@ from swarmplan.cli import ScenarioConfig, build_scenario
 from swarmplan.fields import (
     GoalParams,
     InteractionParams,
+    ObstacleParams,
     ScalarField,
     build_goal_field,
+    build_obstacle_field,
     interaction_energy,
+    static_field,
 )
-from swarmplan.grid import Cell, OccupancyGrid, disk_cells, disk_offsets
+from swarmplan.grid import Cell, OccupancyGrid, disk_cells, disk_offsets, threshold_map
 from swarmplan import mrf
 from swarmplan.graph import build_interaction_graph, check_connectivity_condition
 from swarmplan.mrf import (
@@ -571,6 +574,119 @@ def test_pair_table_equals_interaction_energy(iparams):
             for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
                 other = (origin[0] + sx * dx, origin[1] + sy * dy)
                 assert entry == interaction_energy(origin, other, iparams)
+
+
+def test_pair_table_refuses_a_negative_entry():
+    # amplitudes so large that the well depth overflows to an offset of 0,
+    # which leaves pair energies below zero: the filter's premise fails
+    iparams = InteractionParams(attract_amp=1e308, repulse_amp=1.7e308, attract_len=2.0, repulse_len=1.0)
+    with pytest.raises(ValueError, match="pair energies must be finite and nonnegative"):
+        _pair_energies(iparams, 8)
+
+
+def gamma(n):
+    """[DERIVED] g(n) = n u / (1 - n u) with u = 2^-53, exactly."""
+    return Fraction(n, 2**53 - n)
+
+
+def real_energies(i, c, positions, cliques, values, table):
+    """[DERIVED] the reference's terms for robot i on cell c, each an exact
+    Fraction, split into their real sums with and without i, and the count."""
+    with_i = without_i = Fraction(0)
+    count = 0
+    for cl in cliques:
+        cells = [(m, c if m == i else positions[m]) for m in cl]
+        terms = [] if values is None else [(m == i, values[y][x]) for m, (x, y) in cells]
+        for (a, (ax, ay)), (b, (bx, by)) in itertools.combinations(cells, 2):
+            terms.append((i in (a, b), table[abs(ay - by)][abs(ax - bx)]))
+        for has_i, e in terms:
+            if has_i:
+                with_i += Fraction(e)
+            else:
+                without_i += Fraction(e)
+        count += len(terms)
+    return with_i, without_i, count
+
+
+def test_filter_bounds_hold_against_exact_real_sums():
+    # [DERIVED] random starts on obstacle maps with goal and obstacle fields
+    # (or none), r_comm inf or 3, orders 1-25, k up to a complete graph:
+    # every update's reference sums are within g(L) of their real sums, the
+    # estimates within g(M + 1), and each candidate the cut drops has a
+    # reference energy above the reference's least
+    rng = np.random.default_rng(30)
+    checked = dropped = 0
+    for _ in range(40):
+        size = int(rng.integers(10, 31))
+        prob = np.where(rng.random((size, size)) < rng.choice([0.0, 0.15, 0.3]), 1.0, 0.0)
+        grid = OccupancyGrid(prob=prob, resolution=1.0)
+        free = [Cell(x, y) for y in range(size) for x in range(size) if prob[y, x] == 0.0]
+        n = int(rng.integers(2, 11))
+        start = tuple(free[j] for j in rng.choice(len(free), n, replace=False))
+        goal = (float(rng.uniform(0, size)), float(rng.uniform(0, size)))
+        static = None
+        if rng.random() < 0.75:
+            obstacle = build_obstacle_field(threshold_map(grid, 5.0), ObstacleParams())
+            static = static_field(build_goal_field(grid, GoalParams(goal=goal)), obstacle)
+        config = OptimizeConfig(
+            k=int(rng.integers(1, n)),
+            search_order=int(rng.choice([1, 2, 4, 5, 9, 16, 25])),
+            r_comm=float(rng.choice([math.inf, 3.0])),
+            goal=goal,
+        )
+        graph = build_interaction_graph(start, config.k, config.r_comm)
+        values = None if static is None else static.value.tolist()
+        table = _pair_energies(IPARAMS, size)
+        for i, candidates in enumerate(mrf._candidate_spaces(start, grid, config)):
+            cliques = graph.cliques_of[i]
+            others = {j for cl in cliques for j in cl} - {i}
+            energies = _candidate_energies(i, candidates, start, cliques, values, table)
+            estimates, tol = mrf._estimates(i, candidates, start, cliques, values, table)
+            cut = min(estimates) + tol
+            for c, e, t in zip(candidates, energies, estimates):
+                with_i, without_i, count = real_energies(i, c, start, cliques, values, table)
+                real = with_i + without_i
+                assert abs(Fraction(e) - real) <= gamma(count) * real
+                assert abs(Fraction(t) - with_i) <= gamma(len(others) + 1) * with_i
+                if t > cut:
+                    dropped += 1
+                    assert e > min(energies)
+            expected = mrf._best_cell(i, candidates, start, cliques, values, table, goal)
+            assert mrf._filtered_best_cell(i, candidates, start, cliques, values, table, goal) == expected
+            checked += len(candidates)
+    assert dropped > checked / 2
+
+
+@pytest.mark.parametrize("static, positions, cliques, goals", [
+    # robot 1's candidates (5, 4) and (5, 6) mirror each other about robot
+    # 0's row, with no static field: equal estimates; the goal, then
+    # row-major order, picks
+    (None, [(8, 5), (5, 5)], ((0, 1),), [(None, (5, 4)), ((5.0, 9.0), (5, 6)), ((5.0, 0.0), (5, 4))]),
+    # (33, 29) and (33, 31) mirror each other about row 30, as do robots 0
+    # and 1, on a goal field about (30, 30): equal reference energies, but
+    # the estimate adds robot 1's pair before robot 0's, so (33, 31)'s is
+    # one unit in the last place lower. A cut at tol = 0 keeps (33, 31)
+    # alone; the row-major rule picks (33, 29).
+    ((30.0, 30.0), [(31, 29), (31, 31), (31, 30), (33, 30)], ((0, 3, 2), (1, 3, 2)), [((30.0, 30.0), (33, 29))]),
+])
+def test_filter_leaves_a_tie_to_the_tie_rule(monkeypatch, static, positions, cliques, goals):
+    i = len(positions) - 1
+    x, y = positions[i]
+    candidates = [(x, y - 1), (x, y + 1)]
+    positions = [Cell(*p) for p in positions]
+    table = _pair_energies(IPARAMS, 8)
+    values = None
+    if static is not None:
+        values = build_goal_field(free_grid(40, 40), GoalParams(goal=static)).value.tolist()
+    energies = _candidate_energies(i, candidates, positions, cliques, values, table)
+    estimates, tol = mrf._estimates(i, candidates, positions, cliques, values, table)
+    assert energies[0] == energies[1] and abs(estimates[0] - estimates[1]) <= tol
+    exact = []
+    best_cell = mrf._best_cell
+    monkeypatch.setattr(mrf, "_best_cell", lambda i, left, *rest: exact.append(left) or best_cell(i, left, *rest))
+    for goal, want in goals:
+        assert mrf._filtered_best_cell(i, candidates, positions, cliques, values, table, goal) == want
+    assert exact == [candidates] * len(goals)
 
 
 def test_swarm_energy_equals_clique_energy_sum():

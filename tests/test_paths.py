@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from swarmplan.grid import Cell, OccupancyGrid
 from swarmplan.mrf import DiscretePath
 from swarmplan.paths import (
+    _supercover_offsets,
     line_of_sight,
     point_segment_distance,
     prune,
@@ -112,6 +113,15 @@ def test_supercover_is_connected_superset_property(ax, ay, bx, by):
     # every cell is within half a step (Chebyshev) of the segment
     for c in got:
         assert point_segment_distance(c, (ax, ay), (bx, by)) <= math.sqrt(0.5) + 1e-9
+
+
+def test_cached_supercover_walk_equals_supercover_cells():
+    # `line_of_sight` walks the cached cells of the offset, moved to its start
+    for ox, oy in ((0, 0), (5, 7), (37, 53)):
+        for dx in range(-25, 26):
+            for dy in range(-25, 26):
+                moved = [(ox + x, oy + y) for x, y in _supercover_offsets(dx, dy)]
+                assert moved == supercover_cells(Cell(ox, oy), Cell(ox + dx, oy + dy))
 
 
 def test_line_of_sight_free_and_blocked():
